@@ -5,13 +5,7 @@ use crate::experiments::query_perf::{blinks_rows, mean_reduction, rclique_rows};
 use crate::harness::{fmt_duration, TableWriter};
 use crate::setup::Workbench;
 use bgi_datasets::DatasetSpec;
-use bgi_search::rclique::NeighborIndex;
 use std::time::Duration;
-
-/// The r-clique side of Fig. 15 is skipped for a graph whose neighbor
-/// list would not fit in a laptop's memory — the same phenomenon that
-/// keeps r-clique off the paper's IMDB (Sec. 6.2).
-const RCLIQUE_BUDGET_BYTES: usize = 1 << 30;
 
 /// Renders Fig. 15 for synt graphs at 1×, 2×, 4×, 8× the base scale.
 pub fn run(scale: usize) -> String {
@@ -26,6 +20,7 @@ pub fn run(scale: usize) -> String {
         "r-clique base",
         "r-clique BiG",
         "r-clique red.",
+        "resident rows",
     ]);
     for mult in [1usize, 2, 4, 8] {
         let spec = DatasetSpec::synt(base * mult);
@@ -47,12 +42,7 @@ pub fn run(scale: usize) -> String {
             ..wb
         };
         let b = blinks_rows(&wb4);
-        let rclique_bytes = NeighborIndex::estimate_bytes(&wb4.dataset.graph, 4);
-        let r = if rclique_bytes <= RCLIQUE_BUDGET_BYTES {
-            rclique_rows(&wb4)
-        } else {
-            Vec::new()
-        };
+        let (r, resident_bytes) = rclique_rows(&wb4);
         let avg = |rows: &[super::query_perf::QueryPerfRow],
                    f: fn(&super::query_perf::QueryPerfRow) -> Duration| {
             if rows.is_empty() {
@@ -61,27 +51,16 @@ pub fn run(scale: usize) -> String {
                 rows.iter().map(f).sum::<Duration>() / rows.len() as u32
             }
         };
-        if r.is_empty() {
-            t.row(&[
-                spec.name().to_string(),
-                fmt_duration(avg(&b, |r| r.baseline)),
-                fmt_duration(avg(&b, |r| r.boosted)),
-                format!("{:.1}%", mean_reduction(&b)),
-                format!("skipped (~{:.1} GB index)", rclique_bytes as f64 / 1e9),
-                "-".into(),
-                "-".into(),
-            ]);
-        } else {
-            t.row(&[
-                spec.name().to_string(),
-                fmt_duration(avg(&b, |r| r.baseline)),
-                fmt_duration(avg(&b, |r| r.boosted)),
-                format!("{:.1}%", mean_reduction(&b)),
-                fmt_duration(avg(&r, |x| x.baseline)),
-                fmt_duration(avg(&r, |x| x.boosted)),
-                format!("{:.1}%", mean_reduction(&r)),
-            ]);
-        }
+        t.row(&[
+            spec.name().to_string(),
+            fmt_duration(avg(&b, |r| r.baseline)),
+            fmt_duration(avg(&b, |r| r.boosted)),
+            format!("{:.1}%", mean_reduction(&b)),
+            fmt_duration(avg(&r, |x| x.baseline)),
+            fmt_duration(avg(&r, |x| x.boosted)),
+            format!("{:.1}%", mean_reduction(&r)),
+            format!("{:.1} MB", resident_bytes as f64 / 1e6),
+        ]);
     }
     out.push_str(&t.render());
     out.push_str("\npaper: BiG-index reduced query times on synthetic datasets by at least 20%.\n");

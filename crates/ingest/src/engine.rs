@@ -681,12 +681,12 @@ impl Engine {
         let diff = diff_graphs(old_g, new_g, MAX_PATCH_EDGE_OPS)?;
         // A blinks decline is cost-based (patch would out-cost a
         // rebuild), not a correctness failure: rebuild blinks alone and
-        // keep the cheap banks and lazy rclique patches for the layer.
+        // keep the cheap banks and rclique patches for the layer.
         let blinks = match self.bundle.blinks[m].patched(old_g, new_g, &diff) {
             Some(p) => p,
             None => Blinks::new(self.bundle.blinks_params).build_index(new_g),
         };
-        let rclique = self.bundle.rclique[m].patched(old_g, new_g, &diff)?;
+        let rclique = self.bundle.rclique[m].patched(new_g, &diff)?;
         let banks = self.bundle.banks[m].patched(new_g, &diff);
         Some(PatchedLayer {
             banks,
@@ -815,17 +815,14 @@ impl Engine {
                 match t % 3 {
                     0 => BuiltIndex::Banks(Banks.build_index(g)),
                     1 => BuiltIndex::Blinks(blinks_algo.build_index(g)),
-                    // Lazy rows: an eager ball construction here would
-                    // stall the commit for ~the full index build.
-                    _ => BuiltIndex::RClique(rclique_params.build_index_lazy(g)),
+                    _ => BuiltIndex::RClique(rclique_params.build_index(g)),
                 }
             })
             .into_iter()
             .map(Some)
             .collect();
         // Move the unchanged layers' indexes out of the old bundle instead
-        // of cloning them — per-layer r-clique tables are the bulk of a
-        // bundle's footprint, and the old bundle is dead after the swap.
+        // of cloning them — the old bundle is dead after the swap.
         let old = std::mem::replace(
             &mut self.bundle,
             IndexBundle {

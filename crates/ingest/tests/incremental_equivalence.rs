@@ -110,6 +110,13 @@ proptest! {
                 1 => IngestUpdate::DeleteEdge { src: a % n, dst: b % n },
                 _ => IngestUpdate::AddVertex { label: b % 7 },
             };
+            // Fill every r-clique ball row first, so the batch has rows
+            // to carry over and a wrongly kept one can be seen below.
+            for (m, rc) in engine.bundle().rclique.iter().enumerate() {
+                for v in engine.index().graph_at(m).vertices() {
+                    rc.neighbor.neighbors(v);
+                }
+            }
             engine.apply_batch(&[update]).unwrap();
 
             // The maintained hierarchy stays a valid BiG-index…
@@ -150,10 +157,20 @@ proptest! {
                     bundle.banks[m] == Banks.build_index(g),
                     "layer {} served BANKS index diverged from a fresh build", m
                 );
+                let fresh = bundle.rclique_params.build_index(g);
                 prop_assert!(
-                    bundle.rclique[m] == bundle.rclique_params.build_index(g),
+                    bundle.rclique[m] == fresh,
                     "layer {} served r-clique index diverged from a fresh build", m
                 );
+                // `==` is radius + graph and never reads a row; the rows
+                // the batch carried over are compared one by one.
+                for v in g.vertices() {
+                    prop_assert_eq!(
+                        bundle.rclique[m].neighbor.neighbors(v),
+                        fresh.neighbor.neighbors(v),
+                        "layer {} served r-clique row {:?} is stale", m, v
+                    );
+                }
                 let reference = bgi_search::blinks::BlinksIndex::build_with_partition(
                     g,
                     bundle.blinks[m].partition().clone(),

@@ -14,17 +14,18 @@
 //! - [`crate::banks::BanksIndex::patched`] — inverted label lists;
 //!   edge ops are free, vertex additions append in id order.
 //! - [`crate::rclique::NeighborIndex::patched`] — per-vertex bounded
-//!   balls; only vertices within `radius` of a changed edge are
-//!   recomputed, the rest of the CSR is spliced over.
+//!   balls; rows within `radius − 1` of a changed edge's endpoints are
+//!   dropped (and recomputed on first read), every other filled row is
+//!   carried over.
 //! - [`crate::blinks::BlinksIndex::patched`] — keyword-distance lists;
 //!   only vertices that can reach a changed edge within `τ_prune` are
 //!   repaired, against boundary distances that provably did not change.
 //!
 //! Every patch entry point is *exactly equivalent* to a rebuild (for
-//! BLINKS: a rebuild over the same partition) and returns `None` when
-//! the affected region grows past a fraction of the graph, at which
-//! point the caller falls back to the full rebuild it would have done
-//! anyway.
+//! BLINKS: a rebuild over the same partition). BLINKS returns `None`
+//! when the affected region grows past a fraction of the graph, at
+//! which point the caller falls back to the full rebuild it would have
+//! done anyway.
 
 use bgi_graph::{DiGraph, LabelId, VId};
 

@@ -10,9 +10,12 @@
 //! Structures:
 //! - [`neighbor_index::NeighborIndex`] — for each vertex, the vertices
 //!   within `R` undirected hops with their distances (the paper's
-//!   "neighbor list"; its `O(mn)` size is what blows up on IMDB in the
-//!   original evaluation, and [`neighbor_index::NeighborIndex::estimated_bytes`]
-//!   reproduces that accounting).
+//!   "neighbor list"). Materialized up front its `O(mn)` size is what
+//!   blows up on IMDB in the original evaluation, so here it has one
+//!   representation: a table of per-vertex rows, each filled by a
+//!   bounded BFS on first read, shared by every clone of the index and
+//!   never written to disk. Building it is `O(n + m)`; an update
+//!   carries over the filled rows it did not dirty.
 //! - `search_space` (crate-private) — the interruptible anytime search
 //!   space: greedy
 //!   seed answer, branch-and-bound improvement under a cooperative
@@ -24,5 +27,5 @@ pub mod neighbor_index;
 pub mod search;
 pub(crate) mod search_space;
 
-pub use neighbor_index::{BuildError, NeighborIndex, NeighborIndexParams, BUILD_POLL_STRIDE};
+pub use neighbor_index::NeighborIndex;
 pub use search::{RClique, RCliqueIndex};

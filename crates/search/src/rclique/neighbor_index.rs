@@ -1,428 +1,116 @@
 //! The r-clique neighbor index.
 //!
-//! For each vertex `v`, stores every vertex within `R` *undirected* hops
+//! For each vertex `v`, every vertex within `R` *undirected* hops
 //! together with its distance, sorted by vertex id for `O(log)` lookup.
-//! Kargar & An keep exactly this `O(m·n)`-sized structure; the BiG-index
-//! paper reports it reaching an estimated 16 TB on IMDB. We reproduce the
-//! accounting via [`NeighborIndex::estimated_bytes`] and let callers
-//! enforce a budget with [`NeighborIndex::try_build`].
+//! Kargar & An materialize exactly this `O(n·|ball_R|)` structure up
+//! front; the BiG-index paper reports it reaching an estimated 16 TB on
+//! IMDB. Here a row is a *cache entry*: it is a pure function of
+//! `(graph, radius, v)`, computed by one bounded BFS the first time it
+//! is read and kept for as long as no update dirties it. Nothing about
+//! it is ever persisted.
 
-use crate::cancel::Budget;
 use bgi_graph::{DiGraph, VId};
-use rustc_hash::FxHashMap;
-use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
-/// How many construction ops (BFS discoveries or dense-scan slots)
-/// separate two budget polls during [`NeighborIndex::try_build_budgeted`].
-///
-/// The stride bounds cancellation latency: once the budget expires, the
-/// build notices within one stride of ops — the regression test pins
-/// the observed op count to `(checks + 1) × BUILD_POLL_STRIDE`.
-pub const BUILD_POLL_STRIDE: u64 = 1024;
-
-/// Parameters for the neighbor index.
-#[derive(Debug, Clone, Copy)]
-pub struct NeighborIndexParams {
-    /// Distance bound `R` (the paper's experiments use 4).
-    pub radius: u32,
-    /// Optional memory budget in bytes; `try_build` fails when the
-    /// index would exceed it.
-    pub max_bytes: Option<usize>,
-}
-
-impl Default for NeighborIndexParams {
-    fn default() -> Self {
-        NeighborIndexParams {
-            radius: 4,
-            max_bytes: None,
-        }
-    }
-}
+/// One vertex's ball, filled on first read.
+type BallRow = OnceLock<Arc<[(VId, u16)]>>;
 
 /// Per-vertex bounded undirected neighborhoods with distances.
 ///
-/// The materialized rows live in an `Arc`-shared CSR; an incrementally
-/// [`NeighborIndex::patched`] copy overlays it with a set of *dirty*
-/// rows that are recomputed lazily on first access (see
-/// [`PendingRows`]). Equality is semantic — two indexes are equal when
-/// every row agrees, regardless of how much of either is still pending.
+/// `clone()` shares the slot table, so a row filled through any clone —
+/// the served snapshot's, say — is filled in all of them, including the
+/// write path's copy that the next [`NeighborIndex::patched`] starts
+/// from. Equality is `radius` plus graph equality: rows are a pure
+/// function of both, and comparing never forces one.
 #[derive(Debug, Clone)]
 pub struct NeighborIndex {
     radius: u32,
-    // CSR layout: entries[offsets[v]..offsets[v+1]] = (neighbor, dist),
-    // sorted by neighbor id. Shared so a patched copy costs O(dirty
-    // set), not O(index).
-    offsets: Arc<Vec<u64>>,
-    entries: Arc<Vec<(VId, u16)>>,
-    pending: Option<Box<PendingRows>>,
+    graph: Arc<DiGraph>,
+    rows: Arc<[BallRow]>,
 }
-
-/// Dirty-row overlay of a patched index: rows whose balls may have
-/// changed since the CSR was materialized, recomputed against `graph`
-/// on first access and cached. A single edge flip can invalidate the
-/// balls of half the vertices (radius-`R` balls overlap heavily), so an
-/// eager patch would cost as much as a rebuild; deferring the recompute
-/// makes updates O(dirty-set discovery) and bills the BFS to the
-/// queries that actually read an invalidated row.
-#[derive(Debug, Clone)]
-struct PendingRows {
-    /// The graph every row of this index describes.
-    graph: DiGraph,
-    /// Total rows, including vertices appended past the CSR.
-    n: usize,
-    /// Dirty rows: an unset slot is recomputed (and cached) on first
-    /// read; rows absent from the map are served from the CSR.
-    rows: FxHashMap<u32, BallRow>,
-}
-
-/// One dirty row: the vertex's recomputed ball, filled on first read.
-type BallRow = OnceLock<Arc<[(VId, u16)]>>;
-
-/// Borrowed-or-owned CSR export of [`NeighborIndex::csr_parts`].
-pub type CsrParts<'a> = (Cow<'a, [u64]>, Cow<'a, [(VId, u16)]>);
 
 impl PartialEq for NeighborIndex {
     fn eq(&self, other: &Self) -> bool {
         self.radius == other.radius
-            && self.num_rows() == other.num_rows()
-            && (0..self.num_rows() as u32)
-                .all(|v| self.neighbors(VId(v)) == other.neighbors(VId(v)))
+            && (Arc::ptr_eq(&self.graph, &other.graph) || self.graph == other.graph)
     }
 }
 
 impl Eq for NeighborIndex {}
 
-/// Error returned when the index would exceed its memory budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexTooLarge {
-    /// Estimated size of the full index in bytes.
-    pub estimated_bytes: usize,
-    /// The configured budget.
-    pub budget_bytes: usize,
-}
-
-impl std::fmt::Display for IndexTooLarge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "neighbor index would need ~{} bytes, over the {} byte budget",
-            self.estimated_bytes, self.budget_bytes
-        )
-    }
-}
-
-impl std::error::Error for IndexTooLarge {}
-
-/// Error from [`NeighborIndex::try_build_budgeted`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BuildError {
-    /// The estimated index size exceeds the configured memory budget.
-    TooLarge(IndexTooLarge),
-    /// The execution budget expired mid-build.
-    Interrupted {
-        /// Construction ops performed before the build noticed the
-        /// expiry — at most one [`BUILD_POLL_STRIDE`] past the op at
-        /// which the budget ran out.
-        ops_done: u64,
-    },
-}
-
-impl std::fmt::Display for BuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BuildError::TooLarge(e) => e.fmt(f),
-            BuildError::Interrupted { ops_done } => {
-                write!(f, "neighbor index build interrupted after {ops_done} ops")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BuildError {}
-
 impl NeighborIndex {
-    /// Builds the index unconditionally.
+    /// An index over `g` with every row still unfilled: `O(n + m)` for
+    /// the graph copy the rows are later computed against, no BFS.
     pub fn build(g: &DiGraph, radius: u32) -> Self {
-        Self::try_build(
-            g,
-            &NeighborIndexParams {
-                radius,
-                max_bytes: None,
-            },
-        )
-        .expect("no budget set")
-    }
-
-    /// Builds an index whose every row is pending: construction costs
-    /// one map insert per vertex, and each ball is computed on first
-    /// read (then cached), exactly as a [`NeighborIndex::patched`]
-    /// dirty row is. Compares equal to [`NeighborIndex::build`] on the
-    /// same graph. This is the write-path rebuild fallback — when a
-    /// patch declines mid-update, an eager rebuild would stall the
-    /// commit for the full `O(m·n)` ball construction; deferring it
-    /// bills that cost to the queries that actually read the rows.
-    pub fn build_lazy(g: &DiGraph, radius: u32) -> Self {
-        let n = g.num_vertices();
-        let rows = (0..n as u32).map(|v| (v, OnceLock::new())).collect();
         NeighborIndex {
             radius,
-            offsets: Arc::new(vec![0]),
-            entries: Arc::new(Vec::new()),
-            pending: Some(Box::new(PendingRows {
-                graph: g.clone(),
-                n,
-                rows,
-            })),
+            graph: Arc::new(g.clone()),
+            rows: (0..g.num_vertices()).map(|_| OnceLock::new()).collect(),
         }
     }
 
-    /// Builds the index, failing early if the estimated size exceeds
-    /// `params.max_bytes`. The estimate extrapolates from a prefix of
-    /// vertices, mirroring how the original evaluation estimated 16 TB
-    /// for IMDB without materializing the index.
-    pub fn try_build(g: &DiGraph, params: &NeighborIndexParams) -> Result<Self, IndexTooLarge> {
-        match Self::try_build_budgeted(g, params, &Budget::unlimited()) {
-            Ok(ix) => Ok(ix),
-            Err(BuildError::TooLarge(e)) => Err(e),
-            Err(BuildError::Interrupted { .. }) => {
-                unreachable!("an unlimited budget never interrupts")
-            }
-        }
-    }
-
-    /// [`NeighborIndex::try_build`] under a cooperative execution
-    /// [`Budget`], polled every [`BUILD_POLL_STRIDE`] construction ops
-    /// so an index rebuild can be cancelled with bounded latency even
-    /// inside the O(n)-per-vertex dense-ball scan.
-    pub fn try_build_budgeted(
-        g: &DiGraph,
-        params: &NeighborIndexParams,
-        budget: &Budget,
-    ) -> Result<Self, BuildError> {
-        let n = g.num_vertices();
-        if let Some(max) = params.max_bytes {
-            let estimated = Self::estimate_bytes(g, params.radius);
-            if estimated > max {
-                return Err(BuildError::TooLarge(IndexTooLarge {
-                    estimated_bytes: estimated,
-                    budget_bytes: max,
-                }));
-            }
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u64);
-        let mut entries = Vec::new();
-        let mut scratch = Scratch::new(n);
-        // Construction ops performed and the op count of the next
-        // budget poll; both the per-vertex BFS and the dense scan
-        // advance them at stride granularity.
-        let mut ops: u64 = 0;
-        let mut next_poll: u64 = BUILD_POLL_STRIDE;
-        for v in g.vertices() {
-            let start = entries.len();
-            if !scratch.undirected_ball_polled(
-                g,
-                v,
-                params.radius,
-                &mut entries,
-                budget,
-                &mut ops,
-                &mut next_poll,
-            ) {
-                return Err(BuildError::Interrupted { ops_done: ops });
-            }
-            let ball = entries.len() - start;
-            if ball * 8 >= n {
-                // Dense ball: emit in id order by scanning the distance
-                // array — O(n), beating the O(ball·log ball) sort that
-                // dominates construction when radius covers the graph.
-                // The scan polls every stride so cancellation latency
-                // stays bounded even when one ball covers the graph.
-                entries.truncate(start);
-                let mut lo = 0usize;
-                while lo < n {
-                    let hi = n.min(lo + BUILD_POLL_STRIDE as usize);
-                    ops += (hi - lo) as u64;
-                    if ops >= next_poll {
-                        next_poll = ops + BUILD_POLL_STRIDE;
-                        if budget.is_exhausted() {
-                            return Err(BuildError::Interrupted { ops_done: ops });
-                        }
-                    }
-                    for u in lo..hi {
-                        let d = scratch.dist[u];
-                        if d != u32::MAX && d != 0 {
-                            entries.push((VId(u as u32), d as u16));
-                        }
-                    }
-                    lo = hi;
-                }
-            } else {
-                entries[start..].sort_unstable_by_key(|&(u, _)| u);
-            }
-            offsets.push(entries.len() as u64);
-        }
-        Ok(NeighborIndex {
-            radius: params.radius,
-            offsets: Arc::new(offsets),
-            entries: Arc::new(entries),
-            pending: None,
-        })
-    }
-
-    /// Estimates the full index size in bytes by sampling the first
-    /// `min(n, 64)` vertices' neighborhood sizes.
-    pub fn estimate_bytes(g: &DiGraph, radius: u32) -> usize {
-        let n = g.num_vertices();
-        if n == 0 {
-            return 0;
-        }
-        let sample = n.min(64);
-        let mut scratch = Scratch::new(n);
-        let mut tmp = Vec::new();
-        let mut total = 0usize;
-        for v in 0..sample as u32 {
-            tmp.clear();
-            scratch.undirected_ball(g, VId(v), radius, &mut tmp);
-            total += tmp.len();
-        }
-        let avg = total as f64 / sample as f64;
-        (avg * n as f64) as usize * std::mem::size_of::<(VId, u16)>()
-    }
-
-    /// Incrementally patched copy of this index for the graph described
-    /// by `diff` (see [`crate::patch`]).
+    /// Incrementally patched copy of this index for `new_g`, the graph
+    /// `diff` leads to from the one this index describes (see
+    /// [`crate::patch`]).
     ///
-    /// A vertex's ball can only change if a path of length `≤ radius`
-    /// from it crosses a changed edge, which puts it within
-    /// `radius` undirected hops of a changed-edge endpoint in the graph
-    /// where that path exists. The affected set is therefore the union
-    /// of the endpoints' radius-balls in the *old* and *new* graphs,
-    /// plus every appended vertex. Those rows are *not* recomputed here:
-    /// they are marked dirty in a [`PendingRows`] overlay sharing the
-    /// CSR of `self`, and each is recomputed against `new_g` on first
-    /// access. The result compares equal to a full rebuild on `new_g`
-    /// and costs O(affected-set discovery) up front — an edge touching
-    /// a hub can invalidate half the graph's balls, and eagerly
-    /// recomputing them would cost as much as the rebuild this patch
-    /// exists to avoid.
+    /// A row `x` changes only if, in the old or the new graph, a
+    /// shortest path of length `≤ radius` from `x` crosses a changed
+    /// edge. Cut that path at its *first* changed edge: the prefix is
+    /// at most `radius − 1` unchanged edges — edges both graphs have —
+    /// and ends at one of the edge's endpoints. The dirty set is
+    /// therefore the union of the endpoints' `(radius − 1)`-balls in
+    /// `new_g` alone: one multi-source BFS, however many edits a
+    /// group-commit batch coalesced. The result gets a fresh slot table
+    /// over `new_g` that carries over every filled row outside the
+    /// dirty set; dirty and appended rows start unfilled and are
+    /// computed against `new_g` on first read. An edge touching a hub
+    /// can dirty half the graph's balls, so recomputing them here would
+    /// cost as much as the rebuild this patch exists to avoid.
     ///
-    /// Patches chain: rows already dirty in `self` stay dirty (their
-    /// balls are identical in `self`'s graph and `new_g` unless the new
-    /// diff touched them again, so a later recompute against `new_g` is
-    /// exact), cached recomputes survive unless re-invalidated.
-    ///
-    /// Returns `None` only when `self` cannot describe `old_g` (row
-    /// count mismatch) — the caller should rebuild.
+    /// Returns `None` only when `self` cannot describe the graph `diff`
+    /// starts from (row count mismatch) — the caller should rebuild.
     pub fn patched(
         &self,
-        old_g: &DiGraph,
         new_g: &DiGraph,
         diff: &crate::patch::GraphDiff,
     ) -> Option<NeighborIndex> {
         let n_new = new_g.num_vertices();
-        let n_old = n_new - diff.added_labels.len();
-        if self.num_rows() != n_old {
+        if self.num_rows() + diff.added_labels.len() != n_new {
             return None;
         }
-        let r = self.radius;
-        let mut scratch = Scratch::new(n_new);
-        let mut ball: Vec<(VId, u16)> = Vec::new();
-        let mut endpoints: Vec<VId> = Vec::new();
-        for &(u, v) in diff.inserted.iter().chain(diff.deleted.iter()) {
-            endpoints.push(u);
-            endpoints.push(v);
-        }
+        let mut endpoints: Vec<VId> = diff
+            .inserted
+            .iter()
+            .chain(&diff.deleted)
+            .flat_map(|&(u, v)| [u, v])
+            .collect();
         endpoints.sort_unstable();
         endpoints.dedup();
-        let mut rows = match &self.pending {
-            Some(p) => p.rows.clone(),
-            None => FxHashMap::default(),
-        };
-        // The union of the endpoints' radius-balls is exactly one
-        // multi-source BFS per graph (a vertex is in some ball iff its
-        // distance to the *nearest* endpoint is ≤ radius), so dirty-set
-        // discovery costs two traversals regardless of how many edits a
-        // group-commit batch coalesced.
-        for g in [old_g, new_g] {
-            let seeds: Vec<VId> = endpoints
-                .iter()
-                .copied()
-                .filter(|e| e.index() < g.num_vertices())
-                .collect();
-            if seeds.is_empty() {
-                continue;
-            }
-            ball.clear();
-            scratch.undirected_ball_multi(g, &seeds, r, &mut ball);
-            // `insert` also discards a cached recompute that this
-            // diff just re-invalidated.
-            for &e in &seeds {
-                rows.insert(e.0, OnceLock::new());
-            }
-            for &(u, _) in &ball {
-                rows.insert(u.0, OnceLock::new());
-            }
+        let mut dirty = vec![false; n_new];
+        for &e in &endpoints {
+            dirty[e.index()] = true;
         }
-        for v in n_old..n_new {
-            rows.insert(v as u32, OnceLock::new());
-        }
+        let reach = self.radius.saturating_sub(1);
+        undirected_ball(new_g, &endpoints, reach, |u, _| dirty[u.index()] = true);
+        let rows = (0..n_new)
+            .map(|v| match self.rows.get(v).and_then(OnceLock::get) {
+                Some(row) if !dirty[v] => OnceLock::from(Arc::clone(row)),
+                _ => OnceLock::new(),
+            })
+            .collect();
         Some(NeighborIndex {
-            radius: r,
-            offsets: Arc::clone(&self.offsets),
-            entries: Arc::clone(&self.entries),
-            pending: Some(Box::new(PendingRows {
-                graph: new_g.clone(),
-                n: n_new,
-                rows,
-            })),
+            radius: self.radius,
+            graph: Arc::new(new_g.clone()),
+            rows,
         })
     }
 
-    /// Reassembles an index from its CSR arrays (the persistence path).
-    /// Offsets must be non-decreasing and cover `entries`; decoders
-    /// validate this before calling.
-    pub fn from_parts(radius: u32, offsets: Vec<u64>, entries: Vec<(VId, u16)>) -> Self {
-        NeighborIndex {
-            radius,
-            offsets: Arc::new(offsets),
-            entries: Arc::new(entries),
-            pending: None,
-        }
-    }
-
-    /// The CSR arrays `(offsets, entries)` (persistence export;
-    /// [`NeighborIndex::neighbors`] is the per-vertex lookup). A
-    /// patched index forces every still-dirty row first, so the export
-    /// is always fully materialized — borrowed when nothing is pending,
-    /// owned otherwise.
-    pub fn csr_parts(&self) -> CsrParts<'_> {
-        if self.pending.is_none() {
-            return (
-                Cow::Borrowed(&self.offsets[..]),
-                Cow::Borrowed(&self.entries[..]),
-            );
-        }
-        let n = self.num_rows();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u64);
-        let mut entries: Vec<(VId, u16)> = Vec::new();
-        for v in 0..n {
-            entries.extend_from_slice(self.neighbors(VId(v as u32)));
-            offsets.push(entries.len() as u64);
-        }
-        (Cow::Owned(offsets), Cow::Owned(entries))
-    }
-
     /// Number of per-vertex rows (the vertex count of the graph the
-    /// index describes, including rows still pending recompute).
+    /// index describes), filled or not.
     pub fn num_rows(&self) -> usize {
-        match &self.pending {
-            Some(p) => p.n,
-            None => self.offsets.len() - 1,
-        }
+        self.rows.len()
     }
 
     /// The distance bound the index was built with.
@@ -442,163 +130,157 @@ impl NeighborIndex {
     }
 
     /// All `(neighbor, distance)` pairs of `v`, sorted by neighbor id.
-    /// A row invalidated by [`NeighborIndex::patched`] is recomputed
-    /// against the patched graph on first access and cached; clean rows
-    /// are served straight from the shared CSR.
+    /// The first read of a row runs one bounded undirected BFS from `v`
+    /// and caches the result; concurrent first readers block on the one
+    /// that got there first and all see the same slice.
     pub fn neighbors(&self, v: VId) -> &[(VId, u16)] {
-        if let Some(p) = &self.pending {
-            if let Some(slot) = p.rows.get(&v.0) {
-                return slot.get_or_init(|| Self::compute_row(&p.graph, v, self.radius));
-            }
-        }
-        &self.entries[self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize]
+        self.rows[v.index()].get_or_init(|| {
+            let mut row = Vec::new();
+            undirected_ball(&self.graph, &[v], self.radius, |u, d| row.push((u, d)));
+            row.sort_unstable_by_key(|&(u, _)| u);
+            row.into()
+        })
     }
 
-    /// One vertex's ball on `g`, sorted by neighbor id — the lazy-row
-    /// recompute, identical to what a full build stores for `v`.
-    fn compute_row(g: &DiGraph, v: VId, radius: u32) -> Arc<[(VId, u16)]> {
-        let mut scratch = Scratch::new(g.num_vertices());
-        let mut out: Vec<(VId, u16)> = Vec::new();
-        scratch.undirected_ball(g, v, radius, &mut out);
-        out.sort_unstable_by_key(|&(u, _)| u);
-        out.into()
-    }
-
-    /// Actual size of the materialized index in bytes (pending lazy
-    /// rows are accounted at their CSR footprint).
-    pub fn estimated_bytes(&self) -> usize {
-        self.entries.len() * std::mem::size_of::<(VId, u16)>()
-            + self.offsets.len() * std::mem::size_of::<u64>()
+    /// The rows filled so far, in vertex order — the index's actual
+    /// memory footprint beyond the graph copy, and what tests and
+    /// experiments read to see what an update invalidated.
+    pub fn resident_rows(&self) -> impl Iterator<Item = (VId, &[(VId, u16)])> + '_ {
+        self.rows
+            .iter()
+            .enumerate()
+            .filter_map(|(v, row)| Some((VId(v as u32), &**row.get()?)))
     }
 }
 
-/// Reusable BFS scratch over the undirected view of a graph.
+/// BFS scratch over the undirected view of a graph; `touched` lists
+/// the `dist` slots the previous traversal left set.
 struct Scratch {
     dist: Vec<u32>,
     touched: Vec<VId>,
     queue: VecDeque<VId>,
 }
 
-impl Scratch {
-    fn new(n: usize) -> Self {
-        Scratch {
-            dist: vec![u32::MAX; n],
+thread_local! {
+    /// One scratch per thread, grown to the largest graph seen: a row
+    /// fill must cost `O(ball)`, not an `O(n)` allocation and memset.
+    static SCRATCH: RefCell<Scratch> = const {
+        RefCell::new(Scratch {
+            dist: Vec::new(),
             touched: Vec::new(),
             queue: VecDeque::new(),
-        }
-    }
+        })
+    };
+}
 
-    /// Appends `(u, dist)` for every `u ≠ v` within `r` undirected hops
-    /// of `v` to `out`.
-    fn undirected_ball(&mut self, g: &DiGraph, v: VId, r: u32, out: &mut Vec<(VId, u16)>) {
-        // `next_poll = u64::MAX` disables polling entirely, so the
-        // unbudgeted path pays nothing.
-        let (mut ops, mut next_poll) = (0u64, u64::MAX);
-        self.undirected_ball_polled(g, v, r, out, &Budget::unlimited(), &mut ops, &mut next_poll);
-    }
-
-    /// Appends `(u, dist-to-nearest-seed)` for every `u` not in `seeds`
-    /// within `r` undirected hops of *any* seed to `out` — the union of
-    /// the seeds' radius-`r` balls in one traversal.
-    fn undirected_ball_multi(
-        &mut self,
-        g: &DiGraph,
-        seeds: &[VId],
-        r: u32,
-        out: &mut Vec<(VId, u16)>,
-    ) {
-        for &t in &self.touched {
-            self.dist[t.index()] = u32::MAX;
+/// Calls `visit(u, dist-to-nearest-seed)` for every `u` not in `seeds`
+/// within `r` undirected hops of *any* seed — the union of the seeds'
+/// radius-`r` balls in one traversal.
+fn undirected_ball(g: &DiGraph, seeds: &[VId], r: u32, mut visit: impl FnMut(VId, u16)) {
+    SCRATCH.with_borrow_mut(|s| {
+        for t in s.touched.drain(..) {
+            s.dist[t.index()] = u32::MAX;
         }
-        self.touched.clear();
-        self.queue.clear();
-        for &s in seeds {
-            if self.dist[s.index()] == u32::MAX {
-                self.dist[s.index()] = 0;
-                self.touched.push(s);
-                self.queue.push_back(s);
+        s.queue.clear();
+        if s.dist.len() < g.num_vertices() {
+            s.dist.resize(g.num_vertices(), u32::MAX);
+        }
+        for &seed in seeds {
+            if s.dist[seed.index()] == u32::MAX {
+                s.dist[seed.index()] = 0;
+                s.touched.push(seed);
+                s.queue.push_back(seed);
             }
         }
-        while let Some(u) = self.queue.pop_front() {
-            let d = self.dist[u.index()];
+        while let Some(u) = s.queue.pop_front() {
+            let d = s.dist[u.index()];
             if d >= r {
                 continue;
             }
             for &w in g.out_neighbors(u).iter().chain(g.in_neighbors(u)) {
-                if self.dist[w.index()] == u32::MAX {
-                    self.dist[w.index()] = d + 1;
-                    self.touched.push(w);
-                    self.queue.push_back(w);
-                    out.push((w, (d + 1) as u16));
+                if s.dist[w.index()] == u32::MAX {
+                    s.dist[w.index()] = d + 1;
+                    s.touched.push(w);
+                    s.queue.push_back(w);
+                    visit(w, (d + 1) as u16);
                 }
             }
         }
-    }
-
-    /// [`Scratch::undirected_ball`] polling `budget` at op-count stride
-    /// boundaries (`ops` counts BFS pops; `next_poll` is the op count of
-    /// the next poll). Returns `false` — with `out` in an unspecified
-    /// partial state — once the budget expires.
-    #[allow(clippy::too_many_arguments)]
-    fn undirected_ball_polled(
-        &mut self,
-        g: &DiGraph,
-        v: VId,
-        r: u32,
-        out: &mut Vec<(VId, u16)>,
-        budget: &Budget,
-        ops: &mut u64,
-        next_poll: &mut u64,
-    ) -> bool {
-        // budget-exempt: scratch reset, bounded by the previous ball
-        for &t in &self.touched {
-            self.dist[t.index()] = u32::MAX;
-        }
-        self.touched.clear();
-        self.queue.clear();
-        self.dist[v.index()] = 0;
-        self.touched.push(v);
-        self.queue.push_back(v);
-        while let Some(u) = self.queue.pop_front() {
-            *ops += 1;
-            if *ops >= *next_poll {
-                *next_poll = *ops + BUILD_POLL_STRIDE;
-                if budget.is_exhausted() {
-                    return false;
-                }
-            }
-            let d = self.dist[u.index()];
-            if d >= r {
-                continue;
-            }
-            for &w in g.out_neighbors(u).iter().chain(g.in_neighbors(u)) {
-                if self.dist[w.index()] == u32::MAX {
-                    self.dist[w.index()] = d + 1;
-                    self.touched.push(w);
-                    self.queue.push_back(w);
-                    out.push((w, (d + 1) as u16));
-                }
-            }
-        }
-        true
-    }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::patch::diff_graphs;
     use bgi_graph::{GraphBuilder, LabelId};
+    use proptest::prelude::*;
+
+    fn graph(n: usize, edges: &[(u32, u32)]) -> DiGraph {
+        let edges = edges
+            .iter()
+            .map(|&(u, v)| (VId(u % n as u32), VId(v % n as u32)))
+            .filter(|(u, v)| u != v)
+            .collect();
+        GraphBuilder::from_edges(vec![LabelId(0); n], edges)
+    }
 
     /// 0 -> 1 -> 2, 3 -> 2 (undirected dist(0,3) = 3).
     fn sample() -> DiGraph {
-        let mut b = GraphBuilder::new();
-        for _ in 0..4 {
-            b.add_vertex(LabelId(0));
+        graph(4, &[(0, 1), (1, 2), (3, 2)])
+    }
+
+    /// The oracle: all-pairs undirected hop distances by one plain BFS
+    /// per source over an adjacency list built here — nothing shared
+    /// with the index's traversal or its scratch.
+    fn oracle(g: &DiGraph) -> Vec<Vec<u32>> {
+        let n = g.num_vertices();
+        let mut adj = vec![Vec::new(); n];
+        for (u, v) in g.edges() {
+            adj[u.index()].push(v.index());
+            adj[v.index()].push(u.index());
         }
-        b.add_edge(VId(0), VId(1));
-        b.add_edge(VId(1), VId(2));
-        b.add_edge(VId(3), VId(2));
-        b.build()
+        (0..n)
+            .map(|s| {
+                let mut dist = vec![u32::MAX; n];
+                dist[s] = 0;
+                let mut frontier = vec![s];
+                while !frontier.is_empty() {
+                    let mut next = Vec::new();
+                    for &u in &frontier {
+                        for &w in &adj[u] {
+                            if dist[w] == u32::MAX {
+                                dist[w] = dist[u] + 1;
+                                next.push(w);
+                            }
+                        }
+                    }
+                    frontier = next;
+                }
+                dist
+            })
+            .collect()
+    }
+
+    fn assert_matches_oracle(idx: &NeighborIndex, g: &DiGraph) {
+        let want = oracle(g);
+        assert_eq!(idx.num_rows(), g.num_vertices());
+        for u in g.vertices() {
+            for v in g.vertices() {
+                let d = want[u.index()][v.index()];
+                let expect = (d <= idx.radius()).then_some(d);
+                assert_eq!(idx.distance(u, v), expect, "dist({u:?}, {v:?})");
+            }
+            let row = idx.neighbors(u);
+            assert!(
+                row.windows(2).all(|w| w[0].0 < w[1].0),
+                "row {u:?} unsorted"
+            );
+        }
+    }
+
+    fn is_resident(idx: &NeighborIndex, v: VId) -> bool {
+        idx.resident_rows().any(|(u, _)| u == v)
     }
 
     #[test]
@@ -620,106 +302,164 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_sorted() {
-        let g = sample();
-        let idx = NeighborIndex::build(&g, 4);
-        for v in g.vertices() {
-            let ns = idx.neighbors(v);
-            assert!(ns.windows(2).all(|w| w[0].0 < w[1].0));
-        }
-    }
-
-    #[test]
-    fn budget_enforced() {
-        let g = bgi_graph::generate::uniform_random(200, 800, 3, 5);
-        let err = NeighborIndex::try_build(
-            &g,
-            &NeighborIndexParams {
-                radius: 4,
-                max_bytes: Some(16),
-            },
-        )
-        .unwrap_err();
-        assert!(err.estimated_bytes > 16);
-        assert!(err.to_string().contains("budget"));
-    }
-
-    #[test]
-    fn estimate_close_to_actual_on_uniform_graph() {
+    fn build_fills_nothing_and_equality_forces_nothing() {
         let g = bgi_graph::generate::uniform_random(300, 900, 3, 9);
-        let est = NeighborIndex::estimate_bytes(&g, 2);
-        let idx = NeighborIndex::build(&g, 2);
-        let actual = idx.entries.len() * std::mem::size_of::<(VId, u16)>();
-        // Sampling the first 64 vertices of a uniform graph should land
-        // within 3x of the truth.
-        assert!(
-            est > actual / 3 && est < actual * 3,
-            "est {est}, actual {actual}"
-        );
-    }
-
-    #[test]
-    fn budgeted_build_matches_unbudgeted() {
-        let g = bgi_graph::generate::uniform_random(300, 900, 3, 13);
-        let params = NeighborIndexParams {
-            radius: 4,
-            max_bytes: None,
-        };
-        let plain = NeighborIndex::try_build(&g, &params).unwrap();
-        let budgeted =
-            NeighborIndex::try_build_budgeted(&g, &params, &Budget::unlimited()).unwrap();
-        assert_eq!(plain, budgeted);
-    }
-
-    #[test]
-    fn cancellation_latency_is_bounded_by_the_poll_stride() {
-        // A graph big and dense enough that radius 4 covers most of it,
-        // forcing the dense-ball branch and far more construction ops
-        // than a few poll strides.
-        let g = bgi_graph::generate::uniform_random(2000, 8000, 3, 21);
-        let params = NeighborIndexParams {
-            radius: 4,
-            max_bytes: None,
-        };
-        for checks in [0u64, 1, 3] {
-            let err =
-                NeighborIndex::try_build_budgeted(&g, &params, &Budget::with_check_limit(checks))
-                    .unwrap_err();
-            match err {
-                BuildError::Interrupted { ops_done } => {
-                    // Polls are at most 2×stride of ops apart (stride
-                    // spacing plus one dense-scan chunk), so the build
-                    // must notice an expired budget within that many
-                    // ops of the failing check.
-                    assert!(
-                        ops_done <= (checks + 1) * 2 * BUILD_POLL_STRIDE,
-                        "checks={checks}: noticed only after {ops_done} ops"
-                    );
-                }
-                other => panic!("expected interruption, got {other:?}"),
-            }
-        }
-        // Sanity: the same build runs to completion unbudgeted, i.e.
-        // the op count above truly truncated it early.
-        assert!(NeighborIndex::try_build(&g, &params).is_ok());
-    }
-
-    #[test]
-    fn lazy_build_matches_eager() {
-        let g = bgi_graph::generate::uniform_random(300, 900, 3, 17);
-        let eager = NeighborIndex::build(&g, 3);
-        let lazy = NeighborIndex::build_lazy(&g, 3);
-        assert_eq!(lazy, eager);
-        let (lo, le) = lazy.csr_parts();
-        let (eo, ee) = eager.csr_parts();
-        assert_eq!((&*lo, &*le), (&*eo, &*ee));
+        let (a, b) = (NeighborIndex::build(&g, 3), NeighborIndex::build(&g, 3));
+        assert_eq!(a, b);
+        assert_ne!(a, NeighborIndex::build(&g, 2));
+        assert_ne!(a, NeighborIndex::build(&sample(), 3));
+        assert_eq!(a.resident_rows().count() + b.resident_rows().count(), 0);
     }
 
     #[test]
     fn empty_graph() {
-        let g = GraphBuilder::new().build();
-        let idx = NeighborIndex::build(&g, 3);
-        assert_eq!(idx.estimated_bytes(), std::mem::size_of::<u64>());
-        assert_eq!(NeighborIndex::estimate_bytes(&g, 3), 0);
+        let idx = NeighborIndex::build(&GraphBuilder::new().build(), 3);
+        assert_eq!(idx.num_rows(), 0);
+        assert_eq!(idx.resident_rows().count(), 0);
+    }
+
+    #[test]
+    fn one_thread_scratch_serves_graphs_of_different_sizes() {
+        // Small, then large, then small again on this one thread: the
+        // scratch must grow, and must come back clean each time.
+        let big = bgi_graph::generate::uniform_random(200, 500, 3, 4);
+        for g in [sample(), big, sample()] {
+            assert_matches_oracle(&NeighborIndex::build(&g, 3), &g);
+        }
+    }
+
+    #[test]
+    fn fills_are_shared_by_clones_and_survive_only_clean_patches() {
+        // Two far-apart paths: 0-1-2 and 10-11-12, radius 2.
+        let n = 13;
+        let base = [(0, 1), (1, 2), (10, 11), (11, 12)];
+        let old = graph(n, &base);
+        let engine_copy = NeighborIndex::build(&old, 2);
+        let served_copy = engine_copy.clone();
+        for v in [1, 10, 11] {
+            assert_eq!(served_copy.neighbors(VId(v)).len(), 2);
+            assert!(
+                is_resident(&engine_copy, VId(v)),
+                "a clone's fill is everyone's"
+            );
+        }
+        assert_eq!(engine_copy.resident_rows().count(), 3);
+
+        // 12-9 brings 9 within two hops of 11, but not of 10 or 1.
+        let new = graph(n, &[&base[..], &[(12, 9)]].concat());
+        let diff = diff_graphs(&old, &new, usize::MAX).unwrap();
+        let patched = engine_copy.patched(&new, &diff).unwrap();
+        assert!(is_resident(&patched, VId(1)) && is_resident(&patched, VId(10)));
+        assert!(!is_resident(&patched, VId(11)), "dirtied row dropped");
+        assert_matches_oracle(&patched, &new);
+        // The pre-patch table still describes the old graph.
+        assert!(is_resident(&served_copy, VId(11)));
+        assert_matches_oracle(&served_copy, &old);
+    }
+
+    #[test]
+    fn a_patch_that_dirties_every_row_still_succeeds_and_chains() {
+        // A star: every vertex is within one hop of the hub, so
+        // dropping a hub edge dirties every ball.
+        let spokes: Vec<(u32, u32)> = (1..64).map(|v| (0, v)).collect();
+        let mut g = graph(64, &spokes);
+        let mut idx = NeighborIndex::build(&g, 2);
+        assert_matches_oracle(&idx, &g);
+        for keep in [62, 61] {
+            let new = graph(64, &spokes[..keep]);
+            let diff = diff_graphs(&g, &new, usize::MAX).unwrap();
+            idx = idx.patched(&new, &diff).unwrap();
+            // The spoke cut loose earlier is out of reach and stays.
+            assert_eq!(idx.resident_rows().count(), 62 - keep);
+            assert_matches_oracle(&idx, &new);
+            g = new;
+        }
+    }
+
+    #[test]
+    fn racing_first_readers_see_one_row() {
+        let g = bgi_graph::generate::uniform_random(400, 1600, 3, 21);
+        let idx = NeighborIndex::build(&g, 4);
+        let gate = std::sync::Barrier::new(2);
+        for v in g.vertices().take(64) {
+            let (a, b) = std::thread::scope(|s| {
+                let read = || {
+                    gate.wait();
+                    idx.neighbors(v)
+                };
+                let (ha, hb) = (s.spawn(read), s.spawn(read));
+                (ha.join().unwrap(), hb.join().unwrap())
+            });
+            assert!(std::ptr::eq(a, b), "row {v:?} was computed twice");
+        }
+        assert_eq!(idx.resident_rows().count(), 64);
+    }
+
+    #[test]
+    fn patch_declines_an_index_of_another_graph() {
+        let (old, other) = (graph(6, &[(0, 1)]), graph(5, &[(0, 1)]));
+        let new = graph(6, &[(0, 1), (1, 2)]);
+        let diff = diff_graphs(&old, &new, usize::MAX).unwrap();
+        assert!(NeighborIndex::build(&other, 2)
+            .patched(&new, &diff)
+            .is_none());
+    }
+
+    /// One random edit: the seed edge list to drop from / add to, and
+    /// how many vertices to append (each wired to an existing one).
+    type Edit = (Vec<u32>, Vec<(u32, u32)>, usize);
+
+    fn apply(g: &DiGraph, (drops, adds, appended): &Edit) -> DiGraph {
+        let mut edges: Vec<(VId, VId)> = g.edges().collect();
+        for &d in drops {
+            if !edges.is_empty() {
+                edges.swap_remove(d as usize % edges.len());
+            }
+        }
+        let n_old = g.num_vertices() as u32;
+        let n = n_old + *appended as u32;
+        for k in 0..*appended as u32 {
+            edges.push((VId(n_old + k), VId((k * 7 + drops.len() as u32) % n_old)));
+        }
+        for &(u, v) in adds {
+            if u % n != v % n {
+                edges.push((VId(u % n), VId(v % n)));
+            }
+        }
+        GraphBuilder::from_edges(vec![LabelId(0); n as usize], edges)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn distances_match_a_plain_bfs_through_any_patch_chain(
+            n in 2usize..40,
+            edges in proptest::collection::vec((0u32..1000, 0u32..1000), 0..80),
+            radius in 1u32..5,
+            chain in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0u32..1000, 0..3),
+                    proptest::collection::vec((0u32..1000, 0u32..1000), 0..3),
+                    0usize..3,
+                ),
+                0..5,
+            ),
+        ) {
+            // Every check reads every row, so each patch starts from a
+            // fully filled table: a row wrongly carried over as clean
+            // would still hold its old ball and fail the next check.
+            let mut g = graph(n, &edges);
+            let mut idx = NeighborIndex::build(&g, radius);
+            assert_matches_oracle(&idx, &g);
+            for edit in &chain {
+                let new = apply(&g, edit);
+                let diff = diff_graphs(&g, &new, usize::MAX).expect("append-only vertex edits");
+                idx = idx.patched(&new, &diff).expect("same graph lineage");
+                prop_assert!(idx == NeighborIndex::build(&new, radius));
+                assert_matches_oracle(&idx, &new);
+                g = new;
+            }
+        }
     }
 }

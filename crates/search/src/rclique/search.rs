@@ -18,9 +18,10 @@
 //! answers with a sound optimality bound instead of failing; see the
 //! engine module for the search-space shape and the bound derivation.
 
-use super::neighbor_index::{NeighborIndex, NeighborIndexParams};
+use super::neighbor_index::NeighborIndex;
 use super::search_space::AnytimeSearch;
 use crate::answer::{rank_and_truncate, AnswerGraph};
+use crate::banks::{Banks, BanksIndex};
 use crate::cancel::{Budget, Interrupted};
 use crate::outcome::SearchOutcome;
 use crate::query::KeywordQuery;
@@ -34,90 +35,44 @@ use std::collections::VecDeque;
 pub struct RClique {
     /// Distance bound `r` used for the neighbor index (experiments: 4).
     pub radius: u32,
-    /// Memory budget for the neighbor index, if any.
-    pub max_index_bytes: Option<usize>,
 }
 
 impl Default for RClique {
     fn default() -> Self {
-        RClique {
-            radius: 4,
-            max_index_bytes: None,
-        }
+        RClique { radius: 4 }
     }
 }
 
-/// Index: the neighbor lists plus the inverted label table.
+/// Index: the neighbor lists plus the inverted label table — the same
+/// table BANKS keeps, so it is one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RCliqueIndex {
     /// Bounded undirected distances.
     pub neighbor: NeighborIndex,
-    label_vertices: Vec<Vec<VId>>,
+    labels: BanksIndex,
 }
 
 impl RCliqueIndex {
-    /// Reassembles an index from its parts (the persistence path).
-    pub fn from_parts(neighbor: NeighborIndex, label_vertices: Vec<Vec<VId>>) -> Self {
-        RCliqueIndex {
-            neighbor,
-            label_vertices,
-        }
-    }
-
-    /// The inverted label table (persistence export).
+    /// The inverted label table.
     pub fn label_lists(&self) -> &[Vec<VId>] {
-        &self.label_vertices
+        self.labels.label_lists()
     }
 
     /// Incrementally patched copy of this index for the graph described
-    /// by `diff` (see [`crate::patch`]): the neighbor CSR is patched
-    /// locally via [`NeighborIndex::patched`], the inverted label table
-    /// is extended exactly as [`crate::banks::BanksIndex::patched`]
-    /// does. Equivalent to a full rebuild; `None` when the neighbor
-    /// patch declines (affected region too large).
-    pub fn patched(
-        &self,
-        old_g: &DiGraph,
-        new_g: &DiGraph,
-        diff: &crate::patch::GraphDiff,
-    ) -> Option<RCliqueIndex> {
-        let neighbor = self.neighbor.patched(old_g, new_g, diff)?;
-        let mut label_vertices = self.label_vertices.clone();
-        if label_vertices.len() < new_g.alphabet_size() {
-            label_vertices.resize(new_g.alphabet_size(), Vec::new());
-        }
-        let n_old = new_g.num_vertices() - diff.added_labels.len();
-        for (k, &l) in diff.added_labels.iter().enumerate() {
-            label_vertices[l.index()].push(VId((n_old + k) as u32));
-        }
+    /// by `diff` (see [`crate::patch`]): the neighbor rows the diff
+    /// dirtied are dropped via [`NeighborIndex::patched`], the inverted
+    /// label table is extended by [`BanksIndex::patched`]. Equivalent
+    /// to a full rebuild; `None` when this index does not describe the
+    /// graph `diff` starts from.
+    pub fn patched(&self, new_g: &DiGraph, diff: &crate::patch::GraphDiff) -> Option<RCliqueIndex> {
         Some(RCliqueIndex {
-            neighbor,
-            label_vertices,
+            neighbor: self.neighbor.patched(new_g, diff)?,
+            labels: self.labels.patched(new_g, diff),
         })
     }
 }
 
 impl RClique {
-    /// [`KeywordSearch::build_index`] with lazily materialized neighbor
-    /// rows ([`NeighborIndex::build_lazy`]): the label table is built
-    /// eagerly (it is `O(n)`), every ball defers to first read.
-    /// Compares equal to the eager build. Falls back to the eager path
-    /// when a memory budget is configured — an over-budget index must
-    /// fail at construction, not at first read.
-    pub fn build_index_lazy(&self, g: &DiGraph) -> RCliqueIndex {
-        if self.max_index_bytes.is_some() {
-            return self.build_index(g);
-        }
-        let mut label_vertices = vec![Vec::new(); g.alphabet_size()];
-        for v in g.vertices() {
-            label_vertices[g.label(v).index()].push(v);
-        }
-        RCliqueIndex {
-            neighbor: NeighborIndex::build_lazy(g, self.radius),
-            label_vertices,
-        }
-    }
-
     /// Builds the answer graph for a picked node set: keyword nodes plus
     /// undirected witness paths from the first node to every other.
     fn materialize(g: &DiGraph, r: u32, picked: &[VId], weight: u64) -> AnswerGraph {
@@ -170,22 +125,12 @@ impl KeywordSearch for RClique {
         "dkws"
     }
 
+    /// `O(n + m)`: the inverted label table plus a neighbor index
+    /// whose balls are each computed on first read.
     fn build_index(&self, g: &DiGraph) -> RCliqueIndex {
-        let neighbor = NeighborIndex::try_build(
-            g,
-            &NeighborIndexParams {
-                radius: self.radius,
-                max_bytes: self.max_index_bytes,
-            },
-        )
-        .expect("neighbor index exceeds the configured memory budget");
-        let mut label_vertices = vec![Vec::new(); g.alphabet_size()];
-        for v in g.vertices() {
-            label_vertices[g.label(v).index()].push(v);
-        }
         RCliqueIndex {
-            neighbor,
-            label_vertices,
+            neighbor: NeighborIndex::build(g, self.radius),
+            labels: Banks.build_index(g),
         }
     }
 
@@ -238,12 +183,7 @@ impl KeywordSearch for RClique {
         let content: Vec<&[VId]> = query
             .keywords
             .iter()
-            .map(|&q| {
-                index
-                    .label_vertices
-                    .get(q.index())
-                    .map_or(&[][..], Vec::as_slice)
-            })
+            .map(|&q| index.labels.vertices_with(q))
             .collect();
         if content.iter().any(|c| c.is_empty()) {
             return Ok(SearchOutcome::exact(Vec::new()));
@@ -304,10 +244,7 @@ mod tests {
     #[test]
     fn finds_min_weight_clique() {
         let g = sample();
-        let rc = RClique {
-            radius: 4,
-            max_index_bytes: None,
-        };
+        let rc = RClique { radius: 4 };
         let q = KeywordQuery::new(vec![LabelId(1), LabelId(2)], 4);
         let answers = rc.search_fresh(&g, &q, 10);
         assert!(!answers.is_empty());
@@ -321,10 +258,7 @@ mod tests {
     #[test]
     fn respects_distance_bound() {
         let g = sample();
-        let rc = RClique {
-            radius: 1,
-            max_index_bytes: None,
-        };
+        let rc = RClique { radius: 1 };
         let q = KeywordQuery::new(vec![LabelId(1), LabelId(2)], 1);
         // a and b are 2 apart: no clique at r = 1.
         assert!(rc.search_fresh(&g, &q, 10).is_empty());

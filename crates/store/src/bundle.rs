@@ -4,7 +4,10 @@
 //! Encoding is exact: graphs round-trip through their raw CSR arrays
 //! ([`DiGraph::from_csr`]), layers carry the `χ`/`Bisim⁻¹` tables
 //! verbatim, and BLINKS stores only its partition and keyword-node
-//! lists (`NKM`/`KBL` are derived on load). Decoding validates every
+//! lists (`NKM`/`KBL` are derived on load). The r-clique indexes have
+//! no encoding at all: beyond `radius` (in the params frame) they hold
+//! an `O(n)` label table and a cache of balls, both functions of the
+//! layer graph, so a load rebuilds them. Decoding validates every
 //! structural invariant (offset monotonicity, id ranges, table widths)
 //! *before* constructing a type — a corrupt file surfaces as a
 //! [`CodecError`], never a panic — and the store additionally gates the
@@ -15,7 +18,7 @@ use bgi_bisim::BisimDirection;
 use bgi_graph::{DiGraph, LabelId, Ontology, OntologyBuilder, VId};
 use bgi_search::banks::BanksIndex;
 use bgi_search::blinks::{BlinksIndex, BlinksParams, GraphPartition};
-use bgi_search::rclique::{NeighborIndex, RCliqueIndex};
+use bgi_search::rclique::RCliqueIndex;
 use bgi_search::{Banks, Blinks, KeywordSearch, RClique};
 use big_index::layer::Layer;
 use big_index::{BiGIndex, EvalOptions, GenConfig, RealizerKind, Summarizer};
@@ -342,13 +345,6 @@ pub fn encode_params(blinks: &BlinksParams, rclique: &RClique, eval: &EvalOption
     e.u64(blinks.block_size as u64);
     e.u32(blinks.prune_dist);
     e.u32(rclique.radius);
-    match rclique.max_index_bytes {
-        None => e.u8(0),
-        Some(b) => {
-            e.u8(1);
-            e.u64(b as u64);
-        }
-    }
     e.f64(eval.beta);
     e.u8(match eval.realizer {
         RealizerKind::VertexAtATime => 0,
@@ -370,16 +366,7 @@ pub fn decode_params(bytes: &[u8]) -> Result<(BlinksParams, RClique, EvalOptions
         block_size: d.u64()? as usize,
         prune_dist: d.u32()?,
     };
-    let radius = d.u32()?;
-    let max_index_bytes = match d.u8()? {
-        0 => None,
-        1 => Some(d.u64()? as usize),
-        x => return bad(format!("unknown option tag {x}")),
-    };
-    let rclique = RClique {
-        radius,
-        max_index_bytes,
-    };
+    let rclique = RClique { radius: d.u32()? };
     let beta = d.f64()?;
     if !beta.is_finite() {
         return bad("non-finite β");
@@ -499,69 +486,6 @@ pub fn decode_blinks(bytes: &[u8], n: usize) -> Result<BlinksIndex, CodecError> 
     Ok(BlinksIndex::from_parts(partition, prune_dist, knl))
 }
 
-/// Serializes one layer's r-clique index into a [`Section::RClique`]
-/// frame.
-pub fn encode_rclique(r: &RCliqueIndex) -> Vec<u8> {
-    let mut e = Enc::new(Section::RClique);
-    e.u32(r.neighbor.radius());
-    let (offsets, entries) = r.neighbor.csr_parts();
-    e.u64_slice(&offsets);
-    e.u64(entries.len() as u64);
-    for &(v, dist) in entries.iter() {
-        e.u32(v.0);
-        e.u32(u32::from(dist));
-    }
-    let lists = r.label_lists();
-    e.u64(lists.len() as u64);
-    for list in lists {
-        enc_vids(&mut e, list);
-    }
-    e.finish()
-}
-
-/// Decodes an r-clique frame for a layer graph with `n` vertices.
-pub fn decode_rclique(bytes: &[u8], n: usize) -> Result<RCliqueIndex, CodecError> {
-    let mut d = Dec::open(bytes, Section::RClique)?;
-    let radius = d.u32()?;
-    let offsets = d.u64_slice()?;
-    if offsets.len() != n + 1 {
-        return bad(format!(
-            "neighbor offsets cover {} vertices, graph has {n}",
-            offsets.len().saturating_sub(1)
-        ));
-    }
-    if offsets.first() != Some(&0) || offsets.windows(2).any(|w| w[0] > w[1]) {
-        return bad("neighbor offsets not non-decreasing from 0");
-    }
-    let n_entries = d.seq_len()?;
-    if offsets.last() != Some(&(n_entries as u64)) {
-        return bad(format!(
-            "neighbor offsets end at {:?}, but {n_entries} entries follow",
-            offsets.last()
-        ));
-    }
-    let mut entries = Vec::with_capacity(n_entries);
-    for _ in 0..n_entries {
-        let v = d.u32()?;
-        if v as usize >= n {
-            return bad(format!("neighbor vertex {v} out of range (n = {n})"));
-        }
-        let dist = d.u32()?;
-        if dist > u32::from(u16::MAX) || dist > radius {
-            return bad(format!("neighbor distance {dist} over radius {radius}"));
-        }
-        entries.push((VId(v), dist as u16));
-    }
-    let neighbor = NeighborIndex::from_parts(radius, offsets, entries);
-    let count = d.seq_len()?;
-    let mut lists = Vec::with_capacity(count);
-    for _ in 0..count {
-        lists.push(dec_vids(&mut d, n, "r-clique inverted list")?);
-    }
-    d.finish()?;
-    Ok(RCliqueIndex::from_parts(neighbor, lists))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -596,10 +520,7 @@ mod tests {
                 block_size: 8,
                 prune_dist: 4,
             },
-            RClique {
-                radius: 3,
-                max_index_bytes: None,
-            },
+            RClique { radius: 3 },
             EvalOptions::default(),
         )
     }
@@ -619,10 +540,7 @@ mod tests {
             block_size: 123,
             prune_dist: 9,
         };
-        let rclique = RClique {
-            radius: 2,
-            max_index_bytes: Some(1 << 30),
-        };
+        let rclique = RClique { radius: 2 };
         let eval = EvalOptions {
             beta: 0.7,
             realizer: RealizerKind::StructuralThenDistance,
@@ -650,11 +568,6 @@ mod tests {
             let n = bundle.index.graph_at(m).num_vertices();
             let back = decode_blinks(&encode_blinks(blinks), n).unwrap();
             assert_eq!(&back, blinks, "blinks layer {m}");
-        }
-        for (m, rclique) in bundle.rclique.iter().enumerate() {
-            let n = bundle.index.graph_at(m).num_vertices();
-            let back = decode_rclique(&encode_rclique(rclique), n).unwrap();
-            assert_eq!(&back, rclique, "rclique layer {m}");
         }
     }
 

@@ -10,7 +10,7 @@
 /// 4-byte file magic.
 pub const MAGIC: [u8; 4] = *b"BGIS";
 /// Format version; bump on any layout change.
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 
 /// Section tags identifying what a file contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,8 +23,6 @@ pub enum Section {
     Banks = 3,
     /// A per-layer BLINKS index (`blinks-<m>.bin`).
     Blinks = 4,
-    /// A per-layer r-clique index (`rclique-<m>.bin`).
-    RClique = 5,
     /// The generation manifest (`MANIFEST`).
     Manifest = 6,
     /// One update batch in the write-ahead log (`wal.log`).
@@ -107,14 +105,6 @@ impl Enc {
         }
     }
 
-    /// Appends a length-prefixed `u64` slice.
-    pub fn u64_slice(&mut self, vs: &[u64]) {
-        self.u64(vs.len() as u64);
-        for &v in vs {
-            self.u64(v);
-        }
-    }
-
     /// Appends length-prefixed raw bytes.
     pub fn bytes(&mut self, bs: &[u8]) {
         self.u64(bs.len() as u64);
@@ -136,35 +126,44 @@ pub struct Dec<'a> {
     pos: usize,
 }
 
+const HEADER: usize = 8; // magic + version + section
+const TRAILER: usize = 8; // checksum
+
+/// Verifies a frame's length, checksum and magic and returns the format
+/// version it was written with — whatever that is, so a caller can tell
+/// an intact file of another version from a damaged one.
+pub fn frame_version(bytes: &[u8]) -> Result<u16, CodecError> {
+    if bytes.len() < HEADER + TRAILER {
+        return err(format!("file too short ({} bytes)", bytes.len()));
+    }
+    let (body, trailer) = bytes.split_at(bytes.len() - TRAILER);
+    let want = u64::from_le_bytes([
+        trailer[0], trailer[1], trailer[2], trailer[3], trailer[4], trailer[5], trailer[6],
+        trailer[7],
+    ]);
+    let got = fnv1a64(body);
+    if want != got {
+        return err(format!(
+            "checksum mismatch: stored {want:#x}, computed {got:#x}"
+        ));
+    }
+    if body[..4] != MAGIC {
+        return err("bad magic");
+    }
+    Ok(u16::from_le_bytes([body[4], body[5]]))
+}
+
 impl<'a> Dec<'a> {
     /// Verifies the frame (length, magic, version, section, checksum)
     /// and returns a cursor over the payload.
     pub fn open(bytes: &'a [u8], section: Section) -> Result<Self, CodecError> {
-        const HEADER: usize = 8; // magic + version + section
-        const TRAILER: usize = 8; // checksum
-        if bytes.len() < HEADER + TRAILER {
-            return err(format!("file too short ({} bytes)", bytes.len()));
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - TRAILER);
-        let want = u64::from_le_bytes([
-            trailer[0], trailer[1], trailer[2], trailer[3], trailer[4], trailer[5], trailer[6],
-            trailer[7],
-        ]);
-        let got = fnv1a64(body);
-        if want != got {
-            return err(format!(
-                "checksum mismatch: stored {want:#x}, computed {got:#x}"
-            ));
-        }
-        if body[..4] != MAGIC {
-            return err("bad magic");
-        }
-        let version = u16::from_le_bytes([body[4], body[5]]);
+        let version = frame_version(bytes)?;
         if version != VERSION {
             return err(format!(
                 "unsupported version {version} (expected {VERSION})"
             ));
         }
+        let body = &bytes[..bytes.len() - TRAILER];
         let tag = u16::from_le_bytes([body[6], body[7]]);
         if tag != section as u16 {
             return err(format!(
@@ -236,16 +235,6 @@ impl<'a> Dec<'a> {
         Ok(out)
     }
 
-    /// Reads a length-prefixed `u64` slice.
-    pub fn u64_slice(&mut self) -> Result<Vec<u64>, CodecError> {
-        let n = self.seq_len()?;
-        let mut out = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-
     /// Reads length-prefixed raw bytes.
     pub fn bytes(&mut self) -> Result<&'a [u8], CodecError> {
         let n = self.seq_len()?;
@@ -277,7 +266,6 @@ mod tests {
         e.u64(u64::MAX - 3);
         e.f64(0.4);
         e.u32_slice(&[1, 2, 3]);
-        e.u64_slice(&[9]);
         e.bytes(b"xyz");
         let bytes = e.finish();
 
@@ -287,7 +275,6 @@ mod tests {
         assert_eq!(d.u64().unwrap(), u64::MAX - 3);
         assert_eq!(d.f64().unwrap(), 0.4);
         assert_eq!(d.u32_slice().unwrap(), vec![1, 2, 3]);
-        assert_eq!(d.u64_slice().unwrap(), vec![9]);
         assert_eq!(d.bytes().unwrap(), b"xyz");
         d.finish().unwrap();
     }
@@ -295,7 +282,7 @@ mod tests {
     #[test]
     fn detects_bit_flip_anywhere() {
         let mut e = Enc::new(Section::Index);
-        e.u64_slice(&[1, 2, 3, 4]);
+        e.u32_slice(&[1, 2, 3, 4]);
         let bytes = e.finish();
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();

@@ -23,6 +23,15 @@ pub enum StoreError {
         /// What exactly did not hold.
         detail: String,
     },
+    /// A generation is intact but was written in another codec version
+    /// (by an older or newer build). Quarantined, not served: its files
+    /// are never parsed under this build's layout.
+    UnsupportedVersion {
+        /// The offending generation number.
+        generation: u64,
+        /// The version its manifest was written with.
+        found: u16,
+    },
     /// A generation directory has no committed `MANIFEST` — the writer
     /// crashed mid-save. Quarantined, not served.
     Partial {
@@ -37,8 +46,9 @@ pub enum StoreError {
         violations: usize,
     },
     /// The write-ahead log holds a committed record that is internally
-    /// inconsistent (e.g. a sequence number going backwards) — not a
-    /// torn tail, which replay tolerates, but structural damage.
+    /// inconsistent (e.g. a sequence number going backwards) or was
+    /// written in another codec version — not a torn tail, which replay
+    /// tolerates and cuts off, but a log this build must not touch.
     WalCorrupt {
         /// What exactly did not hold.
         detail: String,
@@ -61,6 +71,11 @@ impl std::fmt::Display for StoreError {
             StoreError::Corrupt { generation, detail } => {
                 write!(f, "generation {generation} is corrupt: {detail}")
             }
+            StoreError::UnsupportedVersion { generation, found } => write!(
+                f,
+                "generation {generation} is in codec version {found}, this build reads {}",
+                crate::codec::VERSION
+            ),
             StoreError::Partial { generation } => {
                 write!(f, "generation {generation} has no committed manifest")
             }

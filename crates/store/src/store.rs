@@ -10,7 +10,6 @@
 //!     params.bin       # BlinksParams + RClique + EvalOptions
 //!     banks-000.bin    # per-layer BANKS index, m = 0..=h
 //!     blinks-000.bin   # per-layer BLINKS index
-//!     rclique-000.bin  # per-layer r-clique index
 //!     ...
 //!     MANIFEST         # committed last; lists every file + checksum
 //!   gen-00000002/
@@ -26,16 +25,19 @@
 //! generation. [`Store::load_latest`] scans newest-first, retries
 //! transient I/O with capped exponential backoff, quarantines bad
 //! generations with typed errors, and verifies the survivor through
-//! `bgi_verify::check_index` before returning it.
+//! `bgi_verify::check_index` before returning it. The per-layer
+//! r-clique indexes are not files: they are rebuilt from the loaded
+//! layer graphs, which costs `O(n + m)` per layer and no BFS.
 
 use crate::bundle::{
-    decode_banks, decode_blinks, decode_index, decode_params, decode_rclique, encode_banks,
-    encode_blinks, encode_index, encode_params, encode_rclique, IndexBundle,
+    decode_banks, decode_blinks, decode_index, decode_params, encode_banks, encode_blinks,
+    encode_index, encode_params, IndexBundle,
 };
-use crate::codec::{fnv1a64, CodecError, Dec, Enc, Section};
+use crate::codec::{fnv1a64, frame_version, CodecError, Dec, Enc, Section, VERSION};
 use crate::error::{RetryPolicy, StoreError};
 use crate::failpoint::Failpoints;
 use crate::fsio;
+use bgi_search::KeywordSearch;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -138,8 +140,8 @@ impl Store {
 
         // Fixed file layout: index, params, then the per-layer indexes
         // family by family. Task i always encodes the same section.
-        let (nb, nl) = (bundle.banks.len(), bundle.blinks.len());
-        let total = 2 + nb + nl + bundle.rclique.len();
+        let nb = bundle.banks.len();
+        let total = 2 + nb + bundle.blinks.len();
         let files: Vec<(String, Vec<u8>)> = bgi_graph::par::par_map(threads, total, |i| {
             if i == 0 {
                 ("index.bin".to_string(), encode_index(&bundle.index))
@@ -151,17 +153,11 @@ impl Store {
             } else if i < 2 + nb {
                 let m = i - 2;
                 (format!("banks-{m:03}.bin"), encode_banks(&bundle.banks[m]))
-            } else if i < 2 + nb + nl {
+            } else {
                 let m = i - 2 - nb;
                 (
                     format!("blinks-{m:03}.bin"),
                     encode_blinks(&bundle.blinks[m]),
-                )
-            } else {
-                let m = i - 2 - nb - nl;
-                (
-                    format!("rclique-{m:03}.bin"),
-                    encode_rclique(&bundle.rclique[m]),
                 )
             }
         });
@@ -235,6 +231,13 @@ impl Store {
         }
         let corrupt = |detail: String| StoreError::Corrupt { generation, detail };
         let manifest_bytes = fsio::read_file(&self.fp, "load.read_manifest", &manifest_path)?;
+        // One build writes every file of a generation, so the
+        // manifest's version is the generation's.
+        if let Ok(found) = frame_version(&manifest_bytes) {
+            if found != VERSION {
+                return Err(StoreError::UnsupportedVersion { generation, found });
+            }
+        }
         let entries =
             decode_manifest(&manifest_bytes).map_err(|e| corrupt(format!("manifest: {e}")))?;
 
@@ -282,9 +285,7 @@ impl Store {
             let name = format!("blinks-{m:03}.bin");
             blinks
                 .push(decode_blinks(get(&name)?, n).map_err(|e| corrupt(format!("{name}: {e}")))?);
-            let name = format!("rclique-{m:03}.bin");
-            rclique
-                .push(decode_rclique(get(&name)?, n).map_err(|e| corrupt(format!("{name}: {e}")))?);
+            rclique.push(rclique_params.build_index(index.graph_at(m)));
         }
 
         // The verification gate: structural decoding succeeded, but the

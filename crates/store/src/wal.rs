@@ -42,7 +42,7 @@
 //! store's [`Failpoints`] registry and are exercised by the crash
 //! matrix.
 
-use crate::codec::{Dec, Enc, Section};
+use crate::codec::{frame_version, Dec, Enc, Section, VERSION};
 use crate::error::StoreError;
 use crate::failpoint::{FailAction, Failpoints};
 use crate::fsio;
@@ -117,8 +117,9 @@ impl Wal {
     /// its committed prefix. A torn tail — the residue of a crash
     /// mid-append — is discarded *and truncated off the file*, so a
     /// later append can never land beyond it; a *committed* record that
-    /// is structurally inconsistent (sequence going backwards) is
-    /// [`StoreError::WalCorrupt`].
+    /// is structurally inconsistent (sequence going backwards) or was
+    /// written in another codec version is [`StoreError::WalCorrupt`],
+    /// and the file is left as found.
     pub fn open(root: &Path, fp: Failpoints) -> Result<(Wal, Vec<UpdateBatch>), StoreError> {
         let path = root.join(WAL_FILE);
         let (batches, end) = if path.exists() {
@@ -371,7 +372,8 @@ fn encode_record(seq: u64, updates: &[GraphUpdate]) -> Vec<u8> {
 /// Decodes the committed prefix of a log image, returning the batches
 /// plus the prefix's byte length. A short or checksum-failing record at
 /// the end is a torn tail and terminates the prefix; a committed record
-/// whose sequence fails to increase is corruption.
+/// whose sequence fails to increase, or whose checksum holds but whose
+/// codec version is not this build's, is an error — never a tail to cut.
 fn decode_log(bytes: &[u8]) -> Result<(Vec<UpdateBatch>, usize), StoreError> {
     let mut out: Vec<UpdateBatch> = Vec::new();
     let mut pos = 0usize;
@@ -382,8 +384,21 @@ fn decode_log(bytes: &[u8]) -> Result<(Vec<UpdateBatch>, usize), StoreError> {
         if len == 0 || bytes.len() - start < len {
             break; // torn tail: length prefix without its record
         }
-        let Ok(batch) = decode_frame(&bytes[start..start + len]) else {
-            break; // torn tail: frame fails checksum/framing
+        let frame = &bytes[start..start + len];
+        let Ok(batch) = decode_frame(frame) else {
+            match frame_version(frame) {
+                // Intact, just written by another build: acknowledged
+                // updates, not residue. Refuse, so `open` leaves them.
+                Ok(found) if found != VERSION => {
+                    return Err(StoreError::WalCorrupt {
+                        detail: format!(
+                            "record at byte {pos} is in codec version {found}, \
+                             this build reads {VERSION}"
+                        ),
+                    })
+                }
+                _ => break, // torn tail: frame fails checksum/framing
+            }
         };
         if let Some(last) = out.last() {
             if batch.seq <= last.seq {
@@ -467,6 +482,38 @@ mod tests {
         assert_eq!(replayed[1].seq, 2);
         assert_eq!(replayed[1].updates, batch(5));
         assert_eq!(wal2.next_seq(), 3);
+        let _ = fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn log_of_another_codec_version_is_refused_and_left_untouched() {
+        let d = tmpdir("old-version");
+        let fp = Failpoints::disabled();
+        let (mut wal, _) = Wal::open(&d, fp.clone()).unwrap();
+        wal.append(&batch(0)).unwrap();
+        wal.append(&batch(1)).unwrap();
+
+        // Re-frame every record the way a version-2 build wrote it:
+        // same payload, that version in the header, checksum recomputed.
+        let mut bytes = fs::read(wal.path()).unwrap();
+        let mut pos = 0;
+        while pos < bytes.len() {
+            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+            let frame = &mut bytes[pos + 4..pos + 4 + len];
+            frame[4..6].copy_from_slice(&2u16.to_le_bytes());
+            let sum = crate::codec::fnv1a64(&frame[..len - 8]);
+            frame[len - 8..].copy_from_slice(&sum.to_le_bytes());
+            pos += 4 + len;
+        }
+        fs::write(wal.path(), &bytes).unwrap();
+
+        match Wal::open(&d, fp) {
+            Err(StoreError::WalCorrupt { detail }) => {
+                assert!(detail.contains("codec version 2"), "{detail}");
+            }
+            other => panic!("expected WalCorrupt, got {other:?}"),
+        }
+        assert_eq!(fs::read(wal.path()).unwrap(), bytes, "log not truncated");
         let _ = fs::remove_dir_all(&d);
     }
 

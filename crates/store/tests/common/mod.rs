@@ -40,10 +40,7 @@ fn build_bundle(edge_stride: u32) -> IndexBundle {
             block_size: 8,
             prune_dist: 4,
         },
-        RClique {
-            radius: 3,
-            max_index_bytes: None,
-        },
+        RClique { radius: 3 },
         EvalOptions::default(),
     )
 }

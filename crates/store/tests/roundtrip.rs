@@ -22,8 +22,12 @@ fn save_load_roundtrip_is_equal() {
     let (loaded_gen, loaded) = store.load_latest().unwrap();
     assert_eq!(loaded_gen, 1);
     // Exact equality: the hierarchy, every per-layer index, and the
-    // parameters — nothing is rebuilt, nothing drifts.
+    // parameters — nothing drifts (the r-clique indexes, which have no
+    // file, are rebuilt from the loaded layer graphs).
     assert_eq!(loaded, a);
+    assert!(!generation_files(dir.path(), 1)
+        .iter()
+        .any(|p| p.to_string_lossy().contains("rclique")));
     assert!(loaded.index.verify().is_clean());
 }
 
@@ -98,6 +102,46 @@ fn corrupt_only_generation_is_typed_error() {
         other => panic!("expected Corrupt, got {other:?}"),
     }
     assert_eq!(store.quarantined().len(), 1);
+}
+
+/// Re-frames every file of `generation` the way a build speaking codec
+/// `version` would have: same payload, that version in the header, the
+/// checksum recomputed — intact files, just not this build's.
+fn reframe_generation(root: &Path, generation: u64, version: u16) {
+    for path in generation_files(root, generation) {
+        let mut bytes = fs::read(&path).unwrap();
+        let body = bytes.len() - 8;
+        bytes[4..6].copy_from_slice(&version.to_le_bytes());
+        let sum = bgi_store::codec::fnv1a64(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        fs::write(&path, bytes).unwrap();
+    }
+}
+
+#[test]
+fn generation_of_another_codec_version_is_typed_and_quarantined() {
+    // Version 2 kept `rclique-NNN.bin` files and one more params field;
+    // its generations must be refused by version, never mis-parsed.
+    let a = bundle_a();
+    let dir = TempDir::new("old-version");
+    let store = Store::open(dir.path()).unwrap();
+    store.save(&a).unwrap();
+    store.save(&bundle_b()).unwrap();
+    reframe_generation(dir.path(), 2, 2);
+    let (generation, loaded) = store.load_latest().unwrap();
+    assert_eq!(generation, 1, "falls back to the readable generation");
+    assert_eq!(loaded, a);
+    assert_eq!(store.quarantined().len(), 1);
+
+    reframe_generation(dir.path(), 1, 2);
+    match store.load_latest() {
+        Err(StoreError::UnsupportedVersion { generation, found }) => {
+            assert_eq!((generation, found), (1, 2));
+        }
+        other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
+    assert_eq!(store.quarantined().len(), 2);
+    assert!(matches!(store.load_latest(), Err(StoreError::NoGeneration)));
 }
 
 #[test]

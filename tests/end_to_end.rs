@@ -117,10 +117,7 @@ fn boosted_blinks_is_sound_and_never_empty_when_baseline_has_answers() {
 fn boosted_rclique_answers_are_valid_cliques() {
     let ds = DatasetSpec::yago_like(1500).generate();
     let index = default_index(&ds, 3);
-    let rc = RClique {
-        radius: 3,
-        max_index_bytes: None,
-    };
+    let rc = RClique { radius: 3 };
     let boosted = boost_dkws(&index, rc, EvalOptions::default());
     let queries = benchmark_queries(&ds, 3, 15, 7);
     for q in queries.iter().take(4) {

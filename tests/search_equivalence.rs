@@ -67,10 +67,7 @@ fn blinks_top_k_prefix_matches_banks_ranking() {
 fn rclique_answers_satisfy_distance_semantics_on_dataset() {
     let ds = DatasetSpec::yago_like(2000).generate();
     let queries = benchmark_queries(&ds, 3, 20, 17);
-    let rc = RClique {
-        radius: 3,
-        max_index_bytes: None,
-    };
+    let rc = RClique { radius: 3 };
     let index = rc.build_index(&ds.graph);
     let ni = NeighborIndex::build(&ds.graph, 3);
     for q in queries.iter().take(4) {
