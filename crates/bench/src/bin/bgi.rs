@@ -51,7 +51,7 @@ use bgi_search::blinks::{Blinks, BlinksParams};
 use bgi_search::{KeywordQuery, RClique};
 use bgi_service::{
     boot_sharded, run_batch, snapshot_from_build, IndexSnapshot, QueryError, QueryRequest,
-    Semantics, Service, ServiceConfig, ShardedWriteHub,
+    Semantics, Service, ServiceConfig, ShardedWriteHub, WriteHub,
 };
 use bgi_shard::{build_shard_bundles, ShardBuildParams, ShardPlan, ShardSpec, ShardedStore};
 use bgi_store::{IndexBundle, Store};
@@ -470,12 +470,32 @@ fn format_response(result: Result<bgi_service::QueryResponse, QueryError>) -> St
     }
 }
 
-/// Buffered write state behind the `update`/`flush` protocol verbs.
-/// One engine per serving process; the mutex serializes writers while
-/// queries keep flowing lock-free against the current snapshot.
-struct IngestState {
-    engine: Engine,
-    buffer: Vec<IngestUpdate>,
+/// Where `bgi serve` sends its write verbs — the one thing the two
+/// serving topologies differ in on the protocol.
+enum Writer {
+    /// One engine behind one hub; with a store, commits are WAL-logged
+    /// and `checkpoint` / `reload` are available.
+    Mono {
+        hub: Box<WriteHub>,
+        store: Option<Store>,
+    },
+    /// Per-shard hubs booted from a sharded store.
+    Sharded {
+        hub: Box<ShardedWriteHub>,
+        store: ShardedStore,
+    },
+    /// Sharded serving built in memory: there is no WAL to make a
+    /// scattered commit crash-safe against.
+    ReadOnly,
+}
+
+/// Write state of a serving process: the writer plus the `update` verbs
+/// buffered for the next `flush`. Only the buffer is locked here — the
+/// hubs serialize (and group) the commits themselves, while queries
+/// keep flowing lock-free against the current snapshot.
+struct Ingest {
+    writer: Writer,
+    buffer: Mutex<Vec<IngestUpdate>>,
 }
 
 /// `update` verbs buffered before an automatic `flush` kicks in. Each
@@ -483,65 +503,156 @@ struct IngestState {
 /// amortizes it; an explicit `flush` line forces the buffer out early.
 const UPDATE_AUTOFLUSH: usize = 1024;
 
-/// Applies the buffered updates through the service's write path. The
-/// buffer is consumed either way: a rejected batch (invalid update,
-/// refused snapshot) is reported and dropped, matching the engine's
-/// batch-atomic semantics.
-fn flush_updates(service: &Service, state: &mut IngestState) -> String {
-    if state.buffer.is_empty() {
-        // Nothing buffered: `flush` still doubles as the idle poll that
-        // adopts a finished background rebuild.
-        return match service.poll_rebuild(&mut state.engine) {
-            Ok(adopted) => format!("ok applied=0 rebuilt={adopted}"),
-            Err(e) => format!("err {e}"),
-        };
+const READ_ONLY: &str =
+    "err sharded serving without --store is read-only; persist with `bgi save-index --shards`";
+
+impl Writer {
+    /// Commits one batch through the service's write path. A rejected
+    /// batch (invalid update, refused snapshot) is reported and dropped,
+    /// matching the engine's batch-atomic semantics.
+    fn flush(&self, service: &Service, batch: Vec<IngestUpdate>) -> String {
+        match self {
+            Writer::ReadOnly => READ_ONLY.to_string(),
+            // Nothing buffered: `flush` still doubles as the idle poll
+            // that adopts a finished background rebuild.
+            Writer::Mono { hub, .. } if batch.is_empty() => match service.poll_rebuild(hub) {
+                Ok(adopted) => format!("ok applied=0 rebuilt={adopted}"),
+                Err(e) => format!("err {e}"),
+            },
+            Writer::Mono { hub, .. } => match service.apply_updates_grouped(hub, batch) {
+                Ok(report) => format!(
+                    "ok applied={} seq={} rebuilt={} rebuild_started={} layers_reused={} \
+                     layers_rebuilt={}",
+                    report.outcome.applied,
+                    report
+                        .outcome
+                        .seq
+                        .map_or_else(|| "-".to_string(), |s| s.to_string()),
+                    report.rebuilt,
+                    report.rebuild_started,
+                    report.outcome.reused_layers,
+                    report.outcome.rebuilt_layers
+                ),
+                Err(e) => format!("err {e}"),
+            },
+            Writer::Sharded { hub, .. } => match service.apply_updates_sharded(hub, &batch) {
+                Err(e) => format!("err {e}"),
+                Ok(report) => {
+                    let mut applied = 0usize;
+                    let mut committed = 0usize;
+                    let mut failed = Vec::new();
+                    for (s, slot) in report.per_shard.iter().enumerate() {
+                        match slot {
+                            None => {}
+                            Some(Ok(r)) => {
+                                applied += r.outcome.applied;
+                                committed += 1;
+                            }
+                            Some(Err(e)) => failed.push(format!("{s}: {e}")),
+                        }
+                    }
+                    let touched = committed + failed.len();
+                    if failed.is_empty() {
+                        format!("ok applied={applied} shards={committed}/{touched}")
+                    } else {
+                        // Shard-local failure is not batch failure: the
+                        // healthy shards' shares are already committed
+                        // and serving.
+                        format!(
+                            "err partial commit: applied={applied} shards={committed}/{touched} \
+                             failed=[{}]",
+                            failed.join("; ")
+                        )
+                    }
+                }
+            },
+        }
     }
-    let batch = std::mem::take(&mut state.buffer);
-    match service.apply_updates(&mut state.engine, &batch) {
-        Ok(report) => format!(
-            "ok applied={} seq={} rebuilt={} rebuild_started={} layers_reused={} \
-             layers_rebuilt={}",
-            report.outcome.applied,
-            report
-                .outcome
-                .seq
-                .map_or_else(|| "-".to_string(), |s| s.to_string()),
-            report.rebuilt,
-            report.rebuild_started,
-            report.outcome.reused_layers,
-            report.outcome.rebuilt_layers
-        ),
-        Err(e) => format!("err {e}"),
+
+    /// Persists the current hierarchy (every shard's, when sharded) as
+    /// the next generation and truncates the WAL behind it.
+    fn checkpoint(&self, service: &Service) -> String {
+        match self {
+            Writer::ReadOnly => READ_ONLY.to_string(),
+            Writer::Mono { store: None, .. } => {
+                "err no --store configured; checkpoint unavailable".to_string()
+            }
+            Writer::Mono {
+                hub,
+                store: Some(store),
+            } => {
+                // Fold a finished background rebuild in first so the
+                // checkpoint persists the freshest hierarchy.
+                if let Err(e) = service.poll_rebuild(hub) {
+                    return format!("err checkpoint blocked: {e}");
+                }
+                match hub.with_engine(|e| (e.last_seq(), e.checkpoint(store))) {
+                    (through, Ok(generation)) => format!(
+                        "ok checkpoint generation={generation} wal_truncated_through={through}"
+                    ),
+                    (_, Err(e)) => format!("err checkpoint failed: {e}"),
+                }
+            }
+            Writer::Sharded { hub, store } => {
+                let mut generations = Vec::new();
+                for s in 0..hub.num_shards() {
+                    match hub.with_engine(s, |e| e.checkpoint(store.store(s))) {
+                        Ok(generation) => generations.push(generation.to_string()),
+                        Err(e) => return format!("err checkpoint failed on shard {s}: {e}"),
+                    }
+                }
+                format!("ok checkpoint generations=[{}]", generations.join(","))
+            }
+        }
+    }
+
+    /// Hot-swaps to the newest on-disk generation.
+    fn reload(&self, service: &Service) -> String {
+        match self {
+            Writer::Mono { store: None, .. } => {
+                "err no --store configured; reload unavailable".to_string()
+            }
+            Writer::Mono {
+                store: Some(store), ..
+            } => match service.reload_from_disk(store) {
+                Ok(generation) => format!("ok reloaded generation={generation}"),
+                // The old snapshot keeps serving; the rollback is
+                // already counted in the stats.
+                Err(e) => format!("err reload rolled back: {e}"),
+            },
+            Writer::Sharded { .. } | Writer::ReadOnly => {
+                "err reload is unsupported in sharded serving; restart to re-boot \
+                 (per-shard WAL replay is automatic)"
+                    .to_string()
+            }
+        }
     }
 }
 
 /// Handles one protocol line; `None` means the peer asked to quit.
-fn handle_line(
-    ds: &Dataset,
-    service: &Service,
-    store: Option<&Store>,
-    ingest: &Mutex<IngestState>,
-    line: &str,
-) -> Option<String> {
+fn handle_line(ds: &Dataset, service: &Service, ingest: &Ingest, line: &str) -> Option<String> {
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
         return Some(String::new());
     }
     if let Some(op) = line.strip_prefix("update ") {
-        return Some(match IngestUpdate::parse_line(op) {
-            None => {
-                format!("err bad update '{op}' (want insert <u> <v> | delete <u> <v> | addv <l>)")
+        if matches!(ingest.writer, Writer::ReadOnly) {
+            return Some(READ_ONLY.to_string());
+        }
+        let Some(update) = IngestUpdate::parse_line(op) else {
+            return Some(format!(
+                "err bad update '{op}' (want insert <u> <v> | delete <u> <v> | addv <l>)"
+            ));
+        };
+        let batch = {
+            let mut buffer = ingest.buffer.lock().unwrap_or_else(PoisonError::into_inner);
+            buffer.push(update);
+            if buffer.len() < UPDATE_AUTOFLUSH {
+                return Some(format!("ok queued={}", buffer.len()));
             }
-            Some(update) => {
-                let mut state = ingest.lock().unwrap_or_else(PoisonError::into_inner);
-                state.buffer.push(update);
-                if state.buffer.len() >= UPDATE_AUTOFLUSH {
-                    flush_updates(service, &mut state)
-                } else {
-                    format!("ok queued={}", state.buffer.len())
-                }
-            }
-        });
+            std::mem::take(&mut *buffer)
+        };
+        return Some(ingest.writer.flush(service, batch));
     }
     match line {
         "quit" | "exit" => None,
@@ -555,38 +666,12 @@ fn handle_line(
                 .join("\n"),
         ),
         "flush" => {
-            let mut state = ingest.lock().unwrap_or_else(PoisonError::into_inner);
-            Some(flush_updates(service, &mut state))
+            let batch =
+                std::mem::take(&mut *ingest.buffer.lock().unwrap_or_else(PoisonError::into_inner));
+            Some(ingest.writer.flush(service, batch))
         }
-        "checkpoint" => {
-            Some(match store {
-                None => "err no --store configured; checkpoint unavailable".to_string(),
-                Some(store) => {
-                    let mut state = ingest.lock().unwrap_or_else(PoisonError::into_inner);
-                    // Fold a finished background rebuild in first so the
-                    // checkpoint persists the freshest hierarchy.
-                    if let Err(e) = service.poll_rebuild(&mut state.engine) {
-                        return Some(format!("err checkpoint blocked: {e}"));
-                    }
-                    let through = state.engine.last_seq();
-                    match state.engine.checkpoint(store) {
-                        Ok(generation) => {
-                            format!("ok checkpoint generation={generation} wal_truncated_through={through}")
-                        }
-                        Err(e) => format!("err checkpoint failed: {e}"),
-                    }
-                }
-            })
-        }
-        "reload" => Some(match store {
-            None => "err no --store configured; reload unavailable".to_string(),
-            Some(store) => match service.reload_from_disk(store) {
-                Ok(generation) => format!("ok reloaded generation={generation}"),
-                // The old snapshot keeps serving; the rollback is
-                // already counted in the stats.
-                Err(e) => format!("err reload rolled back: {e}"),
-            },
-        }),
+        "checkpoint" => Some(ingest.writer.checkpoint(service)),
+        "reload" => Some(ingest.writer.reload(service)),
         _ => Some(match parse_request(ds, line) {
             Ok(req) => format_response(service.query(req)),
             Err(e) => format!("err {e}"),
@@ -613,6 +698,117 @@ fn graceful_shutdown(service: Arc<Service>) {
     }
 }
 
+/// Boots monolithic serving. With a store, boot from the newest
+/// persisted generation — no hierarchy construction — replaying any WAL
+/// tail a crash left behind. Without one, build from the dataset.
+/// Either way the live-update engine starts from the same bundle the
+/// snapshot serves, so `update`/`flush` stay consistent with queries.
+fn boot_mono(
+    ds: &Dataset,
+    store: Option<Store>,
+    layers: usize,
+    engine_config: EngineConfig,
+    service_config: ServiceConfig,
+) -> Result<(Service, Writer), Box<dyn std::error::Error>> {
+    let engine = match &store {
+        Some(store) => {
+            let t = Instant::now();
+            let (generation, bundle) = store.load_latest()?;
+            let (engine, replayed) = Engine::with_wal(bundle, engine_config, store)?;
+            eprintln!(
+                "recovered index generation {generation} ({} layer(s), {replayed} WAL \
+                 update(s) replayed) in {:?}; hierarchy construction skipped",
+                engine.bundle().num_layers(),
+                t.elapsed()
+            );
+            engine
+        }
+        None => {
+            let (index, took) = bgi_bench::setup::default_index(ds, layers);
+            eprintln!(
+                "index: {} layer(s) over {} vertices, built in {took:?}",
+                index.num_layers(),
+                ds.num_vertices()
+            );
+            Engine::new(default_bundle(index, engine_config.threads), engine_config)?
+        }
+    };
+    let snapshot = Arc::new(IndexSnapshot::from_bundle(engine.bundle().clone())?);
+    let service = Service::start_with_logger(snapshot, service_config, stderr_logger());
+    let hub = Box::new(WriteHub::new(engine));
+    Ok((service, Writer::Mono { hub, store }))
+}
+
+/// Boots sharded serving (DESIGN.md §14): every query is scattered over
+/// per-shard snapshots and the legs merged deterministically. A
+/// `--store` root created by `save-index --shards` boots durable, with
+/// write verbs enabled; `--shards N` builds in memory, read-only.
+fn boot_sharded_serving(
+    ds: &Dataset,
+    flags: &HashMap<&str, &str>,
+    layers: usize,
+    engine_config: EngineConfig,
+    service_config: ServiceConfig,
+) -> Result<(Service, Writer), Box<dyn std::error::Error>> {
+    let threads = service_config.workers;
+    let (snapshot, writer) = match flags.get("store") {
+        Some(store_dir) => {
+            let t = Instant::now();
+            let store = ShardedStore::open(Path::new(*store_dir))?;
+            let (snapshot, hub, replayed) = boot_sharded(&store, engine_config, threads)?;
+            eprintln!(
+                "booted {} shard(s) (dmax ceiling {}, {} WAL update(s) replayed) in {:?}; \
+                 hierarchy construction skipped",
+                snapshot.num_shards(),
+                snapshot.plan().dmax_ceiling(),
+                replayed.iter().sum::<usize>(),
+                t.elapsed()
+            );
+            let hub = Box::new(hub);
+            (snapshot, Writer::Sharded { hub, store })
+        }
+        None => {
+            let spec = ShardSpec {
+                shards: flag(flags, "shards", 1)?,
+                dmax_ceiling: flag(flags, "dmax-ceiling", 4)?,
+                partition_block: 0,
+            };
+            let (plan, bundles) = build_sharded(ds, &spec, layers, engine_config.threads)?;
+            let snapshot = snapshot_from_build(Arc::new(plan), bundles, threads)?;
+            (snapshot, Writer::ReadOnly)
+        }
+    };
+    let service = Service::start_sharded_with_logger(snapshot, service_config, stderr_logger());
+    Ok((service, writer))
+}
+
+fn stderr_logger() -> bgi_service::Logger {
+    bgi_service::Logger::to(Box::new(std::io::stderr()))
+}
+
+/// Reads protocol lines from `input` and writes one reply per line to
+/// `output`, until `quit`/`exit`, end of input or a dead peer.
+fn serve_lines(
+    ds: &Dataset,
+    service: &Service,
+    ingest: &Ingest,
+    input: impl BufRead,
+    mut output: impl Write,
+) {
+    for line in input.lines() {
+        let Ok(line) = line else { break };
+        let Some(reply) = handle_line(ds, service, ingest, &line) else {
+            break;
+        };
+        if writeln!(output, "{reply}")
+            .and_then(|()| output.flush())
+            .is_err()
+        {
+            break;
+        }
+    }
+}
+
 fn cmd_serve(args: &[String]) -> CliResult {
     let (positional, flags) = parse_flags(args)?;
     let [dir] = positional.as_slice() else {
@@ -624,103 +820,48 @@ fn cmd_serve(args: &[String]) -> CliResult {
     };
     let threads: usize = flag(&flags, "threads", 4)?;
     let layers: usize = flag(&flags, "layers", 4)?;
-    let build_threads: usize = flag(&flags, "build-threads", 1)?;
-    // Sharded serving: explicit `--shards` builds in memory; a `--store`
-    // whose root carries a shard plan is detected and booted as such.
-    let shards: usize = flag(&flags, "shards", 0)?;
-    let store_is_sharded = flags
-        .get("store")
-        .is_some_and(|s| bgi_shard::is_sharded(Path::new(s)));
-    if shards > 0 || store_is_sharded {
-        return cmd_serve_sharded(dir, &flags);
-    }
-    let tcp = flags.get("tcp").copied();
-    let store = match flags.get("store") {
-        Some(store_dir) => Some(Store::open(Path::new(store_dir))?),
-        None => None,
+    let engine_config = EngineConfig {
+        threads: flag(&flags, "build-threads", 1)?,
+        ..EngineConfig::default()
     };
-
-    // With a store, boot from the newest persisted generation — no
-    // hierarchy construction — replaying any WAL tail a crash left
-    // behind. Without one, build from the dataset. Either way the
-    // live-update engine starts from the same bundle the snapshot
-    // serves, so `update`/`flush` stay consistent with queries.
-    let (ds, snapshot, engine) = match &store {
-        Some(store) => {
-            let ds = load(dir)?;
-            let t = Instant::now();
-            let (generation, bundle) = store.load_latest()?;
-            let engine_config = EngineConfig {
-                threads: build_threads,
-                ..EngineConfig::default()
-            };
-            let (engine, replayed) = Engine::with_wal(bundle, engine_config, store)?;
-            let snapshot = Arc::new(IndexSnapshot::from_bundle(engine.bundle().clone())?);
-            eprintln!(
-                "recovered index generation {generation} ({} layer(s), {replayed} WAL \
-                 update(s) replayed) in {:?}; hierarchy construction skipped",
-                snapshot.num_layers(),
-                t.elapsed()
-            );
-            (ds, snapshot, engine)
-        }
-        None => {
-            let ds = load(dir)?;
-            let (index, took) = bgi_bench::setup::default_index(&ds, layers);
-            eprintln!(
-                "index: {} layer(s) over {} vertices, built in {took:?}",
-                index.num_layers(),
-                ds.num_vertices()
-            );
-            let bundle = default_bundle(index, build_threads);
-            let engine_config = EngineConfig {
-                threads: build_threads,
-                ..EngineConfig::default()
-            };
-            let engine = Engine::new(bundle.clone(), engine_config)?;
-            let snapshot = Arc::new(IndexSnapshot::from_bundle(bundle)?);
-            (ds, snapshot, engine)
-        }
-    };
-    let ingest = Arc::new(Mutex::new(IngestState {
-        engine,
-        buffer: Vec::new(),
-    }));
-    let config = ServiceConfig {
+    let service_config = ServiceConfig {
         workers: threads,
         ..ServiceConfig::default()
     };
-    let service = Arc::new(Service::start_with_logger(
-        snapshot,
-        config,
-        bgi_service::Logger::to(Box::new(std::io::stderr())),
-    ));
-    let ds = Arc::new(ds);
+    let tcp = flags.get("tcp").copied();
+    // Sharded serving: explicit `--shards` builds in memory; a `--store`
+    // whose root carries a shard plan is detected and booted as such.
+    let shards: usize = flag(&flags, "shards", 0)?;
+    let store_dir = flags.get("store").map(|s| Path::new(*s));
+    let sharded = shards > 0 || store_dir.is_some_and(bgi_shard::is_sharded);
+    if sharded && tcp.is_some() {
+        return Err("--tcp is not supported with --shards yet; serve over stdio".into());
+    }
+    let ds = Arc::new(load(dir)?);
+    let (service, writer) = if sharded {
+        boot_sharded_serving(&ds, &flags, layers, engine_config, service_config)?
+    } else {
+        let store = store_dir.map(Store::open).transpose()?;
+        boot_mono(&ds, store, layers, engine_config, service_config)?
+    };
+    let service = Arc::new(service);
+    let ingest = Arc::new(Ingest {
+        writer,
+        buffer: Mutex::new(Vec::new()),
+    });
 
     match tcp {
         None => {
             eprintln!(
-                "serving on stdin/stdout with {threads} worker(s); \
-                 one request per line, 'stats' for counters, 'update <op>'/'flush' for \
-                 live writes, 'checkpoint' to persist, 'reload' to hot-swap, 'quit' to stop"
+                "serving{} on stdin/stdout with {threads} worker(s); one request per line, \
+                 'stats' for counters, 'update <op>'/'flush' for live writes, 'checkpoint' to \
+                 persist, 'reload' to hot-swap, 'quit' to stop",
+                if sharded { " sharded" } else { "" }
             );
-            let stdin = std::io::stdin();
-            let mut stdout = std::io::stdout();
-            // Loop ends on `quit`/`exit` or stdin EOF — both funnel into
-            // the graceful drain below.
-            for line in stdin.lock().lines() {
-                let line = line?;
-                match handle_line(&ds, &service, store.as_ref(), &ingest, &line) {
-                    Some(reply) => {
-                        writeln!(stdout, "{reply}")?;
-                        stdout.flush()?;
-                    }
-                    None => break,
-                }
-            }
-            stdout.flush()?;
-            graceful_shutdown(service);
-            Ok(())
+            // Ends on `quit`/`exit` or stdin EOF — both funnel into the
+            // graceful drain below.
+            let (stdin, stdout) = (std::io::stdin(), std::io::stdout());
+            serve_lines(&ds, &service, &ingest, stdin.lock(), stdout.lock());
         }
         Some(addr) => {
             let listener = std::net::TcpListener::bind(addr)?;
@@ -728,7 +869,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
                 "serving on tcp://{} with {threads} worker(s)",
                 listener.local_addr()?
             );
-            let store = store.map(Arc::new);
             for stream in listener.incoming() {
                 let stream = match stream {
                     Ok(s) => s,
@@ -739,255 +879,17 @@ fn cmd_serve(args: &[String]) -> CliResult {
                         break;
                     }
                 };
-                let service = Arc::clone(&service);
-                let ds = Arc::clone(&ds);
-                let store = store.clone();
-                let ingest = Arc::clone(&ingest);
+                let (ds, service, ingest) =
+                    (Arc::clone(&ds), Arc::clone(&service), Arc::clone(&ingest));
                 std::thread::spawn(move || {
-                    let reader = match stream.try_clone() {
-                        Ok(s) => std::io::BufReader::new(s),
-                        Err(_) => return,
-                    };
-                    let mut writer = stream;
-                    for line in reader.lines() {
-                        let Ok(line) = line else { break };
-                        match handle_line(&ds, &service, store.as_deref(), &ingest, &line) {
-                            Some(reply) => {
-                                if writeln!(writer, "{reply}").is_err() {
-                                    break;
-                                }
-                            }
-                            None => break,
-                        }
+                    if let Ok(reader) = stream.try_clone() {
+                        let reader = std::io::BufReader::new(reader);
+                        serve_lines(&ds, &service, &ingest, reader, stream);
                     }
                 });
             }
-            graceful_shutdown(service);
-            Ok(())
         }
     }
-}
-
-/// Write state for a sharded serving process. Updates buffer globally;
-/// `flush` routes the batch shard-by-shard through the hub, each shard
-/// committing (or failing) independently.
-struct ShardIngest {
-    hub: Arc<ShardedWriteHub>,
-    store: ShardedStore,
-    buffer: Vec<IngestUpdate>,
-}
-
-/// Where a sharded `serve` sends its write verbs: a durable hub when
-/// booted from a sharded store, read-only when built in memory (there
-/// is no WAL to make a scattered commit crash-safe against).
-enum ShardWriter {
-    Disk(Mutex<ShardIngest>),
-    ReadOnly,
-}
-
-const SHARD_READ_ONLY: &str =
-    "err sharded serving without --store is read-only; persist with `bgi save-index --shards`";
-
-/// Applies the buffered updates through the sharded write path and
-/// reports the per-shard outcome on one protocol line.
-fn flush_updates_sharded(service: &Service, state: &mut ShardIngest) -> String {
-    if state.buffer.is_empty() {
-        return "ok applied=0 shards=0/0".to_string();
-    }
-    let batch = std::mem::take(&mut state.buffer);
-    match service.apply_updates_sharded(&state.hub, &batch) {
-        Err(e) => format!("err {e}"),
-        Ok(report) => {
-            let mut applied = 0usize;
-            let mut committed = 0usize;
-            let mut failed = Vec::new();
-            for (s, slot) in report.per_shard.iter().enumerate() {
-                match slot {
-                    None => {}
-                    Some(Ok(r)) => {
-                        applied += r.outcome.applied;
-                        committed += 1;
-                    }
-                    Some(Err(e)) => failed.push(format!("{s}: {e}")),
-                }
-            }
-            let touched = committed + failed.len();
-            if failed.is_empty() {
-                format!("ok applied={applied} shards={committed}/{touched}")
-            } else {
-                // Shard-local failure is not batch failure: the healthy
-                // shards' shares are already committed and serving.
-                format!(
-                    "err partial commit: applied={applied} shards={committed}/{touched} \
-                     failed=[{}]",
-                    failed.join("; ")
-                )
-            }
-        }
-    }
-}
-
-/// Persists every shard's current hierarchy as that shard's next
-/// generation and truncates its WAL.
-fn checkpoint_shards(state: &ShardIngest) -> String {
-    let mut generations = Vec::new();
-    for s in 0..state.hub.num_shards() {
-        match state
-            .hub
-            .with_engine(s, |e| e.checkpoint(state.store.store(s)))
-        {
-            Ok(generation) => generations.push(generation.to_string()),
-            Err(e) => return format!("err checkpoint failed on shard {s}: {e}"),
-        }
-    }
-    format!("ok checkpoint generations=[{}]", generations.join(","))
-}
-
-/// Handles one protocol line against a sharded service; `None` means
-/// the peer asked to quit.
-fn handle_line_sharded(
-    ds: &Dataset,
-    service: &Service,
-    writer: &ShardWriter,
-    line: &str,
-) -> Option<String> {
-    let line = line.trim();
-    if line.is_empty() || line.starts_with('#') {
-        return Some(String::new());
-    }
-    if let Some(op) = line.strip_prefix("update ") {
-        return Some(match writer {
-            ShardWriter::ReadOnly => SHARD_READ_ONLY.to_string(),
-            ShardWriter::Disk(state) => match IngestUpdate::parse_line(op) {
-                None => format!(
-                    "err bad update '{op}' (want insert <u> <v> | delete <u> <v> | addv <l>)"
-                ),
-                Some(update) => {
-                    let mut state = state.lock().unwrap_or_else(PoisonError::into_inner);
-                    state.buffer.push(update);
-                    if state.buffer.len() >= UPDATE_AUTOFLUSH {
-                        flush_updates_sharded(service, &mut state)
-                    } else {
-                        format!("ok queued={}", state.buffer.len())
-                    }
-                }
-            },
-        });
-    }
-    match line {
-        "quit" | "exit" => None,
-        "stats" => Some(
-            service
-                .stats()
-                .to_string()
-                .lines()
-                .map(|l| format!("# {l}"))
-                .collect::<Vec<_>>()
-                .join("\n"),
-        ),
-        "flush" => Some(match writer {
-            ShardWriter::ReadOnly => SHARD_READ_ONLY.to_string(),
-            ShardWriter::Disk(state) => {
-                let mut state = state.lock().unwrap_or_else(PoisonError::into_inner);
-                flush_updates_sharded(service, &mut state)
-            }
-        }),
-        "checkpoint" => Some(match writer {
-            ShardWriter::ReadOnly => SHARD_READ_ONLY.to_string(),
-            ShardWriter::Disk(state) => {
-                let state = state.lock().unwrap_or_else(PoisonError::into_inner);
-                checkpoint_shards(&state)
-            }
-        }),
-        "reload" => Some(
-            "err reload is unsupported in sharded serving; restart to re-boot \
-             (per-shard WAL replay is automatic)"
-                .to_string(),
-        ),
-        _ => Some(match parse_request(ds, line) {
-            Ok(req) => format_response(service.query(req)),
-            Err(e) => format!("err {e}"),
-        }),
-    }
-}
-
-/// Sharded serving: every query is scattered over per-shard snapshots
-/// and the legs merged deterministically (DESIGN.md §14). Entered from
-/// `cmd_serve` when `--shards N` is given (in-memory build, read-only)
-/// or `--store` points at a root created by `save-index --shards`
-/// (durable, write verbs enabled).
-fn cmd_serve_sharded(dir: &str, flags: &HashMap<&str, &str>) -> CliResult {
-    if flags.contains_key("tcp") {
-        return Err("--tcp is not supported with --shards yet; serve over stdio".into());
-    }
-    let threads: usize = flag(flags, "threads", 4)?;
-    let layers: usize = flag(flags, "layers", 4)?;
-    let build_threads: usize = flag(flags, "build-threads", 1)?;
-    let ds = load(dir)?;
-    let (snapshot, writer) = match flags.get("store") {
-        Some(store_dir) => {
-            let t = Instant::now();
-            let store = ShardedStore::open(Path::new(*store_dir))?;
-            let engine_config = EngineConfig {
-                threads: build_threads,
-                ..EngineConfig::default()
-            };
-            let (snapshot, hub, replayed) = boot_sharded(&store, engine_config, threads)?;
-            eprintln!(
-                "booted {} shard(s) (dmax ceiling {}, {} WAL update(s) replayed) in {:?}; \
-                 hierarchy construction skipped",
-                snapshot.num_shards(),
-                snapshot.plan().dmax_ceiling(),
-                replayed.iter().sum::<usize>(),
-                t.elapsed()
-            );
-            let writer = ShardWriter::Disk(Mutex::new(ShardIngest {
-                hub: Arc::new(hub),
-                store,
-                buffer: Vec::new(),
-            }));
-            (snapshot, writer)
-        }
-        None => {
-            let shards: usize = flag(flags, "shards", 1)?;
-            let dmax_ceiling: u32 = flag(flags, "dmax-ceiling", 4)?;
-            let spec = ShardSpec {
-                shards,
-                dmax_ceiling,
-                partition_block: 0,
-            };
-            let (plan, bundles) = build_sharded(&ds, &spec, layers, build_threads)?;
-            let snapshot = snapshot_from_build(Arc::new(plan), bundles, threads)?;
-            (snapshot, ShardWriter::ReadOnly)
-        }
-    };
-    let config = ServiceConfig {
-        workers: threads,
-        ..ServiceConfig::default()
-    };
-    let service = Arc::new(Service::start_sharded_with_logger(
-        snapshot,
-        config,
-        bgi_service::Logger::to(Box::new(std::io::stderr())),
-    ));
-    eprintln!(
-        "serving sharded on stdin/stdout with {threads} worker(s); one request per line, \
-         'stats' for counters (per-shard lanes included), 'update <op>'/'flush' for live \
-         writes (with --store), 'checkpoint' to persist every shard, 'quit' to stop"
-    );
-    let stdin = std::io::stdin();
-    let mut stdout = std::io::stdout();
-    for line in stdin.lock().lines() {
-        let line = line?;
-        match handle_line_sharded(&ds, &service, &writer, &line) {
-            Some(reply) => {
-                writeln!(stdout, "{reply}")?;
-                stdout.flush()?;
-            }
-            None => break,
-        }
-    }
-    stdout.flush()?;
     graceful_shutdown(service);
     Ok(())
 }

@@ -89,9 +89,9 @@ const COMMIT_TRIALS: usize = 2;
 /// WAL-backed write-path throughput, one op per call: a single caller
 /// committing serially vs `writers` concurrent callers whose commits
 /// coalesce in the [`WriteHub`] group-commit queue. Both sides run the
-/// full durable path — WAL append + fsync, summary/index refresh and a
-/// snapshot swap per commit cycle. Returns
-/// `(serial_per_s, group_per_s, group_fsyncs)`.
+/// same routine — WAL append + fsync, summary/index refresh and a
+/// snapshot swap per commit cycle; the serial caller's groups are all
+/// of size one. Returns `(serial_per_s, group_per_s, group_fsyncs)`.
 fn group_commit_throughput(
     bundle: &IndexBundle,
     writers: usize,
@@ -103,35 +103,24 @@ fn group_commit_throughput(
     // so both sides time the steady-state commit path.
     let mut ops = commutative_ops(n, writers * per_writer + 1);
     let warmup = ops.pop().expect("nonempty op stream");
+    let (serial_per_s, _) = commit_rate(bundle, warmup, &ops, 1);
+    let (group_per_s, fsyncs) = commit_rate(bundle, warmup, &ops, writers);
+    (serial_per_s, group_per_s, fsyncs)
+}
 
-    // Serial caller: one durable commit per update.
-    let mut serial_per_s = 0f64;
+/// Commits `ops` one per call from `writers` concurrent callers through
+/// one hub on a fresh store. Returns the best trial's updates/s and the
+/// fsyncs that trial spent.
+fn commit_rate(
+    bundle: &IndexBundle,
+    warmup: IngestUpdate,
+    ops: &[IngestUpdate],
+    writers: usize,
+) -> (f64, u64) {
+    let (mut best_per_s, mut fsyncs) = (0f64, 0u64);
     for _ in 0..COMMIT_TRIALS {
-        let dir = TempDir::new("serial");
-        let store = Store::open(&dir.0).expect("open serial store");
-        let (mut engine, _) =
-            Engine::with_wal(bundle.clone(), EngineConfig::default(), &store).expect("seed engine");
-        let service = Service::start(
-            Arc::new(IndexSnapshot::from_bundle(bundle.clone()).expect("bundle verifies")),
-            service_config(),
-        );
-        service
-            .apply_updates(&mut engine, std::slice::from_ref(&warmup))
-            .expect("warmup update applies");
-        let t = Instant::now();
-        for op in &ops {
-            service
-                .apply_updates(&mut engine, std::slice::from_ref(op))
-                .expect("serial update applies");
-        }
-        serial_per_s = serial_per_s.max(ops.len() as f64 / t.elapsed().as_secs_f64());
-    }
-
-    // Group commit: the same updates from concurrent callers.
-    let (mut group_per_s, mut fsyncs) = (0f64, 0u64);
-    for _ in 0..COMMIT_TRIALS {
-        let dir = TempDir::new("group");
-        let store = Store::open(&dir.0).expect("open group store");
+        let dir = TempDir::new("commit");
+        let store = Store::open(&dir.0).expect("open store");
         let (engine, _) =
             Engine::with_wal(bundle.clone(), EngineConfig::default(), &store).expect("seed engine");
         let hub = WriteHub::new(engine);
@@ -144,27 +133,26 @@ fn group_commit_throughput(
             .expect("warmup update applies");
         let t = Instant::now();
         std::thread::scope(|s| {
-            for w in 0..writers {
-                let (service, hub, ops) = (&service, &hub, &ops);
+            for share in ops.chunks(ops.len().div_ceil(writers)) {
+                let (service, hub) = (&service, &hub);
                 s.spawn(move || {
-                    for k in 0..per_writer {
-                        let op = ops[w * per_writer + k];
+                    for &op in share {
                         service
                             .apply_updates_grouped(hub, vec![op])
-                            .expect("grouped update applies");
+                            .expect("update applies");
                     }
                 });
             }
         });
         let trial = ops.len() as f64 / t.elapsed().as_secs_f64();
-        if trial > group_per_s {
-            group_per_s = trial;
-            // Report the fsync count of the trial whose rate we report
-            // (minus the warmup commit's own fsync).
+        if trial > best_per_s {
+            best_per_s = trial;
+            // The fsync count of the trial whose rate we report (minus
+            // the warmup commit's own fsync).
             fsyncs = hub.with_engine(|e| e.wal_fsyncs()).saturating_sub(1);
         }
     }
-    (serial_per_s, group_per_s, fsyncs)
+    (best_per_s, fsyncs)
 }
 
 /// One sweep point: apply `stream` in `batch`-sized chunks on a fresh

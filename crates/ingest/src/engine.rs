@@ -249,43 +249,23 @@ impl Engine {
     }
 
     /// Validates, logs (fsync = commit), applies, and re-materializes
-    /// one batch of updates. On any error the serving bundle is left at
-    /// its previous value (validation rejects before logging; a logged
-    /// batch that fails mid-apply is recovered from the WAL on
-    /// restart). An empty batch is a complete no-op: nothing is logged
-    /// (no WAL append, no fsync) and the serving bundle is untouched.
+    /// one batch of updates — [`Engine::apply_group`] of one batch. On
+    /// any error the serving bundle is left at its previous value
+    /// (validation rejects before logging; a logged batch that fails
+    /// mid-apply is recovered from the WAL on restart). An empty batch
+    /// is a complete no-op: nothing is logged (no WAL append, no fsync)
+    /// and the serving bundle is untouched.
     pub fn apply_batch(&mut self, updates: &[IngestUpdate]) -> Result<ApplyOutcome, IngestError> {
-        if updates.is_empty() {
-            return Ok(self.noop_outcome());
-        }
-        let logged = self.validate(updates)?;
-        let seq = match &mut self.wal {
-            Some(wal) => Some(wal.append(&logged)?),
-            None => None,
-        };
-        if let Some(s) = seq {
-            self.last_seq = s;
-        }
-        let applied = self.apply_to_state(&logged)?;
-        if let Some(delta) = &mut self.rebuild_delta {
-            delta.extend_from_slice(&logged);
-        }
-        let (reused_layers, patched_layers, rebuilt_layers) = self.materialize(&logged)?;
-        Ok(ApplyOutcome {
-            seq,
-            applied,
-            reused_layers,
-            patched_layers,
-            rebuilt_layers,
-        })
+        // One outcome per batch, so exactly one here.
+        Ok(self.apply_group(&[updates])?[0])
     }
 
-    /// Commits several callers' batches as **one group**: one WAL
-    /// append + fsync for the whole group
+    /// The one commit routine: commits several callers' batches as
+    /// **one group** — one WAL append + fsync for the whole group
     /// ([`bgi_store::Wal::append_group`]), one state application, one
-    /// re-materialization. This is the engine half of the group-commit
-    /// write path — [`bgi_store::CommitQueue`] coalesces concurrent
-    /// callers into the `batches` slice and a single leader calls this.
+    /// re-materialization. [`bgi_store::CommitQueue`] coalesces
+    /// concurrent callers into the `batches` slice and a single leader
+    /// calls this; a lone caller is a group of one.
     ///
     /// Every batch is validated up front (in order, with vertex
     /// additions numbered across batch boundaries); the first invalid
@@ -295,31 +275,33 @@ impl Engine {
     /// shared materialization and are repeated on every outcome.
     pub fn apply_group(
         &mut self,
-        batches: &[Vec<IngestUpdate>],
+        batches: &[impl AsRef<[IngestUpdate]>],
     ) -> Result<Vec<ApplyOutcome>, IngestError> {
         let mut n = self.base.num_vertices() as u32;
         let mut logged: Vec<Vec<GraphUpdate>> = Vec::with_capacity(batches.len());
         for batch in batches {
-            let (out, next_n) = self.validate_from(n, batch)?;
+            let (out, next_n) = self.validate_from(n, batch.as_ref())?;
             n = next_n;
             logged.push(out);
         }
-        let nonempty: Vec<Vec<GraphUpdate>> =
-            logged.iter().filter(|b| !b.is_empty()).cloned().collect();
+        let nonempty: Vec<&[GraphUpdate]> = logged
+            .iter()
+            .filter(|b| !b.is_empty())
+            .map(Vec::as_slice)
+            .collect();
         if nonempty.is_empty() {
             return Ok(batches.iter().map(|_| self.noop_outcome()).collect());
         }
-        let seqs = match &mut self.wal {
+        let mut seqs = match &mut self.wal {
             Some(wal) => wal.append_group(&nonempty)?,
-            None => Vec::new(),
+            None => 0..0,
         };
-        if let Some(&last) = seqs.last() {
-            self.last_seq = last;
+        if !seqs.is_empty() {
+            self.last_seq = seqs.end - 1;
         }
-        let mut seq_iter = seqs.into_iter();
         let per_batch_seq: Vec<Option<u64>> = logged
             .iter()
-            .map(|b| if b.is_empty() { None } else { seq_iter.next() })
+            .map(|b| if b.is_empty() { None } else { seqs.next() })
             .collect();
         let flat: Vec<GraphUpdate> = logged.iter().flatten().copied().collect();
         self.apply_to_state(&flat)?;
@@ -481,19 +463,13 @@ impl Engine {
         Ok(generation)
     }
 
-    /// Validates a client batch against the current state and stamps
-    /// vertex additions with the id they will create. Rejects the whole
-    /// batch on the first invalid update — nothing is logged or
-    /// applied.
-    fn validate(&self, updates: &[IngestUpdate]) -> Result<Vec<GraphUpdate>, IngestError> {
-        let n = self.base.num_vertices() as u32;
-        self.validate_from(n, updates).map(|(out, _)| out)
-    }
-
-    /// [`Engine::validate`] starting from an explicit vertex count, so
-    /// a group of batches can be validated in order with vertex
-    /// additions numbered across batch boundaries. Returns the logged
-    /// form plus the vertex count after the batch.
+    /// Validates a client batch against a graph of `start_n` vertices
+    /// and stamps vertex additions with the id they will create. Fails
+    /// on the first invalid update — the caller then logs and applies
+    /// nothing. The vertex count is explicit so a group of batches can
+    /// be validated in order with vertex additions numbered across
+    /// batch boundaries. Returns the logged form plus the vertex count
+    /// after the batch.
     fn validate_from(
         &self,
         start_n: u32,

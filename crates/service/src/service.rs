@@ -40,7 +40,7 @@ use bgi_check::sync::{Mutex, PoisonError, RwLock};
 use bgi_graph::VId;
 use bgi_ingest::{ApplyOutcome, Engine, EngineConfig, IngestError, IngestUpdate};
 use bgi_search::Budget;
-use bgi_shard::{RouteError, RoutedBatch, ShardStoreError, ShardedStore};
+use bgi_shard::{RouteError, RoutedBatch, ShardRouter, ShardStoreError, ShardedStore};
 use bgi_store::{CommitQueue, IndexBundle, Store, StoreError};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -338,10 +338,6 @@ impl Shared {
 pub struct Service {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    /// The in-flight background rebuild, if any (see
-    /// [`Service::apply_updates`]). One slot: a second rebuild is never
-    /// started while one is outstanding.
-    rebuild: Mutex<Option<JoinHandle<IndexBundle>>>,
 }
 
 impl Service {
@@ -416,11 +412,7 @@ impl Service {
                 })
             })
             .collect();
-        Service {
-            shared,
-            workers,
-            rebuild: Mutex::new(None),
-        }
+        Service { shared, workers }
     }
 
     /// Submits `request` without blocking. On admission the reply
@@ -466,13 +458,45 @@ impl Service {
     /// against the snapshot they started with. Switches a sharded
     /// service back to monolithic serving.
     pub fn swap_snapshot(&self, snapshot: Arc<IndexSnapshot>) {
+        self.install("index snapshot", |_| Some(Serving::Mono(snapshot)));
+    }
+
+    /// Installs a whole sharded snapshot (all shards at once) and
+    /// invalidates the answer cache, with the same in-flight semantics
+    /// as [`Service::swap_snapshot`].
+    pub fn swap_sharded(&self, snapshot: Arc<ShardedSnapshot>) {
+        self.install("sharded snapshot", |_| Some(Serving::Sharded(snapshot)));
+    }
+
+    /// Replaces one shard of the currently served sharded snapshot —
+    /// the shard-local swap unit behind per-shard ingest and recovery.
+    /// Returns `false` (and changes nothing) when the service is not in
+    /// sharded mode.
+    pub fn swap_shard(&self, s: usize, snapshot: Arc<IndexSnapshot>, map: Arc<Vec<VId>>) -> bool {
+        self.install(&format!("shard {s} snapshot"), |serving| match serving {
+            Serving::Sharded(current) => Some(Serving::Sharded(Arc::new(
+                current.with_shard(s, snapshot, map),
+            ))),
+            Serving::Mono(_) => None,
+        })
+    }
+
+    /// The one snapshot install behind every swap. `replace` computes
+    /// the next serving state from the current one *inside* the write
+    /// lock (so two concurrent single-shard swaps can never lose each
+    /// other's shard); `None` leaves everything untouched and returns
+    /// `false`.
+    fn install(&self, what: &str, replace: impl FnOnce(&Serving) -> Option<Serving>) -> bool {
         {
             let mut guard = self
                 .shared
                 .snapshot
                 .write()
                 .unwrap_or_else(PoisonError::into_inner);
-            *guard = Serving::Mono(snapshot);
+            let Some(next) = replace(&guard) else {
+                return false;
+            };
+            *guard = next;
         }
         // Snapshot first, then invalidate: a worker that cached its
         // generation before this bump can no longer insert.
@@ -480,51 +504,7 @@ impl Service {
         self.shared.stats.record_swap();
         self.shared
             .log
-            .line("index snapshot swapped; cache invalidated");
-    }
-
-    /// Installs a whole sharded snapshot (all shards at once) and
-    /// invalidates the answer cache, with the same in-flight semantics
-    /// as [`Service::swap_snapshot`].
-    pub fn swap_sharded(&self, snapshot: Arc<ShardedSnapshot>) {
-        {
-            let mut guard = self
-                .shared
-                .snapshot
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            *guard = Serving::Sharded(snapshot);
-        }
-        self.shared.cache.invalidate_all();
-        self.shared.stats.record_swap();
-        self.shared
-            .log
-            .line("sharded snapshot swapped; cache invalidated");
-    }
-
-    /// Replaces one shard of the currently served sharded snapshot —
-    /// the shard-local swap unit behind per-shard ingest and recovery.
-    /// The replacement snapshot is assembled *inside* the write lock,
-    /// so two concurrent single-shard swaps can never lose each other's
-    /// shard. Returns `false` (and changes nothing) when the service is
-    /// not in sharded mode.
-    pub fn swap_shard(&self, s: usize, snapshot: Arc<IndexSnapshot>, map: Arc<Vec<VId>>) -> bool {
-        {
-            let mut guard = self
-                .shared
-                .snapshot
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            let Serving::Sharded(current) = &*guard else {
-                return false;
-            };
-            *guard = Serving::Sharded(Arc::new(current.with_shard(s, snapshot, map)));
-        }
-        self.shared.cache.invalidate_all();
-        self.shared.stats.record_swap();
-        self.shared
-            .log
-            .line(&format!("shard {s} snapshot swapped; cache invalidated"));
+            .line(&format!("{what} swapped; cache invalidated"));
         true
     }
 
@@ -567,167 +547,62 @@ impl Service {
         }
     }
 
-    /// The live write path: applies `updates` through `engine`
+    /// The write path: commits `updates` through the hub's engine
     /// (WAL-logged when the engine has one), then builds a snapshot
     /// from the engine's new bundle and swaps it in.
     ///
+    /// Concurrent callers coalesce into one commit cycle through the
+    /// hub's [`CommitQueue`]: exactly one caller (the leader) locks the
+    /// engine and commits every concurrent batch with **one** WAL
+    /// append + fsync ([`Engine::apply_group`]), one materialization,
+    /// and one snapshot swap; the others wait for their own
+    /// [`ApplyReport`] without ever touching the engine. Under 16
+    /// single-op writers this turns 16 fsyncs into a handful. A lone
+    /// writer is a group of one and never waits in the queue.
+    ///
     /// When the staleness tracker recommends a full rebuild, the
-    /// from-scratch construction runs on a **background thread**
-    /// (`Engine::start_rebuild` captures the inputs; updates keep
-    /// applying and are buffered as a delta) — the write path never
-    /// blocks on it. The finished rebuild is adopted — delta replayed,
-    /// snapshot swapped — by the next `apply_updates` call that finds
-    /// it done, or by an explicit [`Service::poll_rebuild`]. At most
-    /// one rebuild is in flight at a time, and a result whose engine
-    /// epoch has gone away (e.g. the caller recovered a fresh engine
-    /// from the store) is discarded, not adopted.
+    /// from-scratch construction runs on a **background thread** owned
+    /// by the hub (`Engine::start_rebuild` captures the inputs; updates
+    /// keep applying and are buffered as a delta) — the write path
+    /// never blocks on it. The finished rebuild is adopted — delta
+    /// replayed, snapshot swapped — by the next commit that finds it
+    /// done, or by an explicit [`Service::poll_rebuild`]. At most one
+    /// rebuild per hub is in flight at a time, and a result whose
+    /// engine epoch has gone away (e.g. the engine was replaced by one
+    /// recovered from the store) is discarded, not adopted.
     ///
     /// Queries keep serving the old snapshot for the whole duration —
     /// including during a rebuild — and only ever see the new state
     /// atomically via [`Service::swap_snapshot`] (which also
     /// invalidates the answer cache, so no stale answers survive the
-    /// swap). If the new bundle fails snapshot admission the old
-    /// snapshot keeps serving and the batch is reported as
-    /// [`ApplyError::Snapshot`]; the engine state *has* advanced (and
-    /// is WAL-recoverable), so the caller decides between retrying the
-    /// materialization and restarting from the store.
-    pub fn apply_updates(
-        &self,
-        engine: &mut Engine,
-        updates: &[IngestUpdate],
-    ) -> Result<ApplyReport, ApplyError> {
-        if updates.is_empty() {
-            // Complete no-op: nothing logged, nothing re-materialized —
-            // skip the snapshot clone + swap as well.
-            let outcome = engine.apply_batch(updates).map_err(ApplyError::Ingest)?;
-            return Ok(ApplyReport {
-                outcome,
-                rebuilt: false,
-                rebuild_started: false,
-            });
-        }
-        let outcome = engine.apply_batch(updates).map_err(ApplyError::Ingest)?;
-        let rebuilt = self.adopt_finished_rebuild(engine)?;
-        let rebuild_started = self.maybe_start_rebuild(engine);
-        match IndexSnapshot::from_bundle(engine.bundle().clone()) {
-            Ok(snapshot) => {
-                self.swap_snapshot(Arc::new(snapshot));
-                self.shared.stats.record_ingest_batch();
-                Ok(ApplyReport {
-                    outcome,
-                    rebuilt,
-                    rebuild_started,
-                })
-            }
-            Err(err) => {
-                self.shared.stats.record_ingest_rollback();
-                self.shared.log.line(&format!(
-                    "update batch refused at snapshot admission ({err}); \
-                     previous snapshot keeps serving"
-                ));
-                Err(ApplyError::Snapshot(err))
-            }
-        }
-    }
-
-    /// The *group-commit* write path: like [`Service::apply_updates`],
-    /// but concurrent callers coalesce into one commit cycle through
-    /// the hub's [`CommitQueue`]. Exactly one caller (the leader) locks
-    /// the engine and commits every concurrent batch with **one** WAL
-    /// append + fsync ([`Engine::apply_group`]), one materialization,
-    /// and one snapshot swap; the others wait for their own
-    /// [`ApplyReport`] without ever touching the engine. Under 16
-    /// single-op writers this turns 16 fsyncs into a handful.
+    /// swap).
     ///
     /// Failure semantics: a whole-group failure (validation, WAL I/O,
     /// snapshot admission) is delivered to every caller in the group as
-    /// [`ApplyError::Group`] sharing the underlying cause. A leader
-    /// that *panics* mid-cycle yields [`ApplyError::LeaderDied`] for
-    /// the batches it had drained — their commit outcome is unknown,
-    /// exactly like a client losing its connection mid-commit.
+    /// [`ApplyError::Group`] sharing the underlying cause. After a
+    /// refused snapshot the old one keeps serving; the engine state
+    /// *has* advanced (and is WAL-recoverable), so the caller decides
+    /// between retrying the materialization and restarting from the
+    /// store. A leader that *panics* mid-cycle yields
+    /// [`ApplyError::LeaderDied`] for the batches it had drained —
+    /// their commit outcome is unknown, exactly like a client losing
+    /// its connection mid-commit.
     pub fn apply_updates_grouped(
         &self,
         hub: &WriteHub,
         updates: Vec<IngestUpdate>,
     ) -> Result<ApplyReport, ApplyError> {
-        match hub
-            .queue
-            .commit(updates, |batches| self.commit_group(hub, batches))
-        {
-            Some(Ok(report)) => Ok(report),
-            Some(Err(shared)) => Err(ApplyError::Group(shared)),
-            None => Err(ApplyError::LeaderDied),
-        }
-    }
-
-    /// Leader body for [`Service::apply_updates_grouped`]: one engine
-    /// lock, one group apply, one snapshot swap, one report per batch.
-    fn commit_group(
-        &self,
-        hub: &WriteHub,
-        batches: Vec<Vec<IngestUpdate>>,
-    ) -> Vec<Result<ApplyReport, Arc<ApplyError>>> {
-        let count = batches.len();
-        let mut engine = hub.engine.lock().unwrap_or_else(PoisonError::into_inner);
-        match self.commit_group_locked(&mut engine, &batches) {
-            Ok(reports) => reports.into_iter().map(Ok).collect(),
-            Err(err) => {
-                let shared = Arc::new(err);
-                (0..count).map(|_| Err(Arc::clone(&shared))).collect()
-            }
-        }
-    }
-
-    fn commit_group_locked(
-        &self,
-        engine: &mut Engine,
-        batches: &[Vec<IngestUpdate>],
-    ) -> Result<Vec<ApplyReport>, ApplyError> {
-        let outcomes = engine.apply_group(batches).map_err(ApplyError::Ingest)?;
-        if batches.iter().all(Vec::is_empty) {
-            // Whole group was a no-op: nothing changed, so skip the
-            // rebuild bookkeeping and the snapshot clone + swap.
-            return Ok(outcomes
-                .into_iter()
-                .map(|outcome| ApplyReport {
-                    outcome,
-                    rebuilt: false,
-                    rebuild_started: false,
-                })
-                .collect());
-        }
-        let rebuilt = self.adopt_finished_rebuild(engine)?;
-        let rebuild_started = self.maybe_start_rebuild(engine);
-        match IndexSnapshot::from_bundle(engine.bundle().clone()) {
-            Ok(snapshot) => {
-                self.swap_snapshot(Arc::new(snapshot));
-                self.shared.stats.record_ingest_batch();
-                Ok(outcomes
-                    .into_iter()
-                    .map(|outcome| ApplyReport {
-                        outcome,
-                        rebuilt,
-                        rebuild_started,
-                    })
-                    .collect())
-            }
-            Err(err) => {
-                self.shared.stats.record_ingest_rollback();
-                self.shared.log.line(&format!(
-                    "update group refused at snapshot admission ({err}); \
-                     previous snapshot keeps serving"
-                ));
-                Err(ApplyError::Snapshot(err))
-            }
-        }
+        self.commit(hub, InstallTarget::Whole, updates)
     }
 
     /// The *sharded* write path: routes `updates` by vertex ownership
     /// (see `bgi_shard::ShardRouter`), journals global numbering and
-    /// cut changes to the meta WAL, then group-commits each shard's
-    /// share through that shard's own [`WriteHub`] — so writers hitting
-    /// different shards never serialize on one engine lock, and a
-    /// committed shard swaps only *its* slice of the serving snapshot
+    /// cut changes to the meta WAL, then commits each shard's share
+    /// through that shard's own [`WriteHub`] with the routine
+    /// [`Service::apply_updates_grouped`] runs — so writers hitting
+    /// different shards never serialize on one engine lock, each shard
+    /// tracks drift and rebuilds independently, and a committed shard
+    /// swaps only *its* slice of the serving snapshot
     /// ([`Service::swap_shard`]).
     ///
     /// Atomicity: routing runs on a **staged clone** of the router and
@@ -761,167 +636,128 @@ impl Service {
             assigned,
             ..
         } = routed;
-        let mut per_shard: Vec<Option<Result<ApplyReport, ApplyError>>> =
-            (0..hub.hubs.len()).map(|_| None).collect();
-        for (s, share) in shares.into_iter().enumerate() {
-            if share.is_empty() {
-                continue;
-            }
-            let result = match hub.hubs[s]
-                .queue
-                .commit(share, |batches| self.commit_shard_group(hub, s, batches))
-            {
-                Some(Ok(report)) => Ok(report),
-                Some(Err(shared)) => Err(ApplyError::Group(shared)),
-                None => Err(ApplyError::LeaderDied),
-            };
-            per_shard[s] = Some(result);
-        }
+        let per_shard = shares
+            .into_iter()
+            .enumerate()
+            .map(|(s, share)| {
+                let target = InstallTarget::Shard(s, &hub.router);
+                (!share.is_empty()).then(|| self.commit(&hub.hubs[s], target, share))
+            })
+            .collect();
         Ok(ShardedApplyReport {
             per_shard,
             assigned,
         })
     }
 
-    /// Leader body for one shard's group commit (the sharded analogue
-    /// of [`Service::commit_group`]).
-    fn commit_shard_group(
+    /// One caller's trip through `hub`'s commit queue: its batch is
+    /// committed by whichever caller leads the group it lands in.
+    fn commit(
         &self,
-        hub: &ShardedWriteHub,
-        s: usize,
-        batches: Vec<Vec<IngestUpdate>>,
+        hub: &WriteHub,
+        target: InstallTarget<'_>,
+        updates: Vec<IngestUpdate>,
+    ) -> Result<ApplyReport, ApplyError> {
+        match hub
+            .queue
+            .commit(updates, |batches| self.lead_group(hub, target, &batches))
+        {
+            Some(Ok(report)) => Ok(report),
+            Some(Err(shared)) => Err(ApplyError::Group(shared)),
+            None => Err(ApplyError::LeaderDied),
+        }
+    }
+
+    /// Leads one commit cycle: takes the hub's lock, commits the drained
+    /// group, and hands every batch its report — or all of them the one
+    /// shared error.
+    fn lead_group(
+        &self,
+        hub: &WriteHub,
+        target: InstallTarget<'_>,
+        batches: &[Vec<IngestUpdate>],
     ) -> Vec<Result<ApplyReport, Arc<ApplyError>>> {
-        let count = batches.len();
-        let mut engine = hub.hubs[s]
-            .engine
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        match self.commit_shard_locked(hub, s, &mut engine, &batches) {
+        let mut state = hub.state.lock().unwrap_or_else(PoisonError::into_inner);
+        match self.commit_group(&mut state, target, batches) {
             Ok(reports) => reports.into_iter().map(Ok).collect(),
             Err(err) => {
                 let shared = Arc::new(err);
-                (0..count).map(|_| Err(Arc::clone(&shared))).collect()
+                batches.iter().map(|_| Err(Arc::clone(&shared))).collect()
             }
         }
     }
 
-    fn commit_shard_locked(
+    /// The commit routine — the only code that turns a drained group
+    /// into a served snapshot: one group apply, one rebuild check, one
+    /// snapshot install at `target`, one report per batch.
+    fn commit_group(
         &self,
-        hub: &ShardedWriteHub,
-        s: usize,
-        engine: &mut Engine,
+        state: &mut WriteState,
+        target: InstallTarget<'_>,
         batches: &[Vec<IngestUpdate>],
     ) -> Result<Vec<ApplyReport>, ApplyError> {
-        let outcomes = engine.apply_group(batches).map_err(ApplyError::Ingest)?;
-        if batches.iter().all(Vec::is_empty) {
-            return Ok(outcomes
-                .into_iter()
-                .map(|outcome| ApplyReport {
-                    outcome,
-                    rebuilt: false,
-                    rebuild_started: false,
-                })
-                .collect());
-        }
-        let rebuilt = self.adopt_finished_shard_rebuild(hub, s, engine)?;
-        let rebuild_started = self.maybe_start_shard_rebuild(hub, s, engine);
-        match IndexSnapshot::from_bundle(engine.bundle().clone()) {
-            Ok(snapshot) => {
-                // Engine → router is the one permitted nesting of those
-                // two locks (see `ShardedWriteHub`); this read is brief.
-                let map = {
-                    let router = hub.router.lock().unwrap_or_else(PoisonError::into_inner);
-                    Arc::new(router.map(s))
-                };
-                if !self.swap_shard(s, Arc::new(snapshot), map) {
-                    self.shared.log.line(&format!(
-                        "shard {s} committed while the service is not serving sharded; \
-                         engine state advanced, snapshot unchanged"
-                    ));
-                }
-                self.shared.stats.record_ingest_batch();
-                Ok(outcomes
-                    .into_iter()
-                    .map(|outcome| ApplyReport {
-                        outcome,
-                        rebuilt,
-                        rebuild_started,
-                    })
-                    .collect())
-            }
+        let outcomes = state
+            .engine
+            .apply_group(batches)
+            .map_err(ApplyError::Ingest)?;
+        // A group of empty batches changed nothing: skip the rebuild
+        // bookkeeping and the snapshot clone + swap.
+        let (rebuilt, rebuild_started) = if batches.iter().all(Vec::is_empty) {
+            (false, false)
+        } else {
+            let rebuilt = self.adopt_finished_rebuild(state, target)?;
+            let rebuild_started = self.maybe_start_rebuild(state, target);
+            self.serve_engine_state(&state.engine, target)?;
+            self.shared.stats.record_ingest_batch();
+            (rebuilt, rebuild_started)
+        };
+        Ok(outcomes
+            .into_iter()
+            .map(|outcome| ApplyReport {
+                outcome,
+                rebuilt,
+                rebuild_started,
+            })
+            .collect())
+    }
+
+    /// Builds a snapshot of the engine's current bundle and installs it
+    /// at `target`. A bundle that fails snapshot admission is counted
+    /// as a rollback and the previous snapshot keeps serving.
+    fn serve_engine_state(
+        &self,
+        engine: &Engine,
+        target: InstallTarget<'_>,
+    ) -> Result<(), ApplyError> {
+        let snapshot = match IndexSnapshot::from_bundle(engine.bundle().clone()) {
+            Ok(snapshot) => Arc::new(snapshot),
             Err(err) => {
                 self.shared.stats.record_ingest_rollback();
                 self.shared.log.line(&format!(
-                    "shard {s} update group refused at snapshot admission ({err}); \
-                     previous shard snapshot keeps serving"
+                    "{target}: engine state refused at snapshot admission ({err}); \
+                     previous snapshot keeps serving"
                 ));
-                Err(ApplyError::Snapshot(err))
-            }
-        }
-    }
-
-    /// Per-shard analogue of [`Service::adopt_finished_rebuild`], using
-    /// shard `s`'s slot in the hub's rebuild table.
-    fn adopt_finished_shard_rebuild(
-        &self,
-        hub: &ShardedWriteHub,
-        s: usize,
-        engine: &mut Engine,
-    ) -> Result<bool, ApplyError> {
-        let handle = {
-            let mut slots = hub.rebuilds.lock().unwrap_or_else(PoisonError::into_inner);
-            match slots[s].as_ref() {
-                Some(h) if h.is_finished() => slots[s].take(),
-                _ => None,
+                return Err(ApplyError::Snapshot(err));
             }
         };
-        let Some(handle) = handle else {
-            return Ok(false);
-        };
-        let Ok(bundle) = handle.join() else {
-            engine.abort_rebuild();
-            self.shared.stats.record_ingest_rollback();
-            self.shared.log.line(&format!(
-                "shard {s} background rebuild panicked; keeping incremental state"
-            ));
-            return Ok(false);
-        };
-        if !engine.rebuild_in_flight() {
-            // Shard `s` was recovered (engine replaced) after the job
-            // was captured: the result describes a dead epoch.
-            self.shared.log.line(&format!(
-                "stale shard {s} background rebuild discarded (engine was replaced)"
-            ));
-            return Ok(false);
+        match target {
+            InstallTarget::Whole => self.swap_snapshot(snapshot),
+            InstallTarget::Shard(s, router) => {
+                // Engine → router is the one permitted nesting of those
+                // two locks (see `ShardedWriteHub`); this read is brief.
+                let map = {
+                    let router = router.lock().unwrap_or_else(PoisonError::into_inner);
+                    Arc::new(router.map(s))
+                };
+                if !self.swap_shard(s, snapshot, map) {
+                    self.shared.log.line(&format!(
+                        "{target} committed while the service is not serving sharded; \
+                         engine state advanced, snapshot unchanged"
+                    ));
+                }
+            }
         }
-        engine.finish_rebuild(bundle).map_err(ApplyError::Ingest)?;
-        self.shared.stats.record_ingest_rebuild();
-        self.shared.log.line(&format!(
-            "shard {s} background rebuild adopted; delta replayed"
-        ));
-        Ok(true)
-    }
-
-    /// Per-shard analogue of [`Service::maybe_start_rebuild`]: each
-    /// shard tracks drift and rebuilds independently, so one hot shard
-    /// re-densifying never stalls writes to the others.
-    fn maybe_start_shard_rebuild(
-        &self,
-        hub: &ShardedWriteHub,
-        s: usize,
-        engine: &mut Engine,
-    ) -> bool {
-        let mut slots = hub.rebuilds.lock().unwrap_or_else(PoisonError::into_inner);
-        if slots[s].is_some() || engine.rebuild_in_flight() || !engine.drift().rebuild_recommended {
-            return false;
-        }
-        let job = engine.start_rebuild();
-        slots[s] = Some(thread::spawn(move || job.run()));
-        self.shared.log.line(&format!(
-            "shard {s} drift-triggered background rebuild started after {} updates",
-            engine.updates_since_rebuild()
-        ));
-        true
+        Ok(())
     }
 
     /// Recovers **one shard** from its own store — load the newest
@@ -949,25 +785,15 @@ impl Service {
             Engine::with_wal(bundle, config, store.store(s)).map_err(ShardedBootError::Ingest)?;
         let snapshot = IndexSnapshot::from_bundle(engine.bundle().clone())
             .map_err(ShardedBootError::Snapshot)?;
-        {
-            // Any in-flight rebuild was captured from the dead epoch;
-            // its thread finishes detached and the adoption guard
-            // (`rebuild_in_flight`) would discard it anyway.
-            let mut slots = hub.rebuilds.lock().unwrap_or_else(PoisonError::into_inner);
-            drop(slots[s].take());
-        }
-        {
-            let mut guard = hub.hubs[s]
-                .engine
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            *guard = engine;
-        }
+        // A rebuild still in the shard's slot was captured from the
+        // dead epoch; the adoption guard (`rebuild_in_flight`) discards
+        // it at the next commit.
+        hub.with_engine(s, |e| *e = engine);
         // Reconcile global numbering with what the engines actually
         // recovered. Engine locks are taken one at a time and never
         // while holding the router.
         let lens: Vec<usize> = (0..hub.hubs.len())
-            .map(|i| hub.hubs[i].with_engine(|e| e.bundle().index.graph_at(0).num_vertices()))
+            .map(|i| hub.with_engine(i, |e| e.bundle().index.graph_at(0).num_vertices()))
             .collect();
         let map = {
             let mut router = hub.router.lock().unwrap_or_else(PoisonError::into_inner);
@@ -981,85 +807,80 @@ impl Service {
         Ok(replayed)
     }
 
-    /// Adopts a finished background rebuild, if one is waiting: replays
-    /// the buffered delta onto the rebuilt hierarchy and swaps the
-    /// resulting snapshot in. Returns `Ok(true)` when a rebuild was
-    /// adopted and the snapshot swapped. `apply_updates` does this
-    /// automatically on every batch; call this from an idle tick (or
-    /// before a checkpoint) to adopt without waiting for the next
-    /// write.
-    pub fn poll_rebuild(&self, engine: &mut Engine) -> Result<bool, ApplyError> {
-        if !self.adopt_finished_rebuild(engine)? {
-            return Ok(false);
+    /// Adopts `hub`'s finished background rebuild, if one is waiting:
+    /// replays the buffered delta onto the rebuilt hierarchy and swaps
+    /// the resulting snapshot in. Returns `Ok(true)` when a rebuild was
+    /// adopted and the snapshot swapped. Every commit does this
+    /// automatically; call it from an idle tick (or before a
+    /// checkpoint) to adopt without waiting for the next write.
+    pub fn poll_rebuild(&self, hub: &WriteHub) -> Result<bool, ApplyError> {
+        let mut state = hub.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let adopted = self.adopt_finished_rebuild(&mut state, InstallTarget::Whole)?;
+        if adopted {
+            self.serve_engine_state(&state.engine, InstallTarget::Whole)?;
         }
-        match IndexSnapshot::from_bundle(engine.bundle().clone()) {
-            Ok(snapshot) => {
-                self.swap_snapshot(Arc::new(snapshot));
-                Ok(true)
-            }
-            Err(err) => {
-                self.shared.stats.record_ingest_rollback();
-                self.shared.log.line(&format!(
-                    "rebuilt index refused at snapshot admission ({err}); \
-                     previous snapshot keeps serving"
-                ));
-                Err(ApplyError::Snapshot(err))
-            }
-        }
+        Ok(adopted)
     }
 
-    /// If the background rebuild slot holds a finished job, join it and
-    /// fold the result into `engine`. Returns whether an adoption
-    /// happened. A panicked build or a stale result (the engine is not
-    /// the one the job was captured from) is discarded; the
-    /// incrementally maintained state stays authoritative either way.
-    fn adopt_finished_rebuild(&self, engine: &mut Engine) -> Result<bool, ApplyError> {
-        let handle = {
-            let mut slot = self.rebuild.lock().unwrap_or_else(PoisonError::into_inner);
-            match slot.as_ref() {
-                Some(h) if h.is_finished() => slot.take(),
-                _ => None,
+    /// If the rebuild slot holds a finished job, join it and fold the
+    /// result into the engine. Returns whether an adoption happened. A
+    /// panicked build or a stale result (the engine is not the one the
+    /// job was captured from) is discarded; the incrementally
+    /// maintained state stays authoritative either way.
+    fn adopt_finished_rebuild(
+        &self,
+        state: &mut WriteState,
+        target: InstallTarget<'_>,
+    ) -> Result<bool, ApplyError> {
+        let handle = match state.rebuild.0.take() {
+            Some(handle) if handle.is_finished() => handle,
+            unfinished => {
+                state.rebuild.0 = unfinished;
+                return Ok(false);
             }
         };
-        let Some(handle) = handle else {
-            return Ok(false);
-        };
         let Ok(bundle) = handle.join() else {
-            engine.abort_rebuild();
+            state.engine.abort_rebuild();
             self.shared.stats.record_ingest_rollback();
-            self.shared
-                .log
-                .line("background rebuild panicked; keeping incremental state");
+            self.shared.log.line(&format!(
+                "{target}: background rebuild panicked; keeping incremental state"
+            ));
             return Ok(false);
         };
-        if !engine.rebuild_in_flight() {
+        if !state.engine.rebuild_in_flight() {
             // The engine was replaced (crash-recovery path) after the
             // job was captured: its result describes a dead epoch.
-            self.shared
-                .log
-                .line("stale background rebuild discarded (engine was replaced)");
+            self.shared.log.line(&format!(
+                "{target}: stale background rebuild discarded (engine was replaced)"
+            ));
             return Ok(false);
         }
-        engine.finish_rebuild(bundle).map_err(ApplyError::Ingest)?;
+        state
+            .engine
+            .finish_rebuild(bundle)
+            .map_err(ApplyError::Ingest)?;
         self.shared.stats.record_ingest_rebuild();
-        self.shared
-            .log
-            .line("background rebuild adopted; delta replayed");
+        self.shared.log.line(&format!(
+            "{target}: background rebuild adopted; delta replayed"
+        ));
         Ok(true)
     }
 
     /// Starts a background rebuild when the staleness tracker
     /// recommends one and none is already in flight. Returns whether a
     /// build was launched.
-    fn maybe_start_rebuild(&self, engine: &mut Engine) -> bool {
-        let mut slot = self.rebuild.lock().unwrap_or_else(PoisonError::into_inner);
-        if slot.is_some() || engine.rebuild_in_flight() || !engine.drift().rebuild_recommended {
+    fn maybe_start_rebuild(&self, state: &mut WriteState, target: InstallTarget<'_>) -> bool {
+        let engine = &mut state.engine;
+        if state.rebuild.0.is_some()
+            || engine.rebuild_in_flight()
+            || !engine.drift().rebuild_recommended
+        {
             return false;
         }
         let job = engine.start_rebuild();
-        *slot = Some(thread::spawn(move || job.run()));
+        state.rebuild.0 = Some(thread::spawn(move || job.run()));
         self.shared.log.line(&format!(
-            "drift-triggered background rebuild started after {} updates",
+            "{target}: drift-triggered background rebuild started after {} updates",
             engine.updates_since_rebuild()
         ));
         true
@@ -1125,19 +946,12 @@ impl Service {
     }
 
     /// Stops accepting work, fails whatever is still queued with
-    /// [`QueryError::Shutdown`], and joins the workers — plus any
-    /// background rebuild still running (its result is discarded; the
-    /// WAL preserves everything it would have folded). Idempotent.
+    /// [`QueryError::Shutdown`], and joins the workers. Idempotent. (A
+    /// background rebuild belongs to its [`WriteHub`], which joins it
+    /// when dropped.)
     pub fn shutdown(&mut self) {
         for job in self.shared.queue.close_and_drain() {
             let _ = job.reply.send(Err(QueryError::Shutdown));
-        }
-        let rebuild = {
-            let mut slot = self.rebuild.lock().unwrap_or_else(PoisonError::into_inner);
-            slot.take()
-        };
-        if let Some(handle) = rebuild {
-            let _ = handle.join();
         }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -1151,42 +965,87 @@ impl Drop for Service {
     }
 }
 
-/// The shared write-side state for [`Service::apply_updates_grouped`]:
-/// the engine behind a mutex plus the [`CommitQueue`] that coalesces
-/// concurrent callers into single commit cycles. Create one per engine
-/// and hand `&WriteHub` to every writer thread.
+/// The one owner of write-side state for an engine: the engine and its
+/// background-rebuild slot behind a mutex, plus the [`CommitQueue`] that
+/// coalesces concurrent callers into single commit cycles. Create one
+/// per engine and hand `&WriteHub` to every writer thread. Dropping the
+/// hub joins a rebuild still running (its result is discarded; the WAL
+/// preserves everything it would have folded).
 pub struct WriteHub {
-    engine: Mutex<Engine>,
+    state: Mutex<WriteState>,
     queue: CommitQueue<Vec<IngestUpdate>, Result<ApplyReport, Arc<ApplyError>>>,
 }
 
+/// What a hub's mutex guards. The rebuild slot is only ever touched by
+/// a thread that also needs the engine, so one lock covers both.
+struct WriteState {
+    engine: Engine,
+    rebuild: RebuildSlot,
+}
+
+/// The in-flight background rebuild, if any. One slot per hub: a second
+/// rebuild is never started while one is outstanding.
+struct RebuildSlot(Option<JoinHandle<IndexBundle>>);
+
+impl Drop for RebuildSlot {
+    fn drop(&mut self) {
+        if let Some(handle) = self.0.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// Where a committed group's snapshot is installed — the one thing the
+/// monolithic and the per-shard commit differ in.
+#[derive(Clone, Copy)]
+enum InstallTarget<'a> {
+    /// The whole serving slot ([`Service::swap_snapshot`]).
+    Whole,
+    /// Shard `s` of the served sharded snapshot, with its id map read
+    /// from the router ([`Service::swap_shard`]).
+    Shard(usize, &'a Mutex<ShardRouter>),
+}
+
+impl std::fmt::Display for InstallTarget<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            InstallTarget::Whole => write!(f, "index"),
+            InstallTarget::Shard(s, _) => write!(f, "shard {s}"),
+        }
+    }
+}
+
 impl WriteHub {
-    /// Wraps `engine` for concurrent grouped writers.
+    /// Wraps `engine` for its writers.
     pub fn new(engine: Engine) -> Self {
         WriteHub {
-            engine: Mutex::new(engine),
+            state: Mutex::new(WriteState {
+                engine,
+                rebuild: RebuildSlot(None),
+            }),
             queue: CommitQueue::new(),
         }
     }
 
     /// Runs `f` with exclusive access to the engine — for maintenance
-    /// paths (checkpoint, drift inspection, explicit rebuild) that need
-    /// the engine outside a commit cycle. Writers are blocked for the
-    /// duration, so keep it short.
+    /// paths (checkpoint, drift inspection, replacing the engine with a
+    /// recovered one) that need the engine outside a commit cycle.
+    /// Writers are blocked for the duration, so keep it short.
     pub fn with_engine<T>(&self, f: impl FnOnce(&mut Engine) -> T) -> T {
-        let mut engine = self.engine.lock().unwrap_or_else(PoisonError::into_inner);
-        f(&mut engine)
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        f(&mut state.engine)
     }
 
     /// Unwraps the hub back into its engine (e.g. at shutdown).
     pub fn into_engine(self) -> Engine {
-        self.engine
+        self.state
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
+            .engine
     }
 }
 
-/// What one [`Service::apply_updates`] call did.
+/// What one commit through a [`WriteHub`] did for one caller's batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ApplyReport {
     /// The engine-level outcome (WAL sequence, layer reuse counts).
@@ -1220,7 +1079,7 @@ impl ShardedApplyReport {
     }
 }
 
-/// Why a [`Service::apply_updates`] did not swap a new snapshot in.
+/// Why a commit did not swap a new snapshot in.
 #[derive(Debug)]
 pub enum ApplyError {
     /// The batch was rejected or failed before the swap (invalid
@@ -1230,10 +1089,9 @@ pub enum ApplyError {
     /// The updated bundle failed snapshot admission; the previous
     /// snapshot keeps serving.
     Snapshot(SnapshotError),
-    /// This batch was coalesced into a group
-    /// ([`Service::apply_updates_grouped`]) that failed as a whole; the
-    /// shared cause is delivered to every caller in the group. The
-    /// batch was **not** committed.
+    /// The group this batch was committed in (a lone writer's is a group
+    /// of one) failed as a whole; the shared cause is delivered to every
+    /// caller in the group. The batch was **not** committed.
     Group(Arc<ApplyError>),
     /// The group leader handling this batch died (panicked) mid-cycle;
     /// the commit outcome is unknown — the batch may or may not have

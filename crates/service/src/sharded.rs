@@ -37,7 +37,6 @@ use crate::request::{QueryError, QueryRequest};
 use crate::service::WriteHub;
 use crate::snapshot::{ExecOutcome, IndexSnapshot, SnapshotError};
 use crate::stats::StatsRegistry;
-use bgi_check::sync::thread::JoinHandle;
 use bgi_check::sync::Mutex;
 use bgi_graph::par::par_map;
 use bgi_graph::VId;
@@ -268,8 +267,8 @@ fn anchor(a: &AnswerGraph) -> Option<VId> {
 }
 
 /// The shared write-side state for a sharded deployment: the update
-/// router, one [`WriteHub`] (engine + group-commit queue) per shard,
-/// the meta WAL, and one background-rebuild slot per shard.
+/// router, one [`WriteHub`] (engine, rebuild slot and group-commit
+/// queue) per shard, and the meta WAL.
 ///
 /// Lock ordering: the router (with the meta WAL inside its critical
 /// section) is never held while an engine lock is acquired, and a
@@ -280,7 +279,6 @@ pub struct ShardedWriteHub {
     pub(crate) router: Mutex<ShardRouter>,
     pub(crate) hubs: Vec<WriteHub>,
     pub(crate) meta: Mutex<Wal>,
-    pub(crate) rebuilds: Mutex<Vec<Option<JoinHandle<IndexBundle>>>>,
 }
 
 impl ShardedWriteHub {
@@ -379,12 +377,10 @@ pub fn boot_sharded(
         ShardedSnapshot::from_bundles(plan, bundles, maps, scatter_threads)
             .map_err(ShardedBootError::Snapshot)?,
     );
-    let num_shards = engines.len();
     let hub = ShardedWriteHub {
         router: Mutex::new(router),
         hubs: engines.into_iter().map(WriteHub::new).collect(),
         meta: Mutex::new(meta),
-        rebuilds: Mutex::new((0..num_shards).map(|_| None).collect()),
     };
     Ok((snapshot, hub, replayed))
 }

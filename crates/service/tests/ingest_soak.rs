@@ -17,7 +17,11 @@ use bgi_graph::{DiGraph, GraphBuilder, LabelId, Ontology, VId};
 use bgi_ingest::{Engine, EngineConfig, IngestUpdate, RebuildPolicy};
 use bgi_search::blinks::BlinksParams;
 use bgi_search::{Banks, KeywordQuery, KeywordSearch, RClique};
-use bgi_service::{IndexSnapshot, QueryRequest, Semantics, Service, ServiceConfig, WriteHub};
+use bgi_service::{
+    boot_sharded, ApplyError, IndexSnapshot, QueryRequest, Semantics, Service, ServiceConfig,
+    ShardedWriteHub, WriteHub,
+};
+use bgi_shard::{build_shard_bundles, ShardBuildParams, ShardPlan, ShardSpec, ShardedStore};
 use bgi_store::{FailAction, Failpoints, IndexBundle, RetryPolicy, Store};
 use big_index::{eval_at_layer, BiGIndex, EvalOptions, GenConfig};
 use std::collections::BTreeSet;
@@ -173,26 +177,8 @@ fn background_rebuild_adopts_without_blocking_writes() {
     assert!(!configs.is_empty(), "dataset produced no Gen steps");
     let bundle = build_bundle(ds.graph.clone(), ds.ontology.clone(), &configs);
     let snapshot = Arc::new(IndexSnapshot::from_bundle(bundle.clone()).unwrap());
-    let service = Service::start(
-        snapshot,
-        ServiceConfig {
-            workers: 1,
-            queue_capacity: 16,
-            cache_shards: 2,
-            cache_capacity: 32,
-            default_deadline: None,
-            degradation: None,
-        },
-    );
-    let config = EngineConfig {
-        policy: RebuildPolicy {
-            alpha: 0.5,
-            max_cost_increase: 1e9, // never trip on cost
-            max_updates: 4,         // trip on update count quickly
-        },
-        threads: 1,
-    };
-    let mut engine = Engine::new(bundle, config).unwrap();
+    let service = Service::start(snapshot, small_service_config());
+    let hub = WriteHub::new(Engine::new(bundle, trigger_happy()).unwrap());
 
     let stream: Vec<IngestUpdate> = update_stream(&ds.graph, 7, 60, UpdateMix::default())
         .iter()
@@ -205,7 +191,7 @@ fn background_rebuild_adopts_without_blocking_writes() {
     let (mut started, mut adopted) = (false, false);
     for chunk in stream.chunks(3) {
         let report = service
-            .apply_updates(&mut engine, chunk)
+            .apply_updates_grouped(&hub, chunk.to_vec())
             .unwrap_or_else(|e| panic!("batch failed: {e}"));
         assert_eq!(report.outcome.applied, chunk.len());
         started |= report.rebuild_started;
@@ -214,10 +200,10 @@ fn background_rebuild_adopts_without_blocking_writes() {
     assert!(started, "tight policy never started a background rebuild");
     // Drain the last in-flight build via the explicit poll — writes
     // have stopped, so nothing else will adopt it.
-    if engine.rebuild_in_flight() {
+    if hub.with_engine(|e| e.rebuild_in_flight()) {
         let deadline = std::time::Instant::now() + Duration::from_secs(60);
         loop {
-            if service.poll_rebuild(&mut engine).unwrap() {
+            if service.poll_rebuild(&hub).unwrap() {
                 adopted = true;
                 break;
             }
@@ -229,6 +215,7 @@ fn background_rebuild_adopts_without_blocking_writes() {
         }
     }
     assert!(adopted, "no background rebuild was ever adopted");
+    let engine = hub.into_engine();
     assert!(engine.index().verify().is_clean());
     // The served snapshot reflects the adopted engine state, and the
     // incrementally maintained hierarchy answers like a scratch build.
@@ -248,6 +235,254 @@ fn background_rebuild_adopts_without_blocking_writes() {
     assert!(stats.ingest_batches > 0);
 }
 
+/// `max_updates` of the trigger-happy policy the rebuild tests run
+/// under: drift recommends a rebuild after this many updates.
+const TRIGGER_AFTER: usize = 4;
+
+fn trigger_happy() -> EngineConfig {
+    EngineConfig {
+        policy: RebuildPolicy {
+            alpha: 0.5,
+            max_cost_increase: 1e9, // never trip on cost
+            max_updates: TRIGGER_AFTER,
+        },
+        threads: 1,
+    }
+}
+
+fn small_service_config() -> ServiceConfig {
+    ServiceConfig {
+        workers: 1,
+        queue_capacity: 16,
+        cache_shards: 2,
+        cache_capacity: 32,
+        default_deadline: None,
+        degradation: None,
+    }
+}
+
+/// Cuts `ds` into two shard hierarchies under a fresh sharded root and
+/// boots it.
+fn boot_two_shards(
+    ds: &bgi_datasets::Dataset,
+    root: &std::path::Path,
+    config: EngineConfig,
+) -> (ShardedStore, Service, ShardedWriteHub) {
+    let spec = ShardSpec {
+        shards: 2,
+        dmax_ceiling: 2,
+        partition_block: 0,
+    };
+    let plan = ShardPlan::build(&ds.graph, &spec).expect("plan builds");
+    let params = ShardBuildParams {
+        max_layers: 2,
+        ..ShardBuildParams::default()
+    };
+    let bundles = build_shard_bundles(&ds.graph, &ds.ontology, &plan, &params);
+    let store = ShardedStore::create(root.to_path_buf(), plan).expect("sharded root");
+    store.save_all(&bundles, 1).expect("initial generations");
+    let (snapshot, hub, _replayed) = boot_sharded(&store, config, 1).expect("boots");
+    let service = Service::start_sharded(snapshot, small_service_config());
+    (store, service, hub)
+}
+
+/// The same lifecycle on one shard of a sharded hub: the shard's drift
+/// starts its rebuild, a write lands on it mid-build, a later commit
+/// adopts — and the sibling shard is never touched.
+#[test]
+fn one_shards_background_rebuild_adopts_without_touching_its_sibling() {
+    const TARGET: usize = 0;
+    const SIBLING: usize = 1;
+    let ds = DatasetSpec::synt(300).generate();
+    let dir = TempDir::new("shard-rebuild");
+    let (_store, service, hub) = boot_two_shards(&ds, dir.path(), trigger_happy());
+
+    // Grow four vertices: two per shard (round-robin ownership), which
+    // keeps both shards under the policy's trigger. A grown vertex
+    // exists only on its owner, so an edge between the target's two is
+    // a write to the target shard alone.
+    let grow = vec![IngestUpdate::AddVertex { label: 0 }; 4];
+    let report = service.apply_updates_sharded(&hub, &grow).unwrap();
+    assert!(report.all_committed(), "growth must commit: {report:?}");
+    let mine: Vec<u32> = (report.assigned.iter().copied())
+        .filter(|gid| *gid as usize % 2 == TARGET)
+        .collect();
+    let &[a, b] = mine.as_slice() else {
+        panic!("round-robin ownership gave the target {mine:?}");
+    };
+    let sibling_before = Arc::clone(service.sharded().expect("sharded").shard(SIBLING));
+
+    // One single-op commit on the target shard.
+    let commit = |update: IngestUpdate| {
+        let mut report = service.apply_updates_sharded(&hub, &[update]).unwrap();
+        assert!(
+            report.per_shard[SIBLING].is_none(),
+            "write leaked to sibling"
+        );
+        report.per_shard[TARGET]
+            .take()
+            .expect("target had a share")
+            .unwrap_or_else(|e| panic!("target commit failed: {e}"))
+    };
+    let toggle = |k: usize| match k % 2 {
+        0 => IngestUpdate::InsertEdge { src: a, dst: b },
+        _ => IngestUpdate::DeleteEdge { src: a, dst: b },
+    };
+    let started = (0..2 * TRIGGER_AFTER).any(|k| commit(toggle(k)).rebuild_started);
+    assert!(started, "tight policy never started the shard's rebuild");
+
+    // The write the adoption must not lose, then filler commits until
+    // one finds the build finished and adopts it.
+    let mut adopted = commit(IngestUpdate::InsertEdge { src: b, dst: a }).rebuilt;
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    for k in 0.. {
+        if adopted {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "shard rebuild never finished"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+        adopted = commit(toggle(k)).rebuilt;
+    }
+
+    let map = hub.router_snapshot().map(TARGET);
+    let local = |gid: u32| VId(map.iter().position(|v| v.0 == gid).expect("on target") as u32);
+    hub.with_engine(TARGET, |e| {
+        assert!(e.index().verify().is_clean());
+        assert!(
+            e.index().base().has_edge(local(b), local(a)),
+            "the write applied mid-rebuild was lost"
+        );
+    });
+    let served = service.sharded().expect("sharded");
+    assert!(
+        hub.with_engine(TARGET, |e| e.index().base()
+            == served.shard(TARGET).index().base()),
+        "served shard is not the adopted engine state"
+    );
+    assert!(
+        Arc::ptr_eq(&sibling_before, served.shard(SIBLING)),
+        "the sibling shard's snapshot was replaced"
+    );
+    assert_eq!(service.stats().ingest_rebuilds, 1);
+}
+
+/// A refused batch is one behaviour on every topology: one invalid op
+/// among valid ones fails the whole batch with a typed error, nothing
+/// is logged or served, and the next valid commit goes through.
+#[test]
+fn a_batch_with_one_invalid_op_is_refused_whole() {
+    enum Hub<'a> {
+        Mono(&'a WriteHub),
+        Sharded(&'a ShardedWriteHub),
+    }
+    impl Hub<'_> {
+        fn commit(&self, service: &Service, batch: &[IngestUpdate]) -> Result<(), ApplyError> {
+            match self {
+                Hub::Mono(hub) => service.apply_updates_grouped(hub, batch.to_vec()).map(drop),
+                Hub::Sharded(hub) => {
+                    let report = service.apply_updates_sharded(hub, batch)?;
+                    assert!(report.all_committed(), "a shard failed: {report:?}");
+                    Ok(())
+                }
+            }
+        }
+        fn fsyncs(&self) -> Vec<u64> {
+            match self {
+                Hub::Mono(hub) => vec![hub.with_engine(|e| e.wal_fsyncs())],
+                Hub::Sharded(hub) => (0..hub.num_shards())
+                    .map(|s| hub.with_engine(s, |e| e.wal_fsyncs()))
+                    .collect(),
+            }
+        }
+    }
+    // Address of whatever the service serves, and its base vertex count.
+    fn served(service: &Service) -> (*const (), usize) {
+        match (service.snapshot(), service.sharded()) {
+            (Some(mono), _) => (
+                Arc::as_ptr(&mono).cast(),
+                mono.index().base().num_vertices(),
+            ),
+            (None, Some(sharded)) => (
+                Arc::as_ptr(&sharded).cast(),
+                (0..sharded.num_shards())
+                    .map(|s| sharded.shard(s).index().base().num_vertices())
+                    .sum(),
+            ),
+            (None, None) => unreachable!("a service always serves something"),
+        }
+    }
+
+    let ds = DatasetSpec::synt(300).generate();
+    let n = ds.graph.num_vertices() as u32;
+    let alphabet = ds.ontology.num_labels() as u32;
+    let mono_dir = TempDir::new("refuse-mono");
+    let shard_dir = TempDir::new("refuse-shards");
+
+    let (mono_service, mono_hub) = {
+        let configs = step_configs(&ds.graph, &ds.ontology, 2);
+        let bundle = build_bundle(ds.graph.clone(), ds.ontology.clone(), &configs);
+        let store = Store::open(mono_dir.path()).unwrap();
+        store.save(&bundle).unwrap();
+        let (engine, _) = Engine::with_wal(bundle, EngineConfig::default(), &store).unwrap();
+        let snapshot = IndexSnapshot::from_bundle(engine.bundle().clone()).unwrap();
+        let service = Service::start(Arc::new(snapshot), small_service_config());
+        (service, WriteHub::new(engine))
+    };
+    let (_store, shard_service, shard_hub) =
+        boot_two_shards(&ds, shard_dir.path(), EngineConfig::default());
+    let topologies = [
+        ("monolithic hub", mono_service, Hub::Mono(&mono_hub)),
+        ("2-shard hub", shard_service, Hub::Sharded(&shard_hub)),
+    ];
+
+    let valid = [
+        IngestUpdate::InsertEdge { src: 0, dst: 1 },
+        IngestUpdate::AddVertex { label: 0 },
+    ];
+    let invalid = [
+        IngestUpdate::InsertEdge { src: 0, dst: n + 7 },
+        IngestUpdate::AddVertex { label: alphabet },
+    ];
+    for (name, service, hub) in topologies {
+        for bad in invalid {
+            let fsyncs = hub.fsyncs();
+            let before = served(&service);
+            let err = hub
+                .commit(&service, &[valid[0], bad, valid[1]])
+                .expect_err("an invalid op must refuse the batch");
+            // Whichever layer refuses — the router, or the engine
+            // through the group — the cause is typed.
+            let typed = match &err {
+                ApplyError::Route(_) => true,
+                ApplyError::Group(cause) => matches!(
+                    **cause,
+                    ApplyError::Ingest(bgi_ingest::IngestError::InvalidUpdate { index: 1, .. })
+                ),
+                _ => false,
+            };
+            assert!(typed, "{name}: {bad:?} refused with {err:?}");
+            assert_eq!(hub.fsyncs(), fsyncs, "{name}: refused batch reached a WAL");
+            assert_eq!(served(&service), before, "{name}: refused batch was served");
+        }
+        let (_, vertices) = served(&service);
+        let fsyncs: u64 = hub.fsyncs().iter().sum();
+        hub.commit(&service, &valid)
+            .unwrap_or_else(|e| panic!("{name}: valid batch after a refusal failed: {e}"));
+        assert!(
+            hub.fsyncs().iter().sum::<u64>() > fsyncs,
+            "{name}: not logged"
+        );
+        assert_eq!(
+            served(&service).1,
+            vertices + 1,
+            "{name}: commit not served"
+        );
+    }
+}
+
 #[test]
 fn storm_with_wal_kills_recovers_to_last_committed_batch() {
     let ds = DatasetSpec::synt(600).generate();
@@ -260,7 +495,7 @@ fn storm_with_wal_kills_recovers_to_last_committed_batch() {
     let store = Store::open_with(dir.path(), fp.clone(), RetryPolicy::none()).unwrap();
     store.save(&bundle).unwrap();
 
-    // Service serves throughout; snapshots are swapped by apply_updates.
+    // Service serves throughout; snapshots are swapped by each commit.
     let snapshot = Arc::new(IndexSnapshot::from_bundle(bundle.clone()).unwrap());
     let service = Arc::new(Service::start(
         Arc::clone(&snapshot),
@@ -347,7 +582,7 @@ fn storm_with_wal_kills_recovers_to_last_committed_batch() {
         let engine_config = EngineConfig::default();
         let (gen_now, seed) = store.load_latest().unwrap();
         assert!(gen_now >= 1);
-        let (mut engine, _) = Engine::with_wal(seed, engine_config, &store).unwrap();
+        let (engine, _) = Engine::with_wal(seed, engine_config, &store).unwrap();
         // Recovery must have replayed to the last committed batch.
         assert_eq!(
             engine.last_seq(),
@@ -363,6 +598,7 @@ fn storm_with_wal_kills_recovers_to_last_committed_batch() {
         service.swap_snapshot(Arc::new(
             IndexSnapshot::from_bundle(engine.bundle().clone()).unwrap(),
         ));
+        let hub = WriteHub::new(engine);
 
         // Apply a few batches cleanly, then die mid-append.
         for i in 0..3 {
@@ -376,21 +612,21 @@ fn storm_with_wal_kills_recovers_to_last_committed_batch() {
             if i == 2 {
                 fp.reset(); // hit counters are absolute; target the next append
                 fp.arm("wal.append", 1, kill);
-                let err = service.apply_updates(&mut engine, &batch);
+                let err = service.apply_updates_grouped(&hub, batch.clone());
                 assert!(err.is_err(), "armed append must fail the batch");
                 fp.reset();
                 retry = Some(batch); // the client will resubmit
                 break; // the process "dies" here
             }
             let report = service
-                .apply_updates(&mut engine, &batch)
+                .apply_updates_grouped(&hub, batch.clone())
                 .unwrap_or_else(|e| panic!("clean batch failed: {e}"));
             let seq = report.outcome.seq.expect("store-backed engine logs");
             assert_eq!(report.outcome.applied, batch.len());
             shadow.apply(&batch);
             last_committed_seq = seq;
         }
-        drop(engine); // process death: the WAL handle goes away
+        drop(hub); // process death: the WAL handle goes away
     }
 
     // Final recovery + checkpoint: the WAL folds into a generation and

@@ -29,7 +29,9 @@ use bgi_service::admission::BoundedQueue;
 use bgi_service::cache::{AnswerCache, CacheKey};
 use bgi_service::flight::{Flight, SingleFlight};
 use bgi_service::snapshot::ExecOutcome;
-use bgi_service::{IndexSnapshot, Logger, QueryRequest, Semantics, Service, ServiceConfig};
+use bgi_service::{
+    IndexSnapshot, Logger, QueryRequest, Semantics, Service, ServiceConfig, WriteHub,
+};
 use bgi_store::IndexBundle;
 use big_index::{BiGIndex, BuildParams, EvalOptions};
 use std::io::Write;
@@ -311,99 +313,91 @@ impl Write for LogCapture {
     }
 }
 
+/// Drives single-edge commits through `hub` until drift launches the
+/// background build.
+fn write_until_rebuild_starts(service: &Service, hub: &WriteHub) {
+    let started = (0..8u32).any(|i| {
+        service
+            .apply_updates_grouped(hub, vec![IngestUpdate::InsertEdge { src: i, dst: 9 }])
+            .unwrap()
+            .rebuild_started
+    });
+    assert!(started, "drift policy never recommended a rebuild");
+}
+
 /// The write path keeps applying batches while a drift-triggered
 /// rebuild runs on its background thread; whenever adoption lands
 /// relative to those writes, the engine ends verified with every
-/// update present and exactly one rebuild counted.
+/// update present and at least one rebuild counted. One writer thread:
+/// the commit queue's own interleavings are `model_wal`'s job.
 #[test]
 fn rebuild_adoption_races_ongoing_writes() {
     model(Config::random_or_env(8, 0xAD097), || {
-        let mut engine = trigger_happy_engine();
-        let snapshot = Arc::new(IndexSnapshot::from_bundle(engine.bundle().clone()).unwrap());
-        let mut service = Service::start(snapshot, one_worker_config());
-
-        // Drive batches until drift launches the background build.
-        let mut started = false;
-        for i in 0..8u32 {
-            let report = service
-                .apply_updates(&mut engine, &[IngestUpdate::InsertEdge { src: i, dst: 9 }])
-                .unwrap();
-            if report.rebuild_started {
-                started = true;
-                break;
-            }
-        }
-        assert!(started, "drift policy never recommended a rebuild");
+        let hub = WriteHub::new(trigger_happy_engine());
+        let snapshot = hub.with_engine(|e| IndexSnapshot::from_bundle(e.bundle().clone()));
+        let mut service = Service::start(Arc::new(snapshot.unwrap()), one_worker_config());
+        write_until_rebuild_starts(&service, &hub);
 
         // More writes land while the rebuild runs — they become the
         // delta the adoption must replay.
         let mut adopted = false;
         for i in 0..4u32 {
-            let report = service
-                .apply_updates(
-                    &mut engine,
-                    &[IngestUpdate::InsertEdge { src: 9 - i, dst: i }],
-                )
-                .unwrap();
-            if report.rebuilt {
-                adopted = true;
-            }
+            let update = IngestUpdate::InsertEdge { src: 9 - i, dst: i };
+            let report = service.apply_updates_grouped(&hub, vec![update]).unwrap();
+            adopted |= report.rebuilt;
         }
         while !adopted {
-            adopted = service.poll_rebuild(&mut engine).unwrap();
+            adopted = service.poll_rebuild(&hub).unwrap();
         }
 
-        assert!(
-            engine.index().verify().is_clean(),
-            "adoption broke the index"
-        );
-        assert!(
-            engine.index().base().has_edge(VId(9), VId(0)),
-            "a delta write applied mid-rebuild was lost"
-        );
+        hub.with_engine(|engine| {
+            assert!(
+                engine.index().verify().is_clean(),
+                "adoption broke the index"
+            );
+            assert!(
+                engine.index().base().has_edge(VId(9), VId(0)),
+                "a delta write applied mid-rebuild was lost"
+            );
+        });
         // The delta writes can push drift past the policy threshold
-        // again, so a second rebuild may legitimately start and adopt.
+        // again, so a second rebuild may legitimately start and adopt
+        // (dropping the hub joins one still running).
         assert!(service.stats().ingest_rebuilds >= 1);
         service.shutdown();
     });
 }
 
 /// A rebuild captured from one engine must be discarded — not adopted —
-/// when the service polls with a *different* engine (the crash-recovery
-/// shape: the caller recovered a fresh engine while the build ran).
+/// once the hub's engine has been replaced (the crash-recovery shape,
+/// as `Service::recover_shard` does it, while the build ran).
 #[test]
 fn stale_rebuild_is_discarded_when_engine_is_replaced() {
     model(Config::random_or_env(8, 0x57A1E), || {
-        let mut engine = trigger_happy_engine();
+        let hub = WriteHub::new(trigger_happy_engine());
         let capture = LogCapture::default();
+        let snapshot = hub.with_engine(|e| IndexSnapshot::from_bundle(e.bundle().clone()));
         let mut service = Service::start_with_logger(
-            Arc::new(IndexSnapshot::from_bundle(engine.bundle().clone()).unwrap()),
+            Arc::new(snapshot.unwrap()),
             one_worker_config(),
             Logger::to(Box::new(capture.clone())),
         );
-
-        let mut started = false;
-        for i in 0..8u32 {
-            let report = service
-                .apply_updates(&mut engine, &[IngestUpdate::InsertEdge { src: i, dst: 9 }])
-                .unwrap();
-            if report.rebuild_started {
-                started = true;
-                break;
-            }
-        }
-        assert!(started, "drift policy never recommended a rebuild");
+        write_until_rebuild_starts(&service, &hub);
 
         // Replace the engine mid-rebuild: the job in the slot now
         // describes a dead epoch.
-        let mut replacement = trigger_happy_engine();
-        let seq_before = replacement.last_seq();
+        let seq_before = hub.with_engine(|e| {
+            *e = trigger_happy_engine();
+            e.last_seq()
+        });
         while !capture.contains("stale background rebuild discarded") {
-            let adopted = service.poll_rebuild(&mut replacement).unwrap();
+            let adopted = service.poll_rebuild(&hub).unwrap();
             assert!(!adopted, "a stale rebuild was adopted into a fresh engine");
         }
-        assert_eq!(replacement.last_seq(), seq_before);
-        assert!(!replacement.rebuild_in_flight());
+        hub.with_engine(|replacement| {
+            assert_eq!(replacement.last_seq(), seq_before);
+            assert!(!replacement.rebuild_in_flight());
+        });
         assert_eq!(service.stats().ingest_rebuilds, 0);
         service.shutdown();
     });

@@ -157,7 +157,7 @@ fn one_shards_wal_death_never_blocks_or_corrupts_the_rest() {
 
     // Kill the victim's WAL: one torn write, then hard crashes on
     // every subsequent append attempt.
-    let label = "wal.group_append";
+    let label = "wal.append";
     let base = victim_fp.hits(label);
     victim_fp.arm(label, base + 1, FailAction::Torn);
     for k in 2..=30 {

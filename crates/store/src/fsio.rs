@@ -24,10 +24,8 @@
 //! | `load.read_manifest`   | read a generation's `MANIFEST`         |
 //! | `load.read_file`       | read a data file                       |
 //! | `wal.read`             | read `wal.log` during recovery         |
-//! | `wal.append`           | append a record to `wal.log`           |
+//! | `wal.append`           | append a group of records to `wal.log` |
 //! | `wal.fsync`            | fsync `wal.log` (the commit point)     |
-//! | `wal.group_append`     | append a group-commit image            |
-//! | `wal.group_fsync`      | fsync a group commit (commit point)    |
 //! | `wal.truncate_write`   | write the truncated log's `.tmp`       |
 //! | `wal.truncate_fsync`   | fsync the truncated log's `.tmp`       |
 //! | `wal.truncate_rename`  | rename the truncated log into place    |

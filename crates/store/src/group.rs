@@ -252,6 +252,14 @@ mod tests {
     use std::sync::{Arc, Barrier};
     use std::thread;
 
+    /// Spins until `cond` holds (a state another thread is about to
+    /// reach; the tests below order their threads with it).
+    fn wait_until(cond: impl Fn() -> bool) {
+        while !cond() {
+            thread::yield_now();
+        }
+    }
+
     #[test]
     fn solo_caller_leads_its_own_group_of_one() {
         let q: CommitQueue<u32, u32> = CommitQueue::new();
@@ -284,7 +292,6 @@ mod tests {
         let q: Arc<CommitQueue<u32, u32>> = Arc::new(CommitQueue::new());
         let gate = Arc::new(Barrier::new(2));
         let calls = Arc::new(AtomicUsize::new(0));
-        let enqueued = Arc::new(AtomicUsize::new(0));
 
         // Leader: holds the cycle open until main releases it.
         let leader = {
@@ -297,43 +304,38 @@ mod tests {
                 })
             })
         };
-        // Followers: enqueue while the leader is in flight.
+        // Followers: enqueue only once the leader is inside `process` —
+        // a follower that got there first would lead, and a later one
+        // could drain the leader's item so its closure (and the
+        // barrier) never runs.
+        wait_until(|| calls.load(Ordering::SeqCst) == 1);
         let mut followers = Vec::new();
         for k in 1..=4u32 {
-            let (q, calls, enqueued) = (Arc::clone(&q), Arc::clone(&calls), Arc::clone(&enqueued));
+            let (q, calls) = (Arc::clone(&q), Arc::clone(&calls));
             followers.push(thread::spawn(move || {
-                enqueued.fetch_add(1, Ordering::SeqCst);
                 q.commit(k, move |items| {
                     calls.fetch_add(1, Ordering::SeqCst);
                     items
                 })
             }));
         }
-        while enqueued.load(Ordering::SeqCst) < 4 {
-            thread::yield_now();
-        }
-        // Give the followers time to make it from the counter bump into
-        // the pending queue before releasing the leader.
-        thread::sleep(std::time::Duration::from_millis(100));
+        wait_until(|| lock(&q.state).pending.len() == 4);
         gate.wait();
 
         assert_eq!(leader.join().unwrap(), Some(0));
         for (k, h) in followers.into_iter().enumerate() {
             assert_eq!(h.join().unwrap(), Some(k as u32 + 1));
         }
-        // 5 callers, but the 4 followers shared (at most two) cycles.
-        assert!(
-            calls.load(Ordering::SeqCst) <= 3,
-            "expected grouping, got {} process calls",
-            calls.load(Ordering::SeqCst)
-        );
+        // 5 callers, 2 cycles: all four followers were queued behind
+        // the blocked leader, so the first one awake drained them all.
+        assert_eq!(calls.load(Ordering::SeqCst), 2, "followers did not group");
     }
 
     #[test]
     fn dead_leader_releases_victims_and_a_follower_takes_over() {
         let q: Arc<CommitQueue<u32, u32>> = Arc::new(CommitQueue::new());
         let gate = Arc::new(Barrier::new(2));
-        let enqueued = Arc::new(AtomicUsize::new(0));
+        let blocking = Arc::new(AtomicUsize::new(0));
 
         // `process` panics exactly when it sees a group of >= 2 items,
         // so the barrier-holding leader (group of 1) survives and the
@@ -344,46 +346,41 @@ mod tests {
         };
 
         let blocker = {
-            let (q, gate) = (Arc::clone(&q), Arc::clone(&gate));
+            let (q, gate, blocking) = (Arc::clone(&q), Arc::clone(&gate), Arc::clone(&blocking));
             thread::spawn(move || {
                 q.commit(0, move |items| {
+                    blocking.store(1, Ordering::SeqCst);
                     gate.wait();
                     items
                 })
             })
         };
+        // Spawn the followers only once the blocker is inside `process`:
+        // a follower that led first could have the blocker's item
+        // drained into a poisoned group, and the blocker would return
+        // `None` without ever reaching the barrier.
+        wait_until(|| blocking.load(Ordering::SeqCst) == 1);
         let mut followers = Vec::new();
         for k in 1..=3u32 {
-            let (q, enqueued) = (Arc::clone(&q), Arc::clone(&enqueued));
-            followers.push(thread::spawn(move || {
-                enqueued.fetch_add(1, Ordering::SeqCst);
-                q.commit(k, poisoned)
-            }));
+            let q = Arc::clone(&q);
+            followers.push(thread::spawn(move || q.commit(k, poisoned)));
         }
-        while enqueued.load(Ordering::SeqCst) < 3 {
-            thread::yield_now();
-        }
-        thread::sleep(std::time::Duration::from_millis(100));
+        wait_until(|| lock(&q.state).pending.len() == 3);
         gate.wait();
         assert_eq!(blocker.join().unwrap(), Some(0));
 
         // One follower became leader, drained all three, and panicked:
-        // its join reports the panic, the other two observe None. (If a
-        // follower raced in late and led a singleton group, it gets its
-        // result back — also fine; the invariant is: every thread
-        // returns, none deadlocks.)
+        // its join reports the panic, the other two observe None.
         let mut panics = 0;
         let mut nones = 0;
-        let mut somes = 0;
         for h in followers {
             match h.join() {
                 Err(_) => panics += 1,
                 Ok(None) => nones += 1,
-                Ok(Some(_)) => somes += 1,
+                Ok(Some(r)) => panic!("a follower led a group of one and got {r}"),
             }
         }
-        assert_eq!(panics + nones + somes, 3);
-        assert!(panics >= 1, "some leader must have hit the panic");
+        assert_eq!((panics, nones), (1, 2));
         // The queue survives the death: a fresh commit goes through.
         assert_eq!(q.commit(9, |items| items), Some(9));
     }

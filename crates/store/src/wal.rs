@@ -11,15 +11,21 @@
 //! ```
 //!
 //! where each frame is a standard checksummed [`Section::Wal`] codec
-//! frame carrying `{seq u64, updates [(tag u8, a u32, b u32)]}`. A
-//! batch is *committed* once [`Wal::append`] has fsynced it; a crash
+//! frame carrying `{seq u64, updates [(tag u8, a u32, b u32)]}`.
+//!
+//! There is one write routine, [`Wal::append_group`]: it lays any
+//! number of records out as one image and commits them with one
+//! positioned write and one fsync ([`Wal::append`] is the group of one
+//! record). A batch is *committed* once that fsync has returned; a crash
 //! mid-append leaves a torn tail that replay detects (short or
 //! checksum-failing frame) and discards, yielding exactly the committed
 //! prefix — old-or-new, never torn, same contract as generation saves.
+//! A torn *group* can additionally persist whole leading records before
+//! the cut; those replay, which idempotence (below) makes safe.
 //!
 //! The committed prefix is also the *write position*: [`Wal::open`]
 //! truncates any torn tail off the file before returning, and
-//! [`Wal::append`] writes at the committed end rather than at the file
+//! an append writes at the committed end rather than at the file
 //! end. Both are load-bearing. Without the truncation, an append after
 //! a torn-tail recovery would land beyond the torn frame, and the next
 //! replay — which stops decoding at that frame — would silently drop
@@ -48,6 +54,7 @@ use crate::failpoint::{FailAction, Failpoints};
 use crate::fsio;
 use std::fs::OpenOptions;
 use std::io::{Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// File name of the log inside a store root.
@@ -165,10 +172,11 @@ impl Wal {
         self.next_seq
     }
 
-    /// Successful commit fsyncs performed by this handle ([`Wal::append`]
-    /// and [`Wal::append_group`]; truncation rewrites are not counted).
-    /// Group commit's whole point is that this grows far slower than the
-    /// number of committed batches.
+    /// Successful commit fsyncs performed by this handle — one per
+    /// [`Wal::append_group`] call, however many records it carried;
+    /// truncation rewrites are not counted. Group commit's whole point
+    /// is that this grows far slower than the number of committed
+    /// batches.
     pub fn fsyncs(&self) -> u64 {
         self.fsyncs
     }
@@ -200,20 +208,45 @@ impl Wal {
     }
 
     /// Appends one batch and fsyncs it — the batch is durable when this
-    /// returns `Ok`. Returns the committed sequence number. Labels:
-    /// `wal.append` (torn-able), `wal.fsync` (the commit point).
+    /// returns `Ok`. Returns the committed sequence number. This is
+    /// [`Wal::append_group`] of one record.
     pub fn append(&mut self, updates: &[GraphUpdate]) -> Result<u64, StoreError> {
-        let seq = self.next_seq;
-        let record = encode_record(seq, updates);
+        self.append_group(&[updates]).map(|seqs| seqs.start)
+    }
+
+    /// Appends `batches` as consecutive records and commits them all
+    /// with **one** write and **one** fsync. Returns the committed
+    /// sequence numbers (consecutive, in batch order). On `Err` nothing
+    /// is committed from this handle's point of view (`next_seq` and
+    /// the write position are unchanged, so a retry overwrites the
+    /// residue); on disk the usual prefix-durability contract holds — a
+    /// crash can persist a prefix of the records, which replay picks up
+    /// and idempotence makes safe. Labels: `wal.append` (torn-able:
+    /// persists a strict prefix of the whole image), `wal.fsync` (the
+    /// commit point).
+    pub fn append_group(
+        &mut self,
+        batches: &[impl AsRef<[GraphUpdate]>],
+    ) -> Result<Range<u64>, StoreError> {
+        let seqs = self.next_seq..self.next_seq + batches.len() as u64;
+        if batches.is_empty() {
+            return Ok(seqs);
+        }
+        let mut image = Vec::new();
+        for (seq, updates) in seqs.clone().zip(batches) {
+            encode_record(&mut image, seq, updates.as_ref());
+        }
         let (mut f, end) = self.open_at_committed_end()?;
 
         match self.fp.check("wal.append") {
             Some(FailAction::Transient) => return Err(fsio::transient("appending", &self.path)),
             Some(FailAction::Crash) => return Err(fsio::injected("wal.append")),
             Some(FailAction::Torn) => {
-                // Persist a strict prefix of the record, then die — the
-                // torn tail replay must discard.
-                let torn = &record[..record.len() / 2];
+                // Persist a strict prefix of the image, then die. The
+                // cut can land mid-record (torn tail, discarded on
+                // replay) or on a record boundary (a committed prefix
+                // of the group — safe by idempotent replay).
+                let torn = &image[..image.len() / 2];
                 f.write_all(torn)
                     .map_err(|e| fsio::io_err("appending", &self.path, e))?;
                 let _ = f.sync_all();
@@ -221,7 +254,7 @@ impl Wal {
             }
             None => {}
         }
-        f.write_all(&record)
+        f.write_all(&image)
             .map_err(|e| fsio::io_err("appending", &self.path, e))?;
 
         match self.fp.check("wal.fsync") {
@@ -233,67 +266,8 @@ impl Wal {
             .map_err(|e| fsio::io_err("fsyncing", &self.path, e))?;
 
         self.fsyncs += 1;
-        self.end = end + record.len() as u64;
-        self.next_seq = seq + 1;
-        Ok(seq)
-    }
-
-    /// Appends several batches as consecutive records and commits them
-    /// all with **one** write and **one** fsync — the group-commit fast
-    /// path. Returns the committed sequence numbers, in order. On `Err`
-    /// nothing is committed from this handle's point of view (`next_seq`
-    /// and the write position are unchanged, so a retry overwrites the
-    /// residue); on disk the usual prefix-durability contract holds — a
-    /// crash can persist a prefix of the group's records, which replay
-    /// picks up and idempotence makes safe, exactly like a crash at the
-    /// `wal.fsync` commit point of a single append. Labels:
-    /// `wal.group_append` (torn-able: persists a strict prefix of the
-    /// whole group image), `wal.group_fsync` (the commit point).
-    pub fn append_group(&mut self, batches: &[Vec<GraphUpdate>]) -> Result<Vec<u64>, StoreError> {
-        if batches.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut image = Vec::new();
-        let mut seqs = Vec::with_capacity(batches.len());
-        for (k, updates) in batches.iter().enumerate() {
-            let seq = self.next_seq + k as u64;
-            image.extend_from_slice(&encode_record(seq, updates));
-            seqs.push(seq);
-        }
-        let (mut f, end) = self.open_at_committed_end()?;
-
-        match self.fp.check("wal.group_append") {
-            Some(FailAction::Transient) => return Err(fsio::transient("appending", &self.path)),
-            Some(FailAction::Crash) => return Err(fsio::injected("wal.group_append")),
-            Some(FailAction::Torn) => {
-                // Persist a strict prefix of the group image, then die.
-                // The cut can land mid-record (torn tail, discarded on
-                // replay) or on a record boundary (a committed prefix
-                // of the group — safe by idempotent replay).
-                let torn = &image[..image.len() / 2];
-                f.write_all(torn)
-                    .map_err(|e| fsio::io_err("appending", &self.path, e))?;
-                let _ = f.sync_all();
-                return Err(fsio::injected("wal.group_append"));
-            }
-            None => {}
-        }
-        f.write_all(&image)
-            .map_err(|e| fsio::io_err("appending", &self.path, e))?;
-
-        match self.fp.check("wal.group_fsync") {
-            Some(FailAction::Transient) => return Err(fsio::transient("fsyncing", &self.path)),
-            Some(FailAction::Torn | FailAction::Crash) => {
-                return Err(fsio::injected("wal.group_fsync"))
-            }
-            None => {}
-        }
-        f.sync_all()
-            .map_err(|e| fsio::io_err("fsyncing", &self.path, e))?;
-
-        self.fsyncs += 1;
         self.end = end + image.len() as u64;
-        self.next_seq += batches.len() as u64;
+        self.next_seq = seqs.end;
         Ok(seqs)
     }
 
@@ -317,7 +291,7 @@ impl Wal {
         let mut keep = Vec::new();
         for b in &batches {
             if b.seq > through {
-                keep.extend_from_slice(&encode_record(b.seq, &b.updates));
+                encode_record(&mut keep, b.seq, &b.updates);
             }
         }
         let dir = self
@@ -339,7 +313,8 @@ impl Wal {
     }
 }
 
-fn encode_record(seq: u64, updates: &[GraphUpdate]) -> Vec<u8> {
+/// Appends one `[len][frame]` record to `image`.
+fn encode_record(image: &mut Vec<u8>, seq: u64, updates: &[GraphUpdate]) {
     let mut e = Enc::new(Section::Wal);
     e.u64(seq);
     e.u64(updates.len() as u64);
@@ -363,10 +338,8 @@ fn encode_record(seq: u64, updates: &[GraphUpdate]) -> Vec<u8> {
         }
     }
     let frame = e.finish();
-    let mut record = Vec::with_capacity(4 + frame.len());
-    record.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-    record.extend_from_slice(&frame);
-    record
+    image.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+    image.extend_from_slice(&frame);
 }
 
 /// Decodes the committed prefix of a log image, returning the batches
@@ -523,7 +496,7 @@ mod tests {
         let fp = Failpoints::disabled();
         let (mut wal, _) = Wal::open(&d, fp.clone()).unwrap();
         let seqs = wal.append_group(&[batch(0), batch(1), batch(2)]).unwrap();
-        assert_eq!(seqs, vec![1, 2, 3]);
+        assert_eq!(seqs, 1..4);
         assert_eq!(wal.fsyncs(), 1, "one fsync for the whole group");
         assert_eq!(wal.next_seq(), 4);
 
@@ -558,7 +531,8 @@ mod tests {
         let d = tmpdir("group-empty");
         let fp = Failpoints::disabled();
         let (mut wal, _) = Wal::open(&d, fp.clone()).unwrap();
-        assert_eq!(wal.append_group(&[]).unwrap(), Vec::<u64>::new());
+        let none: [Vec<GraphUpdate>; 0] = [];
+        assert!(wal.append_group(&none).unwrap().is_empty());
         assert_eq!(wal.fsyncs(), 0);
         assert_eq!(wal.next_seq(), 1);
         assert!(!wal.path().exists() || fs::metadata(wal.path()).unwrap().len() == 0);
@@ -566,24 +540,33 @@ mod tests {
     }
 
     #[test]
-    fn torn_group_append_replays_at_most_a_prefix() {
-        let d = tmpdir("group-torn");
-        let fp = Failpoints::enabled();
-        let (mut wal, _) = Wal::open(&d, fp.clone()).unwrap();
-        wal.append(&batch(9)).unwrap();
-        fp.arm("wal.group_append", 1, FailAction::Torn);
-        let err = wal.append_group(&[batch(0), batch(1)]).unwrap_err();
-        assert!(matches!(err, StoreError::Injected { .. }));
+    fn torn_group_append_replays_exactly_the_whole_records_before_the_cut() {
+        // `batch(k)` records are all the same size, so half of a
+        // two-record image ends on a record boundary and half of a
+        // three-record image ends mid-record.
+        for (n, on_boundary) in [(2u32, true), (3, false)] {
+            let d = tmpdir(&format!("group-torn-{n}"));
+            let fp = Failpoints::enabled();
+            let (mut wal, _) = Wal::open(&d, fp.clone()).unwrap();
+            wal.append(&batch(9)).unwrap();
+            let record = fs::metadata(wal.path()).unwrap().len();
+            fp.arm("wal.append", 2, FailAction::Torn);
+            let group: Vec<_> = (0..n).map(batch).collect();
+            let err = wal.append_group(&group).unwrap_err();
+            assert!(matches!(err, StoreError::Injected { .. }));
+            let torn_len = fs::metadata(wal.path()).unwrap().len();
+            assert_eq!(torn_len % record == 0, on_boundary, "group of {n}");
 
-        // Half the group image may cover complete leading records; the
-        // contract is prefix-or-less, never torn, never reordered.
-        let (_, replayed) = Wal::open(&d, fp).unwrap();
-        assert!(!replayed.is_empty() && replayed.len() <= 3);
-        assert_eq!(replayed[0].updates, batch(9));
-        for (i, b) in replayed.iter().enumerate().skip(1) {
-            assert_eq!(b.updates, batch(i as u32 - 1));
+            // Prefix-or-less, never torn, never reordered: exactly the
+            // group's whole records before the cut replay.
+            let (_, replayed) = Wal::open(&d, fp).unwrap();
+            assert_eq!(replayed.len() as u64, torn_len / record, "group of {n}");
+            assert_eq!(replayed[0].updates, batch(9));
+            for (i, b) in replayed.iter().enumerate().skip(1) {
+                assert_eq!(b.updates, batch(i as u32 - 1));
+            }
+            let _ = fs::remove_dir_all(&d);
         }
-        let _ = fs::remove_dir_all(&d);
     }
 
     #[test]
@@ -591,11 +574,11 @@ mod tests {
         let d = tmpdir("group-fsync");
         let fp = Failpoints::enabled();
         let (mut wal, _) = Wal::open(&d, fp.clone()).unwrap();
-        fp.arm("wal.group_fsync", 1, FailAction::Crash);
+        fp.arm("wal.fsync", 1, FailAction::Crash);
         assert!(wal.append_group(&[batch(0), batch(1)]).is_err());
         assert_eq!(wal.next_seq(), 1, "nothing committed on error");
         // The retry overwrites the fully-written-but-unsynced residue.
-        assert_eq!(wal.append_group(&[batch(0), batch(1)]).unwrap(), vec![1, 2]);
+        assert_eq!(wal.append_group(&[batch(0), batch(1)]).unwrap(), 1..3);
         let (wal2, replayed) = Wal::open(&d, fp).unwrap();
         assert_eq!(
             replayed.iter().map(|b| b.seq).collect::<Vec<_>>(),
@@ -759,8 +742,8 @@ mod tests {
     fn non_monotonic_seq_is_corrupt() {
         let d = tmpdir("seq");
         let mut image = Vec::new();
-        image.extend_from_slice(&encode_record(2, &batch(0)));
-        image.extend_from_slice(&encode_record(1, &batch(1)));
+        encode_record(&mut image, 2, &batch(0));
+        encode_record(&mut image, 1, &batch(1));
         fs::write(d.join(WAL_FILE), &image).unwrap();
         let err = Wal::open(&d, Failpoints::disabled()).unwrap_err();
         assert!(matches!(err, StoreError::WalCorrupt { .. }));

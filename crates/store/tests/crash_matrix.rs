@@ -181,8 +181,6 @@ use bgi_store::GraphUpdate;
 const WAL_WRITE_LABELS: &[&str] = &[
     "wal.append",
     "wal.fsync",
-    "wal.group_append",
-    "wal.group_fsync",
     "wal.truncate_write",
     "wal.truncate_fsync",
     "wal.truncate_rename",
@@ -200,8 +198,17 @@ fn wal_batch(k: u32) -> Vec<GraphUpdate> {
     ]
 }
 
-/// The reference WAL workload: a two-batch group commit, a single
-/// append, then a truncation of the first batch. Returns each write
+/// The reference WAL workload's commits, as index ranges into its six
+/// equal-sized batches: a two-record group (half its image ends on the
+/// record boundary), a single append, and a three-record group (half
+/// its image ends mid-record). A truncation of the first batch follows.
+const WAL_COMMITS: [std::ops::Range<usize>; 3] = [0..2, 2..3, 3..6];
+
+fn wal_batches() -> Vec<Vec<GraphUpdate>> {
+    (0..6).map(|i| wal_batch(10 * i)).collect()
+}
+
+/// Runs the reference WAL workload unarmed and returns each write
 /// label's hit count.
 fn wal_reference_hits() -> Vec<(String, u64)> {
     let dir = TempDir::new("wal-ref");
@@ -209,14 +216,16 @@ fn wal_reference_hits() -> Vec<(String, u64)> {
     let store = Store::open_with(dir.path(), fp.clone(), RetryPolicy::none()).unwrap();
     let (mut wal, replayed) = store.open_wal().unwrap();
     assert!(replayed.is_empty());
-    let seqs = wal.append_group(&[wal_batch(0), wal_batch(10)]).unwrap();
-    wal.append(&wal_batch(20)).unwrap();
-    wal.truncate_through(seqs[0]).unwrap();
+    let batches = wal_batches();
+    for commit in WAL_COMMITS {
+        wal.append_group(&batches[commit]).unwrap();
+    }
+    wal.truncate_through(1).unwrap();
     drop(wal);
     // Recovery-side label coverage: a reopen under the same failpoint
     // registry must route through `wal.read`.
     let (_, replayed) = store.open_wal().unwrap();
-    assert_eq!(replayed.len(), 2);
+    assert_eq!(replayed.len(), batches.len() - 1);
     let seen = fp.labels_seen();
     for label in WAL_WRITE_LABELS {
         assert!(
@@ -244,27 +253,20 @@ fn wal_kill_and_recover(label: &str, nth: u64, action: FailAction) {
     let (mut wal, _) = store.open_wal().unwrap();
     fp.arm(label, nth, action);
 
-    // The first two batches go through the group-commit path, the third
-    // through a single append, mirroring the reference workload so every
-    // armed label has a hit to land on.
-    let batches = [wal_batch(0), wal_batch(10), wal_batch(20)];
+    let batches = wal_batches();
     let mut committed: Vec<(u64, Vec<GraphUpdate>)> = Vec::new();
-    let mut failed = false;
-    match wal.append_group(&batches[..2]) {
-        Ok(seqs) => {
-            for (s, b) in seqs.iter().zip(&batches[..2]) {
-                committed.push((*s, b.clone()));
+    // Records of the commit in flight when the kill hit (0 = none did).
+    let mut in_flight = 0u64;
+    for commit in WAL_COMMITS {
+        match wal.append_group(&batches[commit.clone()]) {
+            Ok(seqs) => committed.extend(seqs.zip(batches[commit].iter().cloned())),
+            Err(_) => {
+                in_flight = commit.len() as u64;
+                break;
             }
         }
-        Err(_) => failed = true,
     }
-    if !failed {
-        match wal.append(&batches[2]) {
-            Ok(seq) => committed.push((seq, batches[2].clone())),
-            Err(_) => failed = true,
-        }
-    }
-    let truncated = if failed {
+    let truncated = if in_flight > 0 {
         None
     } else {
         let first = committed[0].0;
@@ -319,13 +321,13 @@ fn wal_kill_and_recover(label: &str, nth: u64, action: FailAction) {
             );
         }
         // An append died: every fsynced batch must survive, and beyond
-        // them at most the in-flight records may have reached the disk
-        // whole (a single append's record, or a prefix of a group's two
-        // records — the fsync or the torn cut raced the kill).
+        // them at most a prefix of the in-flight commit's records may
+        // have reached the disk whole (the fsync or the torn cut raced
+        // the kill).
         None => {
             let durable: Vec<u64> = committed.iter().map(|(s, _)| *s).collect();
             let next = durable.len() as u64 + 1;
-            let ok = (0..=2u64).any(|extra| {
+            let ok = (0..=in_flight).any(|extra| {
                 let want: Vec<u64> = durable.iter().copied().chain(next..next + extra).collect();
                 replayed_seqs == want
             });
@@ -342,7 +344,7 @@ fn wal_kill_and_recover(label: &str, nth: u64, action: FailAction) {
     // already replayed — a torn tail truncated on open means the new
     // append can never land beyond an undecodable frame.
     let (mut wal, _) = store.open_wal().unwrap();
-    let extra = wal_batch(30);
+    let extra = wal_batch(90);
     let extra_seq = wal.append(&extra).unwrap();
     drop(wal);
     let (_, after) = store.open_wal().unwrap();
@@ -368,8 +370,7 @@ fn wal_crash_matrix_replays_committed_prefix() {
             wal_kill_and_recover(&label, nth, FailAction::Crash);
             points += 1;
             // Torn bytes only make sense where bytes are written.
-            if label == "wal.append" || label == "wal.group_append" || label == "wal.truncate_write"
-            {
+            if label == "wal.append" || label == "wal.truncate_write" {
                 wal_kill_and_recover(&label, nth, FailAction::Torn);
                 points += 1;
             }

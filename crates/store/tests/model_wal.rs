@@ -8,7 +8,7 @@
 //! share on-disk state.
 //!
 //! The commit-queue tests model leader failure through the *error*
-//! path (an armed `wal.group_fsync` failpoint): under simulation a
+//! path (an armed `wal.fsync` failpoint): under simulation a
 //! panic aborts the whole schedule, so the panic-unwinding
 //! `DeathGuard` path is covered by plain-thread tests in
 //! `bgi_store::group` instead, and the model checker's job here is the
@@ -205,7 +205,7 @@ fn commit_queue_callers_always_get_results_under_any_interleaving() {
 }
 
 /// Leader failure and takeover, modeled through the error path: the
-/// first `wal.group_fsync` is armed `Transient`, so whichever caller
+/// first `wal.fsync` is armed `Transient`, so whichever caller
 /// leads the first group commit fails and must hand leadership back
 /// (under simulation a panicking leader would abort the whole
 /// schedule, so the panic path is covered by the plain-thread
@@ -217,7 +217,7 @@ fn failed_group_leader_hands_over_and_commits_stay_durable() {
     let report = model(Config::exhaustive(2), || {
         let dir = TempDir::new("model-group-leader");
         let fp = Failpoints::enabled();
-        fp.arm("wal.group_fsync", 1, FailAction::Transient);
+        fp.arm("wal.fsync", 1, FailAction::Transient);
         let (wal, _) = Wal::open(dir.path(), fp).unwrap();
         let wal = Arc::new(Mutex::new(wal));
         let queue = Arc::new(CommitQueue::<Vec<GraphUpdate>, Result<u64, String>>::new());
