@@ -46,18 +46,15 @@ pub mod service;
 pub mod sharded;
 pub mod snapshot;
 pub mod stats;
+pub mod write;
 
 pub use batch::{run_batch, BatchReport};
 pub use cache::{AnswerCache, CacheStats};
 pub use flight::{Flight, SingleFlight};
 pub use log::Logger;
 pub use request::{QueryError, QueryRequest, QueryResponse, Semantics};
-pub use service::{
-    ApplyError, ApplyReport, DegradationPolicy, ReloadError, Service, ServiceConfig,
-    ShardedApplyReport, WriteHub,
-};
-pub use sharded::{
-    boot_sharded, snapshot_from_build, ShardedBootError, ShardedSnapshot, ShardedWriteHub,
-};
+pub use service::{DegradationPolicy, ReloadError, Service, ServiceConfig};
+pub use sharded::{boot_sharded, snapshot_from_build, ShardedBootError, ShardedSnapshot};
 pub use snapshot::{IndexSnapshot, SnapshotConfig, SnapshotError};
 pub use stats::{ServiceStats, ShardLaneStats};
+pub use write::{ApplyError, ApplyReport, ShardedApplyReport, ShardedWriteHub, WriteHub};

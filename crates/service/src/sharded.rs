@@ -34,9 +34,9 @@
 //! time out as a whole.
 
 use crate::request::{QueryError, QueryRequest};
-use crate::service::WriteHub;
 use crate::snapshot::{ExecOutcome, IndexSnapshot, SnapshotError};
 use crate::stats::StatsRegistry;
+use crate::write::{ShardedWriteHub, WriteHub};
 use bgi_check::sync::Mutex;
 use bgi_graph::par::par_map;
 use bgi_graph::VId;
@@ -44,7 +44,7 @@ use bgi_ingest::{Engine, EngineConfig, IngestError};
 use bgi_search::answer::rank_and_truncate;
 use bgi_search::{AnswerGraph, Budget, Completeness};
 use bgi_shard::{ShardPlan, ShardRouter, ShardedStore};
-use bgi_store::{Failpoints, IndexBundle, Wal};
+use bgi_store::{Failpoints, IndexBundle};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -264,43 +264,6 @@ fn translate(a: &AnswerGraph, map: &[VId]) -> AnswerGraph {
 fn anchor(a: &AnswerGraph) -> Option<VId> {
     a.root
         .or_else(|| a.keyword_matches.iter().flatten().copied().min())
-}
-
-/// The shared write-side state for a sharded deployment: the update
-/// router, one [`WriteHub`] (engine, rebuild slot and group-commit
-/// queue) per shard, and the meta WAL.
-///
-/// Lock ordering: the router (with the meta WAL inside its critical
-/// section) is never held while an engine lock is acquired, and a
-/// commit holding an engine lock may briefly take the router to read
-/// a map — so `router → meta` and `engine → router` are the only
-/// nestings, and they cannot deadlock.
-pub struct ShardedWriteHub {
-    pub(crate) router: Mutex<ShardRouter>,
-    pub(crate) hubs: Vec<WriteHub>,
-    pub(crate) meta: Mutex<Wal>,
-}
-
-impl ShardedWriteHub {
-    /// Runs `f` with exclusive access to shard `s`'s engine (the
-    /// sharded analogue of [`WriteHub::with_engine`]).
-    pub fn with_engine<T>(&self, s: usize, f: impl FnOnce(&mut Engine) -> T) -> T {
-        self.hubs[s].with_engine(f)
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.hubs.len()
-    }
-
-    /// A point-in-time copy of the router (owner table, grown tails,
-    /// live cut lists) for inspection and verification.
-    pub fn router_snapshot(&self) -> ShardRouter {
-        self.router
-            .lock()
-            .unwrap_or_else(bgi_check::sync::PoisonError::into_inner)
-            .clone()
-    }
 }
 
 /// Why a sharded deployment failed to boot.
