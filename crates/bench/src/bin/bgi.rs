@@ -24,17 +24,15 @@
 //! on `serve`/`batch` stays the *query worker* count, a different pool.
 //!
 //! `bgi serve <dir> --store <store>` boots from the persisted index
-//! instead of rebuilding, and accepts a `reload` protocol line that
-//! hot-swaps to the newest on-disk generation (rolling back to the
-//! running snapshot if recovery or verification fails).
-//!
-//! `bgi serve` also accepts write verbs: `update <op>` buffers one
-//! mutation (`insert <u> <v>` / `delete <u> <v>` / `addv <label>`),
-//! `flush` applies the buffer through the live-update engine and swaps
-//! the refreshed snapshot in, and `checkpoint` (with `--store`)
-//! persists the updated index as a new generation and truncates the
-//! WAL. With `--store`, updates are WAL-logged before they apply, and
-//! boot replays any log tail left by a crash.
+//! instead of rebuilding, replaying any WAL tail left by a crash. Its
+//! line protocol is the same for every topology: a query line,
+//! `update <op>` (buffers `insert <u> <v>` / `delete <u> <v>` /
+//! `addv <label>`), `flush` (commits the buffer through the service's
+//! write path — WAL-logged with `--store` — and swaps the refreshed
+//! snapshot in), `checkpoint` (persists a new generation and truncates
+//! the WAL), `reload` (hot-swaps to the newest on-disk generation,
+//! rolling back to the running snapshot if recovery or verification
+//! fails; monolithic stores only), `stats`, `quit`.
 //!
 //! **Sharded mode** (DESIGN.md §14): `save-index --shards N` cuts the
 //! graph with the BFS-grown partitioner and persists one independent

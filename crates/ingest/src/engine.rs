@@ -299,10 +299,6 @@ impl Engine {
         if !seqs.is_empty() {
             self.last_seq = seqs.end - 1;
         }
-        let per_batch_seq: Vec<Option<u64>> = logged
-            .iter()
-            .map(|b| if b.is_empty() { None } else { seqs.next() })
-            .collect();
         let flat: Vec<GraphUpdate> = logged.iter().flatten().copied().collect();
         self.apply_to_state(&flat)?;
         if let Some(delta) = &mut self.rebuild_delta {
@@ -311,9 +307,8 @@ impl Engine {
         let (reused_layers, patched_layers, rebuilt_layers) = self.materialize(&flat)?;
         Ok(logged
             .iter()
-            .zip(per_batch_seq)
-            .map(|(b, seq)| ApplyOutcome {
-                seq,
+            .map(|b| ApplyOutcome {
+                seq: if b.is_empty() { None } else { seqs.next() },
                 applied: b.len(),
                 reused_layers,
                 patched_layers,
@@ -1114,25 +1109,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_batch_is_rejected_atomically() {
-        let mut e = engine();
-        let before = e.index().clone();
-        let err = e
-            .apply_batch(&[
-                IngestUpdate::InsertEdge { src: 0, dst: 1 },
-                IngestUpdate::InsertEdge { src: 0, dst: 999 },
-            ])
-            .unwrap_err();
-        assert!(matches!(err, IngestError::InvalidUpdate { index: 1, .. }));
-        assert!(e.index() == &before, "rejected batch must not change state");
-
-        let err = e
-            .apply_batch(&[IngestUpdate::AddVertex { label: 99 }])
-            .unwrap_err();
-        assert!(matches!(err, IngestError::InvalidUpdate { index: 0, .. }));
-    }
-
-    #[test]
     fn unchanged_layers_reuse_search_indexes() {
         let mut e = engine();
         // A no-op-ish delete of a non-existent edge between valid
@@ -1236,22 +1212,31 @@ mod tests {
     }
 
     #[test]
-    fn invalid_batch_rejects_the_whole_group_before_logging() {
+    fn an_invalid_update_rejects_its_whole_group_before_logging() {
         let (g, o) = setup();
         let dir = tempdir("reject");
         let store = bgi_store::Store::open(&dir).unwrap();
         let (mut e, _) =
             Engine::with_wal(build_bundle(g, o), EngineConfig::default(), &store).unwrap();
         let before = e.index().clone();
-        let err = e
-            .apply_group(&[
-                vec![IngestUpdate::InsertEdge { src: 0, dst: 1 }],
-                vec![IngestUpdate::InsertEdge { src: 0, dst: 999 }],
-            ])
-            .unwrap_err();
-        assert!(matches!(err, IngestError::InvalidUpdate { index: 0, .. }));
-        assert_eq!(e.wal_fsyncs(), 0, "rejected group must not touch the WAL");
-        assert!(e.index() == &before);
+        let valid = IngestUpdate::InsertEdge { src: 0, dst: 1 };
+        let no_vertex = IngestUpdate::InsertEdge { src: 0, dst: 999 };
+        let no_label = IngestUpdate::AddVertex { label: 99 };
+        // (group, index of the bad update within its batch)
+        let groups = [
+            (vec![vec![valid, no_vertex]], 1),
+            (vec![vec![no_label]], 0),
+            (vec![vec![valid], vec![no_vertex]], 0),
+        ];
+        for (group, bad) in groups {
+            let err = e.apply_group(&group).unwrap_err();
+            assert!(
+                matches!(err, IngestError::InvalidUpdate { index, .. } if index == bad),
+                "{group:?} refused with {err:?}"
+            );
+            assert_eq!(e.wal_fsyncs(), 0, "rejected group must not touch the WAL");
+            assert!(e.index() == &before, "rejected group must not change state");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -42,8 +42,8 @@
 //!    (blocking) composition of the two.
 //!
 //! The serving integration (snapshot swap, cache invalidation,
-//! rollback on verification failure) lives in `bgi-service`'s
-//! `Service::apply_updates`; this crate deliberately depends only on
+//! rollback on verification failure) lives in `bgi-service`'s commit
+//! routine (`write.rs`); this crate deliberately depends only on
 //! graph/bisim/core/store so the pipeline is testable without a
 //! server.
 

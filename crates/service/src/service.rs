@@ -24,9 +24,7 @@
 //! keeps it alive); their results are *not* cached, because the cache
 //! generation they captured at start no longer matches (see
 //! [`crate::cache`]). [`Service::swap_sharded`] and
-//! [`Service::swap_shard`] are the same install with a different
-//! replacement; [`Service::reload_from_disk`] and the write path
-//! (`crate::write`) both end in one of the three.
+//! [`Service::swap_shard`] are the same install with another target.
 
 use crate::admission::{BoundedQueue, PushError};
 use crate::cache::{AnswerCache, CacheKey};
@@ -34,8 +32,7 @@ use crate::flight::{Flight, SingleFlight};
 use crate::log::Logger;
 use crate::request::{QueryError, QueryRequest, QueryResponse};
 use crate::sharded::ShardedSnapshot;
-use crate::snapshot::IndexSnapshot;
-use crate::snapshot::SnapshotError;
+use crate::snapshot::{IndexSnapshot, SnapshotError};
 use crate::stats::{ServiceStats, StatsRegistry};
 use bgi_check::sync::atomic::{AtomicU64, Ordering};
 use bgi_check::sync::thread::{self, JoinHandle};
@@ -486,8 +483,7 @@ impl Service {
     /// The one snapshot install behind every swap. `replace` computes
     /// the next serving state from the current one *inside* the write
     /// lock (so two concurrent single-shard swaps can never lose each
-    /// other's shard); `None` leaves everything untouched and returns
-    /// `false`.
+    /// other's shard); `None` changes nothing and returns `false`.
     fn install(&self, what: &str, replace: impl FnOnce(&Serving) -> Option<Serving>) -> bool {
         {
             let mut guard = self

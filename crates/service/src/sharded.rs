@@ -8,7 +8,8 @@
 //! cooperative [`Budget`], and the per-shard answers are translated to
 //! global ids, anchor-filtered, and re-ranked with the same
 //! deterministic `(score, identity)` tie-breaking the monolithic path
-//! uses.
+//! uses. This module is the read side plus [`boot_sharded`]; the write
+//! side it boots (router, per-shard hubs, recovery) is `crate::write`.
 //!
 //! ## Why the merge is exact
 //!

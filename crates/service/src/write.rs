@@ -2,28 +2,13 @@
 //! `bgi_ingest::Engine` to `bgi_store::Wal`.
 //!
 //! Every durable commit — monolithic or per-shard, one caller or
-//! sixteen — takes the same trip:
-//!
-//! 1. the caller enqueues its batch in its hub's [`CommitQueue`];
-//!    whoever leads the cycle drains every batch queued so far (a lone
-//!    writer leads a group of one and never waits);
-//! 2. the leader takes the hub's lock and commits the group:
-//!    `Engine::apply_group` (validate every batch → one
-//!    `Wal::append_group` + fsync → one state application → one
-//!    re-materialization), adopt the hub's background rebuild if it has
-//!    finished, start one if drift recommends it, build a verified
-//!    [`IndexSnapshot`] of the engine's bundle, install it;
-//! 3. every caller of the group gets its own [`ApplyReport`], or the
-//!    one shared [`ApplyError`].
-//!
-//! The routine's only parameter is *where the snapshot is installed*:
-//! the whole serving slot ([`Service::apply_updates_grouped`]), or shard
-//! `s` of the served sharded snapshot with its id map read from the
-//! router ([`Service::apply_updates_sharded`], once per touched shard).
-//!
-//! [`WriteHub`] is the one owner of write-side state — engine, commit
-//! queue and background-rebuild slot; a [`ShardedWriteHub`] is a router,
-//! a meta WAL and one `WriteHub` per shard.
+//! sixteen — enqueues in its [`WriteHub`]'s [`CommitQueue`], and the
+//! caller that leads the cycle runs `Service::commit_group` over
+//! everything queued so far (a lone writer leads a group of one). The
+//! routine's only parameter is *where the snapshot is installed*: the
+//! whole serving slot ([`Service::apply_updates_grouped`]), or shard `s`
+//! of the served sharded snapshot with its id map read from the router
+//! ([`Service::apply_updates_sharded`], once per touched shard).
 
 use crate::service::Service;
 use crate::sharded::ShardedBootError;
@@ -31,7 +16,7 @@ use crate::snapshot::{IndexSnapshot, SnapshotError};
 use bgi_check::sync::thread::{self, JoinHandle};
 use bgi_check::sync::{Mutex, PoisonError};
 use bgi_ingest::{ApplyOutcome, Engine, EngineConfig, IngestError, IngestUpdate};
-use bgi_shard::{RouteError, RoutedBatch, ShardRouter, ShardStoreError, ShardedStore};
+use bgi_shard::{RouteError, ShardRouter, ShardStoreError, ShardedStore};
 use bgi_store::{CommitQueue, IndexBundle, StoreError, Wal};
 use std::sync::Arc;
 
@@ -147,7 +132,7 @@ impl ShardedWriteHub {
     pub fn router_snapshot(&self) -> ShardRouter {
         self.router
             .lock()
-            .unwrap_or_else(bgi_check::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .clone()
     }
 }
@@ -163,35 +148,28 @@ impl Service {
     /// append + fsync ([`Engine::apply_group`]), one materialization,
     /// and one snapshot swap; the others wait for their own
     /// [`ApplyReport`] without ever touching the engine. Under 16
-    /// single-op writers this turns 16 fsyncs into a handful. A lone
+    /// single-op writers this turns 16 fsyncs into a handful; a lone
     /// writer is a group of one and never waits in the queue.
     ///
     /// When the staleness tracker recommends a full rebuild, the
     /// from-scratch construction runs on a **background thread** owned
     /// by the hub (`Engine::start_rebuild` captures the inputs; updates
-    /// keep applying and are buffered as a delta) — the write path
-    /// never blocks on it. The finished rebuild is adopted — delta
-    /// replayed, snapshot swapped — by the next commit that finds it
-    /// done, or by an explicit [`Service::poll_rebuild`]. At most one
-    /// rebuild per hub is in flight at a time, and a result whose
-    /// engine epoch has gone away (e.g. the engine was replaced by one
-    /// recovered from the store) is discarded, not adopted.
+    /// keep applying and are buffered as a delta), so the write path
+    /// never blocks on it. The next commit that finds it finished — or
+    /// an explicit [`Service::poll_rebuild`] — adopts it: delta
+    /// replayed, snapshot swapped. At most one rebuild per hub is in
+    /// flight, and a result whose engine has since been replaced (by
+    /// one recovered from the store) is discarded, not adopted.
     ///
-    /// Queries keep serving the old snapshot for the whole duration —
-    /// including during a rebuild — and only ever see the new state
-    /// atomically via [`Service::swap_snapshot`] (which also
-    /// invalidates the answer cache, so no stale answers survive the
-    /// swap).
-    ///
-    /// Failure semantics: a whole-group failure (validation, WAL I/O,
-    /// snapshot admission) is delivered to every caller in the group as
-    /// [`ApplyError::Group`] sharing the underlying cause. After a
-    /// refused snapshot the old one keeps serving; the engine state
+    /// Queries keep serving the old snapshot throughout and only ever
+    /// see the new state atomically via [`Service::swap_snapshot`]. A
+    /// whole-group failure (validation, WAL I/O, snapshot admission)
+    /// reaches every caller of the group as [`ApplyError::Group`]
+    /// sharing the cause. After a refused snapshot the engine state
     /// *has* advanced (and is WAL-recoverable), so the caller decides
-    /// between retrying the materialization and restarting from the
-    /// store. A leader that *panics* mid-cycle yields
-    /// [`ApplyError::LeaderDied`] for the batches it had drained —
-    /// their commit outcome is unknown, exactly like a client losing
+    /// between retrying and restarting from the store. A leader that
+    /// *panics* mid-cycle yields [`ApplyError::LeaderDied`] for the
+    /// batches it had drained — outcome unknown, like a client losing
     /// its connection mid-commit.
     pub fn apply_updates_grouped(
         &self,
@@ -237,14 +215,7 @@ impl Service {
             *guard = staged;
             routed
         };
-        let RoutedBatch {
-            per_shard: shares,
-            assigned,
-            ..
-        } = routed;
-        let per_shard = shares
-            .into_iter()
-            .enumerate()
+        let per_shard = (routed.per_shard.into_iter().enumerate())
             .map(|(s, share)| {
                 let target = InstallTarget::Shard(s, &hub.router);
                 (!share.is_empty()).then(|| self.commit(&hub.hubs[s], target, share))
@@ -252,44 +223,34 @@ impl Service {
             .collect();
         Ok(ShardedApplyReport {
             per_shard,
-            assigned,
+            assigned: routed.assigned,
         })
     }
 
-    /// One caller's trip through `hub`'s commit queue: its batch is
-    /// committed by whichever caller leads the group it lands in.
+    /// One caller's trip through `hub`'s commit queue. Whichever caller
+    /// leads the group this batch lands in takes the hub's lock, commits
+    /// the group, and hands every batch its report — or all of them the
+    /// one shared error.
     fn commit(
         &self,
         hub: &WriteHub,
         target: InstallTarget<'_>,
         updates: Vec<IngestUpdate>,
     ) -> Result<ApplyReport, ApplyError> {
-        match hub
-            .queue
-            .commit(updates, |batches| self.lead_group(hub, target, &batches))
-        {
+        let lead = |batches: Vec<Vec<IngestUpdate>>| {
+            let mut state = hub.state.lock().unwrap_or_else(PoisonError::into_inner);
+            match self.commit_group(&mut state, target, &batches) {
+                Ok(reports) => reports.into_iter().map(Ok).collect(),
+                Err(err) => {
+                    let shared = Arc::new(err);
+                    batches.iter().map(|_| Err(Arc::clone(&shared))).collect()
+                }
+            }
+        };
+        match hub.queue.commit(updates, lead) {
             Some(Ok(report)) => Ok(report),
             Some(Err(shared)) => Err(ApplyError::Group(shared)),
             None => Err(ApplyError::LeaderDied),
-        }
-    }
-
-    /// Leads one commit cycle: takes the hub's lock, commits the drained
-    /// group, and hands every batch its report — or all of them the one
-    /// shared error.
-    fn lead_group(
-        &self,
-        hub: &WriteHub,
-        target: InstallTarget<'_>,
-        batches: &[Vec<IngestUpdate>],
-    ) -> Vec<Result<ApplyReport, Arc<ApplyError>>> {
-        let mut state = hub.state.lock().unwrap_or_else(PoisonError::into_inner);
-        match self.commit_group(&mut state, target, batches) {
-            Ok(reports) => reports.into_iter().map(Ok).collect(),
-            Err(err) => {
-                let shared = Arc::new(err);
-                batches.iter().map(|_| Err(Arc::clone(&shared))).collect()
-            }
         }
     }
 
@@ -335,17 +296,15 @@ impl Service {
         engine: &Engine,
         target: InstallTarget<'_>,
     ) -> Result<(), ApplyError> {
-        let snapshot = match IndexSnapshot::from_bundle(engine.bundle().clone()) {
-            Ok(snapshot) => Arc::new(snapshot),
-            Err(err) => {
-                self.shared.stats.record_ingest_rollback();
-                self.shared.log.line(&format!(
-                    "{target}: engine state refused at snapshot admission ({err}); \
-                     previous snapshot keeps serving"
-                ));
-                return Err(ApplyError::Snapshot(err));
-            }
-        };
+        let snapshot = IndexSnapshot::from_bundle(engine.bundle().clone()).map_err(|err| {
+            self.shared.stats.record_ingest_rollback();
+            self.shared.log.line(&format!(
+                "{target}: engine state refused at snapshot admission ({err}); \
+                 previous snapshot keeps serving"
+            ));
+            ApplyError::Snapshot(err)
+        })?;
+        let snapshot = Arc::new(snapshot);
         match target {
             InstallTarget::Whole => self.swap_snapshot(snapshot),
             InstallTarget::Shard(s, router) => {
@@ -438,14 +397,15 @@ impl Service {
         state: &mut WriteState,
         target: InstallTarget<'_>,
     ) -> Result<bool, ApplyError> {
-        let handle = match state.rebuild.0.take() {
-            Some(handle) if handle.is_finished() => handle,
-            unfinished => {
-                state.rebuild.0 = unfinished;
-                return Ok(false);
-            }
-        };
-        let Ok(bundle) = handle.join() else {
+        if !state
+            .rebuild
+            .0
+            .as_ref()
+            .is_some_and(JoinHandle::is_finished)
+        {
+            return Ok(false);
+        }
+        let Some(Ok(bundle)) = state.rebuild.0.take().map(JoinHandle::join) else {
             state.engine.abort_rebuild();
             self.shared.stats.record_ingest_rollback();
             self.shared.log.line(&format!(

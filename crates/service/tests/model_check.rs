@@ -313,9 +313,12 @@ impl Write for LogCapture {
     }
 }
 
-/// Drives single-edge commits through `hub` until drift launches the
-/// background build.
-fn write_until_rebuild_starts(service: &Service, hub: &WriteHub) {
+/// A one-worker service over `hub`'s current bundle, with single-edge
+/// commits driven through the hub until drift launches the background
+/// build.
+fn serve_until_rebuild_starts(hub: &WriteHub, log: Logger) -> Service {
+    let snapshot = hub.with_engine(|e| IndexSnapshot::from_bundle(e.bundle().clone()));
+    let service = Service::start_with_logger(Arc::new(snapshot.unwrap()), one_worker_config(), log);
     let started = (0..8u32).any(|i| {
         service
             .apply_updates_grouped(hub, vec![IngestUpdate::InsertEdge { src: i, dst: 9 }])
@@ -323,6 +326,7 @@ fn write_until_rebuild_starts(service: &Service, hub: &WriteHub) {
             .rebuild_started
     });
     assert!(started, "drift policy never recommended a rebuild");
+    service
 }
 
 /// The write path keeps applying batches while a drift-triggered
@@ -334,9 +338,7 @@ fn write_until_rebuild_starts(service: &Service, hub: &WriteHub) {
 fn rebuild_adoption_races_ongoing_writes() {
     model(Config::random_or_env(8, 0xAD097), || {
         let hub = WriteHub::new(trigger_happy_engine());
-        let snapshot = hub.with_engine(|e| IndexSnapshot::from_bundle(e.bundle().clone()));
-        let mut service = Service::start(Arc::new(snapshot.unwrap()), one_worker_config());
-        write_until_rebuild_starts(&service, &hub);
+        let mut service = serve_until_rebuild_starts(&hub, Logger::disabled());
 
         // More writes land while the rebuild runs — they become the
         // delta the adoption must replay.
@@ -376,13 +378,8 @@ fn stale_rebuild_is_discarded_when_engine_is_replaced() {
     model(Config::random_or_env(8, 0x57A1E), || {
         let hub = WriteHub::new(trigger_happy_engine());
         let capture = LogCapture::default();
-        let snapshot = hub.with_engine(|e| IndexSnapshot::from_bundle(e.bundle().clone()));
-        let mut service = Service::start_with_logger(
-            Arc::new(snapshot.unwrap()),
-            one_worker_config(),
-            Logger::to(Box::new(capture.clone())),
-        );
-        write_until_rebuild_starts(&service, &hub);
+        let log = Logger::to(Box::new(capture.clone()));
+        let mut service = serve_until_rebuild_starts(&hub, log);
 
         // Replace the engine mid-rebuild: the job in the slot now
         // describes a dead epoch.

@@ -8,59 +8,16 @@ use bgi_datasets::{benchmark_queries, Dataset, DatasetSpec};
 use bgi_ingest::{EngineConfig, IngestUpdate};
 use bgi_search::Budget;
 use bgi_service::{boot_sharded, QueryRequest, Semantics, Service, ServiceConfig};
-use bgi_shard::{build_shard_bundles, ShardBuildParams, ShardPlan, ShardSpec, ShardedStore};
+use bgi_shard::ShardedStore;
 use bgi_store::{FailAction, Failpoints, RetryPolicy};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 const SHARDS: usize = 4;
 const DMAX: u32 = 2;
 const VICTIM: usize = 1;
 
-static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new() -> Self {
-        let seq = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-        let d = std::env::temp_dir().join(format!("bgi-shard-soak-{}-{seq}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).expect("temp dir");
-        TempDir(d)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn build_store(ds: &Dataset, root: &Path) -> ShardPlan {
-    let plan = ShardPlan::build(
-        &ds.graph,
-        &ShardSpec {
-            shards: SHARDS,
-            dmax_ceiling: DMAX,
-            partition_block: 0,
-        },
-    )
-    .expect("plan builds");
-    let bundles = build_shard_bundles(
-        &ds.graph,
-        &ds.ontology,
-        &plan,
-        &ShardBuildParams {
-            max_layers: 2,
-            ..ShardBuildParams::default()
-        },
-    );
-    let store = ShardedStore::create(root.to_path_buf(), plan.clone()).expect("sharded root");
-    store.save_all(&bundles, 1).expect("initial generations");
-    plan
-}
+mod common;
+use common::{save_sharded_store, TempDir};
 
 fn workload(ds: &Dataset) -> Vec<QueryRequest> {
     benchmark_queries(ds, DMAX, 3, 17)
@@ -104,14 +61,14 @@ fn grow_round(alphabet: u32, round: u32) -> Vec<IngestUpdate> {
 fn one_shards_wal_death_never_blocks_or_corrupts_the_rest() {
     let ds = DatasetSpec::yago_like(420).generate();
     let alphabet = ds.ontology.num_labels() as u32;
-    let dir = TempDir::new();
-    build_store(&ds, &dir.0);
+    let dir = TempDir::new("shard-wal-death");
+    drop(save_sharded_store(&ds, dir.path(), SHARDS, DMAX));
 
     // Reopen with fault injection armed on the victim shard only.
     let victim_fp = Failpoints::enabled();
     let store = {
         let victim_fp = victim_fp.clone();
-        ShardedStore::open_with(dir.0.clone(), move |s| {
+        ShardedStore::open_with(dir.path().to_path_buf(), move |s| {
             if s == VICTIM {
                 (victim_fp.clone(), RetryPolicy::default())
             } else {
@@ -235,7 +192,7 @@ fn one_shards_wal_death_never_blocks_or_corrupts_the_rest() {
     drop(service);
     drop(hub);
     drop(store);
-    let store = ShardedStore::open(dir.0.clone()).expect("reopen clean");
+    let store = ShardedStore::open(dir.path().to_path_buf()).expect("reopen clean");
     let (snapshot, _hub, _replayed) =
         boot_sharded(&store, EngineConfig::default(), 2).expect("reboots");
     let rebooted: Vec<Vec<String>> = requests

@@ -248,7 +248,7 @@ fn take_done<R>(done: &mut Vec<(u64, Option<R>)>, ticket: u64) -> Option<Option<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::{Arc, Barrier};
     use std::thread;
 
@@ -335,7 +335,7 @@ mod tests {
     fn dead_leader_releases_victims_and_a_follower_takes_over() {
         let q: Arc<CommitQueue<u32, u32>> = Arc::new(CommitQueue::new());
         let gate = Arc::new(Barrier::new(2));
-        let blocking = Arc::new(AtomicUsize::new(0));
+        let blocking = Arc::new(AtomicBool::new(false));
 
         // `process` panics exactly when it sees a group of >= 2 items,
         // so the barrier-holding leader (group of 1) survives and the
@@ -349,7 +349,7 @@ mod tests {
             let (q, gate, blocking) = (Arc::clone(&q), Arc::clone(&gate), Arc::clone(&blocking));
             thread::spawn(move || {
                 q.commit(0, move |items| {
-                    blocking.store(1, Ordering::SeqCst);
+                    blocking.store(true, Ordering::SeqCst);
                     gate.wait();
                     items
                 })
@@ -359,7 +359,7 @@ mod tests {
         // a follower that led first could have the blocker's item
         // drained into a poisoned group, and the blocker would return
         // `None` without ever reaching the barrier.
-        wait_until(|| blocking.load(Ordering::SeqCst) == 1);
+        wait_until(|| blocking.load(Ordering::SeqCst));
         let mut followers = Vec::new();
         for k in 1..=3u32 {
             let q = Arc::clone(&q);

@@ -440,22 +440,44 @@ mod tests {
     }
 
     #[test]
-    fn append_and_replay_round_trip() {
-        let d = tmpdir("rt");
-        let fp = Failpoints::disabled();
-        let (mut wal, replayed) = Wal::open(&d, fp.clone()).unwrap();
-        assert!(replayed.is_empty());
-        assert_eq!(wal.append(&batch(0)).unwrap(), 1);
-        assert_eq!(wal.append(&batch(5)).unwrap(), 2);
+    fn commits_of_any_size_replay_in_order_with_one_fsync_each() {
+        // Record counts per commit: single appends, one group, a mix
+        // (with an empty group, which must be a complete no-op).
+        for (tag, commits) in [
+            ("rt", &[1usize, 1][..]),
+            ("group-rt", &[3]),
+            ("group-mixed", &[1, 0, 2, 1]),
+        ] {
+            let d = tmpdir(tag);
+            let fp = Failpoints::disabled();
+            let (mut wal, replayed) = Wal::open(&d, fp.clone()).unwrap();
+            assert!(replayed.is_empty());
+            let mut k = 0u32;
+            for &n in commits {
+                let group: Vec<_> = (k..k + n as u32).map(batch).collect();
+                let first = k as u64 + 1;
+                match n {
+                    1 => assert_eq!(wal.append(&group[0]).unwrap(), first),
+                    _ => assert_eq!(wal.append_group(&group).unwrap(), first..first + n as u64),
+                }
+                k += n as u32;
+            }
+            let fsyncs = commits.iter().filter(|&&n| n > 0).count() as u64;
+            assert_eq!(
+                wal.fsyncs(),
+                fsyncs,
+                "{tag}: one fsync per non-empty commit"
+            );
 
-        let (wal2, replayed) = Wal::open(&d, fp).unwrap();
-        assert_eq!(replayed.len(), 2);
-        assert_eq!(replayed[0].seq, 1);
-        assert_eq!(replayed[0].updates, batch(0));
-        assert_eq!(replayed[1].seq, 2);
-        assert_eq!(replayed[1].updates, batch(5));
-        assert_eq!(wal2.next_seq(), 3);
-        let _ = fs::remove_dir_all(&d);
+            let (wal2, replayed) = Wal::open(&d, fp).unwrap();
+            assert_eq!(replayed.len(), k as usize, "{tag}");
+            for (i, b) in replayed.iter().enumerate() {
+                assert_eq!(b.seq, i as u64 + 1, "{tag}");
+                assert_eq!(b.updates, batch(i as u32), "{tag}");
+            }
+            assert_eq!(wal2.next_seq(), k as u64 + 1, "{tag}");
+            let _ = fs::remove_dir_all(&d);
+        }
     }
 
     #[test]
@@ -491,61 +513,12 @@ mod tests {
     }
 
     #[test]
-    fn group_append_commits_every_batch_with_one_fsync() {
-        let d = tmpdir("group-rt");
-        let fp = Failpoints::disabled();
-        let (mut wal, _) = Wal::open(&d, fp.clone()).unwrap();
-        let seqs = wal.append_group(&[batch(0), batch(1), batch(2)]).unwrap();
-        assert_eq!(seqs, 1..4);
-        assert_eq!(wal.fsyncs(), 1, "one fsync for the whole group");
-        assert_eq!(wal.next_seq(), 4);
-
-        let (_, replayed) = Wal::open(&d, fp).unwrap();
-        assert_eq!(replayed.len(), 3);
-        for (i, b) in replayed.iter().enumerate() {
-            assert_eq!(b.seq, i as u64 + 1);
-            assert_eq!(b.updates, batch(i as u32));
-        }
-        let _ = fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn group_append_interleaves_with_single_appends() {
-        let d = tmpdir("group-mixed");
-        let fp = Failpoints::disabled();
-        let (mut wal, _) = Wal::open(&d, fp.clone()).unwrap();
-        wal.append(&batch(0)).unwrap();
-        wal.append_group(&[batch(1), batch(2)]).unwrap();
-        wal.append(&batch(3)).unwrap();
-        assert_eq!(wal.fsyncs(), 3);
-        let (_, replayed) = Wal::open(&d, fp).unwrap();
-        assert_eq!(
-            replayed.iter().map(|b| b.seq).collect::<Vec<_>>(),
-            vec![1, 2, 3, 4]
-        );
-        let _ = fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn empty_group_is_a_no_op() {
-        let d = tmpdir("group-empty");
-        let fp = Failpoints::disabled();
-        let (mut wal, _) = Wal::open(&d, fp.clone()).unwrap();
-        let none: [Vec<GraphUpdate>; 0] = [];
-        assert!(wal.append_group(&none).unwrap().is_empty());
-        assert_eq!(wal.fsyncs(), 0);
-        assert_eq!(wal.next_seq(), 1);
-        assert!(!wal.path().exists() || fs::metadata(wal.path()).unwrap().len() == 0);
-        let _ = fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn torn_group_append_replays_exactly_the_whole_records_before_the_cut() {
+    fn torn_append_replays_exactly_the_whole_records_before_the_cut() {
         // `batch(k)` records are all the same size, so half of a
-        // two-record image ends on a record boundary and half of a
-        // three-record image ends mid-record.
-        for (n, on_boundary) in [(2u32, true), (3, false)] {
-            let d = tmpdir(&format!("group-torn-{n}"));
+        // two-record image ends on a record boundary, and half of a
+        // one- or three-record image ends mid-record.
+        for (n, on_boundary) in [(1u32, false), (2, true), (3, false)] {
+            let d = tmpdir(&format!("torn-{n}"));
             let fp = Failpoints::enabled();
             let (mut wal, _) = Wal::open(&d, fp.clone()).unwrap();
             wal.append(&batch(9)).unwrap();
@@ -570,38 +543,28 @@ mod tests {
     }
 
     #[test]
-    fn failed_group_fsync_retry_does_not_duplicate_sequences() {
-        let d = tmpdir("group-fsync");
-        let fp = Failpoints::enabled();
-        let (mut wal, _) = Wal::open(&d, fp.clone()).unwrap();
-        fp.arm("wal.fsync", 1, FailAction::Crash);
-        assert!(wal.append_group(&[batch(0), batch(1)]).is_err());
-        assert_eq!(wal.next_seq(), 1, "nothing committed on error");
-        // The retry overwrites the fully-written-but-unsynced residue.
-        assert_eq!(wal.append_group(&[batch(0), batch(1)]).unwrap(), 1..3);
-        let (wal2, replayed) = Wal::open(&d, fp).unwrap();
-        assert_eq!(
-            replayed.iter().map(|b| b.seq).collect::<Vec<_>>(),
-            vec![1, 2]
-        );
-        assert_eq!(wal2.next_seq(), 3);
-        let _ = fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn torn_tail_yields_committed_prefix() {
-        let d = tmpdir("torn");
-        let fp = Failpoints::enabled();
-        let (mut wal, _) = Wal::open(&d, fp.clone()).unwrap();
-        wal.append(&batch(0)).unwrap();
-        fp.arm("wal.append", 2, FailAction::Torn);
-        let err = wal.append(&batch(1)).unwrap_err();
-        assert!(matches!(err, StoreError::Injected { .. }));
-
-        let (_, replayed) = Wal::open(&d, fp).unwrap();
-        assert_eq!(replayed.len(), 1, "torn second record must be discarded");
-        assert_eq!(replayed[0].updates, batch(0));
-        let _ = fs::remove_dir_all(&d);
+    fn failed_fsync_retry_does_not_duplicate_sequences() {
+        for n in [1u32, 2] {
+            let d = tmpdir(&format!("fsync-retry-{n}"));
+            let fp = Failpoints::enabled();
+            let (mut wal, _) = Wal::open(&d, fp.clone()).unwrap();
+            let group: Vec<_> = (0..n).map(batch).collect();
+            fp.arm("wal.fsync", 1, FailAction::Crash);
+            // The records are fully written before the fsync dies…
+            assert!(wal.append_group(&group).is_err());
+            assert_eq!(wal.next_seq(), 1, "nothing committed on error");
+            // …so the retry must overwrite them, not stack records with
+            // the same sequence numbers (which the next recovery would
+            // reject as corruption, losing the whole log).
+            assert_eq!(wal.append_group(&group).unwrap(), 1..n as u64 + 1);
+            let (wal2, replayed) = Wal::open(&d, fp).unwrap();
+            assert_eq!(replayed.len(), n as usize);
+            for (i, b) in replayed.iter().enumerate() {
+                assert_eq!((b.seq, &b.updates), (i as u64 + 1, &batch(i as u32)));
+            }
+            assert_eq!(wal2.next_seq(), n as u64 + 1);
+            let _ = fs::remove_dir_all(&d);
+        }
     }
 
     #[test]
@@ -643,26 +606,6 @@ mod tests {
         let (_, replayed) = Wal::open(&d, fp).unwrap();
         assert_eq!(replayed.len(), 2);
         assert_eq!(replayed[1].updates, batch(1));
-        let _ = fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn failed_fsync_retry_does_not_duplicate_the_sequence() {
-        let d = tmpdir("fsync-retry");
-        let fp = Failpoints::enabled();
-        let (mut wal, _) = Wal::open(&d, fp.clone()).unwrap();
-        fp.arm("wal.fsync", 1, FailAction::Crash);
-        // The record is fully written before the fsync dies…
-        assert!(wal.append(&batch(0)).is_err());
-        // …so the retry must overwrite it, not stack a second record
-        // with the same sequence number (which the next recovery would
-        // reject as corruption, losing the whole log).
-        assert_eq!(wal.append(&batch(0)).unwrap(), 1);
-        let (wal2, replayed) = Wal::open(&d, fp).unwrap();
-        assert_eq!(replayed.len(), 1);
-        assert_eq!(replayed[0].seq, 1);
-        assert_eq!(replayed[0].updates, batch(0));
-        assert_eq!(wal2.next_seq(), 2);
         let _ = fs::remove_dir_all(&d);
     }
 

@@ -77,90 +77,55 @@ fn concurrent_appenders_preserve_order_and_seqs() {
     assert!(report.schedules > 1, "exhaustive run explored one schedule");
 }
 
-/// An appender racing `truncate_through`: truncation drops exactly the
-/// prefix it names, never in-flight batches with later seqs — so the
-/// reopened log holds the appender's two batches, in order, under
-/// every interleaving.
+/// An appender racing `truncate_through` — as two single appends (two
+/// lock acquisitions the truncation can land between) or as one group of
+/// two. Truncation drops exactly the prefix it names, never in-flight
+/// batches with later seqs: the reopened log holds the appender's two
+/// batches, in order, under every interleaving.
 #[test]
 fn truncate_races_append_without_losing_later_batches() {
-    let report = model(Config::exhaustive(2), || {
-        let dir = TempDir::new("model-truncate");
-        let (mut wal, _) = Wal::open(dir.path(), Failpoints::disabled()).unwrap();
-        let seq1 = wal.append(&[edge(1, 2)]).unwrap();
-        let wal = Arc::new(Mutex::new(wal));
+    let appenders: [fn(&Mutex<Wal>); 2] = [
+        |wal| {
+            lock(wal).append(&[edge(3, 4)]).unwrap();
+            lock(wal).append(&[edge(5, 6)]).unwrap();
+        },
+        |wal| {
+            let group = [vec![edge(3, 4)], vec![edge(5, 6)]];
+            lock(wal).append_group(&group).unwrap();
+        },
+    ];
+    for append in appenders {
+        let report = model(Config::exhaustive(2), move || {
+            let dir = TempDir::new("model-truncate");
+            let (mut wal, _) = Wal::open(dir.path(), Failpoints::disabled()).unwrap();
+            let seq1 = wal.append(&[edge(1, 2)]).unwrap();
+            let wal = Arc::new(Mutex::new(wal));
 
-        let appender = {
-            let wal = Arc::clone(&wal);
-            thread::spawn(move || {
-                lock(&wal).append(&[edge(3, 4)]).unwrap();
-                lock(&wal).append(&[edge(5, 6)]).unwrap();
-            })
-        };
-        let truncator = {
-            let wal = Arc::clone(&wal);
-            thread::spawn(move || {
-                lock(&wal).truncate_through(seq1).unwrap();
-            })
-        };
-        appender.join().unwrap();
-        truncator.join().unwrap();
-        drop(wal);
+            let appender = {
+                let wal = Arc::clone(&wal);
+                thread::spawn(move || append(&wal))
+            };
+            let truncator = {
+                let wal = Arc::clone(&wal);
+                thread::spawn(move || {
+                    lock(&wal).truncate_through(seq1).unwrap();
+                })
+            };
+            appender.join().unwrap();
+            truncator.join().unwrap();
+            drop(wal);
 
-        let (_, batches) = Wal::open(dir.path(), Failpoints::disabled()).unwrap();
-        let payloads: Vec<_> = batches.iter().map(|b| b.updates.clone()).collect();
-        assert_eq!(
-            payloads,
-            vec![vec![edge(3, 4)], vec![edge(5, 6)]],
-            "truncation must drop exactly the seq-1 prefix"
-        );
-        assert!(batches[0].seq > seq1);
-    });
-    assert!(report.schedules > 1, "exhaustive run explored one schedule");
-}
-
-/// A group append racing `truncate_through`: whether the group image
-/// lands before or after the truncation rewrite, the reopened log
-/// holds exactly the group's batches in order with seqs past the
-/// truncated prefix.
-#[test]
-fn group_append_races_truncate_without_losing_batches() {
-    let report = model(Config::exhaustive(2), || {
-        let dir = TempDir::new("model-group-truncate");
-        let (mut wal, _) = Wal::open(dir.path(), Failpoints::disabled()).unwrap();
-        let seq1 = wal.append(&[edge(1, 2)]).unwrap();
-        let wal = Arc::new(Mutex::new(wal));
-
-        let appender = {
-            let wal = Arc::clone(&wal);
-            thread::spawn(move || {
-                lock(&wal)
-                    .append_group(&[vec![edge(3, 4)], vec![edge(5, 6)]])
-                    .unwrap();
-            })
-        };
-        let truncator = {
-            let wal = Arc::clone(&wal);
-            thread::spawn(move || {
-                lock(&wal).truncate_through(seq1).unwrap();
-            })
-        };
-        appender.join().unwrap();
-        truncator.join().unwrap();
-        drop(wal);
-
-        let (_, batches) = Wal::open(dir.path(), Failpoints::disabled()).unwrap();
-        let payloads: Vec<_> = batches.iter().map(|b| b.updates.clone()).collect();
-        assert_eq!(
-            payloads,
-            vec![vec![edge(3, 4)], vec![edge(5, 6)]],
-            "truncation must drop exactly the seq-1 prefix, never the group"
-        );
-        assert!(
-            batches[0].seq > seq1,
-            "group seqs must stay past the prefix"
-        );
-    });
-    assert!(report.schedules > 1, "exhaustive run explored one schedule");
+            let (_, batches) = Wal::open(dir.path(), Failpoints::disabled()).unwrap();
+            let payloads: Vec<_> = batches.iter().map(|b| b.updates.clone()).collect();
+            assert_eq!(
+                payloads,
+                vec![vec![edge(3, 4)], vec![edge(5, 6)]],
+                "truncation must drop exactly the seq-1 prefix"
+            );
+            assert!(batches[0].seq > seq1);
+        });
+        assert!(report.schedules > 1, "exhaustive run explored one schedule");
+    }
 }
 
 /// The commit queue alone, under the model checker: two callers push
