@@ -4,6 +4,7 @@
 //! bgi gen <yago|dbpedia|imdb|synt> <scale> <dir> [--seed S] [--updates N]   generate + save a dataset
 //! bgi stats <dir>                                  dataset statistics
 //! bgi build <dir> [layers] [--build-threads N]     build the index, print layer sizes
+//!           [--hierarchy full-step|algo1]          ... with full-step configurations (default) or Algo. 1
 //! bgi workload <dir>                               print the Q1-Q8 workload
 //! bgi query <dir> <kw1,kw2,...> [dmax] [k]         run a boosted BLINKS query
 //! bgi verify <dir> [layers]                        build, then check every index invariant
@@ -53,7 +54,8 @@ use bgi_service::{
 };
 use bgi_shard::{build_shard_bundles, ShardBuildParams, ShardPlan, ShardSpec, ShardedStore};
 use bgi_store::{IndexBundle, Store};
-use big_index::{Boosted, EvalOptions};
+use big_index::heuristic::Algo1Work;
+use big_index::{BiGIndex, Boosted, BuildParams, EvalOptions};
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::Path;
@@ -187,15 +189,47 @@ fn cmd_stats(args: &[String]) -> CliResult {
 
 fn cmd_build(args: &[String]) -> CliResult {
     let (positional, flags) = parse_flags(args)?;
-    let (dir, layers) = match positional.as_slice() {
-        [dir] => (*dir, 7usize),
-        [dir, layers] => (*dir, layers.parse()?),
-        _ => return Err("usage: bgi build <dir> [layers] [--build-threads N]".into()),
-    };
+    let (dir, layers) =
+        match positional.as_slice() {
+            [dir] => (*dir, 7usize),
+            [dir, layers] => (*dir, layers.parse()?),
+            _ => return Err(
+                "usage: bgi build <dir> [layers] [--build-threads N] [--hierarchy full-step|algo1]"
+                    .into(),
+            ),
+        };
     let build_threads: usize = flag(&flags, "build-threads", 1)?;
     let ds = load(dir)?;
-    let (index, took) = bgi_bench::setup::default_index(&ds, layers);
-    println!("built {} layers in {:?}", index.num_layers(), took);
+    let index = match flags.get("hierarchy").copied().unwrap_or("full-step") {
+        "full-step" => {
+            let (index, took) = bgi_bench::setup::default_index(&ds, layers);
+            println!("built {} layers in {:?}", index.num_layers(), took);
+            index
+        }
+        "algo1" => {
+            let t = Instant::now();
+            let (index, work) = BiGIndex::build_counted(
+                ds.graph.clone(),
+                ds.ontology.clone(),
+                &BuildParams {
+                    max_layers: layers,
+                    threads: build_threads,
+                    ..BuildParams::default()
+                },
+            );
+            let took = t.elapsed();
+            let work = Algo1Work::total(&work);
+            println!(
+                "built {} layers in {took:?} (Algo. 1: {} candidates, {} sample bisimulations run, {} skipped)",
+                index.num_layers(),
+                work.candidates,
+                work.sample_evals,
+                work.sample_evals_skipped,
+            );
+            index
+        }
+        other => return Err(format!("bad --hierarchy value '{other}'").into()),
+    };
     for (m, size) in index.layer_sizes().iter().enumerate() {
         println!("  L{m}: |G| = {size} (ratio {:.4})", index.size_ratio(m));
     }

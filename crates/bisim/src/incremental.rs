@@ -17,7 +17,7 @@
 //! decide when "occasionally" is now.
 
 use crate::partition::Partition;
-use crate::refine::{maximal_bisimulation, refine_round, BisimDirection};
+use crate::refine::{coarsest_stable_refinement, maximal_bisimulation, BisimDirection};
 use bgi_graph::{DiGraph, GraphBuilder, LabelId, VId};
 use std::collections::BTreeSet;
 
@@ -205,15 +205,7 @@ impl IncrementalBisim {
 /// engine's summary patching, per-layer index patching) depend on this
 /// to localize their work to the touched blocks.
 fn stabilize(g: &DiGraph, part: Partition, dir: BisimDirection) -> Partition {
-    let mut refined = part.clone();
-    loop {
-        let next = refine_round(g, &refined, dir);
-        let done = next.num_blocks() == refined.num_blocks();
-        refined = next;
-        if done {
-            break;
-        }
-    }
+    let refined = coarsest_stable_refinement(g, part.clone(), dir);
     remap_onto_parent(&part, &refined)
 }
 

@@ -50,6 +50,6 @@ pub mod summary;
 
 pub use incremental::{Drift, IncrementalBisim, Update};
 pub use partition::Partition;
-pub use refine::{maximal_bisimulation, BisimDirection};
+pub use refine::{coarsest_stable_refinement, maximal_bisimulation, BisimDirection};
 pub use splitter::maximal_bisimulation_splitter;
-pub use summary::{summarize, Summary};
+pub use summary::{quotient_size, summarize, Summary};

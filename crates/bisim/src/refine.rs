@@ -33,44 +33,84 @@ pub enum BisimDirection {
 /// One refinement round: re-bucket vertices by
 /// `(block, neighbor blocks)`. Returns the refined partition; the block
 /// count is non-decreasing.
+///
+/// Every signature lives in one flat arena — own block, then the sorted
+/// distinct neighbor blocks (under [`BisimDirection::Both`] the
+/// out-blocks' count precedes them, so the out/in boundary is part of
+/// the key) — and vertices are bucketed by hashing their arena slice:
+/// a round allocates two vectors and a table, not two vectors per
+/// vertex. Block ids are handed out in first-occurrence vertex order.
 pub(crate) fn refine_round(g: &DiGraph, part: &Partition, dir: BisimDirection) -> Partition {
     let n = g.num_vertices();
-    // Signature: (own block, sorted distinct out-blocks, sorted distinct in-blocks).
-    let mut sigs: Vec<(u32, Vec<u32>, Vec<u32>)> = Vec::with_capacity(n);
-    let mut out_scratch: Vec<u32> = Vec::new();
-    let mut in_scratch: Vec<u32> = Vec::new();
+    let forward = matches!(dir, BisimDirection::Forward | BisimDirection::Both);
+    let backward = matches!(dir, BisimDirection::Backward | BisimDirection::Both);
+    let per_edge = usize::from(forward) + usize::from(backward);
+    let mut arena: Vec<u32> = Vec::with_capacity(2 * n + per_edge * g.num_edges());
+    let mut starts: Vec<usize> = Vec::with_capacity(n + 1);
     for v in g.vertices() {
-        out_scratch.clear();
-        in_scratch.clear();
-        if matches!(dir, BisimDirection::Forward | BisimDirection::Both) {
-            out_scratch.extend(g.out_neighbors(v).iter().map(|&t| part.block_of(t)));
-            out_scratch.sort_unstable();
-            out_scratch.dedup();
+        starts.push(arena.len());
+        arena.push(part.block_of(v));
+        if forward {
+            let count_slot = arena.len();
+            if backward {
+                arena.push(0);
+            }
+            let from = arena.len();
+            arena.extend(g.out_neighbors(v).iter().map(|&t| part.block_of(t)));
+            sort_dedup_from(&mut arena, from);
+            if backward {
+                arena[count_slot] = (arena.len() - from) as u32;
+            }
         }
-        if matches!(dir, BisimDirection::Backward | BisimDirection::Both) {
-            in_scratch.extend(g.in_neighbors(v).iter().map(|&s| part.block_of(s)));
-            in_scratch.sort_unstable();
-            in_scratch.dedup();
+        if backward {
+            let from = arena.len();
+            arena.extend(g.in_neighbors(v).iter().map(|&s| part.block_of(s)));
+            sort_dedup_from(&mut arena, from);
         }
-        sigs.push((part.block_of(v), out_scratch.clone(), in_scratch.clone()));
     }
+    starts.push(arena.len());
     // Densify signatures into new block ids.
-    let mut ids: FxHashMap<&(u32, Vec<u32>, Vec<u32>), u32> = FxHashMap::default();
+    let mut ids: FxHashMap<&[u32], u32> =
+        FxHashMap::with_capacity_and_hasher(part.num_blocks(), Default::default());
     let mut block_of = Vec::with_capacity(n);
-    for sig in &sigs {
+    for span in starts.windows(2) {
         let next = ids.len() as u32;
-        let id = *ids.entry(sig).or_insert(next);
-        block_of.push(id);
+        block_of.push(*ids.entry(&arena[span[0]..span[1]]).or_insert(next));
     }
     let num_blocks = ids.len();
     Partition::new(block_of, num_blocks)
+}
+
+/// Sorts `v[from..]` and drops its duplicates, in place.
+fn sort_dedup_from(v: &mut Vec<u32>, from: usize) {
+    v[from..].sort_unstable();
+    let mut kept = from;
+    for i in from..v.len() {
+        if kept == from || v[i] != v[kept - 1] {
+            v[kept] = v[i];
+            kept += 1;
+        }
+    }
+    v.truncate(kept);
 }
 
 /// Computes the maximal bisimulation of `g` as a [`Partition`]:
 /// the coarsest partition where equivalent vertices share a label and
 /// matching neighbor blocks in `dir`.
 pub fn maximal_bisimulation(g: &DiGraph, dir: BisimDirection) -> Partition {
-    let mut part = Partition::from_labels(g.labels());
+    coarsest_stable_refinement(g, Partition::from_labels(g.labels()), dir)
+}
+
+/// Refines `part` round by round until no block splits: the coarsest
+/// partition that refines `part` and is stable in `dir`. With `part`
+/// the partition by some labelling of `g`'s vertices — not necessarily
+/// the one `g` stores — this is the maximal bisimulation of `g` under
+/// that labelling, without copying the graph to relabel it.
+pub fn coarsest_stable_refinement(
+    g: &DiGraph,
+    mut part: Partition,
+    dir: BisimDirection,
+) -> Partition {
     loop {
         let next = refine_round(g, &part, dir);
         if next.num_blocks() == part.num_blocks() {
@@ -84,6 +124,7 @@ pub fn maximal_bisimulation(g: &DiGraph, dir: BisimDirection) -> Partition {
 mod tests {
     use super::*;
     use bgi_graph::{GraphBuilder, LabelId, VId};
+    use proptest::prelude::*;
 
     /// The paper's motivating shape: many same-labeled vertices all
     /// pointing at one shared vertex.
@@ -187,6 +228,88 @@ mod tests {
             let p = maximal_bisimulation(&g, dir);
             let again = refine_round(&g, &p, dir);
             assert_eq!(again.num_blocks(), p.num_blocks());
+        }
+    }
+
+    /// The round as it was before the flat arena: two cloned vectors
+    /// per vertex, bucketed through a map keyed by the tuple. Kept here
+    /// as the reference the rewrite must match id for id.
+    fn refine_round_reference(g: &DiGraph, part: &Partition, dir: BisimDirection) -> Partition {
+        let n = g.num_vertices();
+        let mut sigs: Vec<(u32, Vec<u32>, Vec<u32>)> = Vec::with_capacity(n);
+        let mut out_scratch: Vec<u32> = Vec::new();
+        let mut in_scratch: Vec<u32> = Vec::new();
+        for v in g.vertices() {
+            out_scratch.clear();
+            in_scratch.clear();
+            if matches!(dir, BisimDirection::Forward | BisimDirection::Both) {
+                out_scratch.extend(g.out_neighbors(v).iter().map(|&t| part.block_of(t)));
+                out_scratch.sort_unstable();
+                out_scratch.dedup();
+            }
+            if matches!(dir, BisimDirection::Backward | BisimDirection::Both) {
+                in_scratch.extend(g.in_neighbors(v).iter().map(|&s| part.block_of(s)));
+                in_scratch.sort_unstable();
+                in_scratch.dedup();
+            }
+            sigs.push((part.block_of(v), out_scratch.clone(), in_scratch.clone()));
+        }
+        let mut ids: FxHashMap<&(u32, Vec<u32>, Vec<u32>), u32> = FxHashMap::default();
+        let mut block_of = Vec::with_capacity(n);
+        for sig in &sigs {
+            let next = ids.len() as u32;
+            let id = *ids.entry(sig).or_insert(next);
+            block_of.push(id);
+        }
+        let num_blocks = ids.len();
+        Partition::new(block_of, num_blocks)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every round of the rewrite, from the label partition to the
+        /// fixpoint, returns the reference's partition assignment for
+        /// assignment, in all three directions; and the counted
+        /// quotient size is the built summary's size.
+        #[test]
+        fn rounds_match_the_reference_id_for_id(
+            n in 1usize..48,
+            num_labels in 1u32..5,
+            labels in proptest::collection::vec(0u32..1000, 48),
+            edges in proptest::collection::vec((0u32..1000, 0u32..1000), 0..160),
+        ) {
+            // Self-loops and parallel edges stay in: both are legal
+            // input and both reach the signature.
+            let labels: Vec<LabelId> = labels[..n].iter().map(|l| LabelId(l % num_labels)).collect();
+            let edges = edges
+                .iter()
+                .map(|&(u, v)| (VId(u % n as u32), VId(v % n as u32)))
+                .collect();
+            let g = GraphBuilder::from_edges(labels, edges);
+            for dir in [
+                BisimDirection::Forward,
+                BisimDirection::Backward,
+                BisimDirection::Both,
+            ] {
+                let mut part = Partition::from_labels(g.labels());
+                loop {
+                    let next = refine_round(&g, &part, dir);
+                    let expect = refine_round_reference(&g, &part, dir);
+                    prop_assert_eq!(next.assignment(), expect.assignment());
+                    prop_assert_eq!(next.num_blocks(), expect.num_blocks());
+                    let done = next.num_blocks() == part.num_blocks();
+                    part = next;
+                    if done {
+                        break;
+                    }
+                }
+                prop_assert_eq!(&part, &maximal_bisimulation(&g, dir));
+                prop_assert_eq!(
+                    crate::quotient_size(&g, &part),
+                    crate::summarize(&g, &part).graph.size()
+                );
+            }
         }
     }
 

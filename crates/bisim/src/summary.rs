@@ -79,6 +79,19 @@ pub fn summarize(g: &DiGraph, part: &Partition) -> Summary {
     }
 }
 
+/// `|Bisim(G)|` under `part` — blocks plus distinct block pairs joined
+/// by an edge, i.e. `summarize(g, part).graph.size()` — counted without
+/// building the summary graph.
+pub fn quotient_size(g: &DiGraph, part: &Partition) -> usize {
+    let mut pairs: Vec<u64> = g
+        .edges()
+        .map(|(u, v)| u64::from(part.block_of(u)) << 32 | u64::from(part.block_of(v)))
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    part.num_blocks() + pairs.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,20 +7,36 @@
 //! node-induced subgraphs, averaging per-sample ratios.
 
 use crate::config::GenConfig;
-use bgi_bisim::{maximal_bisimulation, summarize, BisimDirection};
+use bgi_bisim::{
+    coarsest_stable_refinement, maximal_bisimulation, quotient_size, summarize, BisimDirection,
+    Partition,
+};
 use bgi_graph::sampling::{sample_subgraphs_threaded, SamplingParams};
 use bgi_graph::subgraph::InducedSubgraph;
-use bgi_graph::DiGraph;
+use bgi_graph::{DiGraph, LabelId, VId};
+use rustc_hash::FxHashMap;
+use std::collections::hash_map::Entry;
+
+/// `|Bisim(g)|` with every vertex label `ℓ` read as `label_of(ℓ)`:
+/// blocks plus block pairs of the maximal bisimulation under that
+/// labelling. Neither the relabelled graph nor the summary is built.
+fn generalized_size(
+    g: &DiGraph,
+    dir: BisimDirection,
+    label_of: impl Fn(LabelId) -> LabelId,
+) -> usize {
+    let labels: Vec<LabelId> = g.labels().iter().map(|&l| label_of(l)).collect();
+    let part = coarsest_stable_refinement(g, Partition::from_labels(&labels), dir);
+    quotient_size(g, &part)
+}
 
 /// Exact compression ratio of applying `χ(·, C)` to `g`.
 pub fn exact_compress(g: &DiGraph, config: &GenConfig, dir: BisimDirection) -> f64 {
     if g.size() == 0 {
         return 1.0;
     }
-    let generalized = g.relabel(&config.label_map(g.alphabet_size()));
-    let part = maximal_bisimulation(&generalized, dir);
-    let summary = summarize(&generalized, &part);
-    summary.graph.size() as f64 / g.size() as f64
+    let map = config.label_map(g.alphabet_size());
+    generalized_size(g, dir, |l| map[l.index()]) as f64 / g.size() as f64
 }
 
 /// Pre-drawn samples for repeated estimation against many candidate
@@ -63,6 +79,12 @@ impl CompressEstimator {
         self.samples.len()
     }
 
+    /// What the test-only reference estimator reads.
+    #[cfg(test)]
+    pub(crate) fn parts(&self) -> (&[InducedSubgraph], usize, BisimDirection) {
+        (&self.samples, self.alphabet_size, self.dir)
+    }
+
     /// Estimated `compress(G, C)` as the pooled ratio
     /// `Σ|χ(s, C)| / Σ|s|` over the samples. Pooling weights each sample
     /// by its size, so the many tiny (often singleton) balls drawn from
@@ -71,35 +93,208 @@ impl CompressEstimator {
     /// configurations, which is all Algo. 1 needs (Exp-4 validates the
     /// ordering with Spearman correlation). Returns 1.0 with no samples.
     pub fn estimate(&self, config: &GenConfig) -> f64 {
-        self.estimate_on(config, self.samples.len())
-    }
-
-    /// [`CompressEstimator::estimate`] over only the first
-    /// `max_samples` samples — Algo. 1 ranks hundreds of candidate
-    /// mappings, and a capped estimate keeps the greedy loop linear in
-    /// practice while preserving the candidate *ordering* (what the
-    /// greedy search needs).
-    pub fn estimate_on(&self, config: &GenConfig, max_samples: usize) -> f64 {
-        if self.samples.is_empty() || max_samples == 0 {
-            return 1.0;
-        }
         let map = config.label_map(self.alphabet_size);
         let mut summarized = 0usize;
+        let mut original = 0usize;
+        for s in self.samples.iter().filter(|s| s.graph.size() > 0) {
+            summarized += generalized_size(&s.graph, self.dir, |l| map[l.index()]);
+            original += s.graph.size();
+        }
+        pooled_ratio(summarized, original)
+    }
+
+    /// The form Algo. 1 reads the first `max_samples` samples in: see
+    /// [`IncrementalEstimate`]. Its ratios are the ones
+    /// [`CompressEstimator::estimate`] would return on those samples,
+    /// bit for bit.
+    pub fn incremental(&self, max_samples: usize) -> IncrementalEstimate {
+        let mut bases: Vec<Base> = Vec::new();
+        let mut base_of: FxHashMap<Vec<VId>, usize> = FxHashMap::default();
         let mut original = 0usize;
         for s in self.samples.iter().take(max_samples) {
             if s.graph.size() == 0 {
                 continue;
             }
-            let generalized = s.graph.relabel(&map);
-            let part = maximal_bisimulation(&generalized, self.dir);
-            let summary = summarize(&generalized, &part);
-            summarized += summary.graph.size();
             original += s.graph.size();
+            let mut vertices = s.original.clone();
+            vertices.sort_unstable();
+            match base_of.entry(vertices) {
+                Entry::Occupied(known) => bases[*known.get()].weight += 1,
+                Entry::Vacant(new) => {
+                    new.insert(bases.len());
+                    let part = maximal_bisimulation(&s.graph, self.dir);
+                    let graph = summarize(&s.graph, &part).graph;
+                    let mut alphabet = graph.labels().to_vec();
+                    alphabet.sort_unstable();
+                    alphabet.dedup();
+                    bases.push(Base {
+                        size: graph.size(),
+                        graph,
+                        alphabet,
+                        weight: 1,
+                    });
+                }
+            }
         }
-        if original == 0 {
-            1.0
-        } else {
-            summarized as f64 / original as f64
+        let mut holders: Vec<Vec<u32>> = vec![Vec::new(); self.alphabet_size];
+        for (i, base) in bases.iter().enumerate() {
+            for l in &base.alphabet {
+                holders[l.index()].push(i as u32);
+            }
+        }
+        IncrementalEstimate {
+            summarized: bases.iter().map(|b| b.weight * b.size).sum(),
+            original,
+            holders,
+            bases,
+            map: (0..self.alphabet_size as u32).map(LabelId).collect(),
+            dir: self.dir,
+        }
+    }
+}
+
+/// `Σ|χ(s, C)| / Σ|s|`, 1.0 when nothing was sampled.
+fn pooled_ratio(summarized: usize, original: usize) -> f64 {
+    if original == 0 {
+        1.0
+    } else {
+        summarized as f64 / original as f64
+    }
+}
+
+/// One distinct sample, as [`IncrementalEstimate`] keeps it.
+#[derive(Debug)]
+struct Base {
+    /// The sample's quotient by its maximal bisimulation under the
+    /// original labels.
+    graph: DiGraph,
+    /// Its distinct labels, ascending.
+    alphabet: Vec<LabelId>,
+    /// How many of the samples read are this one: balls over the same
+    /// vertex set induce isomorphic subgraphs, whose `|χ(s, C)|` agree
+    /// for every `C`.
+    weight: usize,
+    /// `|χ(s, C)|` under the accepted configuration.
+    size: usize,
+}
+
+/// Compression estimates for a configuration that grows one mapping at
+/// a time — what Algo. 1 asks for, about twice per candidate.
+///
+/// It holds, per distinct sample, the quotient of the sample by its
+/// maximal bisimulation under the *original* labels, and `|χ(s, C)|`
+/// for the configuration `C` accepted so far. A trial `C ∪ {ℓ → ℓ′}`
+/// then
+///
+/// - re-evaluates only the samples it can change — those that contain
+///   `ℓ` next to a label `C` sends to `ℓ′` or to `ℓ`. In every other
+///   sample the trial labels the vertices alike up to renaming one
+///   class, so the cached integer is the answer, and a sum of the same
+///   integers is the same ratio, bit for bit;
+/// - runs on the quotient, not on the sample. A configuration only
+///   merges original labels, so the original-label bisimulation stays a
+///   bisimulation of `Gen(s, C)` for every `C`; the projection onto its
+///   quotient relates each vertex to a bisimilar one, hence the maximal
+///   bisimulation of the relabelled quotient has the blocks and the
+///   block pairs of the relabelled sample's.
+///
+/// The quotient is *not* re-based on accepted configurations:
+/// `Gen` applies a configuration simultaneously, so after accepting
+/// `ℓ₀ → ℓ` a later trial `ℓ → ℓ′` must still tell `ℓ₀`-origin vertices
+/// (which stay `ℓ`) from native `ℓ` ones (which become `ℓ′`), and a
+/// base computed under `C` may already have merged them (DESIGN.md
+/// §4b, item 10).
+#[derive(Debug)]
+pub struct IncrementalEstimate {
+    bases: Vec<Base>,
+    /// Label → ascending indices of the bases it occurs in.
+    holders: Vec<Vec<u32>>,
+    /// `Σ weight · |χ(s, C)|` under the accepted configuration.
+    summarized: usize,
+    /// `Σ weight · |s|`.
+    original: usize,
+    /// The accepted configuration's dense label map.
+    map: Vec<LabelId>,
+    dir: BisimDirection,
+}
+
+/// The outcome of [`IncrementalEstimate::trial`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Trial {
+    /// Estimated `compress(G, C ∪ {ℓ → ℓ′})`.
+    pub ratio: f64,
+    /// Its numerator, `Σ weight · |χ(s, C ∪ {ℓ → ℓ′})|`.
+    summarized: usize,
+    /// `(base, |χ(s, C ∪ {ℓ → ℓ′})|)` for each base re-evaluated.
+    resized: Vec<(u32, usize)>,
+}
+
+impl Trial {
+    /// Sample bisimulations computed for this trial.
+    pub fn evaluated(&self) -> usize {
+        self.resized.len()
+    }
+}
+
+impl IncrementalEstimate {
+    /// Samples read (the non-empty ones among those asked for).
+    pub fn num_samples(&self) -> usize {
+        self.bases.iter().map(|b| b.weight).sum()
+    }
+
+    /// Distinct samples among them: the bisimulations computed up
+    /// front.
+    pub fn num_distinct(&self) -> usize {
+        self.bases.len()
+    }
+
+    /// The estimate for the accepted configuration plus `from → to`.
+    pub fn trial(&self, from: LabelId, to: LabelId) -> Trial {
+        let held = self
+            .holders
+            .get(from.index())
+            .map_or(&[][..], Vec::as_slice);
+        let mut summarized = self.summarized;
+        let mut resized = Vec::new();
+        for &i in held {
+            let base = &self.bases[i as usize];
+            // `from` joins the vertices already labelled `to`, and
+            // leaves those an accepted mapping labelled `from`; with
+            // neither kind present the trial only renames a label
+            // class, and the partition — so the size — stays.
+            let regroups = base
+                .alphabet
+                .iter()
+                .any(|&x| x != from && (self.map[x.index()] == to || self.map[x.index()] == from));
+            if !regroups {
+                continue;
+            }
+            let size = generalized_size(&base.graph, self.dir, |l| {
+                if l == from {
+                    to
+                } else {
+                    self.map[l.index()]
+                }
+            });
+            summarized = summarized - base.weight * base.size + base.weight * size;
+            resized.push((i, size));
+        }
+        Trial {
+            ratio: pooled_ratio(summarized, self.original),
+            summarized,
+            resized,
+        }
+    }
+
+    /// Makes `from → to` part of the accepted configuration; `trial`
+    /// is what [`IncrementalEstimate::trial`] returned for it.
+    pub fn accept(&mut self, from: LabelId, to: LabelId, trial: Trial) {
+        if let Some(slot) = self.map.get_mut(from.index()) {
+            *slot = to;
+        }
+        self.summarized = trial.summarized;
+        for (i, size) in trial.resized {
+            self.bases[i as usize].size = size;
         }
     }
 }

@@ -133,19 +133,25 @@ impl GenConfig {
         map
     }
 
-    /// Extends this configuration with `other`'s mappings (sources not
-    /// already mapped). Used by the greedy construction (Algo. 1).
+    /// Adds `from → to` unless `from` is already mapped; returns whether
+    /// it was added. The pair is not checked against an ontology — the
+    /// greedy construction (Algo. 1) draws its pairs from one.
     pub fn insert(&mut self, from: LabelId, to: LabelId) -> bool {
-        if self
-            .mappings
-            .binary_search_by_key(&from, |&(f, _)| f)
-            .is_ok()
-        {
-            return false;
+        match self.mappings.binary_search_by_key(&from, |&(f, _)| f) {
+            Ok(_) => false,
+            Err(at) => {
+                self.mappings.insert(at, (from, to));
+                true
+            }
         }
-        self.mappings.push((from, to));
-        self.mappings.sort_unstable();
-        true
+    }
+
+    /// Drops `from`'s mapping, if any — Algo. 1 undoing the trial that
+    /// overshot `θ`.
+    pub(crate) fn remove(&mut self, from: LabelId) {
+        if let Ok(at) = self.mappings.binary_search_by_key(&from, |&(f, _)| f) {
+            self.mappings.remove(at);
+        }
     }
 }
 

@@ -43,28 +43,16 @@ impl Default for CostParams {
     }
 }
 
-/// Formula 3 with an estimated compression ratio.
+/// Formula 3 with an estimated compression ratio (all of the
+/// estimator's samples).
 pub fn construction_cost(
     estimator: &CompressEstimator,
     support: &LabelSupport,
     config: &GenConfig,
     alpha: f64,
 ) -> f64 {
-    construction_cost_capped(estimator, support, config, alpha, usize::MAX)
-}
-
-/// [`construction_cost`] with a cap on the number of samples used for
-/// the compression estimate (the greedy construction's fast path).
-pub fn construction_cost_capped(
-    estimator: &CompressEstimator,
-    support: &LabelSupport,
-    config: &GenConfig,
-    alpha: f64,
-    max_samples: usize,
-) -> f64 {
     debug_assert!((0.0..=1.0).contains(&alpha));
-    alpha * estimator.estimate_on(config, max_samples)
-        + (1.0 - alpha) * graph_distortion(config, support)
+    construction_cost_with_compress(estimator.estimate(config), support, config, alpha)
 }
 
 /// Formula 3 with a precomputed compression ratio (exact or estimated).

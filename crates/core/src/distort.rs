@@ -13,15 +13,20 @@
 use crate::config::GenConfig;
 use bgi_graph::stats::LabelSupport;
 use bgi_graph::LabelId;
+use rustc_hash::FxHashMap;
 
-/// Per-label distortion `1 − 1/|X_ℓ|`; 0 for unmapped labels.
-pub fn label_distortion(config: &GenConfig, l: LabelId) -> f64 {
-    let cohort = config.cohort_size(l);
+/// `1 − 1/|X_ℓ|` for a cohort of `cohort` labels; 0 for none.
+fn cohort_distortion(cohort: usize) -> f64 {
     if cohort == 0 {
         0.0
     } else {
         1.0 - 1.0 / cohort as f64
     }
+}
+
+/// Per-label distortion `1 − 1/|X_ℓ|`; 0 for unmapped labels.
+pub fn label_distortion(config: &GenConfig, l: LabelId) -> f64 {
+    cohort_distortion(config.cohort_size(l))
 }
 
 /// Unweighted ("basic") distortion: mean of per-label distortions over
@@ -43,11 +48,17 @@ pub fn graph_distortion(config: &GenConfig, support: &LabelSupport) -> f64 {
     if config.is_empty() {
         return 0.0;
     }
+    // Cohort sizes counted once per target: Algo. 1 asks for this sum
+    // once per accepted mapping, over a configuration that keeps growing.
+    let mut cohorts: FxHashMap<LabelId, usize> = FxHashMap::default();
+    for &(_, to) in config.mappings() {
+        *cohorts.entry(to).or_insert(0) += 1;
+    }
     let mut weighted = 0.0;
     let mut total_support = 0.0;
-    for l in config.domain() {
+    for &(l, to) in config.mappings() {
         let s = support.support(l);
-        weighted += label_distortion(config, l) * s;
+        weighted += cohort_distortion(cohorts[&to]) * s;
         total_support += s;
     }
     if total_support == 0.0 {

@@ -9,17 +9,48 @@
 
 use crate::compress::CompressEstimator;
 use crate::config::GenConfig;
-use crate::cost::{construction_cost_capped, CostParams};
+use crate::cost::{construction_cost_with_compress, CostParams};
 use bgi_graph::par::par_map;
 use bgi_graph::stats::LabelSupport;
 use bgi_graph::{DiGraph, LabelId, Ontology};
 
-/// Samples used to rank singleton candidates (ordering only).
-const RANK_SAMPLES: usize = 64;
-/// Samples used for the acceptance checks of Algo. 1's loop.
-const ACCEPT_SAMPLES: usize = 64;
+/// Samples Algo. 1 reads, for ranking and for acceptance alike: the
+/// first this many of the estimator's (ordering is all the greedy
+/// search needs of the estimate, and a capped sample set keeps the
+/// loop linear in practice).
+pub const ALGO1_SAMPLES: usize = 64;
 
-/// Runs Algo. 1: returns the greedy configuration for one layer.
+/// What one run of Algo. 1 did, counted rather than timed: the numbers
+/// repeat exactly across runs, machines and thread counts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Algo1Work {
+    /// Single-mapping candidates `(ℓ → ℓ′)` ranked.
+    pub candidates: usize,
+    /// Sample bisimulations computed: one per distinct sample up front,
+    /// then one per (trial, distinct sample the trial can change).
+    pub sample_evals: usize,
+    /// Sample bisimulations a from-scratch pass over the samples would
+    /// have run and this one did not: repeats of a sample, and samples
+    /// whose cached `|χ(s, C)|` a trial leaves valid.
+    pub sample_evals_skipped: usize,
+}
+
+impl Algo1Work {
+    /// The field-wise sum over `layers` (a build runs Algo. 1 once per
+    /// layer).
+    pub fn total(layers: &[Algo1Work]) -> Algo1Work {
+        layers
+            .iter()
+            .fold(Algo1Work::default(), |sum, w| Algo1Work {
+                candidates: sum.candidates + w.candidates,
+                sample_evals: sum.sample_evals + w.sample_evals,
+                sample_evals_skipped: sum.sample_evals_skipped + w.sample_evals_skipped,
+            })
+    }
+}
+
+/// Runs Algo. 1: returns the greedy configuration for one layer and
+/// the work it took.
 ///
 /// `estimator` carries the sampled subgraphs used for compression
 /// estimates; `support` the label supports of `g`.
@@ -29,13 +60,13 @@ pub fn greedy_configuration(
     estimator: &CompressEstimator,
     support: &LabelSupport,
     params: &CostParams,
-) -> GenConfig {
+) -> (GenConfig, Algo1Work) {
     greedy_configuration_threaded(g, ontology, estimator, support, params, 1)
 }
 
-/// [`greedy_configuration`] with the candidate-ranking pass — the bulk
-/// of Algo. 1's cost, one compression estimate per `(ℓ → ℓ')` pair —
-/// fanned out over up to `threads` scoped workers.
+/// [`greedy_configuration`] with the candidate-ranking pass — one
+/// compression estimate per `(ℓ → ℓ')` pair — fanned out over up to
+/// `threads` scoped workers.
 ///
 /// Each candidate's estimated cost is independent of every other's, and
 /// results are collected back in candidate order before the (inherently
@@ -48,7 +79,31 @@ pub fn greedy_configuration_threaded(
     support: &LabelSupport,
     params: &CostParams,
     threads: usize,
-) -> GenConfig {
+) -> (GenConfig, Algo1Work) {
+    greedy_observed(g, ontology, estimator, support, params, threads, |_| {})
+}
+
+/// One Formula 3 cost Algo. 1 computed, in the order it computed them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Costed {
+    /// `{ℓ → ℓ′}` alone, in the ranking pass (reported in rank order).
+    Ranked(LabelId, LabelId, f64),
+    /// The accepted configuration plus `ℓ → ℓ′`, in the acceptance loop.
+    Tried(LabelId, LabelId, f64),
+}
+
+/// [`greedy_configuration_threaded`], reporting every cost to
+/// `observe` (the differential test's window; a no-op in production).
+pub(crate) fn greedy_observed(
+    g: &DiGraph,
+    ontology: &Ontology,
+    estimator: &CompressEstimator,
+    support: &LabelSupport,
+    params: &CostParams,
+    threads: usize,
+    mut observe: impl FnMut(Costed),
+) -> (GenConfig, Algo1Work) {
+    debug_assert!((0.0..=1.0).contains(&params.alpha));
     // Candidate single-mapping generalizations: every label present in
     // the graph paired with each of its direct supertypes.
     let counts = g.label_counts();
@@ -65,20 +120,40 @@ pub fn greedy_configuration_threaded(
             pairs.push((l, sup));
         }
     }
-    let costs = par_map(threads, pairs.len(), |i| {
+    let mut estimate = estimator.incremental(ALGO1_SAMPLES);
+    let samples = estimate.num_samples();
+    let mut work = Algo1Work {
+        candidates: pairs.len(),
+        sample_evals: estimate.num_distinct(),
+        sample_evals_skipped: samples - estimate.num_distinct(),
+    };
+    let mut count = |evaluated: usize| {
+        work.sample_evals += evaluated;
+        work.sample_evals_skipped += samples - evaluated;
+    };
+
+    let ranked = par_map(threads, pairs.len(), |i| {
         let (l, sup) = pairs[i];
-        let single =
-            GenConfig::new([(l, sup)], ontology).expect("direct supertype by construction");
-        construction_cost_capped(estimator, support, &single, params.alpha, RANK_SAMPLES)
+        let trial = estimate.trial(l, sup);
+        // Every pair is a direct-supertype edge of the ontology, so the
+        // one-mapping configuration needs no validation.
+        let mut single = GenConfig::empty();
+        single.insert(l, sup);
+        let cost = construction_cost_with_compress(trial.ratio, support, &single, params.alpha);
+        (cost, trial.evaluated())
     });
-    let mut candidates: Vec<(f64, LabelId, LabelId)> = costs
-        .into_iter()
-        .zip(&pairs)
-        .map(|(cost, &(l, sup))| (cost, l, sup))
-        .collect();
+    let mut candidates: Vec<(f64, LabelId, LabelId)> = Vec::with_capacity(pairs.len());
+    for (&(l, sup), (cost, evaluated)) in pairs.iter().zip(ranked) {
+        count(evaluated);
+        candidates.push((cost, l, sup));
+    }
     // Priority order: ascending estimated cost (ties by label for
-    // determinism).
-    candidates.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+    // determinism; the sort is stable, so a label's supertypes keep the
+    // ontology's order).
+    candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    for &(cost, l, sup) in &candidates {
+        observe(Costed::Ranked(l, sup, cost));
+    }
 
     let mut config = GenConfig::empty();
     for (_, l, sup) in candidates {
@@ -90,18 +165,20 @@ pub fn greedy_configuration_threaded(
         if config.apply(l) != l {
             continue;
         }
-        let mut trial = config.clone();
-        trial.insert(l, sup);
-        let cost =
-            construction_cost_capped(estimator, support, &trial, params.alpha, ACCEPT_SAMPLES);
+        let trial = estimate.trial(l, sup);
+        count(trial.evaluated());
+        config.insert(l, sup);
+        let cost = construction_cost_with_compress(trial.ratio, support, &config, params.alpha);
+        observe(Costed::Tried(l, sup, cost));
         if cost <= params.theta {
-            config = trial;
+            estimate.accept(l, sup, trial);
         } else {
             // Algo. 1 returns as soon as a candidate overshoots θ.
-            return config;
+            config.remove(l);
+            break;
         }
     }
-    config
+    (config, work)
 }
 
 #[cfg(test)]
@@ -147,7 +224,7 @@ mod tests {
         let (g, o) = setup();
         let est = estimator(&g);
         let support = LabelSupport::new(&g);
-        let config = greedy_configuration(&g, &o, &est, &support, &CostParams::default());
+        let (config, _) = greedy_configuration(&g, &o, &est, &support, &CostParams::default());
         assert_eq!(config.apply(LabelId(1)), LabelId(0));
         assert_eq!(config.apply(LabelId(2)), LabelId(0));
     }
@@ -167,7 +244,7 @@ mod tests {
                 &CostParams::default(),
                 threads,
             );
-            assert_eq!(serial.mappings(), parallel.mappings(), "{threads} threads");
+            assert_eq!(serial, parallel, "{threads} threads");
         }
     }
 
@@ -180,7 +257,7 @@ mod tests {
             pi: 1,
             ..CostParams::default()
         };
-        let config = greedy_configuration(&g, &o, &est, &support, &params);
+        let (config, _) = greedy_configuration(&g, &o, &est, &support, &params);
         assert_eq!(config.len(), 1);
     }
 
@@ -193,7 +270,7 @@ mod tests {
             theta: 0.0,
             ..CostParams::default()
         };
-        let config = greedy_configuration(&g, &o, &est, &support, &params);
+        let (config, _) = greedy_configuration(&g, &o, &est, &support, &params);
         assert!(config.is_empty());
     }
 
@@ -203,7 +280,7 @@ mod tests {
         let o = OntologyBuilder::new(3).build().unwrap(); // flat ontology
         let est = estimator(&g);
         let support = LabelSupport::new(&g);
-        let config = greedy_configuration(&g, &o, &est, &support, &CostParams::default());
+        let (config, _) = greedy_configuration(&g, &o, &est, &support, &CostParams::default());
         assert!(config.is_empty());
     }
 
@@ -217,7 +294,7 @@ mod tests {
         let (_, o) = setup();
         let est = estimator(&g);
         let support = LabelSupport::new(&g);
-        let config = greedy_configuration(&g, &o, &est, &support, &CostParams::default());
+        let (config, _) = greedy_configuration(&g, &o, &est, &support, &CostParams::default());
         assert!(config.is_empty());
     }
 }

@@ -9,7 +9,7 @@
 use crate::compress::CompressEstimator;
 use crate::config::GenConfig;
 use crate::cost::CostParams;
-use crate::heuristic::greedy_configuration_threaded;
+use crate::heuristic::{greedy_configuration_threaded, Algo1Work, ALGO1_SAMPLES};
 use crate::layer::Layer;
 use bgi_bisim::kbisim::k_bisimulation;
 use bgi_bisim::{maximal_bisimulation, summarize, BisimDirection};
@@ -38,7 +38,9 @@ pub enum Summarizer {
 pub struct BuildParams {
     /// Cost-model weights and Algo. 1 thresholds.
     pub cost: CostParams,
-    /// Subgraph sampling for compression estimation.
+    /// Subgraph sampling for compression estimation. Algo. 1 reads the
+    /// first [`ALGO1_SAMPLES`] samples, so a build draws
+    /// `min(num_samples, ALGO1_SAMPLES)` — the same balls either way.
     pub sampling: SamplingParams,
     /// Bisimulation direction used by the summarizer.
     pub direction: BisimDirection,
@@ -94,18 +96,32 @@ pub struct BiGIndex {
 impl BiGIndex {
     /// Builds the index with Algo. 1 choosing each layer's configuration.
     pub fn build(g: DiGraph, ontology: Ontology, params: &BuildParams) -> Self {
+        Self::build_counted(g, ontology, params).0
+    }
+
+    /// [`BiGIndex::build`], also returning what Algo. 1 did for each
+    /// layer it was run for (one entry more than the layers kept when
+    /// the last run's layer was dropped).
+    pub fn build_counted(
+        g: DiGraph,
+        ontology: Ontology,
+        params: &BuildParams,
+    ) -> (Self, Vec<Algo1Work>) {
         let direction = params.direction;
+        // Algo. 1 reads the first `ALGO1_SAMPLES` samples; per-sample
+        // seeding makes those the same balls whatever the count drawn.
+        let sampling = SamplingParams {
+            num_samples: params.sampling.num_samples.min(ALGO1_SAMPLES),
+            ..params.sampling
+        };
         let mut layers: Vec<Layer> = Vec::new();
+        let mut work: Vec<Algo1Work> = Vec::new();
         let mut current = g.clone();
         for layer_no in 0..params.max_layers {
-            let estimator = CompressEstimator::new_threaded(
-                &current,
-                &params.sampling,
-                direction,
-                params.threads,
-            );
+            let estimator =
+                CompressEstimator::new_threaded(&current, &sampling, direction, params.threads);
             let support = LabelSupport::new(&current);
-            let config = greedy_configuration_threaded(
+            let (config, counted) = greedy_configuration_threaded(
                 &current,
                 &ontology,
                 &estimator,
@@ -113,6 +129,7 @@ impl BiGIndex {
                 &params.cost,
                 params.threads,
             );
+            work.push(counted);
             if config.is_empty() && layer_no > 0 {
                 // Nothing left to generalize; a first layer with an empty
                 // config is still useful (pure bisimulation).
@@ -136,7 +153,8 @@ impl BiGIndex {
                 break;
             }
         }
-        Self::assemble(g, ontology, layers, direction, params.summarizer)
+        let index = Self::assemble(g, ontology, layers, direction, params.summarizer);
+        (index, work)
     }
 
     /// Builds the index from explicit per-layer configurations

@@ -49,6 +49,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod algo1_reference;
 pub mod ans_gen;
 pub mod boost;
 pub mod compress;
