@@ -4,7 +4,7 @@
 //! Figs. 17–18.
 
 use bgi_graph::{GraphBuilder, LabelId, VId};
-use bgi_search::AnswerGraph;
+use bgi_search::{AnswerGraph, Budget};
 use big_index::ans_gen::vertex_answer_generation;
 use big_index::path_gen::path_answer_generation;
 use big_index::spec::SpecializedAnswer;
@@ -51,21 +51,24 @@ fn scenario(width: usize) -> (bgi_graph::DiGraph, AnswerGraph, SpecializedAnswer
 }
 
 fn bench_realizers(c: &mut Criterion) {
+    let budget = Budget::unlimited();
     let mut group = c.benchmark_group("answer_generation");
     for width in [10usize, 100, 1000] {
         let (base, answer, spec) = scenario(width);
         group.bench_with_input(BenchmarkId::new("algo3_ordered", width), &width, |b, _| {
-            b.iter(|| vertex_answer_generation(&base, &answer, &spec, true, usize::MAX));
+            b.iter(|| vertex_answer_generation(&base, &answer, &spec, true, usize::MAX, &budget));
         });
         group.bench_with_input(
             BenchmarkId::new("algo3_unordered", width),
             &width,
             |b, _| {
-                b.iter(|| vertex_answer_generation(&base, &answer, &spec, false, usize::MAX));
+                b.iter(|| {
+                    vertex_answer_generation(&base, &answer, &spec, false, usize::MAX, &budget)
+                });
             },
         );
         group.bench_with_input(BenchmarkId::new("algo4_paths", width), &width, |b, _| {
-            b.iter(|| path_answer_generation(&base, &answer, &spec, usize::MAX));
+            b.iter(|| path_answer_generation(&base, &answer, &spec, usize::MAX, &budget));
         });
     }
     group.finish();
@@ -73,12 +76,13 @@ fn bench_realizers(c: &mut Criterion) {
 
 fn bench_early_termination(c: &mut Criterion) {
     let (base, answer, spec) = scenario(1000);
+    let budget = Budget::unlimited();
     let mut group = c.benchmark_group("answer_generation_topk");
     group.bench_function("algo4_all", |b| {
-        b.iter(|| path_answer_generation(&base, &answer, &spec, usize::MAX));
+        b.iter(|| path_answer_generation(&base, &answer, &spec, usize::MAX, &budget));
     });
     group.bench_function("algo4_top1", |b| {
-        b.iter(|| path_answer_generation(&base, &answer, &spec, 1));
+        b.iter(|| path_answer_generation(&base, &answer, &spec, 1, &budget));
     });
     group.finish();
 }

@@ -457,22 +457,25 @@ fn parse_request(ds: &Dataset, line: &str) -> Result<QueryRequest, String> {
         let (key, value) = opt
             .split_once('=')
             .ok_or_else(|| format!("bad option '{opt}' (want key=value)"))?;
-        let parse = |v: &str| -> Result<u64, String> {
-            v.parse().map_err(|_| format!("bad value in '{opt}'"))
-        };
         match key {
-            "dmax" => req.dmax = parse(value)? as u32,
-            "k" => req.k = parse(value)? as usize,
-            "layer" => req.layer = Some(parse(value)? as usize),
-            "deadline_ms" => req.deadline = Some(Duration::from_millis(parse(value)?)),
+            "dmax" => req.dmax = parse_value(opt, value)?,
+            "k" => req.k = parse_value(opt, value)?,
+            "layer" => req.layer = Some(parse_value(opt, value)?),
+            "deadline_ms" => req.deadline = Some(Duration::from_millis(parse_value(opt, value)?)),
             "soft_deadline_ms" => {
-                req.soft_deadline = Some(Duration::from_millis(parse(value)?));
+                req.soft_deadline = Some(Duration::from_millis(parse_value(opt, value)?));
             }
-            "min_results" => req.min_results = parse(value)? as usize,
+            "min_results" => req.min_results = parse_value(opt, value)?,
             other => return Err(format!("unknown option '{other}'")),
         }
     }
     Ok(req)
+}
+
+/// Parses an option's value straight into the field's own integer
+/// type, so a value the field cannot hold is an error, never a wrap.
+fn parse_value<T: std::str::FromStr>(opt: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("bad value in '{opt}'"))
 }
 
 /// Formats a service outcome as one protocol line.
@@ -1212,4 +1215,48 @@ fn cmd_query(args: &[String]) -> CliResult {
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_request_rejects_values_the_field_cannot_hold() {
+        let ds = DatasetSpec::yago_like(60).generate();
+        let kw = ds
+            .labels
+            .name(ds.graph.label(bgi_graph::VId(0)))
+            .to_string();
+        let parse = |opts: &str| parse_request(&ds, &format!("bkws {kw} {opts}"));
+
+        // One past u32::MAX used to be served as dmax=1.
+        assert_eq!(
+            parse("dmax=4294967297").unwrap_err(),
+            "bad value in 'dmax=4294967297'"
+        );
+        assert_eq!(parse("dmax=4294967295").unwrap().dmax, u32::MAX);
+        assert_eq!(parse("dmax=-1").unwrap_err(), "bad value in 'dmax=-1'");
+
+        // The usize fields hold u64::MAX on 64-bit and refuse it
+        // elsewhere; either way the value never wraps.
+        let max = u64::MAX.to_string();
+        for key in ["k", "layer", "min_results"] {
+            let opt = format!("{key}={max}");
+            match parse(&opt) {
+                Ok(req) => {
+                    let got = match key {
+                        "k" => req.k,
+                        "layer" => req.layer.unwrap(),
+                        _ => req.min_results,
+                    };
+                    assert_eq!(got as u64, u64::MAX, "{opt}");
+                }
+                Err(e) => assert_eq!(e, format!("bad value in '{opt}'")),
+            }
+            let over = format!("{key}=18446744073709551616");
+            assert_eq!(parse(&over).unwrap_err(), format!("bad value in '{over}'"));
+        }
+        assert_eq!(parse("foo=bar").unwrap_err(), "unknown option 'foo'");
+    }
 }

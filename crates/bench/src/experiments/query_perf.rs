@@ -8,8 +8,8 @@ use bgi_datasets::DatasetSpec;
 use bgi_graph::{DiGraph, VId};
 use bgi_search::blinks::{Blinks, BlinksParams};
 use bgi_search::rclique::{NeighborIndex, RCliqueIndex};
-use bgi_search::{AnswerGraph, KeywordQuery, KeywordSearch, RClique};
-use big_index::eval::{eval_at_layer, eval_ont, EvalResult, RealizerKind};
+use bgi_search::{AnswerGraph, Budget, KeywordQuery, KeywordSearch, RClique};
+use big_index::eval::{eval_query, EvalResult, RealizerKind};
 use big_index::{Boosted, EvalOptions};
 use std::time::Duration;
 
@@ -70,14 +70,17 @@ pub fn rclique_rows(wb: &Workbench) -> (Vec<QueryPerfRow>, usize) {
         wb,
         |q| rc.search(wb.index.base(), &layer_indexes[0], q, TOP_K),
         |q| {
-            let attempt = eval_ont(&wb.index, &rc, &layer_indexes, q, TOP_K, &opts);
-            if attempt.layer == 0 || !attempt.answers.is_empty() {
-                return attempt;
-            }
-            let mut fallback = eval_at_layer(&wb.index, &rc, &layer_indexes[0], q, TOP_K, 0, &opts);
-            fallback.timings.absorb(&attempt.timings);
-            fallback.fell_back = true;
-            fallback
+            eval_query(
+                &wb.index,
+                &rc,
+                &layer_indexes,
+                q,
+                TOP_K,
+                None,
+                &opts,
+                &Budget::unlimited(),
+            )
+            .expect("an unlimited budget never interrupts")
         },
     );
     let resident = layer_indexes

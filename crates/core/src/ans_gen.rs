@@ -28,29 +28,10 @@ pub struct GenStats {
 ///   order (the Sec. 4.3.2 optimization) instead of natural order.
 /// * `limit` — stop after producing this many answers (top-k early
 ///   termination, Sec. 4.3.4).
+///
+/// The DFS checks `budget` once per enumeration step, so a deadline
+/// interrupts even when the candidate cross-product explodes.
 pub fn vertex_answer_generation(
-    base: &DiGraph,
-    answer: &AnswerGraph,
-    spec: &SpecializedAnswer,
-    use_spec_order: bool,
-    limit: usize,
-) -> (Vec<AnswerGraph>, GenStats) {
-    // The Err arm is unreachable: an unlimited budget never interrupts.
-    vertex_answer_generation_budgeted(
-        base,
-        answer,
-        spec,
-        use_spec_order,
-        limit,
-        &Budget::unlimited(),
-    )
-    .unwrap_or_default()
-}
-
-/// [`vertex_answer_generation`] under a cooperative [`Budget`]: the DFS
-/// checks the budget once per enumeration step, so a deadline interrupts
-/// even when the candidate cross-product explodes.
-pub fn vertex_answer_generation_budgeted(
     base: &DiGraph,
     answer: &AnswerGraph,
     spec: &SpecializedAnswer,
@@ -192,6 +173,25 @@ mod tests {
         base: DiGraph,
         answer: AnswerGraph,
         spec: SpecializedAnswer,
+    }
+
+    /// `super::vertex_answer_generation` with no budget.
+    fn vertex_answer_generation(
+        base: &DiGraph,
+        answer: &AnswerGraph,
+        spec: &SpecializedAnswer,
+        use_spec_order: bool,
+        limit: usize,
+    ) -> (Vec<AnswerGraph>, GenStats) {
+        super::vertex_answer_generation(
+            base,
+            answer,
+            spec,
+            use_spec_order,
+            limit,
+            &Budget::unlimited(),
+        )
+        .expect("an unlimited budget never interrupts")
     }
 
     fn scenario() -> Scenario {

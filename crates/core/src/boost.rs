@@ -7,10 +7,12 @@
 //! realization, per Sec. 5.2's "identical to Sec. 5.1" answer
 //! generation; see [`boost_dkws`]).
 
-use crate::eval::{eval_at_layer, eval_at_layer_budgeted, EvalOptions, EvalResult, RealizerKind};
+use crate::eval::{eval_query, EvalOptions, EvalResult, EvalStats, RealizerKind, StepTimings};
 use crate::index::BiGIndex;
 use crate::query_gen::optimal_layer;
-use bgi_search::{AnswerGraph, Budget, Interrupted, KeywordQuery, KeywordSearch, RClique};
+use bgi_search::{
+    AnswerGraph, Budget, Completeness, Interrupted, KeywordQuery, KeywordSearch, RClique,
+};
 use std::time::{Duration, Instant};
 
 /// A keyword search algorithm boosted by a BiG-index.
@@ -50,76 +52,40 @@ impl<'a, F: KeywordSearch> Boosted<'a, F> {
         optimal_layer(self.index, query, self.opts.beta)
     }
 
-    /// Evaluates `query` at the cost-optimal layer (the full Algo. 2).
-    ///
-    /// If the summary-layer evaluation realizes *no* final answer —
-    /// heavy distortion can prune every candidate (see the correctness
-    /// contract in [`crate::eval`]) — the query falls back to the data
-    /// graph so no baseline-findable answer is ever lost; the wasted
-    /// summary work is charged to the returned timings.
+    /// Evaluates `query` at the cost-optimal layer with the layer-0
+    /// fallback — the full Algo. 2, [`eval_query`] with no budget.
     pub fn query(&self, query: &KeywordQuery, k: usize) -> EvalResult {
-        let m = self.chosen_layer(query);
-        let attempt = self.query_at_layer(query, k, m);
-        if m == 0 || !attempt.answers.is_empty() {
-            return attempt;
-        }
-        let mut fallback = self.query_at_layer(query, k, 0);
-        fallback.timings.absorb(&attempt.timings);
-        fallback.fell_back = true;
-        fallback
+        self.run(query, k, None)
     }
 
-    /// [`Boosted::query`] under a cooperative [`Budget`]: the whole
-    /// pipeline — including a possible layer-0 fallback — checks the
-    /// budget and returns [`Interrupted`] on a deadline or cancellation.
-    pub fn query_budgeted(
-        &self,
-        query: &KeywordQuery,
-        k: usize,
-        budget: &Budget,
-    ) -> Result<EvalResult, Interrupted> {
-        let m = self.chosen_layer(query);
-        let attempt = self.query_at_layer_budgeted(query, k, m, budget)?;
-        if m == 0 || !attempt.answers.is_empty() {
-            return Ok(attempt);
-        }
-        let mut fallback = self.query_at_layer_budgeted(query, k, 0, budget)?;
-        fallback.timings.absorb(&attempt.timings);
-        fallback.fell_back = true;
-        Ok(fallback)
-    }
-
-    /// Evaluates `query` at an explicit layer `m` (Fig. 19's sweep).
+    /// Evaluates `query` at an explicit layer `m` (Fig. 19's sweep);
+    /// never falls back.
     pub fn query_at_layer(&self, query: &KeywordQuery, k: usize, m: usize) -> EvalResult {
-        eval_at_layer(
-            self.index,
-            &self.algo,
-            &self.layer_indexes[m],
-            query,
-            k,
-            m,
-            &self.opts,
-        )
+        self.run(query, k, Some(m))
     }
 
-    /// [`Boosted::query_at_layer`] under a cooperative [`Budget`].
-    pub fn query_at_layer_budgeted(
-        &self,
-        query: &KeywordQuery,
-        k: usize,
-        m: usize,
-        budget: &Budget,
-    ) -> Result<EvalResult, Interrupted> {
-        eval_at_layer_budgeted(
+    fn run(&self, query: &KeywordQuery, k: usize, layer: Option<usize>) -> EvalResult {
+        match eval_query(
             self.index,
             &self.algo,
-            &self.layer_indexes[m],
+            &self.layer_indexes,
             query,
             k,
-            m,
+            layer,
             &self.opts,
-            budget,
-        )
+            &Budget::unlimited(),
+        ) {
+            Ok(r) => r,
+            // Unreachable: an unlimited budget never interrupts.
+            Err(Interrupted) => EvalResult {
+                answers: Vec::new(),
+                layer: layer.unwrap_or(0),
+                timings: StepTimings::default(),
+                stats: EvalStats::default(),
+                fell_back: false,
+                completeness: Completeness::Exact,
+            },
+        }
     }
 
     /// Runs the *unboosted* baseline: `f` directly on the data graph with
@@ -234,27 +200,6 @@ mod tests {
         assert_eq!(boosted.chosen_layer(&q), 0);
         let result = boosted.query(&q, 10);
         assert_eq!(result.layer, 0);
-    }
-
-    #[test]
-    fn fallback_recovers_answers_lost_to_distortion() {
-        // Ontology: 0 ⊐ {1, 2}. Graph: one label-1 vertex deep behind a
-        // chain, many label-2 vertices near the hub. Querying label 1
-        // forces realization failures at layer 1 for the label-2
-        // specializations; if everything fails the fallback must kick in.
-        let idx = indexed();
-        let boosted = Boosted::new(&idx, Banks, EvalOptions::default());
-        // A keyword with no matches at all: both baseline and boosted
-        // return empty, and the fallback marks the retry.
-        let q = KeywordQuery::new(vec![LabelId(1), LabelId(3)], 2);
-        let r = boosted.query(&q, 5);
-        // Either the summary layer answered directly or the fallback did;
-        // in both cases the result matches the baseline's top-5.
-        let (baseline, _) = boosted.baseline(&q, 5);
-        assert_eq!(r.answers.len(), baseline.len());
-        if r.fell_back {
-            assert_eq!(r.layer, 0);
-        }
     }
 
     #[test]

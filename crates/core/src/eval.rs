@@ -26,11 +26,11 @@
 //! paper's candidate filtering does; the integration tests pin down both
 //! regimes.
 
-use crate::ans_gen::{vertex_answer_generation_budgeted, GenStats};
+use crate::ans_gen::{vertex_answer_generation, GenStats};
 use crate::index::BiGIndex;
-use crate::path_gen::path_answer_generation_budgeted;
+use crate::path_gen::path_answer_generation;
 use crate::query_gen::{generalize_query, optimal_layer};
-use crate::spec::{specialize_answer_budgeted, SpecializedAnswer};
+use crate::spec::{specialize_answer, SpecializedAnswer};
 use bgi_graph::{DiGraph, VId};
 use bgi_search::answer::rank_and_truncate;
 use bgi_search::{AnswerGraph, Budget, Completeness, Interrupted, KeywordQuery, KeywordSearch};
@@ -145,77 +145,21 @@ pub struct EvalResult {
     /// Candidate/pruning counters.
     pub stats: EvalStats,
     /// True if a summary-layer attempt produced nothing and the query
-    /// was re-evaluated on the data graph (see `Boosted::query`).
+    /// was re-evaluated on the data graph (see [`eval_query`]).
     pub fell_back: bool,
     /// Whether the run finished exactly or returned best-effort answers
     /// after its budget ran out (see [`Completeness`]).
     pub completeness: Completeness,
 }
 
-/// Runs `eval_Ont` at an explicit layer `m` (Algo. 2 with `m` given).
-pub fn eval_at_layer<F: KeywordSearch>(
-    index: &BiGIndex,
-    algo: &F,
-    layer_index: &F::Index,
-    query: &KeywordQuery,
-    k: usize,
-    m: usize,
-    opts: &EvalOptions,
-) -> EvalResult {
-    match eval_at_layer_budgeted(
-        index,
-        algo,
-        layer_index,
-        query,
-        k,
-        m,
-        opts,
-        &Budget::unlimited(),
-    ) {
-        Ok(r) => r,
-        // Unreachable: an unlimited budget never interrupts.
-        Err(Interrupted) => EvalResult {
-            answers: Vec::new(),
-            layer: m,
-            timings: StepTimings::default(),
-            stats: EvalStats::default(),
-            fell_back: false,
-            completeness: Completeness::Exact,
-        },
-    }
-}
-
-/// [`eval_at_layer`] under a cooperative [`Budget`]: every pipeline step
-/// (plugged-in search, specialization, answer generation, distance
-/// verification) checks the budget inside its loops, so a deadline or a
-/// raised cancel flag interrupts the query mid-flight with
-/// [`Interrupted`] instead of running to completion.
-///
-/// This is the all-or-nothing view of [`eval_at_layer_anytime`]: a run
-/// that was cut short — even one holding usable best-effort answers — is
-/// reported as [`Interrupted`].
-#[allow(clippy::too_many_arguments)]
-pub fn eval_at_layer_budgeted<F: KeywordSearch>(
-    index: &BiGIndex,
-    algo: &F,
-    layer_index: &F::Index,
-    query: &KeywordQuery,
-    k: usize,
-    m: usize,
-    opts: &EvalOptions,
-    budget: &Budget,
-) -> Result<EvalResult, Interrupted> {
-    let r = eval_at_layer_anytime(index, algo, layer_index, query, k, m, opts, budget)?;
-    if r.completeness.is_exact() {
-        Ok(r)
-    } else {
-        Err(Interrupted)
-    }
-}
-
-/// [`eval_at_layer`] as an *anytime* pipeline: on budget exhaustion the
-/// run returns whatever final answers it has, marked with a non-exact
-/// [`Completeness`], instead of discarding them.
+/// Runs `eval_Ont` at an explicit layer `m` (Algo. 2 with `m` given)
+/// under a cooperative [`Budget`]: every pipeline step (plugged-in
+/// search, specialization, answer generation, distance verification)
+/// checks the budget inside its loops. The pipeline is *anytime*: on
+/// budget exhaustion the run returns whatever final answers it has,
+/// marked with a non-exact [`Completeness`], instead of discarding
+/// them; the strict all-or-nothing view is
+/// `result.completeness.is_exact()`.
 ///
 /// * `m == 0` — the plugged-in algorithm's own anytime search runs and
 ///   its completeness (including the r-clique optimality bound) passes
@@ -232,7 +176,7 @@ pub fn eval_at_layer_budgeted<F: KeywordSearch>(
 /// `Err(Interrupted)` means the budget ran out before *any* final
 /// answer was produced.
 #[allow(clippy::too_many_arguments)]
-pub fn eval_at_layer_anytime<F: KeywordSearch>(
+pub fn eval_at_layer<F: KeywordSearch>(
     index: &BiGIndex,
     algo: &F,
     layer_index: &F::Index,
@@ -316,14 +260,7 @@ pub fn eval_at_layer_anytime<F: KeywordSearch>(
         stats.partials_created = 0;
         for ga in &generalized {
             let t = Instant::now();
-            let spec = specialize_answer_budgeted(
-                index,
-                query,
-                ga,
-                m,
-                opts.early_keyword_spec,
-                step_budget,
-            );
+            let spec = specialize_answer(index, query, ga, m, opts.early_keyword_spec, step_budget);
             timings.spec_prune += t.elapsed();
             let spec = match spec {
                 Ok(s) => s,
@@ -392,7 +329,7 @@ pub fn eval_at_layer_anytime<F: KeywordSearch>(
 }
 
 /// Materializes one specialized generalized answer with the configured
-/// realizer (the Step-4 dispatch shared by exact and anytime runs).
+/// realizer (Step 4).
 #[allow(clippy::too_many_arguments)]
 fn realize_one(
     index: &BiGIndex,
@@ -405,7 +342,7 @@ fn realize_one(
     budget: &Budget,
 ) -> Result<(Vec<AnswerGraph>, GenStats), Interrupted> {
     match opts.realizer {
-        RealizerKind::VertexAtATime => vertex_answer_generation_budgeted(
+        RealizerKind::VertexAtATime => vertex_answer_generation(
             index.base(),
             ga,
             spec,
@@ -414,14 +351,14 @@ fn realize_one(
             budget,
         ),
         RealizerKind::PathBased => {
-            path_answer_generation_budgeted(index.base(), ga, spec, remaining, budget)
+            path_answer_generation(index.base(), ga, spec, remaining, budget)
         }
         RealizerKind::DistanceVerify => {
             distance_verify(index.base(), query, ga, spec, remaining, dist_cache, budget)
         }
         RealizerKind::StructuralThenDistance => {
             let (structural, st) =
-                path_answer_generation_budgeted(index.base(), ga, spec, remaining, budget)?;
+                path_answer_generation(index.base(), ga, spec, remaining, budget)?;
             if structural.is_empty() {
                 let (verified, vt) =
                     distance_verify(index.base(), query, ga, spec, remaining, dist_cache, budget)?;
@@ -439,17 +376,41 @@ fn realize_one(
     }
 }
 
-/// Runs `eval_Ont` at the cost-optimal layer (Def. 4.1).
-pub fn eval_ont<F: KeywordSearch>(
+/// The full Algo. 2 for one query: at `layer` if one is given (Fig. 19's
+/// sweep — the caller vouches that it keeps the keywords distinct),
+/// otherwise at the cost-optimal layer (Def. 4.1) with the empty-answer
+/// fallback.
+///
+/// If the *chosen* layer's evaluation ran to completion and realized no
+/// final answer — heavy distortion can prune every candidate (see the
+/// correctness contract above) — the query is re-evaluated on the data
+/// graph so no baseline-findable answer is ever lost; the wasted
+/// summary work is charged to the returned timings and
+/// [`EvalResult::fell_back`] is set. An explicit layer never falls
+/// back (a sweep wants the layer it asked for), and neither does a
+/// best-effort attempt: its budget is spent, and best-effort answers
+/// beat an empty retry.
+#[allow(clippy::too_many_arguments)]
+pub fn eval_query<F: KeywordSearch>(
     index: &BiGIndex,
     algo: &F,
     layer_indexes: &[F::Index],
     query: &KeywordQuery,
     k: usize,
+    layer: Option<usize>,
     opts: &EvalOptions,
-) -> EvalResult {
-    let m = optimal_layer(index, query, opts.beta);
-    eval_at_layer(index, algo, &layer_indexes[m], query, k, m, opts)
+    budget: &Budget,
+) -> Result<EvalResult, Interrupted> {
+    let m = layer.unwrap_or_else(|| optimal_layer(index, query, opts.beta));
+    let attempt = eval_at_layer(index, algo, &layer_indexes[m], query, k, m, opts, budget)?;
+    if layer.is_some() || m == 0 || !attempt.answers.is_empty() || !attempt.completeness.is_exact()
+    {
+        return Ok(attempt);
+    }
+    let mut fallback = eval_at_layer(index, algo, &layer_indexes[0], query, k, 0, opts, budget)?;
+    fallback.timings.absorb(&attempt.timings);
+    fallback.fell_back = true;
+    Ok(fallback)
 }
 
 /// Memoized bounded undirected BFS balls, keyed by source vertex.
@@ -459,7 +420,6 @@ type DistCache = FxHashMap<VId, FxHashMap<VId, u32>>;
 /// only, then verify all pairwise *undirected* distances on `G⁰` within
 /// `d_max`, scoring by the sum of pairwise distances (boost-dkws,
 /// Sec. 5.2).
-#[allow(clippy::too_many_arguments)]
 fn distance_verify(
     base: &DiGraph,
     query: &KeywordQuery,
@@ -657,6 +617,29 @@ mod tests {
         BiGIndex::build_with_configs(g, o, vec![c], BisimDirection::Forward)
     }
 
+    /// `super::eval_at_layer` with no budget.
+    fn eval_at_layer<F: KeywordSearch>(
+        index: &BiGIndex,
+        algo: &F,
+        layer_index: &F::Index,
+        query: &KeywordQuery,
+        k: usize,
+        m: usize,
+        opts: &EvalOptions,
+    ) -> EvalResult {
+        super::eval_at_layer(
+            index,
+            algo,
+            layer_index,
+            query,
+            k,
+            m,
+            opts,
+            &Budget::unlimited(),
+        )
+        .expect("an unlimited budget never interrupts")
+    }
+
     #[test]
     fn boosted_banks_matches_baseline() {
         let idx = indexed();
@@ -762,14 +745,24 @@ mod tests {
     }
 
     #[test]
-    fn eval_ont_picks_valid_layer() {
+    fn eval_query_picks_valid_layer() {
         let idx = indexed();
         let q = KeywordQuery::new(vec![LabelId(1), LabelId(3)], 2);
         let indexes = vec![
             Banks.build_index(idx.graph_at(0)),
             Banks.build_index(idx.graph_at(1)),
         ];
-        let r = eval_ont(&idx, &Banks, &indexes, &q, 5, &EvalOptions::default());
+        let r = eval_query(
+            &idx,
+            &Banks,
+            &indexes,
+            &q,
+            5,
+            None,
+            &EvalOptions::default(),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert!(r.layer <= idx.num_layers());
         assert!(!r.answers.is_empty());
     }
@@ -780,7 +773,7 @@ mod tests {
         let q = KeywordQuery::new(vec![LabelId(1), LabelId(3)], 2);
         let layer_index = Banks.build_index(idx.graph_at(1));
         let expired = Budget::with_timeout(Duration::ZERO);
-        let r = eval_at_layer_budgeted(
+        let r = super::eval_at_layer(
             &idx,
             &Banks,
             &layer_index,
@@ -790,9 +783,12 @@ mod tests {
             &EvalOptions::default(),
             &expired,
         );
-        assert!(r.is_err(), "an expired budget must interrupt Algo. 2");
-        // The same call with an unlimited budget succeeds.
-        let ok = eval_at_layer_budgeted(
+        assert!(
+            !r.is_ok_and(|r| r.completeness.is_exact()),
+            "an expired budget must interrupt Algo. 2"
+        );
+        // The same call with an unlimited budget succeeds, exactly.
+        let ok = super::eval_at_layer(
             &idx,
             &Banks,
             &layer_index,
@@ -802,7 +798,7 @@ mod tests {
             &EvalOptions::default(),
             &Budget::unlimited(),
         );
-        assert!(ok.is_ok_and(|r| !r.answers.is_empty()));
+        assert!(ok.is_ok_and(|r| !r.answers.is_empty() && r.completeness.is_exact()));
     }
 
     #[test]
@@ -815,15 +811,12 @@ mod tests {
             realizer: RealizerKind::DistanceVerify,
             ..EvalOptions::default()
         };
-        // A zero-check budget interrupts the all-or-nothing pipeline...
+        // A zero-check budget cannot produce an exact run, but the
+        // pipeline still delivers: the greedy seed's own op slice finds
+        // a generalized answer and the grace slice specializes it down
+        // to the data graph.
         let spent = Budget::with_check_limit(0);
-        let err = eval_at_layer_budgeted(&idx, &rc, &layer_index, &q, 5, 1, &opts, &spent);
-        assert!(err.is_err(), "a spent budget must interrupt the exact run");
-        // ...but the anytime pipeline still delivers: the greedy seed's
-        // own op slice finds a generalized answer and the grace slice
-        // specializes it down to the data graph.
-        let spent = Budget::with_check_limit(0);
-        let r = eval_at_layer_anytime(&idx, &rc, &layer_index, &q, 5, 1, &opts, &spent)
+        let r = super::eval_at_layer(&idx, &rc, &layer_index, &q, 5, 1, &opts, &spent)
             .expect("best-effort answers survive a spent budget");
         assert!(!r.answers.is_empty());
         assert!(!r.completeness.is_exact());
@@ -831,18 +824,8 @@ mod tests {
             .answers
             .iter()
             .all(|a| a.validate(idx.base(), &q.keywords)));
-        // Unlimited anytime run is exact.
-        let r = eval_at_layer_anytime(
-            &idx,
-            &rc,
-            &layer_index,
-            &q,
-            5,
-            1,
-            &opts,
-            &Budget::unlimited(),
-        )
-        .unwrap();
+        // An unlimited run is exact.
+        let r = eval_at_layer(&idx, &rc, &layer_index, &q, 5, 1, &opts);
         assert_eq!(r.completeness, Completeness::Exact);
     }
 

@@ -110,15 +110,9 @@ pub fn answer_decomposition(answer: &AnswerGraph) -> Vec<GenPath> {
 }
 
 /// Enumerates the concrete realizations of one path against the base
-/// graph (the `ans_graph_gen(pᵢ, A¹)` step of Algo. 4).
-pub fn specialize_path(base: &DiGraph, spec: &SpecializedAnswer, path: &GenPath) -> Vec<Vec<VId>> {
-    // The Err arm is unreachable: an unlimited budget never interrupts.
-    specialize_path_budgeted(base, spec, path, &Budget::unlimited()).unwrap_or_default()
-}
-
-/// [`specialize_path`] under a cooperative [`Budget`]: checks once per
-/// partial path grown.
-pub fn specialize_path_budgeted(
+/// graph (the `ans_graph_gen(pᵢ, A¹)` step of Algo. 4), checking
+/// `budget` once per partial path grown.
+pub fn specialize_path(
     base: &DiGraph,
     spec: &SpecializedAnswer,
     path: &GenPath,
@@ -166,21 +160,9 @@ pub fn specialize_path_budgeted(
 
 /// Full Algo. 4: decompose, specialize each path, and join on shared
 /// joint vertices (Def. 4.3). Returns the realized answers and
-/// generation statistics comparable to Algo. 3's.
-pub fn path_answer_generation(
-    base: &DiGraph,
-    answer: &AnswerGraph,
-    spec: &SpecializedAnswer,
-    limit: usize,
-) -> (Vec<AnswerGraph>, GenStats) {
-    // The Err arm is unreachable: an unlimited budget never interrupts.
-    path_answer_generation_budgeted(base, answer, spec, limit, &Budget::unlimited())
-        .unwrap_or_default()
-}
-
-/// [`path_answer_generation`] under a cooperative [`Budget`]: checks
+/// generation statistics comparable to Algo. 3's. `budget` is checked
 /// inside the per-path specialization and the join loops.
-pub fn path_answer_generation_budgeted(
+pub fn path_answer_generation(
     base: &DiGraph,
     answer: &AnswerGraph,
     spec: &SpecializedAnswer,
@@ -196,7 +178,7 @@ pub fn path_answer_generation_budgeted(
     // Specialize every path, then join the most selective first.
     let mut realized: Vec<(GenPath, Vec<Vec<VId>>)> = Vec::with_capacity(paths.len());
     for p in paths {
-        let r = specialize_path_budgeted(base, spec, &p, budget)?;
+        let r = specialize_path(base, spec, &p, budget)?;
         realized.push((p, r));
     }
     if realized.iter().any(|(_, r)| r.is_empty()) {
@@ -324,7 +306,7 @@ mod tests {
             .iter()
             .find(|p| p.positions.contains(&0))
             .expect("Academics path");
-        let r = specialize_path(&s.base, &s.spec, p1);
+        let r = specialize_path(&s.base, &s.spec, p1, &Budget::unlimited()).unwrap();
         assert_eq!(r.len(), 1);
         assert!(r[0].contains(&VId(0)) && r[0].contains(&VId(1)));
         // The Univ–Organization path realizes as Harvard–Ivy and
@@ -333,16 +315,30 @@ mod tests {
             .iter()
             .find(|p| p.positions.contains(&3))
             .expect("Organization path");
-        let r3 = specialize_path(&s.base, &s.spec, p3);
+        let r3 = specialize_path(&s.base, &s.spec, p3, &Budget::unlimited()).unwrap();
         assert_eq!(r3.len(), 2);
     }
 
     #[test]
     fn join_agrees_with_vertex_generation() {
         let s = scenario();
-        let (via_paths, _) = path_answer_generation(&s.base, &s.answer, &s.spec, usize::MAX);
-        let (via_vertices, _) =
-            vertex_answer_generation(&s.base, &s.answer, &s.spec, true, usize::MAX);
+        let (via_paths, _) = path_answer_generation(
+            &s.base,
+            &s.answer,
+            &s.spec,
+            usize::MAX,
+            &Budget::unlimited(),
+        )
+        .unwrap();
+        let (via_vertices, _) = vertex_answer_generation(
+            &s.base,
+            &s.answer,
+            &s.spec,
+            true,
+            usize::MAX,
+            &Budget::unlimited(),
+        )
+        .unwrap();
         let mut a: Vec<_> = via_paths
             .iter()
             .map(bgi_search::AnswerGraph::identity)
@@ -367,7 +363,9 @@ mod tests {
             key_of: vec![Some(0)],
             pruned: 0,
         };
-        let (answers, _) = path_answer_generation(&s.base, &answer, &spec, usize::MAX);
+        let (answers, _) =
+            path_answer_generation(&s.base, &answer, &spec, usize::MAX, &Budget::unlimited())
+                .unwrap();
         assert_eq!(answers.len(), 2);
     }
 
@@ -380,7 +378,8 @@ mod tests {
             key_of: vec![Some(0)],
             pruned: 0,
         };
-        let (answers, _) = path_answer_generation(&s.base, &answer, &spec, 1);
+        let (answers, _) =
+            path_answer_generation(&s.base, &answer, &spec, 1, &Budget::unlimited()).unwrap();
         assert_eq!(answers.len(), 1);
     }
 

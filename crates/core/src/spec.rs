@@ -43,29 +43,10 @@ impl SpecializedAnswer {
 ///
 /// `query` is the *original* (layer-0) query; `early_keyword_spec`
 /// toggles per-layer label filtering vs. filtering only at layer 0.
+/// The walk down the hierarchy checks `budget` per answer vertex per
+/// layer, so a deadline interrupts even when supernodes expand to huge
+/// member sets.
 pub fn specialize_answer(
-    index: &BiGIndex,
-    query: &KeywordQuery,
-    answer: &AnswerGraph,
-    m: usize,
-    early_keyword_spec: bool,
-) -> Option<SpecializedAnswer> {
-    // The Err arm is unreachable: an unlimited budget never interrupts.
-    specialize_answer_budgeted(
-        index,
-        query,
-        answer,
-        m,
-        early_keyword_spec,
-        &Budget::unlimited(),
-    )
-    .unwrap_or_default()
-}
-
-/// [`specialize_answer`] under a cooperative [`Budget`]: the walk down
-/// the hierarchy checks the budget per answer vertex per layer, so a
-/// deadline interrupts even when supernodes expand to huge member sets.
-pub fn specialize_answer_budgeted(
     index: &BiGIndex,
     query: &KeywordQuery,
     answer: &AnswerGraph,
@@ -151,6 +132,25 @@ mod tests {
         let (g, o) = setup();
         let c = GenConfig::new([(LabelId(1), LabelId(0)), (LabelId(2), LabelId(0))], &o).unwrap();
         BiGIndex::build_with_configs(g, o, vec![c], BisimDirection::Forward)
+    }
+
+    /// `super::specialize_answer` with no budget.
+    fn specialize_answer(
+        index: &BiGIndex,
+        query: &KeywordQuery,
+        answer: &AnswerGraph,
+        m: usize,
+        early_keyword_spec: bool,
+    ) -> Option<SpecializedAnswer> {
+        super::specialize_answer(
+            index,
+            query,
+            answer,
+            m,
+            early_keyword_spec,
+            &Budget::unlimited(),
+        )
+        .expect("an unlimited budget never interrupts")
     }
 
     /// Run Banks on layer 1 for the generalized query {Person, Univ}.

@@ -12,7 +12,7 @@
 use bgi_graph::{DiGraph, GraphBuilder, LabelId, Ontology, OntologyBuilder};
 use bgi_ingest::{Engine, EngineConfig, IngestUpdate};
 use bgi_search::blinks::BlinksParams;
-use bgi_search::{Banks, KeywordQuery, KeywordSearch, RClique};
+use bgi_search::{Banks, Budget, KeywordQuery, KeywordSearch, RClique};
 use bgi_store::IndexBundle;
 use big_index::{eval_at_layer, BiGIndex, EvalOptions, GenConfig};
 use proptest::prelude::*;
@@ -67,7 +67,9 @@ fn answer_set(index: &BiGIndex, m: usize, query: &KeywordQuery) -> Vec<String> {
         200,
         m,
         &EvalOptions::default(),
-    );
+        &Budget::unlimited(),
+    )
+    .expect("an unlimited budget never interrupts");
     let mut rendered: Vec<String> = result.answers.iter().map(|a| format!("{a:?}")).collect();
     rendered.sort();
     rendered.dedup();

@@ -130,57 +130,14 @@ impl KeywordSearch for Banks {
         BanksIndex { label_vertices }
     }
 
-    fn search(
-        &self,
-        g: &DiGraph,
-        index: &BanksIndex,
-        query: &KeywordQuery,
-        k: usize,
-    ) -> Vec<AnswerGraph> {
-        // An unlimited budget never interrupts.
-        self.search_impl(g, index, query, k, &Budget::unlimited())
-            .map(|o| o.answers)
-            .unwrap_or_default()
-    }
-
-    fn search_budgeted(
-        &self,
-        g: &DiGraph,
-        index: &BanksIndex,
-        query: &KeywordQuery,
-        k: usize,
-        budget: &Budget,
-    ) -> Result<Vec<AnswerGraph>, Interrupted> {
-        // Strict contract: a truncated top-k is not a correct top-k.
-        let outcome = self.search_impl(g, index, query, k, budget)?;
-        if outcome.completeness.is_exact() {
-            Ok(outcome.answers)
-        } else {
-            Err(Interrupted)
-        }
-    }
-
-    fn search_anytime(
-        &self,
-        g: &DiGraph,
-        index: &BanksIndex,
-        query: &KeywordQuery,
-        k: usize,
-        budget: &Budget,
-    ) -> Result<SearchOutcome, Interrupted> {
-        self.search_impl(g, index, query, k, budget)
-    }
-}
-
-impl Banks {
-    /// The shared engine: best-effort under `budget`. Interruption
-    /// during the per-keyword backward expansions means no candidate
-    /// root is known yet, so nothing usable exists and the whole search
-    /// fails with [`Interrupted`]; interruption during the root-scoring
-    /// loop returns the roots scored so far marked
+    /// Best-effort under `budget`. Interruption during the per-keyword
+    /// backward expansions means no candidate root is known yet, so
+    /// nothing usable exists and the whole search fails with
+    /// [`Interrupted`]; interruption during the root-scoring loop
+    /// returns the roots scored so far marked
     /// [`Completeness::Truncated`] (candidate roots are not visited in
     /// weight order, so no optimality bound is available).
-    fn search_impl(
+    fn search_anytime(
         &self,
         g: &DiGraph,
         index: &BanksIndex,

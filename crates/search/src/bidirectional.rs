@@ -13,7 +13,9 @@
 //! for bidirectional search.
 
 use crate::answer::{rank_and_truncate, AnswerGraph};
-use crate::banks::{backward_reach, path_to_keyword, BanksIndex};
+use crate::banks::{backward_reach_budgeted, path_to_keyword, BanksIndex};
+use crate::cancel::{Budget, Interrupted};
+use crate::outcome::SearchOutcome;
 use crate::query::KeywordQuery;
 use crate::semantics::KeywordSearch;
 use bgi_graph::traversal::{BfsScratch, Direction};
@@ -46,15 +48,19 @@ impl KeywordSearch for Bidirectional {
         Banks.build_index(g)
     }
 
-    fn search(
+    /// All-or-nothing under `budget`: candidates are validated in
+    /// activation order, not score order, so an interrupted run has no
+    /// ranked prefix worth returning and fails with [`Interrupted`].
+    fn search_anytime(
         &self,
         g: &DiGraph,
         index: &BanksIndex,
         query: &KeywordQuery,
         k: usize,
-    ) -> Vec<AnswerGraph> {
+        budget: &Budget,
+    ) -> Result<SearchOutcome, Interrupted> {
         if query.is_empty() || k == 0 {
-            return Vec::new();
+            return Ok(SearchOutcome::exact(Vec::new()));
         }
         let n = query.len();
         // Bidirectional split: the most selective keyword expands
@@ -70,16 +76,17 @@ impl KeywordSearch for Bidirectional {
         for (i, &q) in query.keywords.iter().enumerate() {
             let sources = index.vertices_with(q);
             if sources.is_empty() {
-                return Vec::new();
+                return Ok(SearchOutcome::exact(Vec::new()));
             }
             let bound = if i == pivot { query.dmax } else { half };
-            reaches.push(backward_reach(g, sources, bound));
+            reaches.push(backward_reach_budgeted(g, sources, bound, budget)?);
         }
 
         // Activation: Σ_i decay^{dist_i(v)} / |V_{q_i}| over keywords
         // that reached v — the spreading-activation score.
         let mut activation: FxHashMap<VId, f64> = FxHashMap::default();
         let mut hits: FxHashMap<VId, usize> = FxHashMap::default();
+        // budget-exempt: one pass over the reach tables just built
         for (i, reach) in reaches.iter().enumerate() {
             let denom = index.vertices_with(query.keywords[i]).len().max(1) as f64;
             for (&v, &(d, _)) in reach {
@@ -97,6 +104,7 @@ impl KeywordSearch for Bidirectional {
         let mut scratch = BfsScratch::new(g.num_vertices());
         let mut answers = Vec::new();
         for (v, _act) in order {
+            budget.check()?;
             if !reaches[pivot].contains_key(&v) {
                 continue; // cannot reach the pivot keyword within d_max
             }
@@ -170,7 +178,7 @@ impl KeywordSearch for Bidirectional {
                 ));
             }
         }
-        rank_and_truncate(answers, k)
+        Ok(SearchOutcome::exact(rank_and_truncate(answers, k)))
     }
 }
 

@@ -71,59 +71,15 @@ impl KeywordSearch for Blinks {
         BlinksIndex::build(g, &self.params)
     }
 
-    fn search(
-        &self,
-        g: &DiGraph,
-        index: &BlinksIndex,
-        query: &KeywordQuery,
-        k: usize,
-    ) -> Vec<AnswerGraph> {
-        // An unlimited budget never interrupts.
-        self.search_impl(g, index, query, k, &Budget::unlimited())
-            .map(|o| o.answers)
-            .unwrap_or_default()
-    }
-
-    fn search_budgeted(
-        &self,
-        g: &DiGraph,
-        index: &BlinksIndex,
-        query: &KeywordQuery,
-        k: usize,
-        budget: &Budget,
-    ) -> Result<Vec<AnswerGraph>, Interrupted> {
-        // Strict contract: a truncated top-k is not a correct top-k.
-        let outcome = self.search_impl(g, index, query, k, budget)?;
-        if outcome.completeness.is_exact() {
-            Ok(outcome.answers)
-        } else {
-            Err(Interrupted)
-        }
-    }
-
+    /// Best-effort under `budget`. Interruption during round-robin
+    /// expansion surfaces the roots already *completed* (their scores
+    /// are exact) marked [`Completeness::Anytime`]: the expansion's own
+    /// termination bound — every not-yet-completed root still owes at
+    /// least `min_i(depth_i + 1)` from some active keyword — also
+    /// bounds how far the best completed root can sit above the true
+    /// optimum. With no completed root there is nothing usable and the
+    /// search fails with [`Interrupted`].
     fn search_anytime(
-        &self,
-        g: &DiGraph,
-        index: &BlinksIndex,
-        query: &KeywordQuery,
-        k: usize,
-        budget: &Budget,
-    ) -> Result<SearchOutcome, Interrupted> {
-        self.search_impl(g, index, query, k, budget)
-    }
-}
-
-impl Blinks {
-    /// The shared engine: best-effort under `budget`. Interruption
-    /// during round-robin expansion surfaces the roots already
-    /// *completed* (their scores are exact) marked
-    /// [`Completeness::Anytime`]: the expansion's own termination bound
-    /// — every not-yet-completed root still owes at least
-    /// `min_i(depth_i + 1)` from some active keyword — also bounds how
-    /// far the best completed root can sit above the true optimum.
-    /// With no completed root there is nothing usable and the search
-    /// fails with [`Interrupted`].
-    fn search_impl(
         &self,
         g: &DiGraph,
         index: &BlinksIndex,

@@ -36,14 +36,11 @@ pub const CHECK_PERIOD: u32 = 64;
 
 /// The error a budgeted operation returns when its budget ran out.
 ///
-/// Deliberately carries no payload. Under the strict
-/// `search_budgeted` contract a truncated top-k is not a correct
-/// top-k, so interruption discards partial results wholesale; callers
-/// that *can* use best-effort partial results go through
-/// `KeywordSearch::search_anytime`, which returns them with an
-/// explicit `Completeness` marker instead of this error. `Interrupted`
-/// therefore means "nothing usable was produced before the budget ran
-/// out".
+/// Deliberately carries no payload. Best-effort partial results
+/// travel in the `Ok` arm: `KeywordSearch::search_anytime` and every
+/// stage of Algo. 2 return them with an explicit `Completeness`
+/// marker instead of this error. `Interrupted` therefore means
+/// "nothing usable was produced before the budget ran out".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interrupted;
 

@@ -21,14 +21,13 @@
 //! `L(v) = q`) and traversal-based (path-preserving summaries keep their
 //! answers), so they run unchanged on summary graphs.
 //!
-//! For deadline-bound serving, every algorithm also supports
-//! *cooperative* interruption through [`cancel::Budget`] — see
-//! [`semantics::KeywordSearch::search_budgeted`] for the strict
-//! all-or-nothing contract and
-//! [`semantics::KeywordSearch::search_anytime`] for best-effort
-//! results with an explicit [`outcome::Completeness`] marker (the
-//! r-clique implementation is a true anytime branch-and-bound with a
-//! sound optimality bound).
+//! For deadline-bound serving, every algorithm's one search method,
+//! [`semantics::KeywordSearch::search_anytime`], takes a
+//! [`cancel::Budget`] for *cooperative* interruption and returns
+//! best-effort results with an explicit [`outcome::Completeness`]
+//! marker (the r-clique implementation is a true anytime
+//! branch-and-bound with a sound optimality bound); the strict
+//! all-or-nothing view is `completeness.is_exact()`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -134,39 +134,6 @@ impl KeywordSearch for RClique {
         }
     }
 
-    fn search(
-        &self,
-        g: &DiGraph,
-        index: &RCliqueIndex,
-        query: &KeywordQuery,
-        k: usize,
-    ) -> Vec<AnswerGraph> {
-        // An unlimited budget never interrupts.
-        match self.search_anytime(g, index, query, k, &Budget::unlimited()) {
-            Ok(outcome) => outcome.answers,
-            Err(Interrupted) => Vec::new(),
-        }
-    }
-
-    fn search_budgeted(
-        &self,
-        g: &DiGraph,
-        index: &RCliqueIndex,
-        query: &KeywordQuery,
-        k: usize,
-        budget: &Budget,
-    ) -> Result<Vec<AnswerGraph>, Interrupted> {
-        // Strict contract: only a run that reached the enumeration's own
-        // termination condition counts; best-effort partial results are
-        // the `search_anytime` surface.
-        let outcome = self.search_anytime(g, index, query, k, budget)?;
-        if outcome.completeness.is_exact() {
-            Ok(outcome.answers)
-        } else {
-            Err(Interrupted)
-        }
-    }
-
     fn search_anytime(
         &self,
         g: &DiGraph,
@@ -334,13 +301,9 @@ mod tests {
         let rc = RClique::default();
         let idx = rc.build_index(&g);
         let q = KeywordQuery::new(vec![LabelId(0), LabelId(1)], 4);
-        // The strict contract discards partial results...
-        assert_eq!(
-            rc.search_budgeted(&g, &idx, &q, 10, &Budget::with_check_limit(0)),
-            Err(Interrupted)
-        );
-        // ...but the anytime surface returns the greedy seed (computed
-        // under its own deterministic op slice) with a finite bound.
+        // A spent budget still returns the greedy seed (computed under
+        // its own deterministic op slice), never marked exact, with a
+        // finite bound.
         let outcome = rc
             .search_anytime(&g, &idx, &q, 10, &Budget::with_check_limit(0))
             .expect("seed answer expected on a populated query");

@@ -24,49 +24,22 @@ pub trait KeywordSearch {
     /// Builds the algorithm's index over `g`.
     fn build_index(&self, g: &DiGraph) -> Self::Index;
 
-    /// Evaluates `query` on `g` using `index`, returning up to `k`
-    /// answers ranked best (lowest score) first.
-    fn search(
-        &self,
-        g: &DiGraph,
-        index: &Self::Index,
-        query: &KeywordQuery,
-        k: usize,
-    ) -> Vec<AnswerGraph>;
-
-    /// [`KeywordSearch::search`] under a cooperative [`Budget`]: the
-    /// algorithm checks the budget inside its expansion/enumeration
-    /// loops and returns [`Interrupted`] (discarding partial results —
-    /// a truncated top-k is not a correct top-k) once it is exhausted.
+    /// Evaluates `query` on `g` using `index` under a cooperative
+    /// [`Budget`], returning up to `k` answers ranked best (lowest
+    /// score) first together with a [`crate::Completeness`] marker —
+    /// the one search method a plug-in implements.
     ///
-    /// The default implementation checks once up front and then runs
-    /// uninterruptible; the built-in algorithms override it with
-    /// in-loop checks.
-    fn search_budgeted(
-        &self,
-        g: &DiGraph,
-        index: &Self::Index,
-        query: &KeywordQuery,
-        k: usize,
-        budget: &Budget,
-    ) -> Result<Vec<AnswerGraph>, Interrupted> {
-        budget.check_now()?;
-        Ok(self.search(g, index, query, k))
-    }
-
-    /// Best-effort [`KeywordSearch::search`] under a cooperative
-    /// [`Budget`]: on budget exhaustion the algorithm returns whatever
-    /// answers it already discovered, marked with a
-    /// [`crate::Completeness`] describing how much of the search space
-    /// backs them, instead of discarding them. [`Interrupted`] is
-    /// reserved for the case where *nothing* was found before the
-    /// budget ran out — a caller never receives an empty best-effort
-    /// success.
-    ///
-    /// The default implementation delegates to
-    /// [`KeywordSearch::search_budgeted`] (all-or-nothing): exact on
-    /// success, [`Interrupted`] otherwise. The built-in algorithms
-    /// override it with real partial-result support.
+    /// The algorithm checks the budget inside its expansion/enumeration
+    /// loops. A run that reaches its own termination condition is
+    /// [`crate::Completeness::Exact`]. On budget exhaustion the
+    /// algorithm returns whatever answers it already discovered, marked
+    /// with how much of the search space backs them, instead of
+    /// discarding them; [`Interrupted`] is reserved for the case where
+    /// *nothing* usable was found before the budget ran out — a caller
+    /// never receives an empty best-effort success. An algorithm with
+    /// no meaningful partial result may always answer an exhausted
+    /// budget with [`Interrupted`]. The strict all-or-nothing view is
+    /// `outcome.completeness.is_exact()`.
     fn search_anytime(
         &self,
         g: &DiGraph,
@@ -74,9 +47,21 @@ pub trait KeywordSearch {
         query: &KeywordQuery,
         k: usize,
         budget: &Budget,
-    ) -> Result<SearchOutcome, Interrupted> {
-        self.search_budgeted(g, index, query, k, budget)
-            .map(SearchOutcome::exact)
+    ) -> Result<SearchOutcome, Interrupted>;
+
+    /// [`KeywordSearch::search_anytime`] with no budget: the
+    /// algorithm's true top-`k`.
+    fn search(
+        &self,
+        g: &DiGraph,
+        index: &Self::Index,
+        query: &KeywordQuery,
+        k: usize,
+    ) -> Vec<AnswerGraph> {
+        // The Err arm is unreachable: an unlimited budget never interrupts.
+        self.search_anytime(g, index, query, k, &Budget::unlimited())
+            .map(|o| o.answers)
+            .unwrap_or_default()
     }
 
     /// Convenience: build the index and search in one call.

@@ -1,54 +1,68 @@
-//! Cooperative-budget behavior of the three plugged-in semantics:
-//! an exhausted budget interrupts mid-search, an unlimited budget (or
-//! a generous deadline) reproduces the plain `search` results exactly.
+//! Cooperative-budget behavior of the four plugged-in semantics' one
+//! search method: an exhausted budget never yields a result marked
+//! exact, an unlimited budget (or a generous deadline) reproduces the
+//! plain `search` results exactly and says so.
 
 use bgi_graph::generate::uniform_random;
 use bgi_graph::LabelId;
-use bgi_search::{Banks, Blinks, Budget, Interrupted, KeywordQuery, KeywordSearch, RClique};
+use bgi_search::{
+    AnswerGraph, Banks, Bidirectional, Blinks, Budget, Interrupted, KeywordQuery, KeywordSearch,
+    RClique, SearchOutcome,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The strict all-or-nothing view of an outcome: only a run that
+/// reached its own termination condition counts (a truncated top-k is
+/// not a correct top-k).
+fn strict(outcome: Result<SearchOutcome, Interrupted>) -> Result<Vec<AnswerGraph>, Interrupted> {
+    match outcome {
+        Ok(o) if o.completeness.is_exact() => Ok(o.answers),
+        _ => Err(Interrupted),
+    }
+}
 
 fn check_semantics<F: KeywordSearch>(algo: &F) {
     let g = uniform_random(200, 600, 5, 42);
     let index = algo.build_index(&g);
     let q = KeywordQuery::new(vec![LabelId(0), LabelId(1)], 4);
 
-    // Zero deadline: interrupted, never hangs.
+    // Zero deadline: interrupted or best-effort, never exact, never hangs.
     let expired = Budget::with_timeout(Duration::ZERO);
     assert_eq!(
-        algo.search_budgeted(&g, &index, &q, 10, &expired),
+        strict(algo.search_anytime(&g, &index, &q, 10, &expired)),
         Err(Interrupted),
         "{}: zero budget must interrupt",
         algo.name()
     );
 
-    // Pre-raised cancel flag: interrupted.
+    // Pre-raised cancel flag: likewise.
     let flag = Arc::new(AtomicBool::new(true));
     let cancelled = Budget::unlimited().cancelled_by(Arc::clone(&flag));
     assert_eq!(
-        algo.search_budgeted(&g, &index, &q, 10, &cancelled),
+        strict(algo.search_anytime(&g, &index, &q, 10, &cancelled)),
         Err(Interrupted),
         "{}: raised cancel flag must interrupt",
         algo.name()
     );
     flag.store(false, Ordering::Relaxed);
 
-    // Unlimited and generous budgets agree with plain search.
+    // Unlimited and generous budgets agree with plain search and are
+    // exact.
     let plain = algo.search(&g, &index, &q, 10);
-    let unlimited = algo
-        .search_budgeted(&g, &index, &q, 10, &Budget::unlimited())
+    assert!(!plain.is_empty(), "{}: fixture has answers", algo.name());
+    let unlimited = strict(algo.search_anytime(&g, &index, &q, 10, &Budget::unlimited()))
         .expect("unlimited budget never interrupts");
-    let generous = algo
-        .search_budgeted(
-            &g,
-            &index,
-            &q,
-            10,
-            &Budget::with_timeout(Duration::from_secs(600)),
-        )
-        .expect("generous budget should not interrupt this tiny search");
-    let key = |answers: &[bgi_search::AnswerGraph]| {
+    let generous = strict(algo.search_anytime(
+        &g,
+        &index,
+        &q,
+        10,
+        &Budget::with_timeout(Duration::from_secs(600)),
+    ))
+    .expect("generous budget should not interrupt this tiny search");
+    let key = |answers: &[AnswerGraph]| {
         answers
             .iter()
             .map(|a| (a.root, a.score))
@@ -71,4 +85,9 @@ fn blinks_respects_budget() {
 #[test]
 fn rclique_respects_budget() {
     check_semantics(&RClique::default());
+}
+
+#[test]
+fn bidirectional_respects_budget() {
+    check_semantics(&Bidirectional::default());
 }

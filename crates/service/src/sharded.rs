@@ -171,7 +171,7 @@ impl ShardedSnapshot {
         // oversampled top-k, no client floor (the merged set applies
         // it), and the shared budget seeded per thread.
         let leg_req = QueryRequest {
-            k: req.k * 2 + LEG_OVERSAMPLE,
+            k: req.k.saturating_mul(2).saturating_add(LEG_OVERSAMPLE),
             deadline: None,
             soft_deadline: None,
             min_results: 0,

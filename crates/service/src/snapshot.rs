@@ -12,12 +12,10 @@ use bgi_search::banks::BanksIndex;
 use bgi_search::blinks::{BlinksIndex, BlinksParams};
 use bgi_search::rclique::RCliqueIndex;
 use bgi_search::{
-    AnswerGraph, Banks, Blinks, Budget, Completeness, Interrupted, KeywordQuery, KeywordSearch,
-    RClique,
+    AnswerGraph, Banks, Blinks, Budget, Completeness, Interrupted, KeywordQuery, RClique,
 };
-use big_index::eval::eval_at_layer_anytime;
-use big_index::query_gen::{keywords_stay_distinct, optimal_layer};
-use big_index::{BiGIndex, EvalOptions, RealizerKind};
+use big_index::query_gen::keywords_stay_distinct;
+use big_index::{eval_query, BiGIndex, EvalOptions, RealizerKind};
 
 /// Why a snapshot could not be built.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -222,123 +220,65 @@ impl IndexSnapshot {
             // distance verification as the per-answer fallback.
             opts.realizer = RealizerKind::StructuralThenDistance;
         }
-        // Layer override, validated; otherwise the Def. 4.1 chooser
-        // (which only considers layers keeping keywords distinct).
-        let explicit = req.layer.is_some();
-        let m = match req.layer {
-            Some(m) => {
-                if m > self.index.num_layers() {
-                    return Err(QueryError::InvalidLayer {
-                        requested: m,
-                        num_layers: self.index.num_layers(),
-                    });
-                }
-                if !keywords_stay_distinct(&self.index, &query, m) {
-                    return Err(QueryError::MergedKeywords { layer: m });
-                }
-                m
+        // A layer override is outside input: validate it. Without one
+        // `eval_query` runs the Def. 4.1 chooser (which only considers
+        // layers keeping keywords distinct) and the layer-0 fallback.
+        if let Some(m) = req.layer {
+            if m > self.index.num_layers() {
+                return Err(QueryError::InvalidLayer {
+                    requested: m,
+                    num_layers: self.index.num_layers(),
+                });
             }
-            None => optimal_layer(&self.index, &query, opts.beta),
-        };
-        let run = match req.semantics {
-            Semantics::Bkws => self.run(
+            if !keywords_stay_distinct(&self.index, &query, m) {
+                return Err(QueryError::MergedKeywords { layer: m });
+            }
+        }
+        let result = match req.semantics {
+            Semantics::Bkws => eval_query(
+                &self.index,
                 &Banks,
                 &self.banks,
                 &query,
                 req.k,
-                m,
-                explicit,
+                req.layer,
                 &opts,
                 budget,
             ),
-            Semantics::Rkws => self.run(
+            Semantics::Rkws => eval_query(
+                &self.index,
                 &self.blinks_algo,
                 &self.blinks,
                 &query,
                 req.k,
-                m,
-                explicit,
+                req.layer,
                 &opts,
                 budget,
             ),
-            Semantics::Dkws => self.run(
+            Semantics::Dkws => eval_query(
+                &self.index,
                 &self.rclique_algo,
                 &self.rclique,
                 &query,
                 req.k,
-                m,
-                explicit,
+                req.layer,
                 &opts,
                 budget,
             ),
-        };
-        let outcome = run.map_err(|Interrupted| QueryError::Timeout)?;
+        }
+        .map_err(|Interrupted| QueryError::Timeout)?;
         // The client's floor for degraded results: a best-effort set
         // smaller than `min_results` is worth no more than a timeout to
         // them. Exact results are never filtered — fewer than
         // `min_results` answers may be all that exist.
-        if !outcome.completeness.is_exact() && outcome.answers.len() < req.min_results {
+        if !result.completeness.is_exact() && result.answers.len() < req.min_results {
             return Err(QueryError::Timeout);
         }
-        Ok(outcome)
-    }
-
-    /// Algo. 2 at layer `m` with the `Boosted::query` empty-answer
-    /// fallback: when the layer was *chosen* (not requested) and
-    /// realizes nothing, retry on the data graph so no baseline-findable
-    /// answer is lost to distortion. An explicit layer override skips
-    /// the fallback — layer sweeps want the layer they asked for.
-    #[allow(clippy::too_many_arguments)]
-    fn run<F: KeywordSearch>(
-        &self,
-        algo: &F,
-        layer_indexes: &[F::Index],
-        query: &KeywordQuery,
-        k: usize,
-        m: usize,
-        explicit_layer: bool,
-        opts: &EvalOptions,
-        budget: &Budget,
-    ) -> Result<ExecOutcome, Interrupted> {
-        let attempt = eval_at_layer_anytime(
-            &self.index,
-            algo,
-            &layer_indexes[m],
-            query,
-            k,
-            m,
-            opts,
-            budget,
-        )?;
-        // A best-effort attempt never falls back: its budget is spent,
-        // and best-effort answers beat an empty retry.
-        if m == 0
-            || explicit_layer
-            || !attempt.answers.is_empty()
-            || !attempt.completeness.is_exact()
-        {
-            return Ok(ExecOutcome {
-                answers: attempt.answers,
-                layer: attempt.layer,
-                fell_back: false,
-                completeness: attempt.completeness,
-            });
-        }
-        let fallback = eval_at_layer_anytime(
-            &self.index,
-            algo,
-            &layer_indexes[0],
-            query,
-            k,
-            0,
-            opts,
-            budget,
-        )?;
         Ok(ExecOutcome {
-            answers: fallback.answers,
-            layer: 0,
-            fell_back: true,
-            completeness: fallback.completeness,
+            answers: result.answers,
+            layer: result.layer,
+            fell_back: result.fell_back,
+            completeness: result.completeness,
         })
     }
 }

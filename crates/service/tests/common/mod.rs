@@ -1,15 +1,25 @@
-//! Fixtures shared by the write-path soak tests.
+//! Fixtures shared by the service's integration tests.
+
+// Each test binary compiles its own copy and uses a subset.
+#![allow(dead_code)]
 
 use bgi_datasets::Dataset;
 use bgi_shard::{build_shard_bundles, ShardBuildParams, ShardPlan, ShardSpec, ShardedStore};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU32, Ordering};
 
-/// A per-process scratch directory, removed on drop.
+static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
+
+/// A scratch directory of its own for every call — tests of one binary
+/// run on parallel threads and may share a tag — removed on drop.
 pub struct TempDir(PathBuf);
 
 impl TempDir {
     pub fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("bgi-soak-{tag}-{}", std::process::id()));
+        // Relaxed: the counter only has to hand out distinct numbers.
+        let seq = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("bgi-service-{tag}-{}-{seq}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("temp dir");
         TempDir(dir)

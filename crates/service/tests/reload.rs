@@ -9,9 +9,10 @@ use bgi_search::{AnswerGraph, Budget, RClique};
 use bgi_service::{IndexSnapshot, QueryRequest, Semantics, Service, ServiceConfig};
 use bgi_store::{IndexBundle, Store};
 use big_index::{BiGIndex, BuildParams, EvalOptions};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+
+mod common;
+use common::TempDir;
 
 fn bundle_of(ds: &Dataset) -> IndexBundle {
     let params = BuildParams {
@@ -53,29 +54,6 @@ fn expected(snapshot: &IndexSnapshot, requests: &[QueryRequest]) -> Vec<Vec<Answ
         .collect()
 }
 
-static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let seq = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-        let d = std::env::temp_dir().join(format!(
-            "bgi-service-reload-{tag}-{}-{seq}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).expect("temp dir");
-        TempDir(d)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 fn config() -> ServiceConfig {
     ServiceConfig {
         workers: 2,
@@ -92,7 +70,7 @@ fn reload_swaps_to_the_new_generation() {
     let ds_a = DatasetSpec::yago_like(300).generate();
     let ds_b = DatasetSpec::yago_like(420).generate();
     let dir = TempDir::new("swap");
-    let store = Store::open(&dir.0).expect("store opens");
+    let store = Store::open(dir.path()).expect("store opens");
     store.save(&bundle_of(&ds_a)).expect("save A");
 
     // Boot the service straight from disk — no hierarchy construction.
@@ -126,7 +104,7 @@ fn reload_swaps_to_the_new_generation() {
 fn corrupt_generation_rolls_back_and_keeps_serving() {
     let ds = DatasetSpec::yago_like(300).generate();
     let dir = TempDir::new("rollback");
-    let store = Store::open(&dir.0).expect("store opens");
+    let store = Store::open(dir.path()).expect("store opens");
     store.save(&bundle_of(&ds)).expect("save");
     let (_, loaded) = store.load_latest().expect("recovery");
     let snapshot = IndexSnapshot::from_bundle(loaded).expect("verified bundle");
@@ -136,7 +114,7 @@ fn corrupt_generation_rolls_back_and_keeps_serving() {
     let before = expected(&service.snapshot().expect("mono"), &requests);
 
     // Corrupt the only generation on disk, then ask for a reload.
-    let victim = dir.0.join("gen-00000001").join("index.bin");
+    let victim = dir.path().join("gen-00000001").join("index.bin");
     let mut bytes = std::fs::read(&victim).expect("read index.bin");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;
@@ -173,7 +151,7 @@ fn empty_store_reload_is_a_typed_rollback() {
     let snapshot = IndexSnapshot::from_bundle(bundle_of(&ds)).expect("verified bundle");
     let service = Service::start(Arc::new(snapshot), config());
     let dir = TempDir::new("empty");
-    let store = Store::open(&dir.0).expect("store opens");
+    let store = Store::open(dir.path()).expect("store opens");
     assert!(service.reload_from_disk(&store).is_err());
     assert_eq!(service.stats().reload_rollbacks, 1);
 }

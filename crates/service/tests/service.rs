@@ -308,3 +308,182 @@ fn degradation_ladder_shrinks_budgets_under_sustained_pressure() {
     // A 15 s shrunk budget is still generous: everything serves.
     assert!(stats.served > 0);
 }
+
+// ---------------------------------------------------------------------
+// The one fallback rule (`big_index::eval_query`), seen through both of
+// its callers.
+// ---------------------------------------------------------------------
+
+mod fallback_rule {
+    use bgi_bisim::BisimDirection;
+    use bgi_graph::{GraphBuilder, LabelId, OntologyBuilder};
+    use bgi_search::blinks::BlinksParams;
+    use bgi_search::{Banks, Blinks, Budget, KeywordQuery, KeywordSearch, RClique};
+    use bgi_service::{IndexSnapshot, QueryError, QueryRequest, Semantics};
+    use big_index::{boost_dkws, BiGIndex, Boosted, EvalOptions, EvalResult, GenConfig};
+
+    const PERSON: LabelId = LabelId(0);
+    const PROF: LabelId = LabelId(1);
+    const STUDENT: LabelId = LabelId(2);
+    const UNIV: LabelId = LabelId(3);
+
+    /// A hierarchy whose one summary layer loses every answer of
+    /// `{Prof, Univ}` to distortion. Ontology: Person ⊐ {Prof, Student},
+    /// 8 ⊐ {6, 7}; layer 1 generalizes all four.
+    ///
+    /// `dept → student`, `dept → univ`, `dept → lab → prof`: on the data
+    /// graph `dept` reaches a Prof at distance 2, but on layer 1 its
+    /// nearest Person is the student, whose specialization Prop. 4.1
+    /// prunes. Forty 6/7-labelled leaves on a second hub collapse to one
+    /// supernode, so the cost model still prefers layer 1.
+    fn distorted_index() -> BiGIndex {
+        let mut gb = GraphBuilder::new();
+        let dept = gb.add_vertex(LabelId(9));
+        let student = gb.add_vertex(STUDENT);
+        let lab = gb.add_vertex(LabelId(4));
+        let prof = gb.add_vertex(PROF);
+        let univ = gb.add_vertex(UNIV);
+        gb.add_edge(dept, student);
+        gb.add_edge(dept, univ);
+        gb.add_edge(dept, lab);
+        gb.add_edge(lab, prof);
+        let hub = gb.add_vertex(LabelId(5));
+        for i in 0..40 {
+            let v = gb.add_vertex(LabelId(6 + i % 2));
+            gb.add_edge(v, hub);
+        }
+        let mut ob = OntologyBuilder::new(10);
+        ob.add_subtype(PERSON, PROF);
+        ob.add_subtype(PERSON, STUDENT);
+        ob.add_subtype(LabelId(8), LabelId(6));
+        ob.add_subtype(LabelId(8), LabelId(7));
+        let o = ob.build().unwrap();
+        let c = GenConfig::new(
+            [
+                (PROF, PERSON),
+                (STUDENT, PERSON),
+                (LabelId(6), LabelId(8)),
+                (LabelId(7), LabelId(8)),
+            ],
+            &o,
+        )
+        .unwrap();
+        BiGIndex::build_with_configs(gb.build(), o, vec![c], BisimDirection::Forward)
+    }
+
+    /// What the rule decides, and the answers it ends up with.
+    #[derive(Debug, PartialEq)]
+    struct Verdict {
+        layer: usize,
+        fell_back: bool,
+        exact: bool,
+        scores: Vec<u64>,
+    }
+
+    fn of_eval(r: &EvalResult) -> Verdict {
+        Verdict {
+            layer: r.layer,
+            fell_back: r.fell_back,
+            exact: r.completeness.is_exact(),
+            scores: r.answers.iter().map(|a| a.score).collect(),
+        }
+    }
+
+    fn served(snapshot: &IndexSnapshot, req: &QueryRequest, budget: &Budget) -> Option<Verdict> {
+        match snapshot.execute(req, budget) {
+            Ok(o) => Some(Verdict {
+                layer: o.layer,
+                fell_back: o.fell_back,
+                exact: o.completeness.is_exact(),
+                scores: o.answers.iter().map(|a| a.score).collect(),
+            }),
+            Err(QueryError::Timeout) => None,
+            Err(e) => panic!("unexpected failure: {e}"),
+        }
+    }
+
+    /// One row of the table: `Boosted` (no budget) against
+    /// `IndexSnapshot::execute` for one semantics.
+    fn check_row<F: KeywordSearch>(
+        snapshot: &IndexSnapshot,
+        semantics: Semantics,
+        boosted: &Boosted<F>,
+    ) {
+        const K: usize = 5;
+        let lost = KeywordQuery::new(vec![PROF, UNIV], 2);
+        let mut req = QueryRequest::new(semantics, lost.keywords.clone(), lost.dmax, K);
+        let unlimited = Budget::unlimited();
+        assert_eq!(boosted.chosen_layer(&lost), 1, "{semantics:?}");
+        let baseline: Vec<u64> = boosted
+            .baseline(&lost, K)
+            .0
+            .iter()
+            .map(|a| a.score)
+            .collect();
+
+        // The chosen layer realizes nothing, exactly: both callers
+        // retry on the data graph and agree with the baseline.
+        let direct = boosted.query(&lost, K);
+        let want = Verdict {
+            layer: 0,
+            fell_back: true,
+            exact: true,
+            scores: baseline,
+        };
+        assert_eq!(of_eval(&direct), want, "{semantics:?}");
+        assert_eq!(
+            served(snapshot, &req, &unlimited),
+            Some(want),
+            "{semantics:?}"
+        );
+        // Layer 0 never specializes, so a non-zero specialization time
+        // can only be the failed attempt's, absorbed.
+        assert!(!direct.timings.spec_prune.is_zero(), "{semantics:?}");
+
+        // An explicit layer gets the layer it asked for, empty or not.
+        let pinned = Verdict {
+            layer: 1,
+            fell_back: false,
+            exact: true,
+            scores: Vec::new(),
+        };
+        assert_eq!(of_eval(&boosted.query_at_layer(&lost, K, 1)), pinned);
+        req.layer = Some(1);
+        assert_eq!(served(snapshot, &req, &unlimited), Some(pinned));
+        req.layer = None;
+
+        // An attempt the budget cut short is a timeout, never an empty
+        // success and never a retry: every served outcome of the sweep
+        // is the full fallback.
+        let mut timeouts = 0;
+        for limit in [0u64, 1, 2, 4, 8, 16, 64, 1024] {
+            match served(snapshot, &req, &Budget::with_check_limit(limit)) {
+                None => timeouts += 1,
+                Some(v) => assert!(v.fell_back && v.layer == 0, "{semantics:?} {limit}: {v:?}"),
+            }
+        }
+        assert!(timeouts > 0, "{semantics:?}: widen the sweep");
+    }
+
+    #[test]
+    fn boosted_and_snapshot_apply_one_fallback_rule() {
+        let snapshot = IndexSnapshot::build_default(distorted_index()).expect("verified index");
+        let idx = snapshot.index();
+        let opts = EvalOptions::default();
+        let blinks = Blinks::new(BlinksParams::default());
+        check_row(&snapshot, Semantics::Bkws, &Boosted::new(idx, Banks, opts));
+        check_row(&snapshot, Semantics::Rkws, &Boosted::new(idx, blinks, opts));
+        let dkws = boost_dkws(idx, RClique::default(), opts);
+        check_row(&snapshot, Semantics::Dkws, &dkws);
+
+        // A best-effort attempt that did realize something is returned
+        // as it is: r-clique's greedy seed survives a spent budget on
+        // the summary layer, and nothing falls back.
+        let kept = QueryRequest::new(Semantics::Dkws, vec![STUDENT, UNIV], 2, 5);
+        let v = served(&snapshot, &kept, &Budget::with_check_limit(0)).expect("seed answer");
+        assert!(
+            !v.exact && !v.fell_back && v.layer == 1 && !v.scores.is_empty(),
+            "{v:?}"
+        );
+    }
+}

@@ -205,3 +205,24 @@ fn dmax_above_the_partition_ceiling_is_refused() {
         }) if requested == DMAX + 1
     ));
 }
+
+#[test]
+fn hostile_k_saturates_instead_of_wrapping() {
+    // `k` comes off the wire: the per-leg oversampling `2k + 8` must
+    // saturate, not overflow (debug panic) or wrap to a tiny per-leg
+    // `k` (release: a short list labelled exact).
+    let ds = DatasetSpec::yago_like(200).generate();
+    let sharded = sharded_snapshot(&ds, 2);
+    let budget = Budget::unlimited();
+    for mut req in workload(&ds, 5) {
+        req.k = 1_000_000;
+        let all = sharded.execute(&req, &budget).expect("large k serves");
+        req.k = all.answers.len() + 1;
+        let want = sharded.execute(&req, &budget).expect("k = answers + 1");
+        req.k = usize::MAX;
+        let got = sharded.execute(&req, &budget).expect("k = usize::MAX");
+        assert!(got.completeness.is_exact());
+        assert_eq!(rendered(&got.answers), rendered(&want.answers));
+        assert_eq!(got.answers.len(), all.answers.len());
+    }
+}

@@ -12,10 +12,12 @@ use bgi_search::{AnswerGraph, Budget, RClique};
 use bgi_service::{IndexSnapshot, QueryRequest, Semantics, Service, ServiceConfig, SnapshotConfig};
 use bgi_store::{IndexBundle, Store};
 use big_index::{BiGIndex, BuildParams, EvalOptions};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
+
+mod common;
+use common::TempDir;
 
 /// What a client can observe of an execution, minus timing.
 #[derive(Debug, Clone, PartialEq)]
@@ -210,30 +212,6 @@ fn cache_never_serves_stale_generation_after_swap() {
     assert!(stats.cache.invalidated > 0, "warm entries were invalidated");
 }
 
-static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
-
-/// A unique temp directory, removed on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let seq = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-        let d = std::env::temp_dir().join(format!(
-            "bgi-swap-stress-{tag}-{}-{seq}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).expect("temp dir");
-        TempDir(d)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 /// The race the parallel build must not introduce: one thread keeps
 /// *building* fresh snapshots with `--build-threads 8`-style parallel
 /// per-layer index construction and swapping them in, another keeps
@@ -249,7 +227,7 @@ fn parallel_builds_and_disk_reloads_never_expose_partial_snapshots() {
     // serves it back. Defaults match `build_default`, so the recovered
     // snapshot answers exactly like `fx.b`.
     let dir = TempDir::new("reload");
-    let store = Store::open(&dir.0).expect("store opens");
+    let store = Store::open(dir.path()).expect("store opens");
     let bundle = IndexBundle::build_with_threads(
         fx.b.index().clone(),
         BlinksParams::default(),
