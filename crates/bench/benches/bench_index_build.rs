@@ -36,7 +36,6 @@ fn bench_greedy_build(c: &mut Criterion) {
         direction: BisimDirection::Forward,
         max_layers: 3,
         min_gain_ratio: 0.98,
-        summarizer: big_index::Summarizer::Maximal,
         threads: 1,
     };
     group.bench_function("yago-like/2000", |b| {

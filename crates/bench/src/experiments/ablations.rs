@@ -1,6 +1,6 @@
 //! Ablations of BiG-index's design choices (beyond the paper's own
-//! Exp-5): estimation vs. exact compression, the summarization
-//! formalism, and the bisimulation direction.
+//! Exp-5): estimation vs. exact compression, the bisimulation
+//! direction, and Algo. 1 vs. full-step configurations.
 
 use crate::harness::{fmt_duration, TableWriter};
 use crate::setup::full_step_config;
@@ -9,7 +9,7 @@ use bgi_datasets::DatasetSpec;
 use bgi_graph::sampling::SamplingParams;
 use big_index::compress::{exact_compress, CompressEstimator};
 use big_index::heuristic::Algo1Work;
-use big_index::{BiGIndex, Summarizer};
+use big_index::BiGIndex;
 
 use std::time::Instant;
 
@@ -57,40 +57,6 @@ pub fn sampling_vs_exact(scale: usize) -> String {
     ]);
     format!(
         "## Ablation A — sampled vs exact compression estimation (yago-like/{scale})\n\n{}",
-        t.render()
-    )
-}
-
-/// Ablation B: summarization formalism — maximal bisimulation (the
-/// paper's choice) vs. k-bounded bisimulation (its named future work).
-pub fn summarizer_ablation(scale: usize) -> String {
-    let ds = DatasetSpec::yago_like(scale).generate();
-    let config = full_step_config(&ds.graph, &ds.ontology);
-    let mut t = TableWriter::new(&["summarizer", "layer-1 size", "ratio", "build time"]);
-    for (name, s) in [
-        ("maximal", Summarizer::Maximal),
-        ("k-bisim k=4", Summarizer::KBounded(4)),
-        ("k-bisim k=2", Summarizer::KBounded(2)),
-        ("k-bisim k=1", Summarizer::KBounded(1)),
-    ] {
-        let start = Instant::now();
-        let index = BiGIndex::build_with_configs_summarizer(
-            ds.graph.clone(),
-            ds.ontology.clone(),
-            vec![config.clone()],
-            BisimDirection::Forward,
-            s,
-        );
-        let built = start.elapsed();
-        t.row(&[
-            name.into(),
-            index.graph_at(1).size().to_string(),
-            format!("{:.4}", index.size_ratio(1)),
-            fmt_duration(built),
-        ]);
-    }
-    format!(
-        "## Ablation B — summarization formalism (yago-like/{scale})\n\n{}",
         t.render()
     )
 }
@@ -177,7 +143,6 @@ pub fn greedy_vs_full_step(scale: usize) -> String {
                 direction: BisimDirection::Forward,
                 max_layers: 3,
                 min_gain_ratio: 0.98,
-                summarizer: Summarizer::Maximal,
                 threads: 1,
             },
         );
@@ -210,8 +175,6 @@ pub fn run(scale: usize) -> String {
     let scale = scale.min(10_000);
     let mut out = sampling_vs_exact(scale);
     out.push('\n');
-    out.push_str(&summarizer_ablation(scale));
-    out.push('\n');
     out.push_str(&direction_ablation(scale));
     out.push('\n');
     out.push_str(&greedy_vs_full_step(scale.min(5_000)));
@@ -224,8 +187,7 @@ mod tests {
     fn ablations_render() {
         let report = super::run(1500);
         assert!(report.contains("Ablation A"));
-        assert!(report.contains("Ablation B"));
         assert!(report.contains("Ablation C"));
-        assert!(report.contains("maximal"));
+        assert!(report.contains("Ablation D"));
     }
 }

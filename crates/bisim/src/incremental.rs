@@ -82,13 +82,13 @@ impl IncrementalBisim {
 
     /// Starts from a caller-supplied partition — e.g. one recovered
     /// from a served index's `χ` table — instead of recomputing the
-    /// maximal bisimulation. The partition is re-stabilized here (a
-    /// no-op when it was already stable), so the invariant "current
-    /// partition is a stable bisimulation of the current graph" holds
-    /// regardless of what was passed in. Returns `None` when the
-    /// partition does not cover `g`'s vertices or fails to separate
-    /// labels (a partition mixing labels in one block can never be
-    /// made stable by splitting alone in a label-blind refiner).
+    /// maximal bisimulation. The partition is adopted as given, ids
+    /// included, so the caller's tables keep matching it. Returns
+    /// `None` when it does not cover `g`'s vertices, fails to separate
+    /// labels, or is not stable in `dir`: repairing an unstable
+    /// partition would renumber blocks the caller's tables still name.
+    /// Stability costs one refinement round — the fixpoint loop stops
+    /// after the first when no block splits.
     pub fn from_partition(g: DiGraph, partition: Partition, dir: BisimDirection) -> Option<Self> {
         if partition.num_vertices() != g.num_vertices() {
             return None;
@@ -102,8 +102,10 @@ impl IncrementalBisim {
                 return None;
             }
         }
-        let partition = stabilize(&g, partition, dir);
         let blocks = partition.num_blocks();
+        if coarsest_stable_refinement(&g, partition.clone(), dir).num_blocks() != blocks {
+            return None;
+        }
         Some(IncrementalBisim {
             graph: g,
             partition,
@@ -433,14 +435,36 @@ mod tests {
     }
 
     #[test]
-    fn from_partition_restabilizes_and_rejects_mismatch() {
+    fn from_partition_adopts_stable_and_rejects_the_rest() {
         let g = fan(5);
         let maximal = maximal_bisimulation(&g, BisimDirection::Forward);
         let inc =
             IncrementalBisim::from_partition(g.clone(), maximal.clone(), BisimDirection::Forward)
                 .expect("matching partition accepted");
-        assert_eq!(inc.partition().num_blocks(), maximal.num_blocks());
+        assert_eq!(inc.partition(), &maximal);
         assert_eq!(inc.drift().block_growth(), 0);
+
+        // A stable but non-maximal partition keeps its ids.
+        let discrete = Partition::discrete(g.num_vertices());
+        let inc =
+            IncrementalBisim::from_partition(g.clone(), discrete.clone(), BisimDirection::Forward)
+                .expect("stable partition accepted");
+        assert_eq!(inc.partition(), &discrete);
+
+        // Label-uniform but unstable → rejected, not repaired: the
+        // chain 0 → 1 → 2 → 3 with {0, 1, 2}, {3}.
+        let mut b = GraphBuilder::new();
+        for _ in 0..4 {
+            b.add_vertex(LabelId(0));
+        }
+        for v in 0..3 {
+            b.add_edge(VId(v), VId(v + 1));
+        }
+        let chain = b.build();
+        let unstable = Partition::new(vec![0, 0, 0, 1], 2);
+        assert!(
+            IncrementalBisim::from_partition(chain, unstable, BisimDirection::Forward).is_none()
+        );
 
         // Wrong vertex count → rejected.
         let small = Partition::discrete(2);

@@ -13,8 +13,10 @@
 //! The partition refinement here is signature-based: starting from the
 //! label partition, each round re-buckets every vertex by
 //! `(current block, blocks of its neighbors)` until a fixpoint — the
-//! coarsest stable refinement, i.e. the maximal bisimulation. Stopping
-//! after `k` rounds instead yields the classical *k-bisimulation*.
+//! coarsest stable refinement, i.e. the maximal bisimulation. That one
+//! loop, [`coarsest_stable_refinement`], is the only partition the crate
+//! computes: index builds, incremental maintenance and Algo. 1's
+//! compression estimates all run it.
 //!
 //! ```
 //! use bgi_graph::{GraphBuilder, LabelId};
@@ -41,15 +43,12 @@
 #![warn(missing_docs)]
 
 pub mod incremental;
-pub mod kbisim;
 pub mod partition;
 pub mod properties;
 pub mod refine;
-pub mod splitter;
 pub mod summary;
 
 pub use incremental::{Drift, IncrementalBisim, Update};
 pub use partition::Partition;
 pub use refine::{coarsest_stable_refinement, maximal_bisimulation, BisimDirection};
-pub use splitter::maximal_bisimulation_splitter;
 pub use summary::{quotient_size, summarize, Summary};

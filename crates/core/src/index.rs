@@ -11,27 +11,10 @@ use crate::config::GenConfig;
 use crate::cost::CostParams;
 use crate::heuristic::{greedy_configuration_threaded, Algo1Work, ALGO1_SAMPLES};
 use crate::layer::Layer;
-use bgi_bisim::kbisim::k_bisimulation;
 use bgi_bisim::{maximal_bisimulation, summarize, BisimDirection};
 use bgi_graph::sampling::SamplingParams;
 use bgi_graph::stats::LabelSupport;
 use bgi_graph::{DiGraph, LabelId, Ontology, VId};
-
-/// Which summarization formalism quotients each generalized graph.
-///
-/// The paper adopts maximal bisimulation as its proof-of-concept
-/// summarizer and names alternative formalisms as future work (Sec. 8);
-/// bounded (k-) bisimulation is the natural one: coarser summaries
-/// (more compression) that still preserve labels and paths, at the cost
-/// of more realization failures for traversals deeper than `k`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Summarizer {
-    /// The maximal (coarsest stable) bisimulation — the paper's choice.
-    #[default]
-    Maximal,
-    /// k-bounded bisimulation: neighborhoods agree up to depth `k`.
-    KBounded(u32),
-}
 
 /// Parameters governing BiG-index construction.
 #[derive(Debug, Clone)]
@@ -42,7 +25,7 @@ pub struct BuildParams {
     /// first [`ALGO1_SAMPLES`] samples, so a build draws
     /// `min(num_samples, ALGO1_SAMPLES)` — the same balls either way.
     pub sampling: SamplingParams,
-    /// Bisimulation direction used by the summarizer.
+    /// Direction of each layer's maximal bisimulation.
     pub direction: BisimDirection,
     /// Maximum number of layers `h` (the paper's experiments use 7).
     pub max_layers: usize,
@@ -50,8 +33,6 @@ pub struct BuildParams {
     /// to the previous layer) exceeds this — the paper's observation
     /// that "compression potentials diminish".
     pub min_gain_ratio: f64,
-    /// The summarization formalism.
-    pub summarizer: Summarizer,
     /// Worker threads for the parallelizable construction stages
     /// (subgraph sampling and Algo. 1 candidate ranking). `1` is the
     /// plain serial build; any value produces a bit-identical index
@@ -67,7 +48,6 @@ impl Default for BuildParams {
             direction: BisimDirection::Forward,
             max_layers: 7,
             min_gain_ratio: 0.98,
-            summarizer: Summarizer::Maximal,
             threads: 1,
         }
     }
@@ -82,7 +62,6 @@ pub struct BiGIndex {
     ontology: Ontology,
     layers: Vec<Layer>,
     direction: BisimDirection,
-    summarizer: Summarizer,
     // Per-layer label supports (index 0 = data graph), precomputed so
     // the query-generalization cost model is O(|Q|) per layer.
     supports: Vec<LabelSupport>,
@@ -135,13 +114,7 @@ impl BiGIndex {
                 // config is still useful (pure bisimulation).
                 break;
             }
-            let layer = Self::make_layer(
-                &current,
-                &config,
-                direction,
-                g.alphabet_size(),
-                params.summarizer,
-            );
+            let layer = Self::make_layer(&current, &config, direction, g.alphabet_size());
             let gain = layer.graph.size() as f64 / current.size().max(1) as f64;
             let next = layer.graph.clone();
             if layer_no > 0 && gain > params.min_gain_ratio {
@@ -153,7 +126,7 @@ impl BiGIndex {
                 break;
             }
         }
-        let index = Self::assemble(g, ontology, layers, direction, params.summarizer);
+        let index = Self::assemble(g, ontology, layers, direction);
         (index, work)
     }
 
@@ -166,28 +139,16 @@ impl BiGIndex {
         configs: Vec<GenConfig>,
         direction: BisimDirection,
     ) -> Self {
-        Self::build_with_configs_summarizer(g, ontology, configs, direction, Summarizer::Maximal)
-    }
-
-    /// [`BiGIndex::build_with_configs`] with an explicit summarization
-    /// formalism.
-    pub fn build_with_configs_summarizer(
-        g: DiGraph,
-        ontology: Ontology,
-        configs: Vec<GenConfig>,
-        direction: BisimDirection,
-        summarizer: Summarizer,
-    ) -> Self {
         let alphabet = g.alphabet_size();
         let mut layers = Vec::with_capacity(configs.len());
         let mut current = g.clone();
         for config in configs {
-            let layer = Self::make_layer(&current, &config, direction, alphabet, summarizer);
+            let layer = Self::make_layer(&current, &config, direction, alphabet);
             let next = layer.graph.clone();
             layers.push(layer);
             current = next;
         }
-        Self::assemble(g, ontology, layers, direction, summarizer)
+        Self::assemble(g, ontology, layers, direction)
     }
 
     /// Reassembles an index from previously built parts — the
@@ -206,38 +167,6 @@ impl BiGIndex {
         ontology: Ontology,
         layers: Vec<Layer>,
         direction: BisimDirection,
-        summarizer: Summarizer,
-    ) -> Self {
-        Self::assemble_unchecked(base, ontology, layers, direction, summarizer)
-    }
-
-    fn assemble(
-        base: DiGraph,
-        ontology: Ontology,
-        layers: Vec<Layer>,
-        direction: BisimDirection,
-        summarizer: Summarizer,
-    ) -> Self {
-        let idx = Self::assemble_unchecked(base, ontology, layers, direction, summarizer);
-        // Both build paths funnel through here, so this is the single
-        // place the whole hierarchy exists before anyone queries it.
-        #[cfg(any(debug_assertions, feature = "validate"))]
-        {
-            let report = idx.verify();
-            assert!(
-                report.is_clean(),
-                "BiG-index invariant violation:\n{report}"
-            );
-        }
-        idx
-    }
-
-    fn assemble_unchecked(
-        base: DiGraph,
-        ontology: Ontology,
-        layers: Vec<Layer>,
-        direction: BisimDirection,
-        summarizer: Summarizer,
     ) -> Self {
         let mut supports = vec![LabelSupport::new(&base)];
         supports.extend(layers.iter().map(|l| LabelSupport::new(&l.graph)));
@@ -267,10 +196,29 @@ impl BiGIndex {
             ontology,
             layers,
             direction,
-            summarizer,
             supports,
             gen_mass,
         }
+    }
+
+    fn assemble(
+        base: DiGraph,
+        ontology: Ontology,
+        layers: Vec<Layer>,
+        direction: BisimDirection,
+    ) -> Self {
+        let idx = Self::from_parts(base, ontology, layers, direction);
+        // Both build paths funnel through here, so this is the single
+        // place the whole hierarchy exists before anyone queries it.
+        #[cfg(any(debug_assertions, feature = "validate"))]
+        {
+            let report = idx.verify();
+            assert!(
+                report.is_clean(),
+                "BiG-index invariant violation:\n{report}"
+            );
+        }
+        idx
     }
 
     /// One `χ` application: generalize then summarize.
@@ -279,14 +227,10 @@ impl BiGIndex {
         config: &GenConfig,
         direction: BisimDirection,
         alphabet: usize,
-        summarizer: Summarizer,
     ) -> Layer {
         let label_map = config.label_map(alphabet.max(lower.alphabet_size()));
         let generalized = lower.relabel(&label_map);
-        let partition = match summarizer {
-            Summarizer::Maximal => maximal_bisimulation(&generalized, direction),
-            Summarizer::KBounded(k) => k_bisimulation(&generalized, direction, k),
-        };
+        let partition = maximal_bisimulation(&generalized, direction);
         let summary = summarize(&generalized, &partition);
         let supernode_of: Vec<VId> = generalized
             .vertices()
@@ -324,11 +268,6 @@ impl BiGIndex {
     /// The bisimulation direction the index was built with.
     pub fn direction(&self) -> BisimDirection {
         self.direction
-    }
-
-    /// The summarization formalism the index was built with.
-    pub fn summarizer(&self) -> Summarizer {
-        self.summarizer
     }
 
     /// All layers `1..=h` in order (persistence export; [`BiGIndex::layer`]
@@ -446,7 +385,6 @@ impl PartialEq for BiGIndex {
             && self.ontology == other.ontology
             && self.layers == other.layers
             && self.direction == other.direction
-            && self.summarizer == other.summarizer
     }
 }
 
@@ -483,10 +421,6 @@ impl bgi_verify::IndexView for BiGIndex {
 
     fn direction(&self) -> BisimDirection {
         self.direction
-    }
-
-    fn is_maximal_summarizer(&self) -> bool {
-        matches!(self.summarizer, Summarizer::Maximal)
     }
 
     fn support_count(&self, m: usize, l: LabelId) -> u32 {
@@ -659,75 +593,5 @@ mod tests {
         let idx = BiGIndex::build(g, o, &BuildParams::default());
         let total: usize = (1..=idx.num_layers()).map(|m| idx.graph_at(m).size()).sum();
         assert_eq!(idx.total_index_size(), total);
-    }
-}
-
-#[cfg(test)]
-mod summarizer_tests {
-    use super::*;
-    use bgi_graph::{GraphBuilder, OntologyBuilder};
-    use bgi_search::{Banks, KeywordQuery};
-
-    /// Deep chains of same-typed vertices: maximal bisim distinguishes
-    /// by depth, k-bounded collapses beyond depth k.
-    fn chains() -> (DiGraph, Ontology) {
-        let mut gb = GraphBuilder::new();
-        for _ in 0..10 {
-            let mut prev = gb.add_vertex(LabelId(1));
-            for _ in 0..6 {
-                let next = gb.add_vertex(LabelId(1));
-                gb.add_edge(prev, next);
-                prev = next;
-            }
-        }
-        let g = gb.build();
-        let mut ob = OntologyBuilder::new(2);
-        ob.add_subtype(LabelId(0), LabelId(1));
-        (g, ob.build().unwrap())
-    }
-
-    #[test]
-    fn kbounded_compresses_more_than_maximal() {
-        let (g, o) = chains();
-        let c = GenConfig::new([(LabelId(1), LabelId(0))], &o).unwrap();
-        let maximal = BiGIndex::build_with_configs(
-            g.clone(),
-            o.clone(),
-            vec![c.clone()],
-            BisimDirection::Forward,
-        );
-        let bounded = BiGIndex::build_with_configs_summarizer(
-            g,
-            o,
-            vec![c],
-            BisimDirection::Forward,
-            Summarizer::KBounded(2),
-        );
-        assert_eq!(bounded.summarizer(), Summarizer::KBounded(2));
-        assert!(
-            bounded.graph_at(1).size() < maximal.graph_at(1).size(),
-            "k-bounded {} vs maximal {}",
-            bounded.graph_at(1).size(),
-            maximal.graph_at(1).size()
-        );
-    }
-
-    #[test]
-    fn kbounded_queries_remain_sound() {
-        let (g, o) = chains();
-        let c = GenConfig::new([(LabelId(1), LabelId(0))], &o).unwrap();
-        let index = BiGIndex::build_with_configs_summarizer(
-            g.clone(),
-            o,
-            vec![c],
-            BisimDirection::Forward,
-            Summarizer::KBounded(1),
-        );
-        let boosted = crate::Boosted::new(&index, Banks, crate::EvalOptions::default());
-        let q = KeywordQuery::new(vec![LabelId(1)], 2);
-        let r = boosted.query(&q, 10);
-        for a in &r.answers {
-            assert!(a.validate(&g, &q.keywords));
-        }
     }
 }

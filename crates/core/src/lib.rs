@@ -69,7 +69,7 @@ pub mod spec;
 pub use boost::{boost_dkws, Boosted};
 pub use config::{full_step_config, greedy_full_step_configs, GenConfig};
 pub use eval::{eval_at_layer, eval_query, EvalOptions, EvalResult, RealizerKind};
-pub use index::{BiGIndex, BuildParams, Summarizer};
+pub use index::{BiGIndex, BuildParams};
 // The invariant checker the index validates itself with at build time
 // (debug builds and the `validate` feature); re-exported so callers can
 // inspect [`bgi_verify::Report`]s from [`BiGIndex::verify`].

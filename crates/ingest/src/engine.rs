@@ -47,7 +47,7 @@ use bgi_search::{diff_graphs, Banks, Blinks, KeywordSearch};
 use bgi_store::{build_layer_indexes, GraphUpdate, IndexBundle, Store, Wal};
 use big_index::cost::construction_cost_with_compress;
 use big_index::layer::Layer;
-use big_index::{BiGIndex, GenConfig, Summarizer};
+use big_index::{BiGIndex, GenConfig};
 use std::collections::BTreeSet;
 
 /// Construction-time knobs for an [`Engine`].
@@ -92,7 +92,6 @@ pub struct ApplyOutcome {
 pub struct Engine {
     ontology: Ontology,
     direction: bgi_bisim::BisimDirection,
-    summarizer: Summarizer,
     /// Labels an [`IngestUpdate::AddVertex`] may use (`0..alphabet`).
     alphabet: usize,
     /// Per-layer step configurations `Cᵐ` (fixed under updates).
@@ -180,7 +179,6 @@ impl Engine {
         Ok(Engine {
             ontology: seed.ontology,
             direction: seed.direction,
-            summarizer: seed.summarizer,
             alphabet: seed.alphabet,
             configs: seed.configs,
             step_maps: seed.step_maps,
@@ -389,7 +387,6 @@ impl Engine {
             ontology: self.ontology.clone(),
             configs: self.configs.clone(),
             direction: self.direction,
-            summarizer: self.summarizer,
             blinks_params: self.bundle.blinks_params,
             rclique_params: self.bundle.rclique_params,
             eval: self.bundle.eval,
@@ -744,7 +741,6 @@ impl Engine {
             self.ontology.clone(),
             layers,
             self.direction,
-            self.summarizer,
         );
 
         if index == self.bundle.index {
@@ -891,7 +887,6 @@ pub struct RebuildJob {
     ontology: Ontology,
     configs: Vec<GenConfig>,
     direction: bgi_bisim::BisimDirection,
-    summarizer: Summarizer,
     blinks_params: bgi_search::blinks::BlinksParams,
     rclique_params: bgi_search::RClique,
     eval: big_index::EvalOptions,
@@ -903,13 +898,8 @@ impl RebuildJob {
     /// search indexes in parallel on the captured thread budget). Pure
     /// compute — no engine, no disk.
     pub fn run(self) -> IndexBundle {
-        let index = BiGIndex::build_with_configs_summarizer(
-            self.base,
-            self.ontology,
-            self.configs,
-            self.direction,
-            self.summarizer,
-        );
+        let index =
+            BiGIndex::build_with_configs(self.base, self.ontology, self.configs, self.direction);
         let (banks, blinks, rclique) = build_layer_indexes(
             &index,
             self.blinks_params,
@@ -941,7 +931,6 @@ enum BuiltIndex {
 struct Seed {
     ontology: Ontology,
     direction: bgi_bisim::BisimDirection,
-    summarizer: Summarizer,
     alphabet: usize,
     configs: Vec<GenConfig>,
     step_maps: Vec<Vec<LabelId>>,
@@ -956,7 +945,6 @@ impl Seed {
         let base = index.base().clone();
         let ontology = index.ontology().clone();
         let direction = index.direction();
-        let summarizer = index.summarizer();
         let alphabet = base.alphabet_size().max(ontology.num_labels());
         let configs: Vec<GenConfig> = index.layers().iter().map(|l| l.config.clone()).collect();
         let step_maps: Vec<Vec<LabelId>> =
@@ -980,7 +968,10 @@ impl Seed {
             let Some(inc) = IncrementalBisim::from_partition(flat_graph, partition, direction)
             else {
                 return Err(IngestError::Inconsistent {
-                    detail: format!("layer {m}: χ table does not induce a label-uniform partition"),
+                    detail: format!(
+                        "layer {m}: χ table is not a label-uniform stable partition \
+                         of the generalized graph"
+                    ),
                 });
             };
             flats.push(inc);
@@ -989,7 +980,6 @@ impl Seed {
         Ok(Seed {
             ontology,
             direction,
-            summarizer,
             alphabet,
             configs,
             step_maps,
@@ -1089,6 +1079,48 @@ mod tests {
         e.materialize(&[]).unwrap();
         assert!(e.index() == &reference);
         assert!(e.index().verify().is_clean());
+    }
+
+    #[test]
+    fn seeding_refuses_an_unstable_chi() {
+        // The one-label chain 0 → 1 → 2 → 3 quotiented by {0, 1, 2},
+        // {3}: label-uniform and path-preserving, but 2's successor sits
+        // in the other block. Repairing it would renumber the blocks the
+        // served χ names, so seeding must refuse it.
+        let base = GraphBuilder::from_edges(
+            vec![LabelId(0); 4],
+            (0..3).map(|v| (VId(v), VId(v + 1))).collect(),
+        );
+        let summary = summarize(&base, &Partition::new(vec![0, 0, 0, 1], 2));
+        let layer = Layer::new(
+            GenConfig::default(),
+            vec![LabelId(0)],
+            summary.graph.clone(),
+            base.vertices().map(|v| summary.supernode_of(v)).collect(),
+            summary
+                .graph
+                .vertices()
+                .map(|s| summary.members(s).to_vec())
+                .collect(),
+        );
+        let ontology = OntologyBuilder::new(1).build().unwrap();
+        let index = BiGIndex::from_parts(
+            base,
+            ontology,
+            vec![layer],
+            bgi_bisim::BisimDirection::Forward,
+        );
+        let bundle = IndexBundle::build(
+            index,
+            BlinksParams::default(),
+            RClique::default(),
+            EvalOptions::default(),
+        );
+        let err = Engine::new(bundle, EngineConfig::default()).err();
+        assert!(
+            matches!(err, Some(IngestError::Inconsistent { .. })),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@ use bgi_search::blinks::{BlinksIndex, BlinksParams, GraphPartition};
 use bgi_search::rclique::RCliqueIndex;
 use bgi_search::{Banks, Blinks, KeywordSearch, RClique};
 use big_index::layer::Layer;
-use big_index::{BiGIndex, EvalOptions, GenConfig, RealizerKind, Summarizer};
+use big_index::{BiGIndex, EvalOptions, GenConfig, RealizerKind};
 use rustc_hash::FxHashMap;
 
 /// Everything a serving process needs to answer queries without
@@ -240,16 +240,11 @@ pub fn encode_index(idx: &BiGIndex) -> Vec<u8> {
         BisimDirection::Backward => 1,
         BisimDirection::Both => 2,
     });
-    match idx.summarizer() {
-        Summarizer::Maximal => {
-            e.u8(0);
-            e.u32(0);
-        }
-        Summarizer::KBounded(k) => {
-            e.u8(1);
-            e.u32(k);
-        }
-    }
+    // Reserved pair, always 0/0: older builds wrote a summarizer tag
+    // here, and keeping the bytes keeps the frame, and so every saved
+    // generation and pinned checksum, unchanged.
+    e.u8(0);
+    e.u32(0);
     enc_graph(&mut e, idx.base());
     enc_ontology(&mut e, idx.ontology());
     e.u64(idx.layers().len() as u64);
@@ -283,11 +278,11 @@ pub fn decode_index(bytes: &[u8]) -> Result<BiGIndex, CodecError> {
         2 => BisimDirection::Both,
         x => return bad(format!("unknown bisimulation direction tag {x}")),
     };
-    let summarizer = match (d.u8()?, d.u32()?) {
-        (0, _) => Summarizer::Maximal,
-        (1, k) => Summarizer::KBounded(k),
-        (x, _) => return bad(format!("unknown summarizer tag {x}")),
-    };
+    match (d.u8()?, d.u32()?) {
+        (0, 0) => {}
+        (1, k) => return bad(format!("k-bounded summary (k = {k}) is unsupported")),
+        (tag, arg) => return bad(format!("reserved bytes {tag}/{arg} are not 0/0")),
+    }
     let base = dec_graph(&mut d)?;
     let ontology = dec_ontology(&mut d)?;
     let num_layers = d.seq_len()?;
@@ -329,9 +324,7 @@ pub fn decode_index(bytes: &[u8]) -> Result<BiGIndex, CodecError> {
         layers.push(Layer::new(config, label_map, graph, supernode_of, members));
     }
     d.finish()?;
-    Ok(BiGIndex::from_parts(
-        base, ontology, layers, direction, summarizer,
-    ))
+    Ok(BiGIndex::from_parts(base, ontology, layers, direction))
 }
 
 // ---------------------------------------------------------------------

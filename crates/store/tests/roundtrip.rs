@@ -5,6 +5,7 @@
 
 mod common;
 
+use bgi_store::codec::{fnv1a64, Dec, Enc, Section};
 use bgi_store::{FailAction, Failpoints, RetryPolicy, Store, StoreError};
 use common::{bundle_a, bundle_b, TempDir};
 use proptest::prelude::*;
@@ -112,7 +113,7 @@ fn reframe_generation(root: &Path, generation: u64, version: u16) {
         let mut bytes = fs::read(&path).unwrap();
         let body = bytes.len() - 8;
         bytes[4..6].copy_from_slice(&version.to_le_bytes());
-        let sum = bgi_store::codec::fnv1a64(&bytes[..body]);
+        let sum = fnv1a64(&bytes[..body]);
         bytes[body..].copy_from_slice(&sum.to_le_bytes());
         fs::write(&path, bytes).unwrap();
     }
@@ -139,6 +140,70 @@ fn generation_of_another_codec_version_is_typed_and_quarantined() {
             assert_eq!((generation, found), (1, 2));
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
+    assert_eq!(store.quarantined().len(), 2);
+    assert!(matches!(store.load_latest(), Err(StoreError::NoGeneration)));
+}
+
+/// Rewrites `generation`'s `index.bin` the way a build that still wrote
+/// k-bounded summaries framed one: tag 1 and `k` in the reserved pair
+/// after the direction byte, the frame checksum and the manifest entry
+/// recomputed — an intact file, just not one this build reads.
+fn retag_index_as_k_bounded(root: &Path, generation: u64, k: u32) {
+    let dir = root.join(format!("gen-{generation:08}"));
+    let path = dir.join("index.bin");
+    let mut bytes = fs::read(&path).unwrap();
+    // An 8-byte header (magic, version, section), the direction byte,
+    // then the reserved pair this build writes as 0/0.
+    assert_eq!(bytes[9..14], [0; 5], "reserved pair is written 0/0");
+    bytes[9] = 1;
+    bytes[10..14].copy_from_slice(&k.to_le_bytes());
+    let body = bytes.len() - 8;
+    let sum = fnv1a64(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    fs::write(&path, &bytes).unwrap();
+
+    let manifest = dir.join("MANIFEST");
+    let old = fs::read(&manifest).unwrap();
+    let mut d = Dec::open(&old, Section::Manifest).unwrap();
+    let mut e = Enc::new(Section::Manifest);
+    let entries = d.seq_len().unwrap();
+    e.u64(entries as u64);
+    for _ in 0..entries {
+        let name = d.bytes().unwrap();
+        let len = d.u64().unwrap();
+        let checksum = d.u64().unwrap();
+        e.bytes(name);
+        e.u64(len);
+        e.u64(if name == b"index.bin" {
+            fnv1a64(&bytes)
+        } else {
+            checksum
+        });
+    }
+    fs::write(&manifest, e.finish()).unwrap();
+}
+
+#[test]
+fn generation_with_a_k_bounded_index_is_refused_and_quarantined() {
+    let a = bundle_a();
+    let dir = TempDir::new("k-bounded");
+    let store = Store::open(dir.path()).unwrap();
+    store.save(&a).unwrap();
+    store.save(&bundle_b()).unwrap();
+    retag_index_as_k_bounded(dir.path(), 2, 2);
+    let (generation, loaded) = store.load_latest().unwrap();
+    assert_eq!(generation, 1, "falls back to the readable generation");
+    assert_eq!(loaded, a);
+    assert_eq!(store.quarantined().len(), 1);
+
+    retag_index_as_k_bounded(dir.path(), 1, 1);
+    match store.load_latest() {
+        Err(StoreError::Corrupt { generation, detail }) => {
+            assert_eq!(generation, 1);
+            assert!(detail.starts_with("index.bin: k-bounded"), "{detail}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
     }
     assert_eq!(store.quarantined().len(), 2);
     assert!(matches!(store.load_latest(), Err(StoreError::NoGeneration)));

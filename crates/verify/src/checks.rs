@@ -17,9 +17,9 @@ use rustc_hash::FxHashSet;
 /// The checks, in order (see [`Invariant`] for the paper references):
 /// ontology acyclicity, configuration ancestry (Def. 2.2), label-map
 /// consistency, path preservation (Def. 2.1), label preservation,
-/// absence of phantom edges, partition stability (maximal summarizer
-/// only), `χ`/`χ⁻¹` round-trips, member-list partitioning, and
-/// per-layer label-support recounts.
+/// absence of phantom edges, partition stability, `χ`/`χ⁻¹`
+/// round-trips, member-list partitioning, and per-layer label-support
+/// recounts. Every check ends `Pass` or `Fail`.
 pub fn check_index<I: IndexView + ?Sized>(idx: &I) -> Report {
     let h = idx.num_layers();
     let checks = vec![
@@ -247,17 +247,10 @@ fn block_signature<I: IndexView + ?Sized>(
 
 /// Stability of the summary partition on the *generalized* lower graph:
 /// all members of a block must have identical generalized labels and
-/// see the same set of neighbor blocks in the summarizer's direction.
-/// Only the maximal bisimulation guarantees this — a k-bounded
-/// partition is stable only to depth `k` — so the check is `Skipped`
-/// for bounded summarizers.
+/// see the same set of neighbor blocks in the index's direction. Both
+/// the maximal bisimulation a build computes and the finer partitions
+/// split-only maintenance leaves are stable.
 fn check_partition_stable<I: IndexView + ?Sized>(idx: &I, h: usize) -> Check {
-    if !idx.is_maximal_summarizer() {
-        return Check::skipped(
-            Invariant::PartitionStable,
-            "k-bounded summarizer: partitions are stable only to depth k",
-        );
-    }
     let dir = idx.direction();
     let (chk_out, chk_in) = match dir {
         BisimDirection::Forward => (true, false),

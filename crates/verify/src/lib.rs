@@ -18,8 +18,14 @@
 //! [`IndexView`] trait rather than taking a concrete index type;
 //! `big-index` implements `IndexView` for `BiGIndex`. Tests use wrapper
 //! views to inject corruption (a broken `χ⁻¹` table, a non-ancestor
-//! configuration entry, a phantom summary edge) and prove each class is
-//! caught with a witness.
+//! configuration entry, a phantom summary edge, a stale support count)
+//! and an assembled unstable quotient, and prove each class is caught
+//! with a witness.
+//!
+//! Every layer is a maximal bisimulation when built and a stable,
+//! possibly finer one after incremental maintenance, so all ten
+//! [`Invariant::ALL`] checks apply to every index: each ends `Pass` or
+//! `Fail`.
 //!
 //! ```
 //! use bgi_verify::{check_index, IndexView};

@@ -26,9 +26,9 @@ pub enum Invariant {
     /// No summary edge lacks a pre-image: `G^m` has no connectivity
     /// beyond the quotient of `Gen(G^{m-1}, Cᵐ)`.
     NoPhantomEdges,
-    /// The summary partition is stable on the generalized graph (only
-    /// checked for the maximal summarizer; k-bounded partitions are
-    /// stable only to depth `k`).
+    /// The summary partition is stable on the generalized graph: it is
+    /// a bisimulation (Sec. 2), so every member of a block sees the same
+    /// neighbor blocks.
     PartitionStable,
     /// `χ⁻¹` round-trips: `Bisim⁻¹(Bisim(v)) ∋ v` for every vertex.
     ChiRoundTrip,
@@ -84,13 +84,10 @@ impl Invariant {
 /// Outcome of one invariant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Status {
-    /// The invariant holds everywhere it applies.
+    /// The invariant holds everywhere.
     Pass,
     /// At least one violation was found (see the witnesses).
     Fail,
-    /// The invariant does not apply to this index (e.g. partition
-    /// stability under a k-bounded summarizer).
-    Skipped,
 }
 
 /// A concrete offender pinning a violation to index coordinates.
@@ -168,13 +165,13 @@ pub(crate) const MAX_WITNESSES: usize = 8;
 pub struct Check {
     /// Which invariant this is.
     pub invariant: Invariant,
-    /// Pass, fail, or skipped.
+    /// Pass or fail.
     pub status: Status,
     /// Total number of violations found (may exceed `witnesses.len()`).
     pub violations: usize,
     /// A capped sample of concrete offenders.
     pub witnesses: Vec<Witness>,
-    /// Human-oriented context (what was checked, why it was skipped).
+    /// Human-oriented context (what was checked).
     pub detail: String,
 }
 
@@ -183,16 +180,6 @@ impl Check {
         Check {
             invariant,
             status: Status::Pass,
-            violations: 0,
-            witnesses: Vec::new(),
-            detail: detail.into(),
-        }
-    }
-
-    pub(crate) fn skipped(invariant: Invariant, detail: impl Into<String>) -> Self {
-        Check {
-            invariant,
-            status: Status::Skipped,
             violations: 0,
             witnesses: Vec::new(),
             detail: detail.into(),
@@ -217,8 +204,7 @@ pub struct Report {
 }
 
 impl Report {
-    /// True when no invariant failed (skipped checks do not count
-    /// against cleanliness).
+    /// True when no invariant failed.
     pub fn is_clean(&self) -> bool {
         self.checks.iter().all(|c| c.status != Status::Fail)
     }
@@ -251,7 +237,6 @@ impl fmt::Display for Report {
             let tag = match c.status {
                 Status::Pass => "PASS",
                 Status::Fail => "FAIL",
-                Status::Skipped => "SKIP",
             };
             write!(f, "{tag} {:<22} {}", c.invariant.name(), c.detail)?;
             if c.status == Status::Fail {

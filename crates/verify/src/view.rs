@@ -45,11 +45,6 @@ pub trait IndexView {
     /// The bisimulation direction the summaries were computed under.
     fn direction(&self) -> BisimDirection;
 
-    /// True if the summarizer is the *maximal* bisimulation, whose
-    /// partitions must be stable; bounded (k-) bisimulation partitions
-    /// are only stable up to depth `k`, so stability is skipped.
-    fn is_maximal_summarizer(&self) -> bool;
-
     /// The index's precomputed count of label `l` at layer `m`
     /// (cross-checked against a fresh recount).
     fn support_count(&self, m: usize, l: LabelId) -> u32;

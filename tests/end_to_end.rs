@@ -55,7 +55,7 @@ fn built_index_passes_full_verification_with_witness_free_report() {
     let report = index.verify();
     assert!(report.is_clean(), "{report}");
     assert_eq!(report.total_violations(), 0);
-    // Maximal summarizer: every invariant applies, nothing skipped.
+    // Every invariant applies, and every one passes.
     for inv in Invariant::ALL {
         let c = report.check(inv).expect("all invariants reported");
         assert_eq!(c.status, Status::Pass, "{inv:?} not Pass:\n{report}");

@@ -121,8 +121,8 @@ fn paper_example_index_passes_verification() {
     );
     let report = index.verify();
     assert!(report.is_clean(), "{report}");
-    // The paper's running example is built with the maximal
-    // summarizer, so even partition stability must hold (not Skipped).
+    // Each layer is the maximal bisimulation, so its partition is
+    // stable.
     let stable = report.check(Invariant::PartitionStable).unwrap();
     assert_eq!(stable.status, Status::Pass, "{report}");
 }

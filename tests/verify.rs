@@ -1,20 +1,24 @@
 //! The verification layer's own tests:
 //!
-//! - property tests: `check_index` is clean on indexes built from random
-//!   graph/ontology pairs, under both the maximal and the k-bounded
-//!   summarizer and all three bisimulation directions;
+//! - property tests: `check_index` passes all ten invariants on indexes
+//!   built from random graph/ontology pairs in all three bisimulation
+//!   directions;
 //! - corruption negatives: targeted damage to a healthy index — a broken
 //!   `χ⁻¹` table, a non-ancestor configuration entry, a phantom summary
-//!   edge, a stale support count — is *detected*, attributed to the
-//!   right invariant, and reported with a concrete witness.
+//!   edge, a stale support count, an unstable quotient — is *detected*,
+//!   attributed to the right invariant, and reported with a concrete
+//!   witness.
 //!
 //! Corruption is injected through wrapper views implementing
 //! [`IndexView`] over a pristine `BiGIndex`, overriding exactly one
-//! accessor each; the index itself is never mutated.
+//! accessor each; the index itself is never mutated. The unstable
+//! quotient is assembled from parts instead: no accessor override can
+//! make a consistent index unstable.
 
-use big_index_repro::bisim::BisimDirection;
+use big_index_repro::bisim::{summarize, BisimDirection, Partition};
 use big_index_repro::graph::{DiGraph, GraphBuilder, LabelId, Ontology, OntologyBuilder, VId};
-use big_index_repro::index::{BiGIndex, GenConfig, Summarizer};
+use big_index_repro::index::layer::Layer;
+use big_index_repro::index::{BiGIndex, GenConfig};
 use big_index_repro::verify::{check_index, IndexView, Invariant, Report, Status, Witness};
 use proptest::prelude::*;
 
@@ -74,7 +78,7 @@ proptest! {
                 g.clone(), ont.clone(), vec![full_config(&ont)], dir);
             let report = check_index(&index);
             assert_clean(&report);
-            // Under the maximal summarizer nothing is skipped.
+            // Every invariant applies to every index.
             for inv in Invariant::ALL {
                 prop_assert_eq!(
                     report.check(inv).expect("invariant present").status,
@@ -82,22 +86,6 @@ proptest! {
                 );
             }
         }
-    }
-
-    #[test]
-    fn kbounded_indexes_verify_clean(g in arb_graph(), k in 1u32..4) {
-        let ont = ontology();
-        let index = BiGIndex::build_with_configs_summarizer(
-            g, ont.clone(), vec![full_config(&ont)],
-            BisimDirection::Forward, Summarizer::KBounded(k));
-        let report = check_index(&index);
-        assert_clean(&report);
-        // A k-bounded partition is only stable to depth k, so stability
-        // is skipped rather than asserted.
-        prop_assert_eq!(
-            report.check(Invariant::PartitionStable).expect("invariant present").status,
-            Status::Skipped
-        );
     }
 }
 
@@ -191,10 +179,6 @@ impl IndexView for CorruptView {
 
     fn direction(&self) -> BisimDirection {
         IndexView::direction(&self.inner)
-    }
-
-    fn is_maximal_summarizer(&self) -> bool {
-        self.inner.is_maximal_summarizer()
     }
 
     fn support_count(&self, m: usize, l: LabelId) -> u32 {
@@ -356,5 +340,59 @@ fn corruption_reports_are_attributed_not_global() {
         Invariant::SupportCounts,
     ] {
         assert_eq!(report.check(inv).unwrap().status, Status::Pass, "{report}");
+    }
+}
+
+/// Stability is the one invariant a consistent index can break: the
+/// one-label chain 0 → 1 → 2 → 3 quotiented by {0, 1, 2}, {3} keeps
+/// labels, paths, χ tables and supports intact, but vertex 2's
+/// successor lies in the other block.
+#[test]
+fn unstable_quotient_fails_only_partition_stability() {
+    let base = GraphBuilder::from_edges(
+        vec![LabelId(0); 4],
+        (0..3).map(|v| (VId(v), VId(v + 1))).collect(),
+    );
+    let summary = summarize(&base, &Partition::new(vec![0, 0, 0, 1], 2));
+    let layer = Layer::new(
+        GenConfig::default(),
+        vec![LabelId(0)],
+        summary.graph.clone(),
+        base.vertices().map(|v| summary.supernode_of(v)).collect(),
+        summary
+            .graph
+            .vertices()
+            .map(|s| summary.members(s).to_vec())
+            .collect(),
+    );
+    let ontology = OntologyBuilder::new(1).build().unwrap();
+    let index = BiGIndex::from_parts(base, ontology, vec![layer], BisimDirection::Forward);
+    let report = check_index(&index);
+
+    assert_eq!(
+        report.failed(),
+        vec![Invariant::PartitionStable],
+        "{report}"
+    );
+    let ps = report.check(Invariant::PartitionStable).unwrap();
+    assert_eq!(ps.violations, 1);
+    // The witness is the member of block {0, 1, 2} whose successor
+    // block differs from the block's first member's.
+    assert_eq!(
+        ps.witnesses,
+        vec![Witness::Vertex {
+            layer: 0,
+            v: VId(2)
+        }]
+    );
+    assert_eq!(IndexView::up(&index, 1, VId(2)), VId(0));
+    assert_eq!(
+        IndexView::down(&index, 1, VId(0)),
+        &[VId(0), VId(1), VId(2)]
+    );
+    for inv in Invariant::ALL {
+        if inv != Invariant::PartitionStable {
+            assert_eq!(report.check(inv).unwrap().status, Status::Pass, "{report}");
+        }
     }
 }
