@@ -768,7 +768,7 @@ fn boot_mono(
             Engine::new(default_bundle(index, engine_config.threads), engine_config)?
         }
     };
-    let snapshot = Arc::new(IndexSnapshot::from_bundle(engine.bundle().clone())?);
+    let snapshot = Arc::new(IndexSnapshot::from_shared(engine.shared_bundle())?);
     let service = Service::start_with_logger(snapshot, service_config, stderr_logger());
     let hub = Box::new(WriteHub::new(engine));
     Ok((service, Writer::Mono { hub, store }))

@@ -11,11 +11,14 @@
 //! search algorithms need to run unchanged on the summary.
 //!
 //! The partition refinement here is signature-based: starting from the
-//! label partition, each round re-buckets every vertex by
-//! `(current block, blocks of its neighbors)` until a fixpoint — the
-//! coarsest stable refinement, i.e. the maximal bisimulation. That one
-//! loop, [`coarsest_stable_refinement`], is the only partition the crate
-//! computes: index builds, incremental maintenance and Algo. 1's
+//! label partition, each round re-buckets the vertices of every *dirty*
+//! block by `(current block, blocks of its neighbors)` until no block
+//! splits — the coarsest stable refinement, i.e. the maximal
+//! bisimulation. A block is dirty at the start (every block in a build,
+//! the endpoints' blocks in a commit) or when a neighbor moved in the
+//! previous round. That one loop (`refine.rs`) is the only partition the
+//! crate computes: index builds ([`coarsest_stable_refinement`]),
+//! incremental maintenance ([`IncrementalBisim`]) and Algo. 1's
 //! compression estimates all run it.
 //!
 //! ```
@@ -51,4 +54,4 @@ pub mod summary;
 pub use incremental::{Drift, IncrementalBisim, Update};
 pub use partition::Partition;
 pub use refine::{coarsest_stable_refinement, maximal_bisimulation, BisimDirection};
-pub use summary::{quotient_size, summarize, Summary};
+pub use summary::{quotient_graph, quotient_size, summarize, Summary};

@@ -9,8 +9,8 @@ use bgi_graph::VId;
 /// A partition of `0..n` vertices into dense blocks `0..num_blocks`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
-    block_of: Vec<u32>,
-    num_blocks: usize,
+    pub(crate) block_of: Vec<u32>,
+    pub(crate) num_blocks: usize,
 }
 
 impl Partition {

@@ -7,7 +7,7 @@
 //! mapping each supernode back to its original vertices.
 
 use crate::partition::Partition;
-use bgi_graph::{DiGraph, GraphBuilder, VId};
+use bgi_graph::{DiGraph, GraphBuilder, LabelId, VId};
 
 /// A summary graph plus the two-way vertex correspondence with the graph
 /// it summarizes.
@@ -56,27 +56,40 @@ impl Summary {
 /// bisimulation partition does); the supernode label is taken from the
 /// first member. Asserted in debug builds.
 pub fn summarize(g: &DiGraph, part: &Partition) -> Summary {
+    let supernode_of = part.assignment().iter().map(|&b| VId(b)).collect();
+    Summary {
+        graph: quotient_graph(g, part),
+        supernode_of,
+        members: part.blocks(),
+    }
+}
+
+/// The summary graph alone — [`summarize`]'s `graph`, without the
+/// correspondence tables.
+pub fn quotient_graph(g: &DiGraph, part: &Partition) -> DiGraph {
     let nb = part.num_blocks();
-    let members = part.blocks();
-    let mut b = GraphBuilder::with_capacity(nb, g.num_edges());
-    for block in &members {
-        debug_assert!(!block.is_empty(), "partition blocks must be non-empty");
-        let label = g.label(block[0]);
+    // The label of each block's first (lowest) member.
+    let mut labels: Vec<Option<LabelId>> = vec![None; nb];
+    for v in g.vertices() {
+        let slot = &mut labels[part.block_of(v) as usize];
         debug_assert!(
-            block.iter().all(|&v| g.label(v) == label),
+            slot.is_none_or(|l| l == g.label(v)),
             "partition mixes labels within a block"
         );
-        b.add_vertex(label);
+        slot.get_or_insert(g.label(v));
+    }
+    debug_assert!(
+        labels.iter().all(Option::is_some),
+        "partition blocks must be non-empty"
+    );
+    let mut b = GraphBuilder::with_capacity(nb, g.num_edges());
+    for label in labels {
+        b.add_vertex(label.unwrap_or(LabelId(0)));
     }
     for (u, v) in g.edges() {
         b.add_edge(VId(part.block_of(u)), VId(part.block_of(v)));
     }
-    let supernode_of = part.assignment().iter().map(|&b| VId(b)).collect();
-    Summary {
-        graph: b.build(),
-        supernode_of,
-        members,
-    }
+    b.build()
 }
 
 /// `|Bisim(G)|` under `part` — blocks plus distinct block pairs joined

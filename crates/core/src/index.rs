@@ -10,11 +10,12 @@ use crate::compress::CompressEstimator;
 use crate::config::GenConfig;
 use crate::cost::CostParams;
 use crate::heuristic::{greedy_configuration_threaded, Algo1Work, ALGO1_SAMPLES};
-use crate::layer::Layer;
-use bgi_bisim::{maximal_bisimulation, summarize, BisimDirection};
+use crate::layer::{Layer, MemberTable};
+use bgi_bisim::{maximal_bisimulation, quotient_graph, BisimDirection};
 use bgi_graph::sampling::SamplingParams;
 use bgi_graph::stats::LabelSupport;
 use bgi_graph::{DiGraph, LabelId, Ontology, VId};
+use std::sync::Arc;
 
 /// Parameters governing BiG-index construction.
 #[derive(Debug, Clone)]
@@ -56,11 +57,16 @@ impl Default for BuildParams {
 /// The BiG-index of a data graph and its ontology: the binary tuple
 /// `(𝔾, 𝒞)` of Def. 3.1 plus the correspondence tables that implement
 /// `χ` and `χ⁻¹`.
+///
+/// The data graph, the ontology and every layer are held by `Arc`, so
+/// a clone shares them, and an index assembled after an update
+/// ([`BiGIndex::from_shared_parts`]) shares every part the update left
+/// alone with the index it replaces.
 #[derive(Debug, Clone)]
 pub struct BiGIndex {
-    base: DiGraph,
-    ontology: Ontology,
-    layers: Vec<Layer>,
+    base: Arc<DiGraph>,
+    ontology: Arc<Ontology>,
+    layers: Vec<Arc<Layer>>,
     direction: BisimDirection,
     // Per-layer label supports (index 0 = data graph), precomputed so
     // the query-generalization cost model is O(|Q|) per layer.
@@ -168,6 +174,23 @@ impl BiGIndex {
         layers: Vec<Layer>,
         direction: BisimDirection,
     ) -> Self {
+        Self::from_shared_parts(
+            Arc::new(base),
+            Arc::new(ontology),
+            layers.into_iter().map(Arc::new).collect(),
+            direction,
+        )
+    }
+
+    /// [`BiGIndex::from_parts`] over shared parts: the incremental write
+    /// path hands over the parts an update left unchanged by `Arc`
+    /// instead of copying them. Only the derived tables are computed.
+    pub fn from_shared_parts(
+        base: Arc<DiGraph>,
+        ontology: Arc<Ontology>,
+        layers: Vec<Arc<Layer>>,
+        direction: BisimDirection,
+    ) -> Self {
         let mut supports = vec![LabelSupport::new(&base)];
         supports.extend(layers.iter().map(|l| LabelSupport::new(&l.graph)));
         // Masses: push each base label's count through the per-layer
@@ -231,23 +254,10 @@ impl BiGIndex {
         let label_map = config.label_map(alphabet.max(lower.alphabet_size()));
         let generalized = lower.relabel(&label_map);
         let partition = maximal_bisimulation(&generalized, direction);
-        let summary = summarize(&generalized, &partition);
-        let supernode_of: Vec<VId> = generalized
-            .vertices()
-            .map(|v| summary.supernode_of(v))
-            .collect();
-        let members: Vec<Vec<VId>> = summary
-            .graph
-            .vertices()
-            .map(|s| summary.members(s).to_vec())
-            .collect();
-        Layer::new(
-            config.clone(),
-            label_map,
-            summary.graph.clone(),
-            supernode_of,
-            members,
-        )
+        let graph = quotient_graph(&generalized, &partition);
+        let supernode_of: Vec<VId> = partition.assignment().iter().map(|&b| VId(b)).collect();
+        let members = MemberTable::from_chi(&supernode_of, graph.num_vertices());
+        Layer::from_table(config.clone(), label_map, graph, supernode_of, members)
     }
 
     /// The data graph `G⁰`.
@@ -255,8 +265,18 @@ impl BiGIndex {
         &self.base
     }
 
+    /// The data graph as shared with every clone of this index.
+    pub fn shared_base(&self) -> &Arc<DiGraph> {
+        &self.base
+    }
+
     /// The ontology `G_Ont`.
     pub fn ontology(&self) -> &Ontology {
+        &self.ontology
+    }
+
+    /// The ontology as shared with every clone of this index.
+    pub fn shared_ontology(&self) -> &Arc<Ontology> {
         &self.ontology
     }
 
@@ -270,9 +290,10 @@ impl BiGIndex {
         self.direction
     }
 
-    /// All layers `1..=h` in order (persistence export; [`BiGIndex::layer`]
-    /// is the 1-indexed lookup).
-    pub fn layers(&self) -> &[Layer] {
+    /// All layers `1..=h` in order, as shared with every clone of this
+    /// index (persistence export; [`BiGIndex::layer`] is the 1-indexed
+    /// lookup).
+    pub fn layers(&self) -> &[Arc<Layer>] {
         &self.layers
     }
 
@@ -345,7 +366,7 @@ impl BiGIndex {
     /// Sizes `|Gⁱ|` for `i = 0..=h` (Fig. 9 / Tab. 3 raw data).
     pub fn layer_sizes(&self) -> Vec<usize> {
         let mut out = vec![self.base.size()];
-        out.extend(self.layers.iter().map(Layer::size));
+        out.extend(self.layers.iter().map(|l| l.size()));
         out
     }
 
@@ -360,7 +381,7 @@ impl BiGIndex {
     /// Total index size: the sum of summary-graph sizes (Exp-3: "the
     /// BiG-index size is simply the sum of the summary graphs").
     pub fn total_index_size(&self) -> usize {
-        self.layers.iter().map(Layer::size).sum()
+        self.layers.iter().map(|l| l.size()).sum()
     }
 
     /// Runs the full `bgi-verify` invariant suite against this index

@@ -9,6 +9,74 @@
 use crate::config::GenConfig;
 use bgi_graph::{DiGraph, LabelId, VId};
 
+/// `Bisim⁻¹` as one flat table: the members of supernode `s` are
+/// `ids[offsets[s]..offsets[s + 1]]`. Two allocations for the whole
+/// layer, not one per supernode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MemberTable {
+    offsets: Vec<u32>,
+    ids: Vec<VId>,
+}
+
+impl MemberTable {
+    /// The table inverting `χ` over `n` supernodes: each supernode's
+    /// members are the lower vertices `supernode_of` maps to it,
+    /// ascending — what summarizing a partition produces. One counting
+    /// sort.
+    pub fn from_chi(supernode_of: &[VId], n: usize) -> Self {
+        let mut offsets = vec![0u32; n + 1];
+        for s in supernode_of {
+            offsets[s.index() + 1] += 1;
+        }
+        for s in 0..n {
+            offsets[s + 1] += offsets[s];
+        }
+        let mut cursor = offsets.clone();
+        let mut ids = vec![VId(0); supernode_of.len()];
+        for (v, s) in supernode_of.iter().enumerate() {
+            ids[cursor[s.index()] as usize] = VId(v as u32);
+            cursor[s.index()] += 1;
+        }
+        MemberTable { offsets, ids }
+    }
+
+    /// The table holding exactly `lists`, in order.
+    pub fn from_lists(lists: &[Vec<VId>]) -> Self {
+        let mut offsets = Vec::with_capacity(lists.len() + 1);
+        offsets.push(0);
+        let mut ids = Vec::new();
+        for list in lists {
+            ids.extend_from_slice(list);
+            offsets.push(ids.len() as u32);
+        }
+        MemberTable { offsets, ids }
+    }
+
+    /// The members of supernode `s`.
+    #[inline]
+    pub fn get(&self, s: VId) -> &[VId] {
+        let i = s.index();
+        &self.ids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Number of member lists (supernodes).
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether the table has no list.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every member list, in supernode order.
+    pub fn lists(&self) -> impl ExactSizeIterator<Item = &[VId]> + '_ {
+        self.offsets
+            .windows(2)
+            .map(|w| &self.ids[w[0] as usize..w[1] as usize])
+    }
+}
+
 /// Layer `i ≥ 1` of a BiG-index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layer {
@@ -21,7 +89,7 @@ pub struct Layer {
     /// `χ`: vertex of `G^{i-1}` → its supernode in `G^i`.
     supernode_of: Vec<VId>,
     /// `Bisim⁻¹ ∘ Spec`: supernode of `G^i` → vertices of `G^{i-1}`.
-    members: Vec<Vec<VId>>,
+    members: MemberTable,
 }
 
 impl Layer {
@@ -32,6 +100,23 @@ impl Layer {
         graph: DiGraph,
         supernode_of: Vec<VId>,
         members: Vec<Vec<VId>>,
+    ) -> Self {
+        Self::from_table(
+            config,
+            label_map,
+            graph,
+            supernode_of,
+            MemberTable::from_lists(&members),
+        )
+    }
+
+    /// [`Layer::new`] with the `Bisim⁻¹` table already flat.
+    pub fn from_table(
+        config: GenConfig,
+        label_map: Vec<LabelId>,
+        graph: DiGraph,
+        supernode_of: Vec<VId>,
+        members: MemberTable,
     ) -> Self {
         debug_assert_eq!(graph.num_vertices(), members.len());
         Layer {
@@ -52,7 +137,7 @@ impl Layer {
     /// Specializes a `G^i` supernode down to its `G^{i-1}` members.
     #[inline]
     pub fn down(&self, s: VId) -> &[VId] {
-        &self.members[s.index()]
+        self.members.get(s)
     }
 
     /// Number of vertices in the layer below.
@@ -66,9 +151,9 @@ impl Layer {
         &self.supernode_of
     }
 
-    /// The full `Bisim⁻¹ ∘ Spec` table: member lists indexed by
-    /// supernode (persistence export; [`Layer::down`] is the lookup).
-    pub fn member_lists(&self) -> &[Vec<VId>] {
+    /// The full `Bisim⁻¹ ∘ Spec` table (persistence export;
+    /// [`Layer::down`] is the lookup).
+    pub fn member_table(&self) -> &MemberTable {
         &self.members
     }
 
@@ -107,6 +192,17 @@ mod tests {
         for v in 0..3u32 {
             assert!(l.down(l.up(VId(v))).contains(&VId(v)));
         }
+    }
+
+    #[test]
+    fn member_table_inverts_chi_ascending() {
+        let t = MemberTable::from_chi(&[VId(1), VId(0), VId(1), VId(0)], 3);
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.get(VId(0)), &[VId(1), VId(3)]);
+        assert_eq!(t.get(VId(1)), &[VId(0), VId(2)]);
+        assert_eq!(t.get(VId(2)), &[] as &[VId]);
+        let lists: Vec<Vec<VId>> = t.lists().map(<[VId]>::to_vec).collect();
+        assert_eq!(MemberTable::from_lists(&lists), t);
     }
 
     #[test]

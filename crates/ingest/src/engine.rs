@@ -1,13 +1,18 @@
 //! The live-update engine: WAL-backed apply pipeline over flat
-//! per-layer partitions, with drift-triggered full rebuild.
+//! per-layer partitions of one shared base graph, with drift-triggered
+//! full rebuild.
 //!
 //! ## The flat-partition representation
 //!
 //! The hierarchy is defined iteratively (`Gᵐ = Bisim(Gen(Gᵐ⁻¹, Cᵐ))`),
 //! but maintaining it that way would mean updating `m` graphs whose
-//! vertex sets all shift under splits. Instead the engine keeps, per
-//! layer `m`, a partition `Pᵐ` of the **base** vertices over the base
-//! graph relabeled by the composed map `Cᵐ ∘ … ∘ C¹`. This is faithful:
+//! vertex sets all shift under splits. Instead the engine keeps **one**
+//! graph — the base graph `G⁰` — and, per layer `m`, a partition `Pᵐ`
+//! of its vertices. `Pᵐ` is a bisimulation of the base graph under the
+//! composed labelling `Cᵐ ∘ … ∘ C¹`, but refinement never reads labels
+//! (the blocks already separate them), so every layer refines the same
+//! adjacency and a supernode's label is read off on demand:
+//! `composed[m-1][label(member)]`. This is faithful:
 //!
 //! - stability composes — `Pᵐ` is stable on the composed-relabeled base
 //!   graph iff the corresponding layer-level partition is stable on the
@@ -20,35 +25,53 @@
 //!   round of refining `Pᵐ` ever separates them;
 //! - the `Layer` tables fall out of adjacent partitions: layer-`m`
 //!   supernodes are `Pᵐ` blocks, `χ` maps a `Pᵐ⁻¹` block to the `Pᵐ`
-//!   block containing it, and `summarize` over the flat graph
-//!   reproduces the summary `Gᵐ` exactly (supernode ids are block ids
-//!   in both views).
+//!   block containing it, and the summary `Gᵐ` has an edge `(X, Y)`
+//!   exactly when some `Gᵐ⁻¹` edge `(s, t)` has `χ(s) = X`, `χ(t) = Y`
+//!   (supernode ids are block ids in both views).
 //!
-//! A batch is therefore: validate → WAL append (fsync = commit) → one
-//! `apply_batch` per layer → re-materialize `Layer`s and the
-//! `IndexBundle`, rebuilding per-layer search indexes only where the
-//! summary graph changed. The result is a *stable but possibly finer
-//! than maximal* hierarchy — precisely the paper's eager-split /
-//! deferred-merge maintenance — which still passes the full
-//! `bgi-verify` invariant suite (it checks stability, not maximality).
+//! ## A commit costs the change
+//!
+//! A batch is: validate → WAL append (fsync = commit) → splice the
+//! touched rows of the base graph ([`DiGraph::with_rows`]) → one
+//! frontier refinement per layer, seeded with the blocks of the changed
+//! edges' endpoints ([`IncrementalBisim::apply_batch`]) → re-materialize
+//! layer by layer, bottom up. Block ids are stable (a split keeps the
+//! old id for the fragment holding the block's lowest vertex; new
+//! fragments are appended), so a layer is patched, not rebuilt: `χ`
+//! carries over except for lower vertices that moved into a new block,
+//! and only the summary rows that can differ are recomputed from the
+//! already-patched layer below — rows of new supernodes, of supernodes
+//! that lost a member, of supernodes over a lower vertex whose row
+//! changed, and of supernodes with an edge into a moved lower vertex.
+//! Comparing each recomputed row with the served one yields the layer's
+//! exact edge diff, which is what the layer above reads and what the
+//! per-layer search indexes are patched with. Every part the batch left
+//! unchanged — the ontology, untouched layers, their search indexes —
+//! is shared by `Arc` with the bundle it replaces and with every
+//! snapshot still serving it.
+//!
+//! The result is a *stable but possibly finer than maximal* hierarchy —
+//! precisely the paper's eager-split / deferred-merge maintenance —
+//! which still passes the full `bgi-verify` invariant suite (it checks
+//! stability, not maximality), and which is byte for byte what
+//! re-summarizing every layer from its partition would give.
 
 use crate::error::IngestError;
 use crate::policy::{DriftReport, LayerDrift, RebuildPolicy};
 use crate::update::IngestUpdate;
 use bgi_bisim::incremental::Update as BisimUpdate;
-use bgi_bisim::{summarize, IncrementalBisim, Partition};
+use bgi_bisim::{IncrementalBisim, Partition};
 use bgi_graph::par::par_map;
-use bgi_graph::stats::LabelSupport;
-use bgi_graph::{DiGraph, GraphBuilder, LabelId, Ontology, VId};
+use bgi_graph::{DiGraph, LabelId, Ontology, VId};
 use bgi_search::banks::BanksIndex;
 use bgi_search::blinks::BlinksIndex;
 use bgi_search::rclique::RCliqueIndex;
-use bgi_search::{diff_graphs, Banks, Blinks, KeywordSearch};
+use bgi_search::{Banks, Blinks, GraphDiff, KeywordSearch};
 use bgi_store::{build_layer_indexes, GraphUpdate, IndexBundle, Store, Wal};
 use big_index::cost::construction_cost_with_compress;
-use big_index::layer::Layer;
+use big_index::layer::{Layer, MemberTable};
 use big_index::{BiGIndex, GenConfig};
-use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Construction-time knobs for an [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,9 +111,16 @@ pub struct ApplyOutcome {
     pub rebuilt_layers: usize,
 }
 
+impl ApplyOutcome {
+    /// Whether the commit changed what is served: some layer's summary
+    /// (or the data graph) differs from the bundle before it.
+    pub fn changed_index(&self) -> bool {
+        self.patched_layers + self.rebuilt_layers > 0
+    }
+}
+
 /// The live-update engine. See the module docs for the pipeline.
 pub struct Engine {
-    ontology: Ontology,
     direction: bgi_bisim::BisimDirection,
     /// Labels an [`IngestUpdate::AddVertex`] may use (`0..alphabet`).
     alphabet: usize,
@@ -100,13 +130,14 @@ pub struct Engine {
     step_maps: Vec<Vec<LabelId>>,
     /// `composed[m-1][ℓ] = Cᵐ(…C¹(ℓ)…)` over the full alphabet.
     composed: Vec<Vec<LabelId>>,
-    /// The current base graph `G⁰`.
-    base: DiGraph,
-    /// Flat per-layer state: `flats[m-1]` maintains `Pᵐ` over
-    /// `relabel(base, composed[m-1])`.
+    /// The current base graph `G⁰`: the one graph every flat partition
+    /// refines, shared with the bundle materialized from it.
+    base: Arc<DiGraph>,
+    /// Flat per-layer state: `flats[m-1]` maintains `Pᵐ` over `base`.
     flats: Vec<IncrementalBisim>,
-    /// The current materialized serving artifact.
-    bundle: IndexBundle,
+    /// The current materialized serving artifact, shared with every
+    /// snapshot built from it.
+    bundle: Arc<IndexBundle>,
     wal: Option<Wal>,
     /// Highest WAL sequence folded into the in-memory state.
     last_seq: u64,
@@ -119,11 +150,6 @@ pub struct Engine {
     /// since [`Engine::start_rebuild`] captured its inputs, to be
     /// replayed onto the rebuilt hierarchy at adoption.
     rebuild_delta: Option<Vec<GraphUpdate>>,
-    /// Per-layer `(assignment, num_blocks)` snapshot of the flat
-    /// partitions as of the served bundle — the baseline against which
-    /// [`Engine::materialize`] decides whether a layer's summary can be
-    /// patched block-by-block instead of re-summarized from scratch.
-    prev_parts: Vec<(Vec<u32>, usize)>,
 }
 
 /// Structural diffs above this many edge operations always fall back
@@ -139,33 +165,14 @@ struct PatchedLayer {
     rclique: RCliqueIndex,
 }
 
-/// Snapshots every flat partition for the patchability baseline.
-fn snapshot_parts(flats: &[IncrementalBisim]) -> Vec<(Vec<u32>, usize)> {
-    flats
-        .iter()
-        .map(|f| {
-            let p = f.partition();
-            (p.assignment().to_vec(), p.num_blocks())
-        })
-        .collect()
-}
-
-/// Whether `part` extends the snapshot `prev` by appended singleton
-/// blocks only: every pre-existing vertex keeps its block, and each
-/// appended vertex sits in a fresh block numbered consecutively after
-/// the old ones. Exactly the shape under which the old summary graph
-/// can be patched per update op instead of re-derived.
-fn extends_by_singletons(prev: &(Vec<u32>, usize), part: &Partition) -> bool {
-    let (prev_bo, prev_nb) = prev;
-    let bo = part.assignment();
-    let n_old = prev_bo.len();
-    bo.len() >= n_old
-        && part.num_blocks() == prev_nb + (bo.len() - n_old)
-        && bo[..n_old] == prev_bo[..]
-        && bo[n_old..]
-            .iter()
-            .enumerate()
-            .all(|(k, &b)| b as usize == prev_nb + k)
+/// How one layer's graph changed in a commit: the structural diff the
+/// search indexes are patched with, plus the vertices whose out-row
+/// changed (ascending) — what the layer above has to re-read. An
+/// appended vertex with no out-edge contributes nothing to any row
+/// above, so it is not listed.
+struct LayerDelta {
+    diff: GraphDiff,
+    dirty: Vec<VId>,
 }
 
 impl Engine {
@@ -175,9 +182,7 @@ impl Engine {
     /// seed the flat partitions (which a verified index always can).
     pub fn new(bundle: IndexBundle, config: EngineConfig) -> Result<Engine, IngestError> {
         let seed = Seed::from_index(&bundle.index, config.policy.alpha)?;
-        let prev_parts = snapshot_parts(&seed.flats);
         Ok(Engine {
-            ontology: seed.ontology,
             direction: seed.direction,
             alphabet: seed.alphabet,
             configs: seed.configs,
@@ -185,7 +190,7 @@ impl Engine {
             composed: seed.composed,
             base: seed.base,
             flats: seed.flats,
-            bundle,
+            bundle: Arc::new(bundle),
             wal: None,
             last_seq: 0,
             policy: config.policy,
@@ -193,7 +198,6 @@ impl Engine {
             baseline: seed.baseline,
             updates_since_rebuild: 0,
             rebuild_delta: None,
-            prev_parts,
         })
     }
 
@@ -224,17 +228,21 @@ impl Engine {
     }
 
     /// The current serving artifact: hierarchy plus per-layer search
-    /// indexes, consistent with every update applied so far. Hand a
-    /// clone to `IndexSnapshot::from_bundle` to serve it.
+    /// indexes, consistent with every update applied so far.
     pub fn bundle(&self) -> &IndexBundle {
         &self.bundle
+    }
+
+    /// The current serving artifact as shared with the engine — what
+    /// `IndexSnapshot::from_shared` serves without copying anything.
+    pub fn shared_bundle(&self) -> Arc<IndexBundle> {
+        Arc::clone(&self.bundle)
     }
 
     /// The current hierarchy.
     pub fn index(&self) -> &BiGIndex {
         &self.bundle.index
     }
-
     /// Highest WAL sequence number folded into the in-memory state
     /// (0 before the first logged batch).
     pub fn last_seq(&self) -> u64 {
@@ -332,7 +340,8 @@ impl Engine {
     }
 
     /// Measures drift since the last full build and evaluates the
-    /// rebuild policy — the staleness tracker.
+    /// rebuild policy — the staleness tracker. Reads the label supports
+    /// the served index already holds; nothing is recounted.
     pub fn drift(&self) -> DriftReport {
         let costs = layer_costs(&self.bundle.index, self.policy.alpha);
         let layers = costs
@@ -383,8 +392,8 @@ impl Engine {
     pub fn start_rebuild(&mut self) -> RebuildJob {
         self.rebuild_delta = Some(Vec::new());
         RebuildJob {
-            base: self.base.clone(),
-            ontology: self.ontology.clone(),
+            base: DiGraph::clone(&self.base),
+            ontology: self.bundle.index.ontology().clone(),
             configs: self.configs.clone(),
             direction: self.direction,
             blinks_params: self.bundle.blinks_params,
@@ -415,16 +424,14 @@ impl Engine {
             });
         };
         let seed = Seed::from_index(&bundle.index, self.policy.alpha)?;
-        self.ontology = seed.ontology;
         self.alphabet = seed.alphabet;
         self.configs = seed.configs;
         self.step_maps = seed.step_maps;
         self.composed = seed.composed;
         self.base = seed.base;
-        self.prev_parts = snapshot_parts(&seed.flats);
         self.flats = seed.flats;
         self.baseline = seed.baseline;
-        self.bundle = bundle;
+        self.bundle = Arc::new(bundle);
         self.updates_since_rebuild = 0;
         if !delta.is_empty() {
             self.apply_to_state(&delta)?;
@@ -510,152 +517,232 @@ impl Engine {
         Ok((out, n))
     }
 
-    /// Applies logged updates to the base graph and every flat layer —
-    /// one CSR rebuild and one re-stabilization per layer for the whole
-    /// batch. Idempotent over replay: an `AddVertex` whose vertex
-    /// already exists is skipped, edge ops are naturally absorbing.
-    /// Returns the number of updates actually applied.
+    /// Applies logged updates to the base graph and every flat layer:
+    /// the touched rows of the base graph are spliced
+    /// ([`DiGraph::with_rows`]) and every layer's partition runs one
+    /// frontier refinement seeded with the changed edges' endpoints.
+    /// Idempotent over replay: an `AddVertex` whose vertex already
+    /// exists is skipped, edge ops are naturally absorbing. Returns the
+    /// number of updates actually applied.
     fn apply_to_state(&mut self, updates: &[GraphUpdate]) -> Result<usize, IngestError> {
-        let mut labels: Vec<LabelId> = self.base.labels().to_vec();
-        let mut edges: BTreeSet<(VId, VId)> = self.base.edges().collect();
-        let mut per_layer: Vec<Vec<BisimUpdate>> = vec![Vec::new(); self.flats.len()];
-        let mut applied = 0usize;
-        for u in updates {
+        let n0 = self.base.num_vertices();
+        let mut added: Vec<LabelId> = Vec::new();
+        // (row owner, position in the batch, other endpoint, insert?)
+        let mut out_ops: Vec<RowOp> = Vec::new();
+        let mut in_ops: Vec<RowOp> = Vec::new();
+        let mut refine_ops: Vec<BisimUpdate> = Vec::new();
+        for (at, u) in updates.iter().enumerate() {
+            let n = (n0 + added.len()) as u32;
             match *u {
                 GraphUpdate::InsertEdge { src, dst } | GraphUpdate::DeleteEdge { src, dst } => {
-                    let n = labels.len() as u32;
                     if src >= n || dst >= n {
                         return Err(IngestError::ReplayGap {
                             expected: src.max(dst),
                             have: n,
                         });
                     }
-                    let (a, b) = (VId(src), VId(dst));
                     let insert = matches!(u, GraphUpdate::InsertEdge { .. });
-                    if insert {
-                        edges.insert((a, b));
+                    out_ops.push((src, at, VId(dst), insert));
+                    in_ops.push((dst, at, VId(src), insert));
+                    refine_ops.push(if insert {
+                        BisimUpdate::InsertEdge(VId(src), VId(dst))
                     } else {
-                        edges.remove(&(a, b));
-                    }
-                    for layer in &mut per_layer {
-                        layer.push(if insert {
-                            BisimUpdate::InsertEdge(a, b)
-                        } else {
-                            BisimUpdate::DeleteEdge(a, b)
-                        });
-                    }
-                    applied += 1;
+                        BisimUpdate::DeleteEdge(VId(src), VId(dst))
+                    });
                 }
                 GraphUpdate::AddVertex { label, expected } => {
-                    let n = labels.len() as u32;
                     if expected < n {
                         continue; // already applied; idempotent replay
                     }
                     if expected > n {
                         return Err(IngestError::ReplayGap { expected, have: n });
                     }
-                    labels.push(LabelId(label));
-                    for (i, layer) in per_layer.iter_mut().enumerate() {
-                        let gl = self.composed[i]
-                            .get(label as usize)
-                            .copied()
-                            .unwrap_or(LabelId(label));
-                        layer.push(BisimUpdate::AddVertex(gl));
-                    }
-                    applied += 1;
+                    added.push(LabelId(label));
+                    refine_ops.push(BisimUpdate::AddVertex);
                 }
             }
         }
-        self.base = GraphBuilder::from_edges(labels, edges.into_iter().collect());
-        for (i, batch) in per_layer.into_iter().enumerate() {
-            self.flats[i].apply_batch(&batch);
+        let out_rows = spliced_rows(&self.base, &mut out_ops, DiGraph::out_neighbors);
+        let in_rows = spliced_rows(&self.base, &mut in_ops, DiGraph::in_neighbors);
+        self.base = Arc::new(self.base.with_rows(&added, &out_rows, &in_rows));
+        for flat in &mut self.flats {
+            flat.apply_batch(&self.base, &refine_ops);
         }
-        self.updates_since_rebuild += applied;
-        Ok(applied)
+        self.updates_since_rebuild += refine_ops.len();
+        Ok(refine_ops.len())
     }
 
-    /// Patches layer `m`'s summary graph from the served one instead of
-    /// re-summarizing: valid only when the layer's partition extends
-    /// the served snapshot by appended singleton blocks (checked by the
-    /// caller via [`extends_by_singletons`]), so every update op maps
-    /// to a summary-local edit. Edge inserts add the block-pair edge;
-    /// edge deletes drop it only after a **witness scan over the
-    /// touched block** finds no surviving member edge into the target
-    /// block — the dirty-block scoping that keeps the cost proportional
-    /// to the touched blocks' degree, not the base graph.
-    fn patch_summary(
+    /// The base vertex standing for vertex `s` of layer `k`: `s` itself
+    /// at the data graph, any member of block `s` above it.
+    fn representative(&self, k: usize, s: VId) -> VId {
+        if k == 0 {
+            s
+        } else {
+            self.flats[k - 1].members(s.0)[0]
+        }
+    }
+
+    /// The layer-`(m-1)` vertex holding base vertex `u`.
+    fn lower_vertex(&self, m: usize, u: VId) -> VId {
+        if m == 1 {
+            u
+        } else {
+            VId(self.flats[m - 2].partition().block_of(u))
+        }
+    }
+
+    /// Patches served layer `m` (`old`) to the flat partition `Pᵐ`,
+    /// given the already-patched graph `lower` below it (which had
+    /// `lower_old_n` vertices when `old` was served) and how it changed.
+    /// Returns the layer — `old` itself when nothing in it changed —
+    /// and its own change. Cost: a copy of the layer's tables plus the
+    /// degrees of the rows recomputed (see the module docs for which).
+    fn patch_layer(
         &self,
         m: usize,
-        ops: &[GraphUpdate],
-        part: &Partition,
-        flat: &DiGraph,
-        n_old: usize,
-    ) -> DiGraph {
-        let old = self.bundle.index.graph_at(m);
-        let mut labels: Vec<LabelId> = old.labels().to_vec();
-        let mut edges: BTreeSet<(VId, VId)> = old.edges().collect();
-        let mut members: Option<Vec<Vec<VId>>> = None;
-        for u in ops {
-            match *u {
-                GraphUpdate::InsertEdge { src, dst } => {
-                    edges.insert((VId(part.block_of(VId(src))), VId(part.block_of(VId(dst)))));
-                }
-                GraphUpdate::DeleteEdge { src, dst } => {
-                    let (bs, bd) = (part.block_of(VId(src)), part.block_of(VId(dst)));
-                    let mem = members.get_or_insert_with(|| part.blocks());
-                    // The scan runs against the post-batch flat graph,
-                    // so out-of-order ops within the batch (delete then
-                    // re-insert, insert then delete) still converge on
-                    // the final edge set.
-                    let witness = mem[bs as usize].iter().any(|&w| {
-                        flat.out_neighbors(w)
-                            .iter()
-                            .any(|&x| part.block_of(x) == bd)
-                    });
-                    if !witness {
-                        edges.remove(&(VId(bs), VId(bd)));
-                    }
-                }
-                GraphUpdate::AddVertex { label, expected } => {
-                    if (expected as usize) < n_old {
-                        continue; // replay of an already-absorbed addition
-                    }
-                    let gl = self.composed[m - 1]
-                        .get(label as usize)
-                        .copied()
-                        .unwrap_or(LabelId(label));
-                    labels.push(gl);
+        old: &Arc<Layer>,
+        lower: &DiGraph,
+        lower_old_n: usize,
+        below: &LayerDelta,
+    ) -> (Arc<Layer>, LayerDelta) {
+        let flat = &self.flats[m - 1];
+        let part = flat.partition();
+        let (old_n, n) = (old.graph.num_vertices(), part.num_blocks());
+        // χ carries over. An appended lower vertex is placed by one of
+        // its base vertices; a lower vertex inside a block this batch
+        // created moves there (split-only refinement hands every moved
+        // vertex a block id ≥ `old_n`).
+        let mut chi = old.supernode_table().to_vec();
+        let mut moved: Vec<VId> = (lower_old_n..lower.num_vertices())
+            .map(|s| VId(s as u32))
+            .collect();
+        for &s in &moved {
+            chi.push(VId(part.block_of(self.representative(m - 1, s))));
+        }
+        for x in old_n..n {
+            for &u in flat.members(x as u32) {
+                let s = self.lower_vertex(m, u);
+                if chi[s.index()].index() != x {
+                    chi[s.index()] = VId(x as u32);
+                    moved.push(s);
                 }
             }
         }
-        GraphBuilder::from_edges(labels, edges.into_iter().collect())
+        debug_assert!(
+            (0..lower.num_vertices() as u32).all(|s| {
+                chi[s as usize].0 == part.block_of(self.representative(m - 1, VId(s)))
+            }),
+            "layer {m}: a lower vertex straddles two blocks — coarseness chain broken"
+        );
+        if moved.is_empty() && below.dirty.is_empty() {
+            return (
+                Arc::clone(old),
+                LayerDelta {
+                    diff: GraphDiff::default(),
+                    dirty: Vec::new(),
+                },
+            );
+        }
+        let members = if moved.is_empty() {
+            old.member_table().clone()
+        } else {
+            MemberTable::from_chi(&chi, n)
+        };
+        // The summary rows that can differ: rows of new supernodes, of
+        // supernodes that lost a member, of supernodes over a lower
+        // vertex whose row changed, and of supernodes with an edge into
+        // a moved lower vertex.
+        let mut rows: Vec<u32> = (old_n as u32..n as u32).collect();
+        for &s in &moved {
+            if s.index() < lower_old_n {
+                rows.push(old.up(s).0);
+            }
+            rows.extend(lower.in_neighbors(s).iter().map(|p| chi[p.index()].0));
+        }
+        rows.extend(below.dirty.iter().map(|s| chi[s.index()].0));
+        rows.sort_unstable();
+        rows.dedup();
+        // Recompute each from its members through χ and diff it against
+        // the served row: that is the layer's exact edge diff.
+        let base = &self.base;
+        let added_labels: Vec<LabelId> = (old_n..n)
+            .map(|x| {
+                let l = base.label(flat.members(x as u32)[0]);
+                self.composed[m - 1].get(l.index()).copied().unwrap_or(l)
+            })
+            .collect();
+        let mut diff = GraphDiff {
+            added_labels,
+            ..GraphDiff::default()
+        };
+        let mut out_rows: Vec<(VId, Vec<VId>)> = Vec::new();
+        let mut dirty: Vec<VId> = Vec::new();
+        let mut row: Vec<VId> = Vec::new();
+        for x in rows.into_iter().map(VId) {
+            row.clear();
+            for &s in members.get(x) {
+                row.extend(lower.out_neighbors(s).iter().map(|t| chi[t.index()]));
+            }
+            row.sort_unstable();
+            row.dedup();
+            let served: &[VId] = if x.index() < old_n {
+                old.graph.out_neighbors(x)
+            } else {
+                &[]
+            };
+            if diff_row(x, served, &row, &mut diff) {
+                out_rows.push((x, row.clone()));
+                dirty.push(x);
+            }
+        }
+        let mut in_ops: Vec<RowOp> = (diff.inserted.iter().map(|&(x, y)| (y.0, 0, x, true)))
+            .chain(diff.deleted.iter().map(|&(x, y)| (y.0, 0, x, false)))
+            .collect();
+        let in_rows = spliced_rows(&old.graph, &mut in_ops, DiGraph::in_neighbors);
+        let graph = old.graph.with_rows(&diff.added_labels, &out_rows, &in_rows);
+        debug_assert!(
+            graph == bgi_bisim::summarize(&self.base.relabel(&self.composed[m - 1]), part).graph,
+            "patched summary diverged from summarize at layer {m}"
+        );
+        let layer = Layer::from_table(
+            self.configs[m - 1].clone(),
+            self.step_maps[m - 1].clone(),
+            graph,
+            chi,
+            members,
+        );
+        (Arc::new(layer), LayerDelta { diff, dirty })
     }
 
-    /// Tries the incremental patch path for changed layer `m`: a small
-    /// structural diff of the summary graphs, pushed through the
-    /// per-vertex-local patch entry points of all three search indexes.
-    /// `None` (diff too large, or any index declines) sends the layer
-    /// to the full rebuild fan-out.
-    fn try_patch_layer(&self, m: usize, index: &BiGIndex) -> Option<PatchedLayer> {
-        if m > self.bundle.index.num_layers()
-            || self.bundle.banks.len() <= m
-            || self.bundle.blinks.len() <= m
-            || self.bundle.rclique.len() <= m
+    /// Tries the incremental patch path for changed layer `m`: the
+    /// layer's structural diff pushed through the per-vertex-local patch
+    /// entry points of all three search indexes. `None` (diff too large,
+    /// or any index declines) sends the layer to the full rebuild
+    /// fan-out.
+    fn try_patch_layer(
+        old: &IndexBundle,
+        m: usize,
+        index: &BiGIndex,
+        diff: &GraphDiff,
+    ) -> Option<PatchedLayer> {
+        if old.banks.len() <= m
+            || old.blinks.len() <= m
+            || old.rclique.len() <= m
+            || diff.edge_ops() > MAX_PATCH_EDGE_OPS
         {
             return None;
         }
-        let old_g = self.bundle.index.graph_at(m);
+        let old_g = old.index.graph_at(m);
         let new_g = index.graph_at(m);
-        let diff = diff_graphs(old_g, new_g, MAX_PATCH_EDGE_OPS)?;
         // A blinks decline is cost-based (patch would out-cost a
         // rebuild), not a correctness failure: rebuild blinks alone and
         // keep the cheap banks and rclique patches for the layer.
-        let blinks = match self.bundle.blinks[m].patched(old_g, new_g, &diff) {
+        let blinks = match old.blinks[m].patched(old_g, new_g, diff) {
             Some(p) => p,
-            None => Blinks::new(self.bundle.blinks_params).build_index(new_g),
+            None => Blinks::new(old.blinks_params).build_index(new_g),
         };
-        let rclique = self.bundle.rclique[m].patched(new_g, &diff)?;
-        let banks = self.bundle.banks[m].patched(new_g, &diff);
+        let rclique = old.rclique[m].patched(new_g, diff)?;
+        let banks = old.banks[m].patched(new_g, diff);
         Some(PatchedLayer {
             banks,
             blinks,
@@ -663,108 +750,79 @@ impl Engine {
         })
     }
 
-    /// Rebuilds the `Layer` tables and the serving bundle from the flat
-    /// state, given the update ops applied since the last
-    /// materialization. Layers whose partition only grew by appended
-    /// singletons get their summary graph *patched* from the served one
-    /// ([`Engine::patch_summary`]); search indexes of changed layers
-    /// are patched incrementally when the structural diff is small
-    /// ([`Engine::try_patch_layer`]) and rebuilt otherwise. Returns
-    /// `(reused, patched, rebuilt)` layer counts.
+    /// Re-materializes the serving bundle from the flat state, given the
+    /// update ops applied since the last materialization: every layer is
+    /// patched bottom up ([`Engine::patch_layer`]), and the search
+    /// indexes of each changed layer are patched with the layer's diff
+    /// when it is small ([`Engine::try_patch_layer`]) and rebuilt
+    /// otherwise. Unchanged parts are shared with the previous bundle,
+    /// and a batch that changed no summary leaves the served bundle
+    /// untouched. Returns `(reused, patched, rebuilt)` layer counts.
     fn materialize(&mut self, ops: &[GraphUpdate]) -> Result<(usize, usize, usize), IngestError> {
-        let n = self.base.num_vertices();
+        let old = Arc::clone(&self.bundle);
         let h = self.flats.len();
-        let served_layers_match = self.bundle.index.num_layers() == h;
-        let mut layers: Vec<Layer> = Vec::with_capacity(h);
-        for m in 1..=h {
-            let flat = &self.flats[m - 1];
-            let part = flat.partition();
-            let summary_graph = if served_layers_match
-                && self
-                    .prev_parts
-                    .get(m - 1)
-                    .is_some_and(|prev| extends_by_singletons(prev, part))
-            {
-                let n_old = self.prev_parts[m - 1].0.len();
-                let patched = self.patch_summary(m, ops, part, flat.graph(), n_old);
-                debug_assert!(
-                    patched == summarize(flat.graph(), part).graph,
-                    "patched summary diverged from summarize at layer {m}"
-                );
-                patched
-            } else {
-                summarize(flat.graph(), part).graph
-            };
-            let supernode_of: Vec<VId> = if m == 1 {
-                (0..n).map(|u| VId(part.block_of(VId(u as u32)))).collect()
-            } else {
-                let prev = self.flats[m - 2].partition();
-                let mut table = vec![u32::MAX; prev.num_blocks()];
-                for u in 0..n {
-                    let v = VId(u as u32);
-                    let b = prev.block_of(v) as usize;
-                    let s = part.block_of(v);
-                    if table[b] == u32::MAX {
-                        table[b] = s;
-                    } else if table[b] != s {
-                        return Err(IngestError::Inconsistent {
-                            detail: format!(
-                                "layer {m}: layer-{} supernode {b} straddles two layer-{m} \
-                                 supernodes ({} and {s}) — coarseness chain broken",
-                                m - 1,
-                                table[b]
-                            ),
-                        });
-                    }
-                }
-                if let Some(b) = table.iter().position(|&s| s == u32::MAX) {
-                    return Err(IngestError::Inconsistent {
-                        detail: format!("layer {m}: layer-{} supernode {b} has no members", m - 1),
-                    });
-                }
-                table.into_iter().map(VId).collect()
-            };
-            let mut members: Vec<Vec<VId>> = vec![Vec::new(); part.num_blocks()];
-            for (b, s) in supernode_of.iter().enumerate() {
-                members[s.index()].push(VId(b as u32));
-            }
-            layers.push(Layer::new(
-                self.configs[m - 1].clone(),
-                self.step_maps[m - 1].clone(),
-                summary_graph,
-                supernode_of,
-                members,
-            ));
+        if old.index.num_layers() != h {
+            return Err(IngestError::Inconsistent {
+                detail: format!(
+                    "the served hierarchy has {} layer(s), the engine maintains {h}",
+                    old.index.num_layers()
+                ),
+            });
         }
-        let index = BiGIndex::from_parts(
-            self.base.clone(),
-            self.ontology.clone(),
+        let mut sources: Vec<u32> = ops
+            .iter()
+            .filter_map(|u| match *u {
+                GraphUpdate::InsertEdge { src, .. } | GraphUpdate::DeleteEdge { src, .. } => {
+                    Some(src)
+                }
+                GraphUpdate::AddVertex { .. } => None,
+            })
+            .collect();
+        sources.sort_unstable();
+        sources.dedup();
+        let mut below = base_delta(old.index.base(), &self.base, &sources);
+        let mut diffs: Vec<GraphDiff> = Vec::with_capacity(h + 1);
+        let mut layers: Vec<Arc<Layer>> = Vec::with_capacity(h);
+        for m in 1..=h {
+            let lower: &DiGraph = if m == 1 {
+                &self.base
+            } else {
+                &layers[m - 2].graph
+            };
+            let lower_old_n = old.index.graph_at(m - 1).num_vertices();
+            let (layer, delta) =
+                self.patch_layer(m, &old.index.layers()[m - 1], lower, lower_old_n, &below);
+            layers.push(layer);
+            diffs.push(std::mem::replace(&mut below, delta).diff);
+        }
+        diffs.push(below.diff);
+        if diffs.iter().all(GraphDiff::is_empty) {
+            // Every update in the batch was absorbed without changing any
+            // summary: keep the served bundle — and its graph — untouched.
+            self.base = Arc::clone(old.index.shared_base());
+            return Ok((h + 1, 0, 0));
+        }
+        let index = BiGIndex::from_shared_parts(
+            Arc::clone(&self.base),
+            Arc::clone(old.index.shared_ontology()),
             layers,
             self.direction,
         );
-
-        if index == self.bundle.index {
-            // Every update in the batch was absorbed without changing any
-            // summary: keep the served bundle untouched.
-            self.prev_parts = snapshot_parts(&self.flats);
-            return Ok((h + 1, 0, 0));
-        }
-        let blinks_params = self.bundle.blinks_params;
-        let rclique_params = self.bundle.rclique_params;
-        let eval = self.bundle.eval;
-        let blinks_algo = Blinks::new(blinks_params);
+        let blinks_algo = Blinks::new(old.blinks_params);
+        let rclique_params = old.rclique_params;
         let changed: Vec<usize> = (0..=h)
             .filter(|&m| {
-                !(m <= self.bundle.index.num_layers()
-                    && self.bundle.banks.len() > m
-                    && index.graph_at(m) == self.bundle.index.graph_at(m))
+                !diffs[m].is_empty()
+                    || old.banks.len() <= m
+                    || old.blinks.len() <= m
+                    || old.rclique.len() <= m
             })
             .collect();
         // Patch changed layers incrementally where the diff allows it —
         // layers are independent, so in parallel; everything else goes
         // to the parallel rebuild fan-out.
         let mut patches: Vec<Option<PatchedLayer>> = par_map(self.threads, changed.len(), |i| {
-            self.try_patch_layer(changed[i], &index)
+            Self::try_patch_layer(&old, changed[i], &index, &diffs[changed[i]])
         });
         let rebuild_list: Vec<usize> = changed
             .iter()
@@ -788,92 +846,150 @@ impl Engine {
             .into_iter()
             .map(Some)
             .collect();
-        // Move the unchanged layers' indexes out of the old bundle instead
-        // of cloning them — the old bundle is dead after the swap.
-        let old = std::mem::replace(
-            &mut self.bundle,
-            IndexBundle {
-                index,
-                banks: Vec::new(),
-                blinks: Vec::new(),
-                rclique: Vec::new(),
-                blinks_params,
-                rclique_params,
-                eval,
-            },
-        );
-        let mut old_banks: Vec<Option<BanksIndex>> = old.banks.into_iter().map(Some).collect();
-        let mut old_blinks: Vec<Option<BlinksIndex>> = old.blinks.into_iter().map(Some).collect();
-        let mut old_rclique: Vec<Option<RCliqueIndex>> =
-            old.rclique.into_iter().map(Some).collect();
         let mut banks = Vec::with_capacity(h + 1);
         let mut blinks = Vec::with_capacity(h + 1);
         let mut rclique = Vec::with_capacity(h + 1);
         let (mut reused, mut patched, mut rebuilt) = (0usize, 0usize, 0usize);
         for m in 0..=h {
-            match changed.iter().position(|&c| c == m) {
-                None => {
-                    let slots = (
-                        old_banks.get_mut(m).and_then(Option::take),
-                        old_blinks.get_mut(m).and_then(Option::take),
-                        old_rclique.get_mut(m).and_then(Option::take),
-                    );
-                    let (Some(ba), Some(bl), Some(rc)) = slots else {
-                        // Unreachable: `changed` only skips layers the old
-                        // bundle covers.
-                        return Err(IngestError::Inconsistent {
-                            detail: format!("layer {m}: reusable index missing from bundle"),
-                        });
-                    };
-                    banks.push(ba);
-                    blinks.push(bl);
-                    rclique.push(rc);
-                    reused += 1;
-                }
-                Some(p) => {
-                    if let Some(pl) = patches[p].take() {
-                        banks.push(pl.banks);
-                        blinks.push(pl.blinks);
-                        rclique.push(pl.rclique);
-                        patched += 1;
-                        continue;
-                    }
-                    let Some(rp) = rebuild_list.iter().position(|&c| c == m) else {
-                        // Unreachable: an unpatched changed layer is
-                        // always in the rebuild fan-out.
-                        return Err(IngestError::Inconsistent {
-                            detail: format!("layer {m}: neither patched nor rebuilt"),
-                        });
-                    };
-                    let slots = (
-                        built[rp * 3].take(),
-                        built[rp * 3 + 1].take(),
-                        built[rp * 3 + 2].take(),
-                    );
-                    let (
-                        Some(BuiltIndex::Banks(ba)),
-                        Some(BuiltIndex::Blinks(bl)),
-                        Some(BuiltIndex::RClique(rc)),
-                    ) = slots
-                    else {
-                        // Unreachable by construction of `built`.
-                        return Err(IngestError::Inconsistent {
-                            detail: format!("layer {m}: rebuilt index slots out of order"),
-                        });
-                    };
-                    banks.push(ba);
-                    blinks.push(bl);
-                    rclique.push(rc);
-                    rebuilt += 1;
-                }
+            let Some(p) = changed.iter().position(|&c| c == m) else {
+                // Unchanged: share the served layer's indexes.
+                banks.push(old.banks[m].clone());
+                blinks.push(old.blinks[m].clone());
+                rclique.push(old.rclique[m].clone());
+                reused += 1;
+                continue;
+            };
+            if let Some(pl) = patches[p].take() {
+                banks.push(pl.banks);
+                blinks.push(pl.blinks);
+                rclique.push(pl.rclique);
+                patched += 1;
+                continue;
             }
+            let rp = rebuild_list.iter().position(|&c| c == m);
+            let slots = rp.map(|rp| {
+                (
+                    built[rp * 3].take(),
+                    built[rp * 3 + 1].take(),
+                    built[rp * 3 + 2].take(),
+                )
+            });
+            let Some((
+                Some(BuiltIndex::Banks(ba)),
+                Some(BuiltIndex::Blinks(bl)),
+                Some(BuiltIndex::RClique(rc)),
+            )) = slots
+            else {
+                // Unreachable: an unpatched changed layer is always in
+                // the rebuild fan-out, its three slots in order.
+                return Err(IngestError::Inconsistent {
+                    detail: format!("layer {m}: neither patched nor rebuilt"),
+                });
+            };
+            banks.push(ba);
+            blinks.push(bl);
+            rclique.push(rc);
+            rebuilt += 1;
         }
-        self.bundle.banks = banks;
-        self.bundle.blinks = blinks;
-        self.bundle.rclique = rclique;
-        self.prev_parts = snapshot_parts(&self.flats);
+        self.bundle = Arc::new(IndexBundle {
+            index,
+            banks,
+            blinks,
+            rclique,
+            blinks_params: old.blinks_params,
+            rclique_params,
+            eval: old.eval,
+        });
         Ok((reused, patched, rebuilt))
     }
+}
+
+/// One edit of an adjacency row: `(row owner, position in the batch,
+/// other endpoint, insert?)`.
+type RowOp = (u32, usize, VId, bool);
+
+/// The new rows of every vertex `ops` touches in direction `row`: the
+/// vertex's row in `g` (empty for a vertex `g` lacks) with its edits
+/// applied in batch order. Sorted by vertex, as
+/// [`DiGraph::with_rows`] wants them.
+fn spliced_rows(
+    g: &DiGraph,
+    ops: &mut [RowOp],
+    row: fn(&DiGraph, VId) -> &[VId],
+) -> Vec<(VId, Vec<VId>)> {
+    ops.sort_unstable_by_key(|&(v, at, _, _)| (v, at));
+    ops.chunk_by(|a, b| a.0 == b.0)
+        .map(|edits| {
+            let v = VId(edits[0].0);
+            let mut r = if v.index() < g.num_vertices() {
+                row(g, v).to_vec()
+            } else {
+                Vec::new()
+            };
+            for &(_, _, w, insert) in edits {
+                match (r.binary_search(&w), insert) {
+                    (Err(at), true) => r.insert(at, w),
+                    (Ok(at), false) => {
+                        r.remove(at);
+                    }
+                    _ => {}
+                }
+            }
+            (v, r)
+        })
+        .collect()
+}
+
+/// Appends the edges by which `x`'s out-row went from `served` to `row`
+/// (both sorted) to `diff`; returns whether there were any.
+fn diff_row(x: VId, served: &[VId], row: &[VId], diff: &mut GraphDiff) -> bool {
+    let before = diff.edge_ops();
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < served.len() || j < row.len() {
+        match (served.get(i), row.get(j)) {
+            (Some(&a), Some(&b)) if a == b => {
+                i += 1;
+                j += 1;
+            }
+            (Some(&a), Some(&b)) if a < b => {
+                diff.deleted.push((x, a));
+                i += 1;
+            }
+            (Some(&a), None) => {
+                diff.deleted.push((x, a));
+                i += 1;
+            }
+            (_, Some(&b)) => {
+                diff.inserted.push((x, b));
+                j += 1;
+            }
+            (None, None) => {}
+        }
+    }
+    diff.edge_ops() > before
+}
+
+/// How the data graph went from `old` to `new`, given (ascending) every
+/// vertex whose out-row a batch may have edited.
+fn base_delta(old: &DiGraph, new: &DiGraph, sources: &[u32]) -> LayerDelta {
+    let old_n = old.num_vertices();
+    let mut diff = GraphDiff {
+        added_labels: new.labels()[old_n..].to_vec(),
+        ..GraphDiff::default()
+    };
+    let mut dirty = Vec::new();
+    for &u in sources {
+        let u = VId(u);
+        let served: &[VId] = if u.index() < old_n {
+            old.out_neighbors(u)
+        } else {
+            &[]
+        };
+        if diff_row(u, served, new.out_neighbors(u), &mut diff) {
+            dirty.push(u);
+        }
+    }
+    LayerDelta { diff, dirty }
 }
 
 /// A captured full-rebuild work order: everything
@@ -929,23 +1045,21 @@ enum BuiltIndex {
 /// Everything [`Engine`] derives from a hierarchy: the fixed step
 /// structure plus the flat per-layer partitions seeded from `χ`.
 struct Seed {
-    ontology: Ontology,
     direction: bgi_bisim::BisimDirection,
     alphabet: usize,
     configs: Vec<GenConfig>,
     step_maps: Vec<Vec<LabelId>>,
     composed: Vec<Vec<LabelId>>,
-    base: DiGraph,
+    base: Arc<DiGraph>,
     flats: Vec<IncrementalBisim>,
     baseline: Vec<f64>,
 }
 
 impl Seed {
     fn from_index(index: &BiGIndex, alpha: f64) -> Result<Seed, IngestError> {
-        let base = index.base().clone();
-        let ontology = index.ontology().clone();
+        let base = Arc::clone(index.shared_base());
         let direction = index.direction();
-        let alphabet = base.alphabet_size().max(ontology.num_labels());
+        let alphabet = base.alphabet_size().max(index.ontology().num_labels());
         let configs: Vec<GenConfig> = index.layers().iter().map(|l| l.config.clone()).collect();
         let step_maps: Vec<Vec<LabelId>> =
             index.layers().iter().map(|l| l.label_map.clone()).collect();
@@ -959,14 +1073,24 @@ impl Seed {
             composed.push(current.clone());
         }
 
-        let n = base.num_vertices();
+        // `χᵐ` of every base vertex, one layer up at a time.
+        let mut chi: Vec<u32> = (0..base.num_vertices() as u32).collect();
         let mut flats = Vec::with_capacity(index.num_layers());
         for m in 1..=index.num_layers() {
-            let assignment: Vec<u32> = (0..n).map(|u| index.chi(VId(u as u32), m).0).collect();
-            let partition = Partition::new(assignment, index.graph_at(m).num_vertices());
-            let flat_graph = base.relabel(&composed[m - 1]);
-            let Some(inc) = IncrementalBisim::from_partition(flat_graph, partition, direction)
-            else {
+            for s in &mut chi {
+                *s = index.layer(m).up(VId(*s)).0;
+            }
+            let partition = Partition::new(chi.clone(), index.graph_at(m).num_vertices());
+            let labels: Vec<LabelId> = base
+                .labels()
+                .iter()
+                .map(|&l| composed[m - 1].get(l.index()).copied().unwrap_or(l))
+                .collect();
+            let inc = Partition::from_labels(&labels)
+                .is_refined_by(&partition)
+                .then(|| IncrementalBisim::from_partition(&base, partition, direction))
+                .flatten();
+            let Some(inc) = inc else {
                 return Err(IngestError::Inconsistent {
                     detail: format!(
                         "layer {m}: χ table is not a label-uniform stable partition \
@@ -978,7 +1102,6 @@ impl Seed {
         }
         let baseline = layer_costs(index, alpha);
         Ok(Seed {
-            ontology,
             direction,
             alphabet,
             configs,
@@ -993,7 +1116,8 @@ impl Seed {
 
 /// Formula-3 cost of each layer (`1..=h`) measured on the *actual*
 /// hierarchy — `compress` is the realized size ratio `|Gᵐ|/|Gᵐ⁻¹|`, no
-/// sampling estimator needed.
+/// sampling estimator needed, and the supports are the ones the index
+/// computed when it was assembled.
 fn layer_costs(index: &BiGIndex, alpha: f64) -> Vec<f64> {
     (1..=index.num_layers())
         .map(|m| {
@@ -1004,8 +1128,12 @@ fn layer_costs(index: &BiGIndex, alpha: f64) -> Vec<f64> {
             } else {
                 upper.size() as f64 / lower.size() as f64
             };
-            let support = LabelSupport::new(lower);
-            construction_cost_with_compress(compress, &support, &index.layer(m).config, alpha)
+            construction_cost_with_compress(
+                compress,
+                index.support_at(m - 1),
+                &index.layer(m).config,
+                alpha,
+            )
         })
         .collect()
 }
@@ -1013,6 +1141,7 @@ fn layer_costs(index: &BiGIndex, alpha: f64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgi_bisim::summarize;
     use bgi_graph::{GraphBuilder, OntologyBuilder};
     use bgi_search::blinks::BlinksParams;
     use bgi_search::RClique;
@@ -1074,9 +1203,21 @@ mod tests {
         let bundle = build_bundle(g, o);
         let reference = bundle.index.clone();
         let mut e = Engine::new(bundle, EngineConfig::default()).unwrap();
-        // Materializing with zero updates must reproduce the original
-        // hierarchy byte for byte (same supernode numbering included).
-        e.materialize(&[]).unwrap();
+        // Every flat partition summarizes to the served layer, with the
+        // same supernode numbering.
+        for m in 1..=reference.num_layers() {
+            let flat_graph = e.base.relabel(&e.composed[m - 1]);
+            let part = e.flats[m - 1].partition();
+            assert!(summarize(&flat_graph, part).graph == *reference.graph_at(m));
+            for v in reference.base().vertices() {
+                assert_eq!(VId(part.block_of(v)), reference.chi(v, m));
+            }
+        }
+        // Materializing with zero updates changes nothing.
+        assert_eq!(
+            e.materialize(&[]).unwrap(),
+            (reference.num_layers() + 1, 0, 0)
+        );
         assert!(e.index() == &reference);
         assert!(e.index().verify().is_clean());
     }
@@ -1354,6 +1495,60 @@ mod tests {
         assert!(!e.rebuild_in_flight());
         let err = e.finish_rebuild(job.run()).unwrap_err();
         assert!(matches!(err, IngestError::Inconsistent { .. }));
+    }
+
+    /// After every commit of a seeded stream, in every direction, each
+    /// served layer is exactly what summarizing its flat partition
+    /// gives — graph, `χ` and `Bisim⁻¹` — and the index verifies. (A
+    /// `Backward` partition's blocks share in-rows, not out-rows, so a
+    /// block that loses members is the case only it exercises.)
+    #[test]
+    fn patched_layers_equal_resummarized_ones_in_every_direction() {
+        use bgi_bisim::BisimDirection;
+        use bgi_datasets::{update_stream, DatasetSpec, UpdateMix, UpdateOp};
+        let ds = DatasetSpec::yago_like(300).generate();
+        for dir in [
+            BisimDirection::Forward,
+            BisimDirection::Backward,
+            BisimDirection::Both,
+        ] {
+            let configs = big_index::greedy_full_step_configs(&ds.graph, &ds.ontology, 3, dir);
+            let index =
+                BiGIndex::build_with_configs(ds.graph.clone(), ds.ontology.clone(), configs, dir);
+            let bundle = IndexBundle::build(
+                index,
+                BlinksParams::default(),
+                RClique::default(),
+                EvalOptions::default(),
+            );
+            let mut e = Engine::new(bundle, EngineConfig::default()).unwrap();
+            for op in update_stream(&ds.graph, 11, 120, UpdateMix::default()) {
+                let update = match op {
+                    UpdateOp::InsertEdge { src, dst } => IngestUpdate::InsertEdge { src, dst },
+                    UpdateOp::DeleteEdge { src, dst } => IngestUpdate::DeleteEdge { src, dst },
+                    UpdateOp::AddVertex { label } => IngestUpdate::AddVertex { label },
+                };
+                e.apply_batch(&[update]).unwrap();
+                let index = e.index();
+                assert!(index.base() == &*e.base);
+                for m in 1..=index.num_layers() {
+                    let part = e.flats[m - 1].partition();
+                    let flat_graph = e.base.relabel(&e.composed[m - 1]);
+                    assert!(
+                        summarize(&flat_graph, part).graph == *index.graph_at(m),
+                        "{dir:?}: layer {m} after {update:?}"
+                    );
+                    for v in index.base().vertices() {
+                        assert_eq!(index.chi(v, m), VId(part.block_of(v)), "{dir:?}");
+                    }
+                    let layer = index.layer(m);
+                    let members =
+                        MemberTable::from_chi(layer.supernode_table(), layer.graph.num_vertices());
+                    assert!(*layer.member_table() == members, "{dir:?}: layer {m}");
+                }
+                assert!(index.verify().is_clean(), "{}", index.verify());
+            }
+        }
     }
 
     #[test]

@@ -19,16 +19,19 @@
 //!    replay is idempotent, so the crash window between "generation
 //!    saved" and "log truncated" is harmless.
 //! 2. **Flat-partition apply pipeline.** Rather than re-running the
-//!    layer-by-layer construction, the engine maintains, for each layer
-//!    `m`, a partition of the *base* vertices over the base graph
-//!    relabeled by the composed generalization map `C^m ∘ … ∘ C¹`.
-//!    Stable partitions compose: the flat layer-`m` partition is stable
-//!    iff the corresponding iterated hierarchy is, and split-only
-//!    refinement preserves the coarseness chain `P^1 ⊑ P^2 ⊑ …` — so
-//!    each batch is one [`bgi_bisim::IncrementalBisim::apply_batch`]
-//!    per layer, and the `Layer` tables (`χ`, `Bisim⁻¹`) fall out of
-//!    adjacent flat partitions. Per-layer search indexes are rebuilt
-//!    only for layers whose summary graph actually changed.
+//!    layer-by-layer construction, the engine keeps one base graph and,
+//!    for each layer `m`, a partition of its vertices that is a
+//!    bisimulation under the composed generalization map
+//!    `C^m ∘ … ∘ C¹`. Stable partitions compose: the flat layer-`m`
+//!    partition is stable iff the corresponding iterated hierarchy is,
+//!    and split-only refinement preserves the coarseness chain
+//!    `P^1 ⊑ P^2 ⊑ …` — so a batch splices the base graph's touched
+//!    rows, runs one [`bgi_bisim::IncrementalBisim::apply_batch`] per
+//!    layer (a refinement seeded with the endpoints' blocks), and
+//!    patches each layer's `χ`, `Bisim⁻¹` and summary rows from the
+//!    layer below. Per-layer search indexes are patched with each
+//!    layer's exact edge diff, and everything a batch leaves unchanged
+//!    is shared, not copied, with the bundle being served.
 //! 3. **Drift-triggered background rebuild.** Deferred merges cost
 //!    compression. The engine re-evaluates the construction cost model
 //!    (Formula 3, `α·compress + (1−α)·distort`) against the baseline

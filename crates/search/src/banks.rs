@@ -15,15 +15,17 @@ use crate::semantics::KeywordSearch;
 use bgi_graph::{DiGraph, LabelId, VId};
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// The backward keyword search algorithm (no parameters).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Banks;
 
-/// BANKS' only index: the inverted label → vertices table.
+/// BANKS' only index: the inverted label → vertices table. Clones
+/// share the table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BanksIndex {
-    label_vertices: Vec<Vec<VId>>,
+    label_vertices: Arc<Vec<Vec<VId>>>,
 }
 
 impl BanksIndex {
@@ -42,16 +44,23 @@ impl BanksIndex {
     /// Reassembles an index from a previously built inverted table
     /// (the persistence path).
     pub fn from_parts(label_vertices: Vec<Vec<VId>>) -> Self {
-        BanksIndex { label_vertices }
+        BanksIndex {
+            label_vertices: Arc::new(label_vertices),
+        }
     }
 
     /// Incrementally patched copy of this index for the graph described
     /// by `diff` (see [`crate::patch`]). Edge changes do not touch the
     /// inverted table; appended vertices are pushed onto their label's
     /// list in id order, which is exactly the order a rebuild visits
-    /// them — the result equals `build_index` on the new graph.
+    /// them — the result equals `build_index` on the new graph. A diff
+    /// that adds no vertex shares this index's table.
     pub fn patched(&self, new_g: &DiGraph, diff: &crate::patch::GraphDiff) -> BanksIndex {
-        let mut label_vertices = self.label_vertices.clone();
+        let mut patched = self.clone();
+        if diff.added_labels.is_empty() && self.label_vertices.len() >= new_g.alphabet_size() {
+            return patched;
+        }
+        let label_vertices = Arc::make_mut(&mut patched.label_vertices);
         if label_vertices.len() < new_g.alphabet_size() {
             label_vertices.resize(new_g.alphabet_size(), Vec::new());
         }
@@ -59,7 +68,7 @@ impl BanksIndex {
         for (k, &l) in diff.added_labels.iter().enumerate() {
             label_vertices[l.index()].push(VId((n_old + k) as u32));
         }
-        BanksIndex { label_vertices }
+        patched
     }
 }
 
@@ -127,7 +136,7 @@ impl KeywordSearch for Banks {
         for v in g.vertices() {
             label_vertices[g.label(v).index()].push(v);
         }
-        BanksIndex { label_vertices }
+        BanksIndex::from_parts(label_vertices)
     }
 
     /// Best-effort under `budget`. Interruption during the per-keyword

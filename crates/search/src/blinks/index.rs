@@ -17,6 +17,7 @@ use super::partition::{bfs_partition, GraphPartition};
 use crate::banks::backward_reach;
 use bgi_graph::{DiGraph, LabelId, VId};
 use rustc_hash::FxHashMap;
+use std::sync::Arc;
 
 /// Tuning parameters for the bi-level index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,9 +38,14 @@ impl Default for BlinksParams {
     }
 }
 
-/// The bi-level index over one graph.
+/// The bi-level index over one graph. Clones share the tables.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlinksIndex {
+    tables: Arc<Tables>,
+}
+
+#[derive(Debug, PartialEq, Eq)]
+struct Tables {
     partition: GraphPartition,
     prune_dist: u32,
     /// `KNL[ℓ]`: entries sorted by (dist, block, vertex).
@@ -95,11 +101,13 @@ impl BlinksIndex {
         }
 
         BlinksIndex {
-            partition,
-            prune_dist,
-            knl,
-            nkm,
-            kbl,
+            tables: Arc::new(Tables {
+                partition,
+                prune_dist,
+                knl,
+                nkm,
+                kbl,
+            }),
         }
     }
 
@@ -129,11 +137,13 @@ impl BlinksIndex {
             kbl.insert(label, blocks);
         }
         BlinksIndex {
-            partition,
-            prune_dist,
-            knl,
-            nkm,
-            kbl,
+            tables: Arc::new(Tables {
+                partition,
+                prune_dist,
+                knl,
+                nkm,
+                kbl,
+            }),
         }
     }
 
@@ -162,12 +172,12 @@ impl BlinksIndex {
     ) -> Option<BlinksIndex> {
         let n_new = new_g.num_vertices();
         let n_old = n_new - diff.added_labels.len();
-        let prune = self.prune_dist;
+        let prune = self.tables.prune_dist;
 
         // Extend the partition: appended vertices get fresh singleton
         // blocks, existing assignments are untouched.
-        let mut block_of = self.partition.block_table().to_vec();
-        let mut num_blocks = self.partition.num_blocks();
+        let mut block_of = self.tables.partition.block_table().to_vec();
+        let mut num_blocks = self.tables.partition.num_blocks();
         for _ in n_old..n_new {
             block_of.push(num_blocks as u32);
             num_blocks += 1;
@@ -227,11 +237,11 @@ impl BlinksIndex {
         // old entry on an affected vertex (stale entries to revise) or
         // a boundary vertex (distances that may now extend inward).
         let mut candidates: Vec<LabelId> = a_list.iter().map(|&v| new_g.label(v)).collect();
-        for &l in self.knl.keys() {
+        for &l in self.tables.knl.keys() {
             if a_list
                 .iter()
                 .chain(boundary.iter())
-                .any(|&v| self.nkm.contains_key(&(v, l)))
+                .any(|&v| self.tables.nkm.contains_key(&(v, l)))
             {
                 candidates.push(l);
             }
@@ -245,13 +255,13 @@ impl BlinksIndex {
         // the n/2 cap, where nearly every label is a candidate), decline
         // and let the caller rebuild — the 2× margin keeps the write
         // path on the predictable side of the crossover.
-        if candidates.len() * a_list.len() * 2 > self.nkm.len() + n_new {
+        if candidates.len() * a_list.len() * 2 > self.tables.nkm.len() + n_new {
             return None;
         }
 
-        let mut knl = self.knl.clone();
-        let mut nkm = self.nkm.clone();
-        let mut kbl = self.kbl.clone();
+        let mut knl = self.tables.knl.clone();
+        let mut nkm = self.tables.nkm.clone();
+        let mut kbl = self.tables.kbl.clone();
         const INF: u32 = u32::MAX;
         let mut dist = vec![INF; n_new];
         for &l in &candidates {
@@ -264,7 +274,7 @@ impl BlinksIndex {
                 let mut d = if new_g.label(v) == l { 0 } else { INF };
                 for &w in new_g.out_neighbors(v) {
                     if !in_a[w.index()] {
-                        if let Some(&dw) = self.nkm.get(&(w, l)) {
+                        if let Some(&dw) = self.tables.nkm.get(&(w, l)) {
                             let c = dw as u32 + 1;
                             if c <= prune && c < d {
                                 d = c;
@@ -357,50 +367,52 @@ impl BlinksIndex {
         }
 
         Some(BlinksIndex {
-            partition,
-            prune_dist: prune,
-            knl,
-            nkm,
-            kbl,
+            tables: Arc::new(Tables {
+                partition,
+                prune_dist: prune,
+                knl,
+                nkm,
+                kbl,
+            }),
         })
     }
 
     /// The full keyword-node-list table (persistence export;
     /// [`BlinksIndex::keyword_node_list`] is the per-label lookup).
     pub fn knl_table(&self) -> &FxHashMap<LabelId, Vec<(u16, VId)>> {
-        &self.knl
+        &self.tables.knl
     }
 
     /// The pruning threshold the index was built with.
     pub fn prune_dist(&self) -> u32 {
-        self.prune_dist
+        self.tables.prune_dist
     }
 
     /// The underlying partition.
     pub fn partition(&self) -> &GraphPartition {
-        &self.partition
+        &self.tables.partition
     }
 
     /// The keyword-node list for `l` (sorted by distance), if any vertex
     /// can reach the keyword within the bound.
     pub fn keyword_node_list(&self, l: LabelId) -> Option<&[(u16, VId)]> {
-        self.knl.get(&l).map(Vec::as_slice)
+        self.tables.knl.get(&l).map(Vec::as_slice)
     }
 
     /// `dist(v → nearest l-node)` within the bound, if reachable.
     pub fn node_keyword_distance(&self, v: VId, l: LabelId) -> Option<u32> {
-        self.nkm.get(&(v, l)).map(|&d| d as u32)
+        self.tables.nkm.get(&(v, l)).map(|&d| d as u32)
     }
 
     /// Blocks containing at least one vertex within the bound of `l`.
     pub fn keyword_blocks(&self, l: LabelId) -> &[u32] {
-        self.kbl.get(&l).map_or(&[], Vec::as_slice)
+        self.tables.kbl.get(&l).map_or(&[], Vec::as_slice)
     }
 
     /// Total number of (vertex, keyword) entries — the index's dominant
     /// space cost.
     pub fn num_entries(&self) -> usize {
-        self.nkm.len()
+        self.tables.nkm.len()
     }
 }
 

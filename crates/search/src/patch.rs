@@ -4,12 +4,14 @@
 //! The live-update engine (bgi-ingest) re-materializes per-layer graphs
 //! after every batch. Most batches touch a handful of vertices, yet the
 //! per-layer search indexes used to be rebuilt from scratch whenever a
-//! graph changed at all. [`diff_graphs`] computes the *structural delta*
+//! graph changed at all. A [`GraphDiff`] is the *structural delta*
 //! between the old and new versions of one layer's graph — added
-//! vertices and inserted/deleted edges — when that delta is small and
+//! vertices and inserted/deleted edges — when that delta is
 //! shape-compatible (vertex ids stable, labels unchanged, new vertices
-//! appended at the end). Each index type then consumes the diff through
-//! its own patch entry point:
+//! appended at the end). The engine knows each layer's diff from the
+//! rows it patched; [`diff_graphs`] derives the same delta from two
+//! whole graphs, for callers (and tests) that only hold those. Each
+//! index type consumes the diff through its own patch entry point:
 //!
 //! - [`crate::banks::BanksIndex::patched`] — inverted label lists;
 //!   edge ops are free, vertex additions append in id order.

@@ -8,14 +8,14 @@
 //! a serving process never answers from a broken index.
 
 use crate::request::{QueryError, QueryRequest, Semantics};
-use bgi_search::banks::BanksIndex;
-use bgi_search::blinks::{BlinksIndex, BlinksParams};
-use bgi_search::rclique::RCliqueIndex;
+use bgi_search::blinks::BlinksParams;
 use bgi_search::{
     AnswerGraph, Banks, Blinks, Budget, Completeness, Interrupted, KeywordQuery, RClique,
 };
+use bgi_store::IndexBundle;
 use big_index::query_gen::keywords_stay_distinct;
 use big_index::{eval_query, BiGIndex, EvalOptions, RealizerKind};
+use std::sync::Arc;
 
 /// Why a snapshot could not be built.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,15 +106,12 @@ pub struct ExecOutcome {
 
 /// A verified, immutable BiG-index with all three semantics' per-layer
 /// indexes prebuilt — the paper's "boosted" setting (Sec. 5), where
-/// query time never includes index construction.
+/// query time never includes index construction. The bundle is held by
+/// `Arc`, so a snapshot of a live engine's state shares it with the
+/// engine instead of copying it.
 pub struct IndexSnapshot {
-    index: BiGIndex,
-    banks: Vec<BanksIndex>,
+    bundle: Arc<IndexBundle>,
     blinks_algo: Blinks,
-    blinks: Vec<BlinksIndex>,
-    rclique_algo: RClique,
-    rclique: Vec<RCliqueIndex>,
-    eval: EvalOptions,
 }
 
 impl IndexSnapshot {
@@ -128,21 +125,19 @@ impl IndexSnapshot {
                 violations: report.total_violations(),
             });
         }
-        let blinks_algo = Blinks::new(config.blinks);
-        let rclique_algo = config.rclique;
         // All 3·(h+1) per-layer builds are independent reads of the
         // verified hierarchy; fan them out (bit-identical to serial for
         // any `config.threads`).
-        let (banks, blinks, rclique) =
-            bgi_store::build_layer_indexes(&index, config.blinks, config.rclique, config.threads);
-        Ok(IndexSnapshot {
+        let bundle = IndexBundle::build_with_threads(
             index,
-            banks,
-            blinks_algo,
-            blinks,
-            rclique_algo,
-            rclique,
-            eval: config.eval,
+            config.blinks,
+            config.rclique,
+            config.eval,
+            config.threads,
+        );
+        Ok(IndexSnapshot {
+            blinks_algo: Blinks::new(bundle.blinks_params),
+            bundle: Arc::new(bundle),
         })
     }
 
@@ -159,7 +154,14 @@ impl IndexSnapshot {
     /// The hierarchy is still re-verified here (the store verifies on
     /// load, but a snapshot never trusts its producer), and the bundle's
     /// per-layer vectors must cover every layer `0..=h`.
-    pub fn from_bundle(bundle: bgi_store::IndexBundle) -> Result<IndexSnapshot, SnapshotError> {
+    pub fn from_bundle(bundle: IndexBundle) -> Result<IndexSnapshot, SnapshotError> {
+        Self::from_shared(Arc::new(bundle))
+    }
+
+    /// [`IndexSnapshot::from_bundle`] over a bundle someone else holds
+    /// too — a live engine's (`Engine::shared_bundle`): nothing is
+    /// copied, and the full verification still runs.
+    pub fn from_shared(bundle: Arc<IndexBundle>) -> Result<IndexSnapshot, SnapshotError> {
         let report = bundle.index.verify();
         if !report.is_clean() {
             return Err(SnapshotError::DirtyIndex {
@@ -182,24 +184,19 @@ impl IndexSnapshot {
             }
         }
         Ok(IndexSnapshot {
-            index: bundle.index,
-            banks: bundle.banks,
             blinks_algo: Blinks::new(bundle.blinks_params),
-            blinks: bundle.blinks,
-            rclique_algo: bundle.rclique_params,
-            rclique: bundle.rclique,
-            eval: bundle.eval,
+            bundle,
         })
     }
 
     /// The underlying BiG-index.
     pub fn index(&self) -> &BiGIndex {
-        &self.index
+        &self.bundle.index
     }
 
     /// Number of summary layers (`h`; the hierarchy is `0..=h`).
     pub fn num_layers(&self) -> usize {
-        self.index.num_layers()
+        self.bundle.index.num_layers()
     }
 
     /// Executes one request under `budget`. Validation errors
@@ -214,7 +211,8 @@ impl IndexSnapshot {
         if query.is_empty() {
             return Err(QueryError::EmptyQuery);
         }
-        let mut opts = self.eval;
+        let b = &*self.bundle;
+        let mut opts = b.eval;
         if req.semantics == Semantics::Dkws {
             // boost-dkws (Sec. 5.2): structural realization first, with
             // distance verification as the per-answer fallback.
@@ -224,31 +222,24 @@ impl IndexSnapshot {
         // `eval_query` runs the Def. 4.1 chooser (which only considers
         // layers keeping keywords distinct) and the layer-0 fallback.
         if let Some(m) = req.layer {
-            if m > self.index.num_layers() {
+            if m > b.index.num_layers() {
                 return Err(QueryError::InvalidLayer {
                     requested: m,
-                    num_layers: self.index.num_layers(),
+                    num_layers: b.index.num_layers(),
                 });
             }
-            if !keywords_stay_distinct(&self.index, &query, m) {
+            if !keywords_stay_distinct(&b.index, &query, m) {
                 return Err(QueryError::MergedKeywords { layer: m });
             }
         }
         let result = match req.semantics {
             Semantics::Bkws => eval_query(
-                &self.index,
-                &Banks,
-                &self.banks,
-                &query,
-                req.k,
-                req.layer,
-                &opts,
-                budget,
+                &b.index, &Banks, &b.banks, &query, req.k, req.layer, &opts, budget,
             ),
             Semantics::Rkws => eval_query(
-                &self.index,
+                &b.index,
                 &self.blinks_algo,
-                &self.blinks,
+                &b.blinks,
                 &query,
                 req.k,
                 req.layer,
@@ -256,9 +247,9 @@ impl IndexSnapshot {
                 budget,
             ),
             Semantics::Dkws => eval_query(
-                &self.index,
-                &self.rclique_algo,
-                &self.rclique,
+                &b.index,
+                &b.rclique_params,
+                &b.rclique,
                 &query,
                 req.k,
                 req.layer,

@@ -268,13 +268,18 @@ impl Service {
             .apply_group(batches)
             .map_err(ApplyError::Ingest)?;
         // A group of empty batches changed nothing: skip the rebuild
-        // bookkeeping and the snapshot clone + swap.
+        // bookkeeping and the snapshot swap. A group that committed but
+        // changed no layer (an insert of an edge that exists, a delete
+        // of one that does not) is durable all the same, but serves
+        // exactly what is served: keep the snapshot and its cache.
         let (rebuilt, rebuild_started) = if batches.iter().all(Vec::is_empty) {
             (false, false)
         } else {
             let rebuilt = self.adopt_finished_rebuild(state, target)?;
             let rebuild_started = self.maybe_start_rebuild(state, target);
-            self.serve_engine_state(&state.engine, target)?;
+            if rebuilt || outcomes.iter().any(ApplyOutcome::changed_index) {
+                self.serve_engine_state(&state.engine, target)?;
+            }
             self.shared.stats.record_ingest_batch();
             (rebuilt, rebuild_started)
         };
@@ -288,15 +293,16 @@ impl Service {
             .collect())
     }
 
-    /// Builds a snapshot of the engine's current bundle and installs it
-    /// at `target`. A bundle that fails snapshot admission is counted
-    /// as a rollback and the previous snapshot keeps serving.
+    /// Builds a snapshot of the engine's current bundle — shared, not
+    /// copied, and fully verified — and installs it at `target`. A
+    /// bundle that fails snapshot admission is counted as a rollback
+    /// and the previous snapshot keeps serving.
     fn serve_engine_state(
         &self,
         engine: &Engine,
         target: InstallTarget<'_>,
     ) -> Result<(), ApplyError> {
-        let snapshot = IndexSnapshot::from_bundle(engine.bundle().clone()).map_err(|err| {
+        let snapshot = IndexSnapshot::from_shared(engine.shared_bundle()).map_err(|err| {
             self.shared.stats.record_ingest_rollback();
             self.shared.log.line(&format!(
                 "{target}: engine state refused at snapshot admission ({err}); \
@@ -348,7 +354,7 @@ impl Service {
             .map_err(|e| ShardedBootError::Store(ShardStoreError::from(e)))?;
         let (engine, replayed) =
             Engine::with_wal(bundle, config, store.store(s)).map_err(ShardedBootError::Ingest)?;
-        let snapshot = IndexSnapshot::from_bundle(engine.bundle().clone())
+        let snapshot = IndexSnapshot::from_shared(engine.shared_bundle())
             .map_err(ShardedBootError::Snapshot)?;
         // A rebuild still in the shard's slot was captured from the
         // dead epoch; the adoption guard (`rebuild_in_flight`) discards

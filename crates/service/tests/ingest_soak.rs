@@ -270,6 +270,63 @@ fn boot_mono(ds: &bgi_datasets::Dataset, root: &std::path::Path) -> (Store, Serv
     (store, service, WriteHub::new(engine))
 }
 
+/// A commit that changes no layer — an insert of an edge that exists, a
+/// delete of one that does not — is logged and acknowledged like any
+/// other, but it serves exactly what was served: the snapshot is not
+/// swapped and its answer cache survives. A commit that does change the
+/// index still swaps and invalidates.
+#[test]
+fn a_commit_that_changes_nothing_keeps_the_snapshot_and_its_cache() {
+    let ds = DatasetSpec::synt(300).generate();
+    let dir = TempDir::new("noop-commit");
+    let (_store, service, hub) = boot_mono(&ds, dir.path());
+    let q = benchmark_queries(&ds, 3, 4, 7)
+        .into_iter()
+        .next()
+        .expect("a benchmark query");
+    let req = QueryRequest::new(Semantics::Bkws, q.keywords, q.dmax, 5);
+    assert!(!service.query(req.clone()).unwrap().cache_hit);
+    assert!(service.query(req.clone()).unwrap().cache_hit);
+
+    let g = &ds.graph;
+    let (src, dst) = g.edges().next().expect("an edge");
+    let n = g.num_vertices() as u32;
+    let absent = (0..n)
+        .flat_map(|u| (0..n).map(move |v| (VId(u), VId(v))))
+        .find(|&(u, v)| !g.has_edge(u, v))
+        .expect("a non-edge");
+    let mut last_seq = None;
+    for update in [
+        IngestUpdate::InsertEdge {
+            src: src.0,
+            dst: dst.0,
+        },
+        IngestUpdate::DeleteEdge {
+            src: absent.0 .0,
+            dst: absent.1 .0,
+        },
+    ] {
+        let report = service.apply_updates_grouped(&hub, vec![update]).unwrap();
+        assert!(report.outcome.seq > last_seq, "{update:?} was not logged");
+        last_seq = report.outcome.seq;
+        assert!(!report.outcome.changed_index(), "{update:?}");
+        assert!(
+            service.query(req.clone()).unwrap().cache_hit,
+            "{update:?} flushed the answer cache"
+        );
+    }
+    assert_eq!(service.stats().index_swaps, 0);
+
+    let insert = IngestUpdate::InsertEdge {
+        src: absent.0 .0,
+        dst: absent.1 .0,
+    };
+    let report = service.apply_updates_grouped(&hub, vec![insert]).unwrap();
+    assert!(report.outcome.changed_index());
+    assert!(!service.query(req).unwrap().cache_hit);
+    assert_eq!(service.stats().index_swaps, 1);
+}
+
 /// Cuts `ds` into two shard hierarchies under a fresh sharded root and
 /// boots it.
 fn boot_two_shards(

@@ -258,9 +258,9 @@ pub fn encode_index(idx: &BiGIndex) -> Vec<u8> {
         e.u32_slice(&layer.label_map.iter().map(|l| l.0).collect::<Vec<_>>());
         enc_graph(&mut e, &layer.graph);
         enc_vids(&mut e, layer.supernode_table());
-        let members = layer.member_lists();
+        let members = layer.member_table();
         e.u64(members.len() as u64);
-        for list in members {
+        for list in members.lists() {
             enc_vids(&mut e, list);
         }
     }

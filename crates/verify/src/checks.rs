@@ -20,18 +20,25 @@ use rustc_hash::FxHashSet;
 /// absence of phantom edges, partition stability, `χ`/`χ⁻¹`
 /// round-trips, member-list partitioning, and per-layer label-support
 /// recounts. Every check ends `Pass` or `Fail`.
+///
+/// The whole report costs `O(|V| + |E|)` summed over the layers (plus
+/// the ontology): each layer's `χ` table is read once, and path
+/// preservation, phantom edges and stability share one stamp-array
+/// pass per block.
 pub fn check_index<I: IndexView + ?Sized>(idx: &I) -> Report {
     let h = idx.num_layers();
+    let chis: Vec<LayerChi> = (1..=h).map(|m| LayerChi::new(idx, m)).collect();
+    let (path, phantom, stable) = check_edges_and_stability(idx, &chis);
     let checks = vec![
         check_ontology_acyclic(idx),
         check_config_ancestry(idx, h),
         check_label_map_consistent(idx, h),
-        check_path_preserving(idx, h),
-        check_label_preserving(idx, h),
-        check_no_phantom_edges(idx, h),
-        check_partition_stable(idx, h),
-        check_chi_round_trip(idx, h),
-        check_members_partition(idx, h),
+        path,
+        check_label_preserving(idx, &chis),
+        phantom,
+        stable,
+        check_chi_round_trip(idx, &chis),
+        check_members_partition(idx, &chis),
         check_support_counts(idx, h),
     ];
     Report { checks }
@@ -152,41 +159,280 @@ fn gen_label(map: &[LabelId], l: LabelId) -> Option<LabelId> {
     map.get(l.index()).copied()
 }
 
-/// Def. 2.1 (path preservation), checked edge-wise: every `G^{m-1}`
-/// edge `(u, v)` must have a `G^m` edge `(χ(u), χ(v))`. Edge-wise
-/// preservation implies path preservation by induction.
-fn check_path_preserving<I: IndexView + ?Sized>(idx: &I, h: usize) -> Check {
-    let mut edges = 0usize;
-    let mut c = Check::pass(Invariant::PathPreserving, String::new());
-    for m in 1..=h {
-        let lower = idx.graph_at(m - 1);
-        let upper = idx.graph_at(m);
-        let nu = upper.num_vertices();
-        for (u, v) in lower.edges() {
-            edges += 1;
-            let (su, sv) = (idx.up(m, u), idx.up(m, v));
-            if su.index() >= nu || sv.index() >= nu || !upper.has_edge(su, sv) {
-                c.record(Witness::Edge { layer: m - 1, u, v });
-            }
-        }
-    }
-    c.detail = format!("{edges} lower edge(s) mapped through chi");
-    c
+/// `χ` of one layer read once: `chi[v]` is the supernode of lower
+/// vertex `v`, and the lower vertices grouped by it — those whose image
+/// is `s < nu` ascending in `ids[offsets[s]..offsets[s + 1]]`, and
+/// every vertex whose image is out of range after them, in
+/// `ids[offsets[nu]..]`.
+struct LayerChi {
+    chi: Vec<VId>,
+    offsets: Vec<u32>,
+    ids: Vec<VId>,
 }
 
-/// Label preservation: each supernode carries exactly the generalized
-/// label of its members, `label(χ(v)) = Cᵐ(label(v))`.
-fn check_label_preserving<I: IndexView + ?Sized>(idx: &I, h: usize) -> Check {
-    let mut verts = 0usize;
-    let mut c = Check::pass(Invariant::LabelPreserving, String::new());
-    for m in 1..=h {
+impl LayerChi {
+    fn new<I: IndexView + ?Sized>(idx: &I, m: usize) -> LayerChi {
+        let nl = idx.graph_at(m - 1).num_vertices();
+        let nu = idx.graph_at(m).num_vertices();
+        let chi: Vec<VId> = (0..nl as u32).map(|v| idx.up(m, VId(v))).collect();
+        // Counting sort by image; out-of-range images share bucket `nu`.
+        let bucket = |s: VId| s.index().min(nu);
+        let mut offsets = vec![0u32; nu + 2];
+        for &s in &chi {
+            offsets[bucket(s) + 1] += 1;
+        }
+        for i in 0..=nu {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets.clone();
+        let mut ids = vec![VId(0); nl];
+        for (v, &s) in chi.iter().enumerate() {
+            ids[cursor[bucket(s)] as usize] = VId(v as u32);
+            cursor[bucket(s)] += 1;
+        }
+        LayerChi { chi, offsets, ids }
+    }
+
+    /// The lower vertices `χ` maps to supernode `s` (or, for `s = nu`,
+    /// out of range).
+    fn preimage(&self, s: usize) -> &[VId] {
+        &self.ids[self.offsets[s] as usize..self.offsets[s + 1] as usize]
+    }
+
+    fn in_range(&self, nu: usize) -> bool {
+        self.offsets[nu] as usize == self.chi.len()
+    }
+}
+
+/// Stamp arrays over one layer's supernodes: a slot holds the token of
+/// the last visit that set it, so one allocation per layer serves every
+/// block and every member without clearing.
+struct Stamps {
+    next: u32,
+    /// A summary row being traced: its targets, then those with a
+    /// pre-image.
+    row: Vec<u32>,
+    hit: Vec<u32>,
+    /// A block's first member's neighbor blocks, per direction
+    /// (`[out, in]`), and one other member's.
+    first: [Vec<u32>; 2],
+    seen: Vec<u32>,
+}
+
+impl Stamps {
+    fn new(nu: usize) -> Stamps {
+        Stamps {
+            next: 0,
+            row: vec![0; nu],
+            hit: vec![0; nu],
+            first: [vec![0; nu], vec![0; nu]],
+            seen: vec![0; nu],
+        }
+    }
+
+    fn token(&mut self) -> u32 {
+        self.next += 1;
+        self.next
+    }
+
+    /// Stamps the blocks `chi` maps `ns` to as side `side`'s reference
+    /// set; returns its token and size.
+    fn stamp_first(&mut self, side: usize, ns: &[VId], chi: &[VId]) -> (u32, usize) {
+        let token = self.token();
+        let mut size = 0;
+        for &n in ns {
+            let t = chi[n.index()].index();
+            if self.first[side][t] != token {
+                self.first[side][t] = token;
+                size += 1;
+            }
+        }
+        (token, size)
+    }
+
+    /// Whether `ns` maps onto exactly the reference set `(token, size)`
+    /// of side `side`.
+    fn same_set(
+        &mut self,
+        side: usize,
+        (first, size): (u32, usize),
+        ns: &[VId],
+        chi: &[VId],
+    ) -> bool {
+        let token = self.token();
+        let mut seen = 0;
+        for &n in ns {
+            let t = chi[n.index()].index();
+            if self.first[side][t] != first {
+                return false;
+            }
+            if self.seen[t] != token {
+                self.seen[t] = token;
+                seen += 1;
+            }
+        }
+        seen == size
+    }
+}
+
+/// The three checks that relate a layer's edges to the layer below,
+/// done together in one stamp-array pass per block:
+///
+/// - Def. 2.1 (path preservation), checked edge-wise: every `G^{m-1}`
+///   edge `(u, v)` must have a `G^m` edge `(χ(u), χ(v))`. Edge-wise
+///   preservation implies path preservation by induction.
+/// - No phantom edges: every `G^m` edge must be the image of at least
+///   one `G^{m-1}` edge — the summary adds no connectivity that
+///   Prop. 4.1's refinement step could not specialize away.
+/// - Stability of the summary partition on the *generalized* lower
+///   graph: all members of a block must have identical generalized
+///   labels and see the same set of neighbor blocks in the index's
+///   direction. Both the maximal bisimulation a build computes and the
+///   finer partitions split-only maintenance leaves are stable.
+///
+/// Per supernode `S`: stamp `S`'s summary row, walk the lower vertices
+/// `χ` maps to `S` and their edges (each image either lands in the
+/// stamped row — a pre-image, marked — or is a lost edge), then read
+/// the row back for unmarked (phantom) edges; then stamp the first
+/// listed member's neighbor blocks and compare every other member
+/// against them. `O(|V| + |E|)` per layer, with no copy of the lower
+/// graph, no hash set and no per-vertex allocation. Witnesses come out
+/// in the order of an edge-by-edge / block-by-block scan.
+fn check_edges_and_stability<I: IndexView + ?Sized>(
+    idx: &I,
+    chis: &[LayerChi],
+) -> (Check, Check, Check) {
+    let dir = idx.direction();
+    let (chk_out, chk_in) = match dir {
+        BisimDirection::Forward => (true, false),
+        BisimDirection::Backward => (false, true),
+        BisimDirection::Both => (true, true),
+    };
+    let mut path = Check::pass(Invariant::PathPreserving, String::new());
+    let mut phantom = Check::pass(Invariant::NoPhantomEdges, String::new());
+    let mut stable = Check::pass(Invariant::PartitionStable, String::new());
+    let (mut lower_edges, mut upper_edges, mut blocks) = (0usize, 0usize, 0usize);
+    for (m, lc) in (1..).zip(chis) {
         let lower = idx.graph_at(m - 1);
         let upper = idx.graph_at(m);
         let map = idx.label_map(m);
         let nu = upper.num_vertices();
-        for v in lower.vertices() {
+        lower_edges += lower.num_edges();
+        upper_edges += upper.num_edges();
+        blocks += nu;
+        let lower_offsets = lower.csr_parts().1;
+        // Lost edges, keyed by their CSR position so they are recorded
+        // in edge order.
+        let mut lost: Vec<(u32, VId, VId)> = Vec::new();
+        let mut st = Stamps::new(nu);
+        let in_range = lc.in_range(nu);
+        let label = |v: VId| gen_label(map, lower.label(v));
+        let nl = lower.num_vertices();
+        for s in 0..nu {
+            let token = st.token();
+            for &t in upper.out_neighbors(VId(s as u32)) {
+                st.row[t.index()] = token;
+            }
+            for &u in lc.preimage(s) {
+                let at = lower_offsets[u.index()];
+                for (i, &v) in lower.out_neighbors(u).iter().enumerate() {
+                    let t = lc.chi[v.index()];
+                    if t.index() < nu && st.row[t.index()] == token {
+                        st.hit[t.index()] = token;
+                    } else {
+                        lost.push((at + i as u32, u, v));
+                    }
+                }
+            }
+            for &t in upper.out_neighbors(VId(s as u32)) {
+                if st.hit[t.index()] != token {
+                    phantom.record(Witness::Edge {
+                        layer: m,
+                        u: VId(s as u32),
+                        v: t,
+                    });
+                }
+            }
+            let members = idx.down(m, VId(s as u32));
+            let Some((&first, rest)) = members.split_first() else {
+                continue; // empty blocks belong to MembersPartition
+            };
+            if first.index() >= nl {
+                stable.record(Witness::Vertex {
+                    layer: m - 1,
+                    v: first,
+                });
+                continue;
+            }
+            let label0 = label(first);
+            if !in_range {
+                // A χ image past the layer has no stamp slot: compare
+                // this corrupt layer's signatures as sorted lists.
+                let sig = |v: VId, out: bool| {
+                    let ns = if out {
+                        lower.out_neighbors(v)
+                    } else {
+                        lower.in_neighbors(v)
+                    };
+                    let mut sig: Vec<VId> = ns.iter().map(|&n| lc.chi[n.index()]).collect();
+                    sig.sort_unstable();
+                    sig.dedup();
+                    sig
+                };
+                let (out0, in0) = (sig(first, true), sig(first, false));
+                for &v in rest {
+                    let same = v.index() < nl
+                        && label(v) == label0
+                        && (!chk_out || sig(v, true) == out0)
+                        && (!chk_in || sig(v, false) == in0);
+                    if !same {
+                        stable.record(Witness::Vertex { layer: m - 1, v });
+                    }
+                }
+                continue;
+            }
+            let out0 = chk_out.then(|| st.stamp_first(0, lower.out_neighbors(first), &lc.chi));
+            let in0 = chk_in.then(|| st.stamp_first(1, lower.in_neighbors(first), &lc.chi));
+            for &v in rest {
+                let same = v.index() < nl
+                    && label(v) == label0
+                    && out0.is_none_or(|o| st.same_set(0, o, lower.out_neighbors(v), &lc.chi))
+                    && in0.is_none_or(|i| st.same_set(1, i, lower.in_neighbors(v), &lc.chi));
+                if !same {
+                    stable.record(Witness::Vertex { layer: m - 1, v });
+                }
+            }
+        }
+        // Vertices mapped out of range lose every edge.
+        for &u in lc.preimage(nu) {
+            let at = lower_offsets[u.index()];
+            for (i, &v) in lower.out_neighbors(u).iter().enumerate() {
+                lost.push((at + i as u32, u, v));
+            }
+        }
+        lost.sort_unstable_by_key(|&(at, _, _)| at);
+        for (_, u, v) in lost {
+            path.record(Witness::Edge { layer: m - 1, u, v });
+        }
+    }
+    path.detail = format!("{lower_edges} lower edge(s) mapped through chi");
+    phantom.detail = format!("{upper_edges} summary edge(s) traced to pre-images");
+    stable.detail = format!("{blocks} block(s) checked ({dir:?} direction)");
+    (path, phantom, stable)
+}
+/// Label preservation: each supernode carries exactly the generalized
+/// label of its members, `label(χ(v)) = Cᵐ(label(v))`.
+fn check_label_preserving<I: IndexView + ?Sized>(idx: &I, chis: &[LayerChi]) -> Check {
+    let mut verts = 0usize;
+    let mut c = Check::pass(Invariant::LabelPreserving, String::new());
+    for (m, lc) in (1..).zip(chis) {
+        let lower = idx.graph_at(m - 1);
+        let upper = idx.graph_at(m);
+        let map = idx.label_map(m);
+        let nu = upper.num_vertices();
+        for (v, &s) in lc.chi.iter().enumerate() {
             verts += 1;
-            let s = idx.up(m, v);
+            let v = VId(v as u32);
             let ok = s.index() < nu && gen_label(map, lower.label(v)) == Some(upper.label(s));
             if !ok {
                 c.record(Witness::Vertex { layer: m - 1, v });
@@ -197,125 +443,32 @@ fn check_label_preserving<I: IndexView + ?Sized>(idx: &I, h: usize) -> Check {
     c
 }
 
-/// No phantom edges: every `G^m` edge must be the image of at least one
-/// `G^{m-1}` edge — the summary adds no connectivity that Prop. 4.1's
-/// refinement step could not specialize away.
-fn check_no_phantom_edges<I: IndexView + ?Sized>(idx: &I, h: usize) -> Check {
-    let mut edges = 0usize;
-    let mut c = Check::pass(Invariant::NoPhantomEdges, String::new());
-    for m in 1..=h {
-        let lower = idx.graph_at(m - 1);
-        let upper = idx.graph_at(m);
-        let image: FxHashSet<(VId, VId)> = lower
-            .edges()
-            .map(|(u, v)| (idx.up(m, u), idx.up(m, v)))
-            .collect();
-        for (s, t) in upper.edges() {
-            edges += 1;
-            if !image.contains(&(s, t)) {
-                c.record(Witness::Edge {
-                    layer: m,
-                    u: s,
-                    v: t,
-                });
-            }
-        }
-    }
-    c.detail = format!("{edges} summary edge(s) traced to pre-images");
-    c
-}
-
-/// The block signature stability compares: the sorted, deduplicated set
-/// of neighbor blocks of `v` in the given direction.
-fn block_signature<I: IndexView + ?Sized>(
-    idx: &I,
-    m: usize,
-    g: &DiGraph,
-    v: VId,
-    out: bool,
-) -> Vec<VId> {
-    let ns = if out {
-        g.out_neighbors(v)
-    } else {
-        g.in_neighbors(v)
-    };
-    let mut sig: Vec<VId> = ns.iter().map(|&n| idx.up(m, n)).collect();
-    sig.sort_unstable();
-    sig.dedup();
-    sig
-}
-
-/// Stability of the summary partition on the *generalized* lower graph:
-/// all members of a block must have identical generalized labels and
-/// see the same set of neighbor blocks in the index's direction. Both
-/// the maximal bisimulation a build computes and the finer partitions
-/// split-only maintenance leaves are stable.
-fn check_partition_stable<I: IndexView + ?Sized>(idx: &I, h: usize) -> Check {
-    let dir = idx.direction();
-    let (chk_out, chk_in) = match dir {
-        BisimDirection::Forward => (true, false),
-        BisimDirection::Backward => (false, true),
-        BisimDirection::Both => (true, true),
-    };
-    let mut blocks = 0usize;
-    let mut c = Check::pass(Invariant::PartitionStable, String::new());
-    for m in 1..=h {
-        let lower = idx.graph_at(m - 1);
-        let map = idx.label_map(m);
-        let gen = lower.relabel(map);
-        let nu = idx.graph_at(m).num_vertices();
-        blocks += nu;
-        for s in 0..nu {
-            let members = idx.down(m, VId(s as u32));
-            let Some((&first, rest)) = members.split_first() else {
-                continue; // empty blocks belong to MembersPartition
-            };
-            if first.index() >= gen.num_vertices() {
-                c.record(Witness::Vertex {
-                    layer: m - 1,
-                    v: first,
-                });
-                continue;
-            }
-            let label0 = gen.label(first);
-            let out0 = chk_out.then(|| block_signature(idx, m, &gen, first, true));
-            let in0 = chk_in.then(|| block_signature(idx, m, &gen, first, false));
-            for &v in rest {
-                if v.index() >= gen.num_vertices() {
-                    c.record(Witness::Vertex { layer: m - 1, v });
-                    continue;
-                }
-                let same = gen.label(v) == label0
-                    && out0
-                        .as_ref()
-                        .is_none_or(|s0| *s0 == block_signature(idx, m, &gen, v, true))
-                    && in0
-                        .as_ref()
-                        .is_none_or(|s0| *s0 == block_signature(idx, m, &gen, v, false));
-                if !same {
-                    c.record(Witness::Vertex { layer: m - 1, v });
-                }
-            }
-        }
-    }
-    c.detail = format!("{blocks} block(s) checked ({dir:?} direction)");
-    c
-}
-
 /// `χ⁻¹` round-trips: for every lower vertex `v`, the member list of
 /// its supernode contains `v` (`Bisim⁻¹(Bisim(v)) ∋ v`). This is the
-/// hash-table lookup that query specialization descends through.
-fn check_chi_round_trip<I: IndexView + ?Sized>(idx: &I, h: usize) -> Check {
+/// hash-table lookup that query specialization descends through. One
+/// pass over the member lists marks every vertex listed under its own
+/// supernode, so the check is linear however large a block is.
+fn check_chi_round_trip<I: IndexView + ?Sized>(idx: &I, chis: &[LayerChi]) -> Check {
     let mut verts = 0usize;
     let mut c = Check::pass(Invariant::ChiRoundTrip, String::new());
-    for m in 1..=h {
-        let lower = idx.graph_at(m - 1);
+    for (m, lc) in (1..).zip(chis) {
+        let nl = lc.chi.len();
         let nu = idx.graph_at(m).num_vertices();
-        for v in lower.vertices() {
+        let mut listed = vec![false; nl];
+        for s in 0..nu {
+            for &w in idx.down(m, VId(s as u32)) {
+                if w.index() < nl && lc.chi[w.index()].index() == s {
+                    listed[w.index()] = true;
+                }
+            }
+        }
+        for (v, &s) in lc.chi.iter().enumerate() {
             verts += 1;
-            let s = idx.up(m, v);
-            if s.index() >= nu || !idx.down(m, s).contains(&v) {
-                c.record(Witness::Vertex { layer: m - 1, v });
+            if s.index() >= nu || !listed[v] {
+                c.record(Witness::Vertex {
+                    layer: m - 1,
+                    v: VId(v as u32),
+                });
             }
         }
     }
@@ -326,12 +479,11 @@ fn check_chi_round_trip<I: IndexView + ?Sized>(idx: &I, h: usize) -> Check {
 /// The `χ⁻¹` member lists must partition the lower layer exactly: every
 /// supernode non-empty, members mapping back up to it, no lower vertex
 /// claimed twice, and none left unclaimed.
-fn check_members_partition<I: IndexView + ?Sized>(idx: &I, h: usize) -> Check {
+fn check_members_partition<I: IndexView + ?Sized>(idx: &I, chis: &[LayerChi]) -> Check {
     let mut lists = 0usize;
     let mut c = Check::pass(Invariant::MembersPartition, String::new());
-    for m in 1..=h {
-        let lower = idx.graph_at(m - 1);
-        let nl = lower.num_vertices();
+    for (m, lc) in (1..).zip(chis) {
+        let nl = lc.chi.len();
         let nu = idx.graph_at(m).num_vertices();
         let mut claimed = vec![false; nl];
         for si in 0..nu {
@@ -343,7 +495,7 @@ fn check_members_partition<I: IndexView + ?Sized>(idx: &I, h: usize) -> Check {
                 c.record(Witness::Vertex { layer: m, v: s });
             }
             for &v in members {
-                if v.index() >= nl || idx.up(m, v) != s || claimed[v.index()] {
+                if v.index() >= nl || lc.chi[v.index()] != s || claimed[v.index()] {
                     c.record(Witness::Vertex { layer: m - 1, v });
                 } else {
                     claimed[v.index()] = true;
