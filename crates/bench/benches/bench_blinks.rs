@@ -1,5 +1,6 @@
 //! Criterion: BLINKS query times with and without BiG-index
-//! (the microbenchmark behind Figs. 10–12).
+//! (the microbenchmark behind Figs. 10–12). BLINKS searches BANKS'
+//! label table, so it has no index build of its own to time.
 
 use bgi_bench::setup::Workbench;
 use bgi_datasets::DatasetSpec;
@@ -9,10 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_blinks_queries(c: &mut Criterion) {
     let wb = Workbench::prepare(&DatasetSpec::yago_like(8_000), 5, 5);
-    let blinks = Blinks::new(BlinksParams {
-        block_size: 1000,
-        prune_dist: 5,
-    });
+    let blinks = Blinks::new(BlinksParams { prune_dist: 5 });
     let boosted = Boosted::new(&wb.index, blinks, EvalOptions::default());
 
     let mut group = c.benchmark_group("blinks_yago_like");
@@ -28,20 +26,5 @@ fn bench_blinks_queries(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_blinks_index_build(c: &mut Criterion) {
-    use bgi_search::KeywordSearch;
-    let ds = DatasetSpec::yago_like(4_000).generate();
-    let blinks = Blinks::new(BlinksParams {
-        block_size: 1000,
-        prune_dist: 5,
-    });
-    let mut group = c.benchmark_group("blinks_index_build");
-    group.sample_size(10);
-    group.bench_function("yago-like/4000", |b| {
-        b.iter(|| blinks.build_index(&ds.graph));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_blinks_queries, bench_blinks_index_build);
+criterion_group!(benches, bench_blinks_queries);
 criterion_main!(benches);

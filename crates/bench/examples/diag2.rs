@@ -10,10 +10,7 @@ fn main() {
     let (index, _) = bgi_bench::setup::default_index(&ds, 7);
     let min_count = (ds.num_vertices() / 100).max(3) as u32;
     let queries = bgi_datasets::benchmark_queries(&ds, 5, min_count, 0xC0FFEE);
-    let blinks = Blinks::new(BlinksParams {
-        block_size: 1000,
-        prune_dist: 5,
-    });
+    let blinks = Blinks::new(BlinksParams { prune_dist: 5 });
     let q = queries[4].to_query(); // Q5
     println!(
         "layers: {}, sizes: {:?}",
@@ -24,13 +21,9 @@ fn main() {
         let g = index.graph_at(m);
         let idx = blinks.build_index(g);
         let gq = generalize_query(&index, &q, m);
-        // keyword list lengths
+        // keyword seed counts
         for &kw in &gq.keywords {
-            let len = idx
-                .keyword_node_list(kw)
-                .map_or(0, <[(u16, bgi_graph::ids::VId)]>::len);
-            let count = g.vertices().filter(|&v| g.label(v) == kw).count();
-            print!(" kw{kw:?}: count={count} list={len} |");
+            print!(" kw{kw:?}: seeds={} |", idx.vertices_with(kw).len());
         }
         println!();
         let t = Instant::now();

@@ -12,10 +12,7 @@ fn main() {
         let (index, _) = bgi_bench::setup::default_index(&ds, 7);
         let min_count = (ds.num_vertices() / 100).max(3) as u32;
         let queries = bgi_datasets::benchmark_queries(&ds, 5, min_count, 0xC0FFEE);
-        let blinks = Blinks::new(BlinksParams {
-            block_size: 1000,
-            prune_dist: 5,
-        });
+        let blinks = Blinks::new(BlinksParams { prune_dist: 5 });
         let boosted = Boosted::new(&index, blinks, EvalOptions::default());
         println!("== {} sizes={:?}", ds.name, index.layer_sizes());
         for q in &queries {

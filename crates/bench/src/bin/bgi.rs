@@ -19,7 +19,7 @@
 //!
 //! Construction commands (`build`, `save-index`, `serve`, `batch`) take
 //! `--build-threads N` to fan the parallelizable build stages — the
-//! per-layer BANKS/BLINKS/r-clique index builds and, on `save-index`,
+//! per-layer BANKS/r-clique index builds and, on `save-index`,
 //! the store's section encodes — over N scoped workers. Every thread
 //! count produces a byte-identical result (DESIGN.md §8); `--threads`
 //! on `serve`/`batch` stays the *query worker* count, a different pool.
@@ -236,14 +236,9 @@ fn cmd_build(args: &[String]) -> CliResult {
     // The per-layer search indexes are what serving/persistence would
     // build next; they are the parallel stage `--build-threads` fans out.
     let t = Instant::now();
-    let (banks, _, _) = bgi_store::build_layer_indexes(
-        &index,
-        BlinksParams::default(),
-        RClique::default(),
-        build_threads,
-    );
+    let (banks, _) = bgi_store::build_layer_indexes(&index, RClique::default(), build_threads);
     println!(
-        "per-layer search indexes ({} layers x 3 algorithms) built in {:?} \
+        "per-layer search indexes ({} layers x 2 index families) built in {:?} \
          on {build_threads} thread(s)",
         banks.len(),
         t.elapsed()
@@ -1182,7 +1177,6 @@ fn cmd_query(args: &[String]) -> CliResult {
 
     let (index, _) = bgi_bench::setup::default_index(&ds, 7);
     let blinks = Blinks::new(BlinksParams {
-        block_size: 1000,
         prune_dist: dmax.max(5),
     });
     let boosted = Boosted::new(&index, blinks, EvalOptions::default());

@@ -1,5 +1,5 @@
 //! Parallel-construction scaling: wall-clock of the full index build
-//! (Algo. 1 greedy hierarchy + per-layer BANKS/BLINKS/r-clique
+//! (Algo. 1 greedy hierarchy + per-layer BANKS/r-clique
 //! indexes) at 1/2/4/8 build threads, on synt and yago.
 //!
 //! Every thread count must produce the *same* index — the sweep

@@ -92,10 +92,7 @@ pub fn estimate_correlation(scale: usize) -> (String, f64) {
 /// companion table).
 pub fn layer_prediction(scale: usize) -> (String, f64) {
     let wb = Workbench::prepare(&DatasetSpec::yago_like(scale), 7, 5);
-    let blinks = Blinks::new(BlinksParams {
-        block_size: 1000,
-        prune_dist: 5,
-    });
+    let blinks = Blinks::new(BlinksParams { prune_dist: 5 });
     let mut out = String::new();
     let mut best_accuracy = 0.0f64;
     let mut t = TableWriter::new(&["beta", "accuracy (predicted = fastest layer)"]);

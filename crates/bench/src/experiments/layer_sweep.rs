@@ -18,10 +18,7 @@ const TOP_K: usize = 10;
 /// chosen layer and the empirically best layer marked.
 pub fn run(scale: usize) -> String {
     let wb = Workbench::prepare(&DatasetSpec::yago_like(scale), 7, 5);
-    let blinks = Blinks::new(BlinksParams {
-        block_size: 1000,
-        prune_dist: 5,
-    });
+    let blinks = Blinks::new(BlinksParams { prune_dist: 5 });
     let boosted = Boosted::new(&wb.index, blinks, EvalOptions::default());
     let h = wb.index.num_layers();
 

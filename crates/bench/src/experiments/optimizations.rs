@@ -8,10 +8,7 @@ use bgi_search::blinks::{Blinks, BlinksParams};
 use big_index::{Boosted, EvalOptions, RealizerKind};
 
 fn blinks() -> Blinks {
-    Blinks::new(BlinksParams {
-        block_size: 1000,
-        prune_dist: 5,
-    })
+    Blinks::new(BlinksParams { prune_dist: 5 })
 }
 
 /// Generic A/B over two option sets. The optimizations under test act

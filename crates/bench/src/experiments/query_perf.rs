@@ -37,10 +37,7 @@ const RUNS: usize = 3;
 
 /// Measures Blinks ± BiG-index on one dataset.
 pub fn blinks_rows(wb: &Workbench) -> Vec<QueryPerfRow> {
-    let blinks = Blinks::new(BlinksParams {
-        block_size: 1000,
-        prune_dist: 5,
-    });
+    let blinks = Blinks::new(BlinksParams { prune_dist: 5 });
     let boosted = Boosted::new(&wb.index, blinks, EvalOptions::default());
     measure(
         wb,

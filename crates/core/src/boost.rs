@@ -159,10 +159,7 @@ mod tests {
     #[test]
     fn boost_rkws_equals_baseline() {
         let idx = indexed();
-        let blinks = Blinks::new(BlinksParams {
-            block_size: 4,
-            prune_dist: 5,
-        });
+        let blinks = Blinks::new(BlinksParams { prune_dist: 5 });
         let boosted = Boosted::new(&idx, blinks, EvalOptions::default());
         let q = KeywordQuery::new(vec![LabelId(2), LabelId(3)], 2);
         let (baseline, _) = boosted.baseline(&q, 1000);

@@ -64,9 +64,8 @@ use bgi_bisim::{IncrementalBisim, Partition};
 use bgi_graph::par::par_map;
 use bgi_graph::{DiGraph, LabelId, Ontology, VId};
 use bgi_search::banks::BanksIndex;
-use bgi_search::blinks::BlinksIndex;
 use bgi_search::rclique::RCliqueIndex;
-use bgi_search::{Banks, Blinks, GraphDiff, KeywordSearch};
+use bgi_search::{Banks, GraphDiff, KeywordSearch};
 use bgi_store::{build_layer_indexes, GraphUpdate, IndexBundle, Store, Wal};
 use big_index::cost::construction_cost_with_compress;
 use big_index::layer::{Layer, MemberTable};
@@ -105,7 +104,7 @@ pub struct ApplyOutcome {
     pub reused_layers: usize,
     /// Layers whose search indexes were *patched* in place of a rebuild
     /// — the summary changed, but the structural diff was small enough
-    /// for the incremental entry points on all three indexes.
+    /// for the incremental entry points of both indexes.
     pub patched_layers: usize,
     /// Layers whose search indexes had to be rebuilt from scratch.
     pub rebuilt_layers: usize,
@@ -157,13 +156,9 @@ pub struct Engine {
 /// the incremental entry points stop paying for themselves.
 const MAX_PATCH_EDGE_OPS: usize = 512;
 
-/// The three per-layer search indexes produced by the incremental
-/// patch path (all three must succeed or the layer is rebuilt).
-struct PatchedLayer {
-    banks: BanksIndex,
-    blinks: BlinksIndex,
-    rclique: RCliqueIndex,
-}
+/// A layer's search indexes: BANKS' label table (which BLINKS searches
+/// too) and r-clique's neighbor index.
+type LayerIndexes = (BanksIndex, RCliqueIndex);
 
 /// How one layer's graph changed in a commit: the structural diff the
 /// search indexes are patched with, plus the vertices whose out-row
@@ -716,38 +711,20 @@ impl Engine {
 
     /// Tries the incremental patch path for changed layer `m`: the
     /// layer's structural diff pushed through the per-vertex-local patch
-    /// entry points of all three search indexes. `None` (diff too large,
-    /// or any index declines) sends the layer to the full rebuild
-    /// fan-out.
+    /// entry points of both search indexes. `None` (diff too large, or
+    /// r-clique declines) sends the layer to the full rebuild fan-out.
     fn try_patch_layer(
         old: &IndexBundle,
         m: usize,
         index: &BiGIndex,
         diff: &GraphDiff,
-    ) -> Option<PatchedLayer> {
-        if old.banks.len() <= m
-            || old.blinks.len() <= m
-            || old.rclique.len() <= m
-            || diff.edge_ops() > MAX_PATCH_EDGE_OPS
-        {
+    ) -> Option<LayerIndexes> {
+        if old.banks.len() <= m || old.rclique.len() <= m || diff.edge_ops() > MAX_PATCH_EDGE_OPS {
             return None;
         }
-        let old_g = old.index.graph_at(m);
         let new_g = index.graph_at(m);
-        // A blinks decline is cost-based (patch would out-cost a
-        // rebuild), not a correctness failure: rebuild blinks alone and
-        // keep the cheap banks and rclique patches for the layer.
-        let blinks = match old.blinks[m].patched(old_g, new_g, diff) {
-            Some(p) => p,
-            None => Blinks::new(old.blinks_params).build_index(new_g),
-        };
         let rclique = old.rclique[m].patched(new_g, diff)?;
-        let banks = old.banks[m].patched(new_g, diff);
-        Some(PatchedLayer {
-            banks,
-            blinks,
-            rclique,
-        })
+        Some((old.banks[m].patched(new_g, diff), rclique))
     }
 
     /// Re-materializes the serving bundle from the flat state, given the
@@ -808,20 +785,14 @@ impl Engine {
             layers,
             self.direction,
         );
-        let blinks_algo = Blinks::new(old.blinks_params);
         let rclique_params = old.rclique_params;
         let changed: Vec<usize> = (0..=h)
-            .filter(|&m| {
-                !diffs[m].is_empty()
-                    || old.banks.len() <= m
-                    || old.blinks.len() <= m
-                    || old.rclique.len() <= m
-            })
+            .filter(|&m| !diffs[m].is_empty() || old.banks.len() <= m || old.rclique.len() <= m)
             .collect();
         // Patch changed layers incrementally where the diff allows it —
         // layers are independent, so in parallel; everything else goes
         // to the parallel rebuild fan-out.
-        let mut patches: Vec<Option<PatchedLayer>> = par_map(self.threads, changed.len(), |i| {
+        let mut patches: Vec<Option<LayerIndexes>> = par_map(self.threads, changed.len(), |i| {
             Self::try_patch_layer(&old, changed[i], &index, &diffs[changed[i]])
         });
         let rebuild_list: Vec<usize> = changed
@@ -830,71 +801,45 @@ impl Engine {
             .filter(|(_, p)| p.is_none())
             .map(|(&m, _)| m)
             .collect();
-        // Rebuild the three search indexes of every unpatchable layer
-        // in parallel — `(layer, algorithm)` granularity, same task
-        // shape (and same determinism argument) as the store's full
-        // build.
-        let mut built: Vec<Option<BuiltIndex>> =
-            par_map(self.threads, rebuild_list.len() * 3, |t| {
-                let g = index.graph_at(rebuild_list[t / 3]);
-                match t % 3 {
-                    0 => BuiltIndex::Banks(Banks.build_index(g)),
-                    1 => BuiltIndex::Blinks(blinks_algo.build_index(g)),
-                    _ => BuiltIndex::RClique(rclique_params.build_index(g)),
-                }
-            })
-            .into_iter()
-            .map(Some)
-            .collect();
+        // Rebuild the search indexes of every unpatchable layer in
+        // parallel, one task per layer — the store's full-build shape
+        // (and determinism argument).
+        let mut built: Vec<Option<LayerIndexes>> = par_map(self.threads, rebuild_list.len(), |i| {
+            let g = index.graph_at(rebuild_list[i]);
+            Some((Banks.build_index(g), rclique_params.build_index(g)))
+        });
         let mut banks = Vec::with_capacity(h + 1);
-        let mut blinks = Vec::with_capacity(h + 1);
         let mut rclique = Vec::with_capacity(h + 1);
         let (mut reused, mut patched, mut rebuilt) = (0usize, 0usize, 0usize);
         for m in 0..=h {
             let Some(p) = changed.iter().position(|&c| c == m) else {
                 // Unchanged: share the served layer's indexes.
                 banks.push(old.banks[m].clone());
-                blinks.push(old.blinks[m].clone());
                 rclique.push(old.rclique[m].clone());
                 reused += 1;
                 continue;
             };
-            if let Some(pl) = patches[p].take() {
-                banks.push(pl.banks);
-                blinks.push(pl.blinks);
-                rclique.push(pl.rclique);
+            if let Some((ba, rc)) = patches[p].take() {
+                banks.push(ba);
+                rclique.push(rc);
                 patched += 1;
                 continue;
             }
-            let rp = rebuild_list.iter().position(|&c| c == m);
-            let slots = rp.map(|rp| {
-                (
-                    built[rp * 3].take(),
-                    built[rp * 3 + 1].take(),
-                    built[rp * 3 + 2].take(),
-                )
-            });
-            let Some((
-                Some(BuiltIndex::Banks(ba)),
-                Some(BuiltIndex::Blinks(bl)),
-                Some(BuiltIndex::RClique(rc)),
-            )) = slots
-            else {
+            let slot = rebuild_list.iter().position(|&c| c == m);
+            let Some((ba, rc)) = slot.and_then(|i| built[i].take()) else {
                 // Unreachable: an unpatched changed layer is always in
-                // the rebuild fan-out, its three slots in order.
+                // the rebuild fan-out.
                 return Err(IngestError::Inconsistent {
                     detail: format!("layer {m}: neither patched nor rebuilt"),
                 });
             };
             banks.push(ba);
-            blinks.push(bl);
             rclique.push(rc);
             rebuilt += 1;
         }
         self.bundle = Arc::new(IndexBundle {
             index,
             banks,
-            blinks,
             rclique,
             blinks_params: old.blinks_params,
             rclique_params,
@@ -1016,30 +961,16 @@ impl RebuildJob {
     pub fn run(self) -> IndexBundle {
         let index =
             BiGIndex::build_with_configs(self.base, self.ontology, self.configs, self.direction);
-        let (banks, blinks, rclique) = build_layer_indexes(
-            &index,
-            self.blinks_params,
-            self.rclique_params,
-            self.threads,
-        );
+        let (banks, rclique) = build_layer_indexes(&index, self.rclique_params, self.threads);
         IndexBundle {
             index,
             banks,
-            blinks,
             rclique,
             blinks_params: self.blinks_params,
             rclique_params: self.rclique_params,
             eval: self.eval,
         }
     }
-}
-
-/// One rebuilt per-layer search index (tagged for the `par_map` fan-out
-/// in [`Engine::materialize`]).
-enum BuiltIndex {
-    Banks(BanksIndex),
-    Blinks(BlinksIndex),
-    RClique(RCliqueIndex),
 }
 
 /// Everything [`Engine`] derives from a hierarchy: the fixed step
@@ -1304,7 +1235,7 @@ mod tests {
     fn vertex_addition_patches_every_layer() {
         let mut e = engine();
         // A fresh isolated vertex extends every partition by one
-        // singleton block: the summaries patch in place and all three
+        // singleton block: the summaries patch in place and both
         // search indexes take the per-vertex-local entry points — no
         // layer pays a rebuild.
         let out = e

@@ -1,8 +1,8 @@
 //! "A commit produces the same bytes" as a test, not a claim: 300
 //! seeded single-op commits go through `Engine::apply_batch` on two
 //! generated graphs under two bisimulation directions, and the served
-//! bundle — the encoded hierarchy plus every layer's BANKS and BLINKS
-//! frames — is pinned by checksum after commits 1, 50 and 300. A change
+//! bundle — the encoded hierarchy plus every layer's BANKS frame — is
+//! pinned by checksum after commits 1, 50 and 300. A change
 //! to the write path (refinement, summary patching, index patching)
 //! that is meant to be output-preserving must leave this file
 //! untouched; one that is meant to change what a commit serves
@@ -13,26 +13,26 @@ use bgi_datasets::{update_stream, DatasetSpec, UpdateMix, UpdateOp};
 use bgi_ingest::{Engine, EngineConfig, IngestUpdate};
 use bgi_search::blinks::BlinksParams;
 use bgi_search::RClique;
-use bgi_store::bundle::{encode_banks, encode_blinks, encode_index};
+use bgi_store::bundle::{encode_banks, encode_index};
 use bgi_store::codec::fnv1a64;
 use bgi_store::IndexBundle;
 use big_index::{greedy_full_step_configs, BiGIndex, EvalOptions};
 
-// Every pinned value below was measured on 97d73ae, the commit before
-// a single-op commit became frontier-driven and row-patched.
+// Every pinned value below was measured on 21b3820, the last commit
+// whose bundles held a BLINKS index, by this fingerprint without its
+// frames.
 
 /// Commits after which the served bundle is fingerprinted.
 const CHECKPOINTS: [usize; 3] = [1, 50, 300];
 /// Seed of the update stream (`update_stream`, default 6:3:1 mix).
 const STREAM_SEED: u64 = 0x5eed_c0de;
 
-/// FNV-1a-64 over `encode_index` followed by every layer's BANKS and
-/// BLINKS frames, in layer order.
+/// FNV-1a-64 over `encode_index` followed by every layer's BANKS frame,
+/// in layer order.
 fn fingerprint(bundle: &IndexBundle) -> u64 {
     let mut bytes = encode_index(&bundle.index);
     for m in 0..=bundle.index.num_layers() {
         bytes.extend(encode_banks(&bundle.banks[m]));
-        bytes.extend(encode_blinks(&bundle.blinks[m]));
     }
     fnv1a64(&bytes)
 }
@@ -74,9 +74,9 @@ fn yago_like_forward_commits_are_pinned() {
     assert_eq!(
         got,
         [
-            0xfe47_bc4a_ebcf_f080,
-            0xe68d_5e55_c436_7083,
-            0x7394_e31a_84ee_ca00,
+            0x99db_f5bb_dd9c_d782,
+            0x18ce_d9ae_c810_a4d8,
+            0xb129_518f_1220_bc19,
         ],
         "got {got:#018x?}"
     );
@@ -88,9 +88,9 @@ fn yago_like_both_commits_are_pinned() {
     assert_eq!(
         got,
         [
-            0x149b_e767_ae04_43a3,
-            0xeb03_1b84_f3b8_557c,
-            0x886d_9350_f3c1_f91d,
+            0xc30c_f4f2_2a17_5c15,
+            0x9188_bd57_b4ec_092f,
+            0x411f_feb2_c055_7840,
         ],
         "got {got:#018x?}"
     );
@@ -102,9 +102,9 @@ fn dbpedia_like_forward_commits_are_pinned() {
     assert_eq!(
         got,
         [
-            0x9aab_d33b_8997_b566,
-            0xfc79_16e3_27da_bb6f,
-            0xfd22_ee13_512d_c549,
+            0x88d0_d1ef_a2d4_74e3,
+            0x29ac_4f29_9e1c_7ebc,
+            0xd511_54d8_f05e_e250,
         ],
         "got {got:#018x?}"
     );
@@ -116,9 +116,9 @@ fn dbpedia_like_both_commits_are_pinned() {
     assert_eq!(
         got,
         [
-            0x48f9_cbf9_c0aa_b2ae,
-            0xd531_2bfb_c9aa_e5c1,
-            0xc17a_8314_c8ab_b90d,
+            0x5342_82be_66e7_fd08,
+            0x868e_3c32_e849_3276,
+            0xeeb9_c97b_8d62_85b4,
         ],
         "got {got:#018x?}"
     );

@@ -77,11 +77,6 @@ impl BanksIndex {
 /// shortest path toward it (`None` at keyword nodes themselves).
 pub(crate) type ReachTable = FxHashMap<VId, (u32, Option<VId>)>;
 
-pub(crate) fn backward_reach(g: &DiGraph, sources: &[VId], dmax: u32) -> ReachTable {
-    // The Err arm is unreachable: an unlimited budget never interrupts.
-    backward_reach_budgeted(g, sources, dmax, &Budget::unlimited()).unwrap_or_default()
-}
-
 pub(crate) fn backward_reach_budgeted(
     g: &DiGraph,
     sources: &[VId],
@@ -113,7 +108,8 @@ pub(crate) fn backward_reach_budgeted(
     Ok(reach)
 }
 
-/// Reconstructs the root-to-keyword path from a `backward_reach` table.
+/// Reconstructs the root-to-keyword path from a `backward_reach_budgeted`
+/// table.
 pub(crate) fn path_to_keyword(reach: &ReachTable, root: VId) -> Vec<VId> {
     let mut path = vec![root];
     let mut cur = root;

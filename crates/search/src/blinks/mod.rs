@@ -5,26 +5,24 @@
 //! the best answer rooted at `r` is scored by
 //! `scr(a) = Σ_i dist(r, p_i)`; the query returns the top-k roots.
 //!
-//! The implementation follows the paper's bi-level design (Sec. 5.3 of
-//! the BiG-index paper summarizes it):
+//! Search expands backward from every keyword's vertex set in
+//! round-robin BFS levels, completes a root once every keyword has
+//! reached it, and terminates early once the k-th best score is no
+//! worse than the bound on any root still open (see [`search`]). Its
+//! index is BANKS' label table ([`crate::banks::BanksIndex`]): He et
+//! al.'s bi-level index (keyword-node lists, a node-keyword map and
+//! block lists over a partition) would add nothing here. Its distance-0
+//! entries are the label table, every completed root lies within
+//! `d_max ≤ τ_prune` of every keyword so its block filter could never
+//! reject, and answer paths descend the distances the expansion
+//! already holds. `τ_prune` survives as [`BlinksParams::prune_dist`],
+//! the cap on every query's `d_max`.
 //!
-//! - a **graph partitioner** splits vertices into blocks of a target size
-//!   ([`partition`]; BFS-grown blocks stand in for METIS, see DESIGN.md);
-//! - per keyword, a **keyword-node list** of `(distance, vertex)` entries
-//!   sorted by distance, organized block-by-block, bounded by the
-//!   pruning threshold `τ_prune`;
-//! - a **node-keyword map** giving `dist(v → nearest q-node)` exactly;
-//! - a **keyword-block list** for block-level pruning.
-//!
-//! Search pops the per-keyword lists in ascending distance (backward
-//! expansion in sorted order), completes candidate roots via the
-//! node-keyword map, and terminates early once the k-th best score is no
-//! worse than the sum of the current frontier distances.
+//! [`partition`] holds the BFS-grown graph partitioner (a stand-in for
+//! METIS, see DESIGN.md), which now serves `bgi-shard`'s planner.
 
-pub mod index;
 pub mod partition;
 pub mod search;
 
-pub use index::{BlinksIndex, BlinksParams};
 pub use partition::{bfs_partition, GraphPartition};
-pub use search::Blinks;
+pub use search::{Blinks, BlinksParams};

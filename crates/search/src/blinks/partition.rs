@@ -1,10 +1,11 @@
-//! Graph partitioning for the BLINKS bi-level index.
+//! BFS-grown graph partitioning, a stand-in for METIS.
 //!
-//! The original system uses METIS with an average block size of 1000;
-//! this BFS-grown partitioner targets the same block size with decent
-//! edge locality and no external dependency (see DESIGN.md,
-//! "Substitutions"). Blocks are grown one at a time by undirected BFS
-//! from the lowest-id unassigned vertex until the target size is reached.
+//! BLINKS' original system partitions with METIS at an average block
+//! size of 1000; this partitioner targets a block size with decent edge
+//! locality and no external dependency (see DESIGN.md, "Substitutions").
+//! Its one consumer is `bgi-shard`'s planner, which folds the blocks
+//! onto shards. Blocks are grown one at a time by undirected BFS from
+//! the lowest-id unassigned vertex until the target size is reached.
 
 use bgi_graph::{DiGraph, VId};
 use std::collections::VecDeque;
@@ -21,21 +22,6 @@ impl GraphPartition {
     #[inline]
     pub fn block_of(&self, v: VId) -> u32 {
         self.block_of[v.index()]
-    }
-
-    /// The full block-assignment table (persistence export).
-    pub fn block_table(&self) -> &[u32] {
-        &self.block_of
-    }
-
-    /// Reassembles a partition from its block-assignment table (the
-    /// persistence path). `num_blocks` must cover every id in the table;
-    /// decoders validate this before calling.
-    pub fn from_parts(block_of: Vec<u32>, num_blocks: usize) -> Self {
-        GraphPartition {
-            block_of,
-            num_blocks,
-        }
     }
 
     /// Number of blocks.
@@ -58,16 +44,6 @@ impl GraphPartition {
         g.edges()
             .filter(|&(u, v)| self.block_of(u) != self.block_of(v))
             .count()
-    }
-
-    /// True if a vertex has an edge crossing into another block — a
-    /// *portal* in BLINKS terms.
-    pub fn is_portal(&self, g: &DiGraph, v: VId) -> bool {
-        let b = self.block_of(v);
-        g.out_neighbors(v)
-            .iter()
-            .chain(g.in_neighbors(v))
-            .any(|&u| self.block_of(u) != b)
     }
 }
 
@@ -129,7 +105,7 @@ mod tests {
     }
 
     #[test]
-    fn block_sizes_near_target() {
+    fn blocks_stay_near_the_target_size() {
         let g = uniform_random(1000, 3000, 4, 2);
         let p = bfs_partition(&g, 100);
         for m in p.members() {
@@ -158,24 +134,6 @@ mod tests {
         let p = bfs_partition(&g, 50);
         // Chain of 400 in blocks of 50 -> exactly 7 cuts.
         assert_eq!(p.crossing_edges(&g), 7);
-    }
-
-    #[test]
-    fn portals_are_boundary_vertices() {
-        let mut b = GraphBuilder::new();
-        for _ in 0..4 {
-            b.add_vertex(LabelId(0));
-        }
-        for i in 0..3u32 {
-            b.add_edge(VId(i), VId(i + 1));
-        }
-        let g = b.build();
-        let p = bfs_partition(&g, 2);
-        assert_eq!(p.num_blocks(), 2);
-        // The chain 0-1 | 2-3: vertices 1 and 2 are portals.
-        assert!(p.is_portal(&g, VId(1)));
-        assert!(p.is_portal(&g, VId(2)));
-        assert!(!p.is_portal(&g, VId(0)));
     }
 
     #[test]

@@ -4,71 +4,86 @@
 //! The query expands backward (over in-edges) from each keyword's
 //! vertex set in round-robin BFS levels — the paper's "expanding
 //! backward … in a round-robin manner". A vertex reached by all
-//! keywords is a candidate root with exact score `Σ_i dist(v, q_i)`;
-//! block-level pruning drops candidates whose block misses some
-//! keyword's block list. The search stops when the k-th best score is
-//! no larger than `Σ_i depth_i`, the lower bound on any root not yet
-//! completed. The per-keyword node lists seed the expansion and the
-//! node-keyword map reconstructs answer paths; root *scores* come from
-//! the expansion itself, so query cost is proportional to the traversed
-//! region — exactly the cost BiG-index shrinks by evaluating on summary
-//! graphs.
+//! keywords is a candidate root with exact score `Σ_i dist(v, q_i)`.
+//! The search stops when the k-th best score is no larger than the
+//! lower bound on any root not yet completed. BANKS' label table seeds
+//! the expansion, and the expansion's own per-keyword distances both
+//! score the roots and lead each answer path back down to its keyword,
+//! so query cost is proportional to the traversed region — exactly the
+//! cost BiG-index shrinks by evaluating on summary graphs.
 
-use super::index::{BlinksIndex, BlinksParams};
 use crate::answer::{rank_and_truncate, AnswerGraph};
+use crate::banks::{Banks, BanksIndex};
 use crate::cancel::{Budget, Interrupted};
 use crate::outcome::{Completeness, SearchOutcome};
 use crate::query::KeywordQuery;
 use crate::semantics::KeywordSearch;
-use bgi_graph::{DiGraph, LabelId, VId};
+use bgi_graph::{DiGraph, VId};
 use rustc_hash::FxHashMap;
+
+/// BLINKS' search parameters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlinksParams {
+    /// Pruning threshold `τ_prune`: the largest root-to-keyword distance
+    /// a search considers, whatever a query's `d_max` (the paper's
+    /// experiments use 5, equal to `d_max`).
+    pub prune_dist: u32,
+}
+
+impl Default for BlinksParams {
+    fn default() -> Self {
+        BlinksParams { prune_dist: 5 }
+    }
+}
 
 /// The BLINKS ranked keyword search algorithm.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Blinks {
-    /// Index construction parameters.
+    /// Search parameters.
     pub params: BlinksParams,
 }
 
 impl Blinks {
-    /// BLINKS with the paper's experimental settings
-    /// (block size 1000, `τ_prune` 5).
+    /// BLINKS with the given parameters ([`BlinksParams::default`] is the
+    /// paper's experimental setting, `τ_prune` 5).
     pub fn new(params: BlinksParams) -> Self {
         Blinks { params }
     }
 
-    /// Reconstructs the shortest path from `root` to the nearest
-    /// `keyword`-node by greedy descent over the node-keyword map.
-    fn descend_path(g: &DiGraph, index: &BlinksIndex, root: VId, keyword: LabelId) -> Vec<VId> {
+    /// The shortest path from `root` to the nearest keyword node, read
+    /// off one keyword's expansion distances `dist`: from each vertex,
+    /// the first out-neighbor one step closer. The expansion completed
+    /// every BFS level below the root's, so such a neighbor always
+    /// exists.
+    fn descend_path(g: &DiGraph, dist: &FxHashMap<VId, u32>, root: VId) -> Vec<VId> {
         let mut path = vec![root];
         let mut cur = root;
-        let mut d = index
-            .node_keyword_distance(root, keyword)
-            .expect("root must reach keyword");
-        while d > 0 {
-            let next = g
+        while let Some(d) = dist.get(&cur).and_then(|d| d.checked_sub(1)) {
+            let Some(&next) = g
                 .out_neighbors(cur)
                 .iter()
-                .copied()
-                .find(|&w| index.node_keyword_distance(w, keyword) == Some(d - 1))
-                .expect("node-keyword map must admit a descent step");
+                .find(|w| dist.get(w) == Some(&d))
+            else {
+                break;
+            };
             path.push(next);
             cur = next;
-            d -= 1;
         }
         path
     }
 }
 
 impl KeywordSearch for Blinks {
-    type Index = BlinksIndex;
+    type Index = BanksIndex;
 
     fn name(&self) -> &'static str {
         "rkws"
     }
 
-    fn build_index(&self, g: &DiGraph) -> BlinksIndex {
-        BlinksIndex::build(g, &self.params)
+    /// BANKS' label table: the expansion needs only each keyword's
+    /// vertex set.
+    fn build_index(&self, g: &DiGraph) -> BanksIndex {
+        Banks.build_index(g)
     }
 
     /// Best-effort under `budget`. Interruption during round-robin
@@ -82,7 +97,7 @@ impl KeywordSearch for Blinks {
     fn search_anytime(
         &self,
         g: &DiGraph,
-        index: &BlinksIndex,
+        index: &BanksIndex,
         query: &KeywordQuery,
         k: usize,
         budget: &Budget,
@@ -90,63 +105,39 @@ impl KeywordSearch for Blinks {
         if query.is_empty() || k == 0 {
             return Ok(SearchOutcome::exact(Vec::new()));
         }
-        let dmax = query.dmax.min(index.prune_dist());
+        let dmax = query.dmax.min(self.params.prune_dist);
         let n = query.len();
 
-        // Seeds: the distance-0 prefix of each keyword-node list (the
-        // vertices containing the keyword). A missing list means the
-        // keyword is absent.
+        // Seeds: the vertices containing each keyword. An absent
+        // keyword means no answer at all.
         let mut frontiers: Vec<std::collections::VecDeque<VId>> = Vec::with_capacity(n);
         let mut dists: Vec<FxHashMap<VId, u32>> = vec![FxHashMap::default(); n];
-        // budget-exempt: distance-0 seed prefixes, one per keyword
+        // budget-exempt: one pass over each keyword's label list
         for (i, &q) in query.keywords.iter().enumerate() {
-            let Some(list) = index.keyword_node_list(q) else {
-                return Ok(SearchOutcome::exact(Vec::new()));
-            };
-            let mut queue = std::collections::VecDeque::new();
-            for &(d, v) in list.iter().take_while(|&&(d, _)| d == 0) {
-                debug_assert_eq!(d, 0);
-                dists[i].insert(v, 0);
-                queue.push_back(v);
-            }
-            if queue.is_empty() {
+            let seeds = index.vertices_with(q);
+            if seeds.is_empty() {
                 return Ok(SearchOutcome::exact(Vec::new()));
             }
-            frontiers.push(queue);
+            dists[i].extend(seeds.iter().map(|&v| (v, 0)));
+            frontiers.push(seeds.iter().copied().collect());
         }
-
-        // Blocks that can host a root: must appear in every keyword's
-        // block list (block-level pruning of the bi-level index).
-        let root_blocks: Vec<&[u32]> = query
-            .keywords
-            .iter()
-            .map(|&q| index.keyword_blocks(q))
-            .collect();
-        let block_ok = |v: VId| {
-            let b = index.partition().block_of(v);
-            root_blocks.iter().all(|bl| bl.binary_search(&b).is_ok())
-        };
 
         // Backward expansion state: how many keywords reached each
         // candidate and its accumulated score.
-        let mut hit_count: FxHashMap<VId, (u8, u64)> = FxHashMap::default();
+        let mut hit_count: FxHashMap<VId, (u32, u64)> = FxHashMap::default();
         // budget-exempt: one pass over the seed frontiers
-        for f in frontiers.iter().enumerate().flat_map(|(i, q)| {
-            let _ = i;
-            q.iter().copied().collect::<Vec<_>>()
-        }) {
-            let e = hit_count.entry(f).or_insert((0, 0));
-            e.0 += 1;
+        for &v in frontiers.iter().flatten() {
+            hit_count.entry(v).or_insert((0, 0)).0 += 1;
         }
         let mut depth = vec![0u32; n];
         let mut roots: Vec<(u64, VId)> = Vec::new();
         let mut best_k: std::collections::BinaryHeap<u64> = std::collections::BinaryHeap::new();
         // Record completed roots (exact scores known on completion).
-        let complete = |entry: (u8, u64),
+        let complete = |entry: (u32, u64),
                         v: VId,
                         roots: &mut Vec<(u64, VId)>,
                         best_k: &mut std::collections::BinaryHeap<u64>| {
-            if entry.0 as usize == n && block_ok(v) {
+            if entry.0 as usize == n {
                 roots.push((entry.1, v));
                 best_k.push(entry.1);
                 if best_k.len() > k {
@@ -242,8 +233,8 @@ impl KeywordSearch for Blinks {
             let mut vertices = Vec::new();
             let mut edges = Vec::new();
             let mut keyword_matches = vec![Vec::new(); n];
-            for (i, &q) in query.keywords.iter().enumerate() {
-                let path = Self::descend_path(g, index, root, q);
+            for (i, dist) in dists.iter().enumerate() {
+                let path = Self::descend_path(g, dist, root);
                 for w in path.windows(2) {
                     edges.push((w[0], w[1]));
                 }
@@ -268,16 +259,8 @@ impl KeywordSearch for Blinks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::banks::Banks;
     use bgi_graph::generate::uniform_random;
     use bgi_graph::{GraphBuilder, LabelId};
-
-    fn small_params() -> BlinksParams {
-        BlinksParams {
-            block_size: 8,
-            prune_dist: 5,
-        }
-    }
 
     #[test]
     fn matches_banks_on_random_graphs() {
@@ -286,8 +269,7 @@ mod tests {
         for seed in 0..8 {
             let g = uniform_random(120, 360, 5, seed);
             let q = KeywordQuery::new(vec![LabelId(0), LabelId(1)], 4);
-            let blinks = Blinks::new(small_params());
-            let a = blinks.search_fresh(&g, &q, 1000);
+            let a = Blinks::default().search_fresh(&g, &q, 1000);
             let b = Banks.search_fresh(&g, &q, 1000);
             let key = |ans: &AnswerGraph| (ans.root, ans.score);
             let mut ka: Vec<_> = a.iter().map(key).collect();
@@ -303,7 +285,7 @@ mod tests {
         for seed in 0..5 {
             let g = uniform_random(200, 600, 4, seed + 100);
             let q = KeywordQuery::new(vec![LabelId(0), LabelId(2)], 5);
-            let blinks = Blinks::new(small_params());
+            let blinks = Blinks::default();
             let idx = blinks.build_index(&g);
             let top3 = blinks.search(&g, &idx, &q, 3);
             let all = blinks.search(&g, &idx, &q, usize::MAX / 2);
@@ -319,8 +301,7 @@ mod tests {
     fn answers_validate() {
         let g = uniform_random(150, 450, 4, 7);
         let q = KeywordQuery::new(vec![LabelId(0), LabelId(1), LabelId(3)], 4);
-        let blinks = Blinks::new(small_params());
-        for a in blinks.search_fresh(&g, &q, 10) {
+        for a in Blinks::default().search_fresh(&g, &q, 10) {
             assert!(a.validate(&g, &q.keywords));
             assert!(a.score <= (q.dmax as u64) * q.len() as u64);
         }
@@ -328,7 +309,7 @@ mod tests {
 
     #[test]
     fn prune_dist_clamps_dmax() {
-        // Chain 0 -> 1 -> 2 -> 3(A): with prune_dist 2 the index cannot
+        // Chain 0 -> 1 -> 2 -> 3(A): with prune_dist 2 the search cannot
         // see roots at distance 3.
         let mut b = GraphBuilder::new();
         for _ in 0..3 {
@@ -339,10 +320,7 @@ mod tests {
         b.add_edge(VId(1), VId(2));
         b.add_edge(VId(2), VId(3));
         let g = b.build();
-        let blinks = Blinks::new(BlinksParams {
-            block_size: 2,
-            prune_dist: 2,
-        });
+        let blinks = Blinks::new(BlinksParams { prune_dist: 2 });
         let q = KeywordQuery::new(vec![LabelId(1)], 5);
         let answers = blinks.search_fresh(&g, &q, 10);
         let roots: Vec<_> = answers.iter().map(|a| a.root.unwrap()).collect();
@@ -353,19 +331,36 @@ mod tests {
     #[test]
     fn missing_keyword_returns_empty() {
         let g = uniform_random(50, 100, 2, 3);
-        let blinks = Blinks::new(small_params());
         let q = KeywordQuery::new(vec![LabelId(0), LabelId(42)], 3);
-        assert!(blinks.search_fresh(&g, &q, 5).is_empty());
+        assert!(Blinks::default().search_fresh(&g, &q, 5).is_empty());
     }
 
     #[test]
     fn single_keyword_best_root_is_keyword_node() {
         let g = uniform_random(80, 200, 3, 11);
-        let blinks = Blinks::new(small_params());
         let q = KeywordQuery::new(vec![LabelId(1)], 3);
-        let answers = blinks.search_fresh(&g, &q, 1);
+        let answers = Blinks::default().search_fresh(&g, &q, 1);
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0].score, 0);
         assert_eq!(g.label(answers[0].root.unwrap()), LabelId(1));
+    }
+
+    #[test]
+    fn a_root_reached_by_more_than_255_keywords_completes() {
+        // A hub pointing at 300 leaves, each with its own label: the
+        // 300-keyword query's only root is the hub, one hop from each.
+        const LEAVES: u32 = 300;
+        let mut b = GraphBuilder::new();
+        let hub = b.add_vertex(LabelId(LEAVES));
+        for l in 0..LEAVES {
+            let leaf = b.add_vertex(LabelId(l));
+            b.add_edge(hub, leaf);
+        }
+        let g = b.build();
+        let q = KeywordQuery::new((0..LEAVES).map(LabelId).collect::<Vec<_>>(), 1);
+        let rkws = Blinks::default().search_fresh(&g, &q, 10);
+        assert_eq!(rkws.len(), 1);
+        assert_eq!((rkws[0].root, rkws[0].score), (Some(hub), LEAVES as u64));
+        assert_eq!(rkws, Banks.search_fresh(&g, &q, 10));
     }
 }

@@ -6,11 +6,10 @@
 //! - [`banks`]: **bkws**, backward keyword search in the style of BANKS
 //!   (Bhalotia et al., ICDE'02): find roots that reach one node per query
 //!   keyword within `d_max` hops, ranked by total root-to-keyword distance.
-//! - [`blinks`]: **rkws**, ranked keyword search with a bi-level index in
-//!   the style of BLINKS (He et al., SIGMOD'07): a graph partitioner
-//!   (stand-in for METIS), per-keyword node lists sorted by distance, a
-//!   node-keyword distance map, and sorted backward expansion with
-//!   top-k early termination under the distinct-root semantics.
+//! - [`blinks`]: **rkws**, ranked keyword search in the style of BLINKS
+//!   (He et al., SIGMOD'07): round-robin backward expansion with top-k
+//!   early termination under the distinct-root semantics, over BANKS'
+//!   label table.
 //! - [`rclique`]: **dkws**, distance-based keyword search in the style of
 //!   r-clique (Kargar & An, VLDB'11): a bounded neighbor index, a greedy
 //!   approximate best answer, and top-k enumeration by search-space

@@ -19,15 +19,11 @@
 //!   balls; rows within `radius − 1` of a changed edge's endpoints are
 //!   dropped (and recomputed on first read), every other filled row is
 //!   carried over.
-//! - [`crate::blinks::BlinksIndex::patched`] — keyword-distance lists;
-//!   only vertices that can reach a changed edge within `τ_prune` are
-//!   repaired, against boundary distances that provably did not change.
 //!
-//! Every patch entry point is *exactly equivalent* to a rebuild (for
-//! BLINKS: a rebuild over the same partition). BLINKS returns `None`
-//! when the affected region grows past a fraction of the graph, at
-//! which point the caller falls back to the full rebuild it would have
-//! done anyway.
+//! BLINKS searches BANKS' table, so it has no patch of its own. Every
+//! patch entry point is *exactly equivalent* to a rebuild; r-clique's
+//! returns `None` when the index does not describe the graph the diff
+//! starts from, and the caller rebuilds instead.
 
 use bgi_graph::{DiGraph, LabelId, VId};
 

@@ -1,18 +1,16 @@
 //! Patched indexes must be indistinguishable from rebuilt ones.
 //!
 //! Each index type's `patched` entry point claims exact equivalence to
-//! a full rebuild (for BLINKS: a rebuild over the same extended
-//! partition). These tests drive randomized edit scripts — edge
+//! a full rebuild. These tests drive randomized edit scripts — edge
 //! deletions, edge insertions, vertex appends — over random graphs and
 //! compare the patched structure against the reference constructor with
-//! `==` (BANKS and BLINKS derive `PartialEq` over their full contents).
+//! `==` (BANKS derives `PartialEq` over its full contents).
 //! The r-clique neighbor rows are a cache that `==` deliberately never
 //! forces, so they are compared row by row here; the oracle-backed
 //! property test of `NeighborIndex::patched` lives beside the type.
 
 use bgi_graph::generate::uniform_random;
 use bgi_graph::{DiGraph, GraphBuilder, LabelId, VId};
-use bgi_search::blinks::{BlinksIndex, BlinksParams};
 use bgi_search::patch::diff_graphs;
 use bgi_search::{Banks, KeywordSearch, RClique};
 
@@ -85,61 +83,6 @@ fn banks_patch_equals_rebuild() {
             let patched = Banks.build_index(&old).patched(&new, &diff);
             assert_eq!(patched, Banks.build_index(&new), "seed {seed}");
         }
-    }
-}
-
-#[test]
-fn blinks_patch_equals_rebuild_over_same_partition() {
-    let params = BlinksParams {
-        block_size: 40,
-        prune_dist: 3,
-    };
-    for seed in 0..6u64 {
-        let old = uniform_random(400, 700, 6, seed);
-        let base = BlinksIndex::build(&old, &params);
-        for &(dels, ins, adds) in SCRIPTS {
-            let new = mutate(&old, seed * 977 + 3, dels, ins, adds);
-            let diff = diff_graphs(&old, &new, usize::MAX).expect("compatible by construction");
-            let Some(patched) = base.patched(&old, &new, &diff) else {
-                // Affected set crossed the size threshold — a legal
-                // fallback, but the sparse setup should keep it rare.
-                continue;
-            };
-            let rebuilt = BlinksIndex::build_with_partition(
-                &new,
-                patched.partition().clone(),
-                params.prune_dist,
-            );
-            assert_eq!(patched, rebuilt, "seed {seed} script {dels}/{ins}/{adds}");
-        }
-    }
-}
-
-#[test]
-fn blinks_patch_extends_partition_with_singletons() {
-    let params = BlinksParams {
-        block_size: 25,
-        prune_dist: 3,
-    };
-    let old = uniform_random(120, 240, 4, 9);
-    let base = BlinksIndex::build(&old, &params);
-    let new = mutate(&old, 77, 0, 0, 3);
-    let diff = diff_graphs(&old, &new, usize::MAX).unwrap();
-    let patched = base
-        .patched(&old, &new, &diff)
-        .expect("3 appends are local");
-    let p = patched.partition();
-    assert_eq!(p.num_blocks(), base.partition().num_blocks() + 3);
-    for k in 0..3u32 {
-        let v = VId(120 + k);
-        assert_eq!(
-            p.block_of(v) as usize,
-            base.partition().num_blocks() + k as usize
-        );
-    }
-    // Existing assignments are untouched.
-    for v in 0..120u32 {
-        assert_eq!(p.block_of(VId(v)), base.partition().block_of(VId(v)));
     }
 }
 

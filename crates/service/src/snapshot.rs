@@ -29,8 +29,7 @@ pub enum SnapshotError {
     /// A deserialized bundle's per-layer index vectors don't cover the
     /// hierarchy (`h + 1` layers each).
     LayerMismatch {
-        /// Which per-layer vector is wrong (`"banks"`, `"blinks"`,
-        /// `"rclique"`).
+        /// Which per-layer vector is wrong (`"banks"` or `"rclique"`).
         what: &'static str,
         /// Layers the hierarchy has (`h + 1`).
         expected: usize,
@@ -65,15 +64,15 @@ impl std::error::Error for SnapshotError {}
 /// Construction-time knobs for a snapshot.
 #[derive(Debug, Clone)]
 pub struct SnapshotConfig {
-    /// BLINKS index parameters (block size, `τ_prune`).
+    /// BLINKS search parameters (`τ_prune`).
     pub blinks: BlinksParams,
     /// r-clique algorithm parameters (radius, memory budget).
     pub rclique: RClique,
     /// Evaluation options for Algo. 2. The realizer is overridden per
     /// semantics at query time (`StructuralThenDistance` for `dkws`).
     pub eval: EvalOptions,
-    /// Worker threads for the per-layer index builds (each of the
-    /// `3 · (h + 1)` builds is independent). `1` is the serial build;
+    /// Worker threads for the per-layer index builds (each layer's
+    /// builds are independent of the others'). `1` is the serial build;
     /// every thread count produces an identical snapshot.
     pub threads: usize,
 }
@@ -125,9 +124,9 @@ impl IndexSnapshot {
                 violations: report.total_violations(),
             });
         }
-        // All 3·(h+1) per-layer builds are independent reads of the
-        // verified hierarchy; fan them out (bit-identical to serial for
-        // any `config.threads`).
+        // The per-layer builds are independent reads of the verified
+        // hierarchy; fan them out (bit-identical to serial for any
+        // `config.threads`).
         let bundle = IndexBundle::build_with_threads(
             index,
             config.blinks,
@@ -171,7 +170,6 @@ impl IndexSnapshot {
         let expected = bundle.index.num_layers() + 1;
         let lengths = [
             ("banks", bundle.banks.len()),
-            ("blinks", bundle.blinks.len()),
             ("rclique", bundle.rclique.len()),
         ];
         for (what, got) in lengths {
@@ -239,7 +237,7 @@ impl IndexSnapshot {
             Semantics::Rkws => eval_query(
                 &b.index,
                 &self.blinks_algo,
-                &b.blinks,
+                &b.banks,
                 &query,
                 req.k,
                 req.layer,

@@ -19,7 +19,7 @@ use bgi_search::blinks::BlinksParams;
 use bgi_search::{Banks, Budget, KeywordQuery, KeywordSearch, RClique};
 use bgi_service::{
     boot_sharded, ApplyError, IndexSnapshot, QueryRequest, Semantics, Service, ServiceConfig,
-    ShardedWriteHub, WriteHub,
+    ShardedSnapshot, ShardedWriteHub, WriteHub,
 };
 use bgi_store::{FailAction, Failpoints, IndexBundle, RetryPolicy, Store};
 use big_index::{eval_at_layer, BiGIndex, EvalOptions, GenConfig};
@@ -452,6 +452,11 @@ fn a_batch_with_one_invalid_op_is_refused_whole() {
         }
     }
     // Addresses of what the service serves (one of the two is `None`).
+    // A caller compares them across a commit while holding the snapshots
+    // themselves (`hold`), so a successor cannot reuse a freed address.
+    fn hold(service: &Service) -> (Option<Arc<IndexSnapshot>>, Option<Arc<ShardedSnapshot>>) {
+        (service.snapshot(), service.sharded())
+    }
     fn served(service: &Service) -> (Option<*const IndexSnapshot>, Option<*const ()>) {
         (
             service.snapshot().map(|s| Arc::as_ptr(&s)),
@@ -483,7 +488,7 @@ fn a_batch_with_one_invalid_op_is_refused_whole() {
     ];
     for (name, service, hub) in topologies {
         for bad in invalid {
-            let fsyncs = hub.fsyncs();
+            let (fsyncs, _held) = (hub.fsyncs(), hold(&service));
             let before = served(&service);
             let err = hub
                 .commit(&service, &[valid[0], bad, valid[1]])
@@ -502,7 +507,7 @@ fn a_batch_with_one_invalid_op_is_refused_whole() {
             assert_eq!(hub.fsyncs(), fsyncs, "{name}: refused batch reached a WAL");
             assert_eq!(served(&service), before, "{name}: refused batch was served");
         }
-        let (fsyncs, before) = (hub.fsyncs(), served(&service));
+        let (fsyncs, _held, before) = (hub.fsyncs(), hold(&service), served(&service));
         hub.commit(&service, &valid)
             .unwrap_or_else(|e| panic!("{name}: valid batch after a refusal failed: {e}"));
         assert_ne!(hub.fsyncs(), fsyncs, "{name}: commit not logged");

@@ -3,11 +3,11 @@
 //!
 //! Encoding is exact: graphs round-trip through their raw CSR arrays
 //! ([`DiGraph::from_csr`]), layers carry the `χ`/`Bisim⁻¹` tables
-//! verbatim, and BLINKS stores only its partition and keyword-node
-//! lists (`NKM`/`KBL` are derived on load). The r-clique indexes have
-//! no encoding at all: beyond `radius` (in the params frame) they hold
-//! an `O(n)` label table and a cache of balls, both functions of the
-//! layer graph, so a load rebuilds them. Decoding validates every
+//! verbatim, and BANKS' label table — which BLINKS searches too — is
+//! stored per layer. The r-clique indexes have no encoding at all:
+//! beyond `radius` (in the params frame) they hold an `O(n)` label
+//! table and a cache of balls, both functions of the layer graph, so a
+//! load rebuilds them. Decoding validates every
 //! structural invariant (offset monotonicity, id ranges, table widths)
 //! *before* constructing a type — a corrupt file surfaces as a
 //! [`CodecError`], never a panic — and the store additionally gates the
@@ -17,28 +17,26 @@ use crate::codec::{CodecError, Dec, Enc, Section};
 use bgi_bisim::BisimDirection;
 use bgi_graph::{DiGraph, LabelId, Ontology, OntologyBuilder, VId};
 use bgi_search::banks::BanksIndex;
-use bgi_search::blinks::{BlinksIndex, BlinksParams, GraphPartition};
+use bgi_search::blinks::BlinksParams;
 use bgi_search::rclique::RCliqueIndex;
-use bgi_search::{Banks, Blinks, KeywordSearch, RClique};
+use bgi_search::{Banks, KeywordSearch, RClique};
 use big_index::layer::Layer;
 use big_index::{BiGIndex, EvalOptions, GenConfig, RealizerKind};
-use rustc_hash::FxHashMap;
 
 /// Everything a serving process needs to answer queries without
 /// rebuilding anything: the hierarchy plus per-layer search indexes
-/// for all three semantics (index `m` of each vector serves layer `m`,
-/// `0..=h`) and the parameters they were built with.
+/// (index `m` of each vector serves layer `m`, `0..=h`) and the
+/// parameters the three semantics run with. BANKS and BLINKS both
+/// search `banks`.
 #[derive(Debug, Clone)]
 pub struct IndexBundle {
     /// The BiG-index hierarchy.
     pub index: BiGIndex,
-    /// Per-layer BANKS inverted tables.
+    /// Per-layer BANKS inverted tables (BLINKS searches them too).
     pub banks: Vec<BanksIndex>,
-    /// Per-layer BLINKS bi-level indexes.
-    pub blinks: Vec<BlinksIndex>,
     /// Per-layer r-clique neighbor indexes.
     pub rclique: Vec<RCliqueIndex>,
-    /// Parameters the BLINKS indexes were built with.
+    /// Parameters BLINKS searches with.
     pub blinks_params: BlinksParams,
     /// Parameters the r-clique indexes were built with.
     pub rclique_params: RClique,
@@ -50,7 +48,6 @@ impl PartialEq for IndexBundle {
     fn eq(&self, other: &Self) -> bool {
         self.index == other.index
             && self.banks == other.banks
-            && self.blinks == other.blinks
             && self.rclique == other.rclique
             && self.blinks_params == other.blinks_params
             && self.rclique_params == other.rclique_params
@@ -58,54 +55,29 @@ impl PartialEq for IndexBundle {
     }
 }
 
-/// One per-layer search index of any of the three families, tagged so
-/// a mixed parallel build can be split back apart in layer order.
-enum BuiltIndex {
-    Banks(BanksIndex),
-    Blinks(BlinksIndex),
-    RClique(RCliqueIndex),
-}
-
-/// Builds all `3 · (h + 1)` per-layer search indexes of `index` on up
-/// to `threads` workers, returning each family in layer order.
+/// Builds the per-layer BANKS and r-clique indexes of `index`, one
+/// task per layer on up to `threads` workers, in layer order.
 ///
-/// Every task is independent (each reads one immutable layer graph),
-/// and task `t` always denotes the same `(layer, family)` pair —
-/// `m = t / 3`, family `= t % 3` — so the three heaviest tasks (layer
-/// 0's) are claimed first and the result is identical to the serial
-/// loop for any thread count.
+/// Every task is independent (each reads one immutable layer graph) and
+/// task `m` always builds layer `m`, so the heaviest task (layer 0's) is
+/// claimed first and the result is identical to the serial loop for any
+/// thread count.
 pub fn build_layer_indexes(
     index: &BiGIndex,
-    blinks_params: BlinksParams,
     rclique_params: RClique,
     threads: usize,
-) -> (Vec<BanksIndex>, Vec<BlinksIndex>, Vec<RCliqueIndex>) {
-    let blinks_algo = Blinks::new(blinks_params);
-    let layers = index.num_layers() + 1;
-    let built = bgi_graph::par::par_map(threads, layers * 3, |t| {
-        let g = index.graph_at(t / 3);
-        match t % 3 {
-            0 => BuiltIndex::Banks(Banks.build_index(g)),
-            1 => BuiltIndex::Blinks(blinks_algo.build_index(g)),
-            _ => BuiltIndex::RClique(rclique_params.build_index(g)),
-        }
-    });
-    let mut banks = Vec::with_capacity(layers);
-    let mut blinks = Vec::with_capacity(layers);
-    let mut rclique = Vec::with_capacity(layers);
-    for b in built {
-        match b {
-            BuiltIndex::Banks(x) => banks.push(x),
-            BuiltIndex::Blinks(x) => blinks.push(x),
-            BuiltIndex::RClique(x) => rclique.push(x),
-        }
-    }
-    (banks, blinks, rclique)
+) -> (Vec<BanksIndex>, Vec<RCliqueIndex>) {
+    bgi_graph::par::par_map(threads, index.num_layers() + 1, |m| {
+        let g = index.graph_at(m);
+        (Banks.build_index(g), rclique_params.build_index(g))
+    })
+    .into_iter()
+    .unzip()
 }
 
 impl IndexBundle {
     /// Builds every algorithm's index on every layer of `index` —
-    /// the expensive step persistence exists to amortize.
+    /// the step persistence exists to amortize.
     pub fn build(
         index: BiGIndex,
         blinks_params: BlinksParams,
@@ -125,12 +97,10 @@ impl IndexBundle {
         eval: EvalOptions,
         threads: usize,
     ) -> Self {
-        let (banks, blinks, rclique) =
-            build_layer_indexes(&index, blinks_params, rclique_params, threads);
+        let (banks, rclique) = build_layer_indexes(&index, rclique_params, threads);
         IndexBundle {
             index,
             banks,
-            blinks,
             rclique,
             blinks_params,
             rclique_params,
@@ -335,7 +305,9 @@ pub fn decode_index(bytes: &[u8]) -> Result<BiGIndex, CodecError> {
 /// frame.
 pub fn encode_params(blinks: &BlinksParams, rclique: &RClique, eval: &EvalOptions) -> Vec<u8> {
     let mut e = Enc::new(Section::Params);
-    e.u64(blinks.block_size as u64);
+    // Reserved, always 0: older builds wrote BLINKS' partition block
+    // size here, and keeping the slot keeps the frame layout unchanged.
+    e.u64(0);
     e.u32(blinks.prune_dist);
     e.u32(rclique.radius);
     e.f64(eval.beta);
@@ -355,8 +327,9 @@ pub fn encode_params(blinks: &BlinksParams, rclique: &RClique, eval: &EvalOption
 /// Decodes a parameters frame.
 pub fn decode_params(bytes: &[u8]) -> Result<(BlinksParams, RClique, EvalOptions), CodecError> {
     let mut d = Dec::open(bytes, Section::Params)?;
+    // The reserved slot: older builds' block size, ignored.
+    d.u64()?;
     let blinks = BlinksParams {
-        block_size: d.u64()? as usize,
         prune_dist: d.u32()?,
     };
     let rclique = RClique { radius: d.u32()? };
@@ -410,75 +383,6 @@ pub fn decode_banks(bytes: &[u8], n: usize) -> Result<BanksIndex, CodecError> {
     Ok(BanksIndex::from_parts(lists))
 }
 
-/// Serializes one layer's BLINKS index into a [`Section::Blinks`]
-/// frame. Only the partition and `KNL` are stored — `NKM` and `KBL`
-/// are derived on load. `KNL` entries are written in sorted label
-/// order so the encoding is deterministic.
-pub fn encode_blinks(b: &BlinksIndex) -> Vec<u8> {
-    let mut e = Enc::new(Section::Blinks);
-    let partition = b.partition();
-    e.u32_slice(partition.block_table());
-    e.u64(partition.num_blocks() as u64);
-    e.u32(b.prune_dist());
-    let mut labels: Vec<LabelId> = b.knl_table().keys().copied().collect();
-    labels.sort_unstable();
-    e.u64(labels.len() as u64);
-    for l in labels {
-        e.u32(l.0);
-        // Present by construction: `l` was drawn from the table's keys.
-        let entries = b.knl_table().get(&l).map_or(&[][..], Vec::as_slice);
-        e.u64(entries.len() as u64);
-        for &(dist, v) in entries {
-            e.u32(u32::from(dist));
-            e.u32(v.0);
-        }
-    }
-    e.finish()
-}
-
-/// Decodes a BLINKS frame for a layer graph with `n` vertices.
-pub fn decode_blinks(bytes: &[u8], n: usize) -> Result<BlinksIndex, CodecError> {
-    let mut d = Dec::open(bytes, Section::Blinks)?;
-    let block_of = d.u32_slice()?;
-    if block_of.len() != n {
-        return bad(format!(
-            "partition covers {} vertices, graph has {n}",
-            block_of.len()
-        ));
-    }
-    let num_blocks = d.u64()? as usize;
-    for &b in &block_of {
-        if b as usize >= num_blocks {
-            return bad(format!("block id {b} out of range ({num_blocks} blocks)"));
-        }
-    }
-    let partition = GraphPartition::from_parts(block_of, num_blocks);
-    let prune_dist = d.u32()?;
-    let n_labels = d.seq_len()?;
-    let mut knl: FxHashMap<LabelId, Vec<(u16, VId)>> = FxHashMap::default();
-    for _ in 0..n_labels {
-        let label = LabelId(d.u32()?);
-        let n_entries = d.seq_len()?;
-        let mut entries = Vec::with_capacity(n_entries);
-        for _ in 0..n_entries {
-            let dist = d.u32()?;
-            if dist > u32::from(u16::MAX) || dist > prune_dist {
-                return bad(format!("KNL distance {dist} over bound {prune_dist}"));
-            }
-            let v = d.u32()?;
-            if v as usize >= n {
-                return bad(format!("KNL vertex {v} out of range (n = {n})"));
-            }
-            entries.push((dist as u16, VId(v)));
-        }
-        if knl.insert(label, entries).is_some() {
-            return bad(format!("duplicate KNL label {}", label.0));
-        }
-    }
-    d.finish()?;
-    Ok(BlinksIndex::from_parts(partition, prune_dist, knl))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,10 +413,7 @@ mod tests {
         let index = BiGIndex::build(g, ontology, &BuildParams::default());
         IndexBundle::build(
             index,
-            BlinksParams {
-                block_size: 8,
-                prune_dist: 4,
-            },
+            BlinksParams { prune_dist: 4 },
             RClique { radius: 3 },
             EvalOptions::default(),
         )
@@ -529,10 +430,7 @@ mod tests {
 
     #[test]
     fn params_roundtrip() {
-        let blinks = BlinksParams {
-            block_size: 123,
-            prune_dist: 9,
-        };
+        let blinks = BlinksParams { prune_dist: 9 };
         let rclique = RClique { radius: 2 };
         let eval = EvalOptions {
             beta: 0.7,
@@ -556,11 +454,6 @@ mod tests {
             let n = bundle.index.graph_at(m).num_vertices();
             let back = decode_banks(&encode_banks(banks), n).unwrap();
             assert_eq!(&back, banks, "banks layer {m}");
-        }
-        for (m, blinks) in bundle.blinks.iter().enumerate() {
-            let n = bundle.index.graph_at(m).num_vertices();
-            let back = decode_blinks(&encode_blinks(blinks), n).unwrap();
-            assert_eq!(&back, blinks, "blinks layer {m}");
         }
     }
 

@@ -21,8 +21,9 @@ pub enum Section {
     Params = 2,
     /// A per-layer BANKS index (`banks-<m>.bin`).
     Banks = 3,
-    /// A per-layer BLINKS index (`blinks-<m>.bin`).
-    Blinks = 4,
+    // 4 framed the BLINKS index files (`blinks-<m>.bin`) older builds
+    // wrote; a load checks them against the manifest and reads no
+    // further.
     /// The generation manifest (`MANIFEST`).
     Manifest = 6,
     /// One update batch in the write-ahead log (`wal.log`).
@@ -308,7 +309,7 @@ mod tests {
     fn rejects_wrong_section() {
         let e = Enc::new(Section::Banks);
         let bytes = e.finish();
-        assert!(Dec::open(&bytes, Section::Blinks).is_err());
+        assert!(Dec::open(&bytes, Section::Params).is_err());
         assert!(Dec::open(&bytes, Section::Banks).is_ok());
     }
 

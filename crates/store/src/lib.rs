@@ -1,10 +1,11 @@
 //! Crash-safe on-disk persistence for the BiG-index.
 //!
 //! Building the hierarchy (Gen/Bisim layers, configurations `𝒞`,
-//! `Bisim⁻¹` tables) plus the per-layer BANKS/BLINKS indexes is the
-//! dominant cost at massive-graph scale, so a serving process must be
-//! able to restart without recomputing any of it (the r-clique indexes
-//! are `O(n + m)` to rebuild and are not stored). This crate
+//! `Bisim⁻¹` tables) is the dominant cost at massive-graph scale, so a
+//! serving process must be able to restart without recomputing any of
+//! it. The per-layer BANKS label tables, which BLINKS searches too, are
+//! stored beside it (the r-clique indexes are `O(n + m)` to rebuild and
+//! are not stored). This crate
 //! stores the full [`IndexBundle`] in *generation* directories with a
 //! write protocol under which a crash at any instant leaves either the
 //! previous generation or the new one on disk — never a torn index:

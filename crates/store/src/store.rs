@@ -9,7 +9,6 @@
 //!     index.bin        # the BiG-index hierarchy
 //!     params.bin       # BlinksParams + RClique + EvalOptions
 //!     banks-000.bin    # per-layer BANKS index, m = 0..=h
-//!     blinks-000.bin   # per-layer BLINKS index
 //!     ...
 //!     MANIFEST         # committed last; lists every file + checksum
 //!   gen-00000002/
@@ -27,11 +26,14 @@
 //! generations with typed errors, and verifies the survivor through
 //! `bgi_verify::check_index` before returning it. The per-layer
 //! r-clique indexes are not files: they are rebuilt from the loaded
-//! layer graphs, which costs `O(n + m)` per layer and no BFS.
+//! layer graphs, which costs `O(n + m)` per layer and no BFS. BLINKS
+//! searches the BANKS files, so it has none either. Generations saved
+//! by older builds still list a `blinks-NNN.bin` per layer: those
+//! entries are size- and checksum-checked like any other, then ignored.
 
 use crate::bundle::{
-    decode_banks, decode_blinks, decode_index, decode_params, encode_banks, encode_blinks,
-    encode_index, encode_params, IndexBundle,
+    decode_banks, decode_index, decode_params, encode_banks, encode_index, encode_params,
+    IndexBundle,
 };
 use crate::codec::{fnv1a64, frame_version, CodecError, Dec, Enc, Section, VERSION};
 use crate::error::{RetryPolicy, StoreError};
@@ -138,10 +140,9 @@ impl Store {
         let dir = self.generation_dir(generation);
         fsio::create_dir(&self.fp, "save.create_dir", &dir)?;
 
-        // Fixed file layout: index, params, then the per-layer indexes
-        // family by family. Task i always encodes the same section.
-        let nb = bundle.banks.len();
-        let total = 2 + nb + bundle.blinks.len();
+        // Fixed file layout: index, params, then the per-layer BANKS
+        // indexes. Task i always encodes the same section.
+        let total = 2 + bundle.banks.len();
         let files: Vec<(String, Vec<u8>)> = bgi_graph::par::par_map(threads, total, |i| {
             if i == 0 {
                 ("index.bin".to_string(), encode_index(&bundle.index))
@@ -150,15 +151,9 @@ impl Store {
                     "params.bin".to_string(),
                     encode_params(&bundle.blinks_params, &bundle.rclique_params, &bundle.eval),
                 )
-            } else if i < 2 + nb {
+            } else {
                 let m = i - 2;
                 (format!("banks-{m:03}.bin"), encode_banks(&bundle.banks[m]))
-            } else {
-                let m = i - 2 - nb;
-                (
-                    format!("blinks-{m:03}.bin"),
-                    encode_blinks(&bundle.blinks[m]),
-                )
             }
         });
 
@@ -276,15 +271,11 @@ impl Store {
 
         let h = index.num_layers();
         let mut banks = Vec::with_capacity(h + 1);
-        let mut blinks = Vec::with_capacity(h + 1);
         let mut rclique = Vec::with_capacity(h + 1);
         for m in 0..=h {
             let n = index.graph_at(m).num_vertices();
             let name = format!("banks-{m:03}.bin");
             banks.push(decode_banks(get(&name)?, n).map_err(|e| corrupt(format!("{name}: {e}")))?);
-            let name = format!("blinks-{m:03}.bin");
-            blinks
-                .push(decode_blinks(get(&name)?, n).map_err(|e| corrupt(format!("{name}: {e}")))?);
             rclique.push(rclique_params.build_index(index.graph_at(m)));
         }
 
@@ -301,7 +292,6 @@ impl Store {
         Ok(IndexBundle {
             index,
             banks,
-            blinks,
             rclique,
             blinks_params,
             rclique_params,

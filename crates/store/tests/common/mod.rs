@@ -36,10 +36,7 @@ fn build_bundle(edge_stride: u32) -> IndexBundle {
     let index = BiGIndex::build(g, ontology, &BuildParams::default());
     IndexBundle::build(
         index,
-        BlinksParams {
-            block_size: 8,
-            prune_dist: 4,
-        },
+        BlinksParams { prune_dist: 4 },
         RClique { radius: 3 },
         EvalOptions::default(),
     )

@@ -5,8 +5,9 @@
 
 mod common;
 
+use bgi_search::{Blinks, KeywordQuery, KeywordSearch};
 use bgi_store::codec::{fnv1a64, Dec, Enc, Section};
-use bgi_store::{FailAction, Failpoints, RetryPolicy, Store, StoreError};
+use bgi_store::{FailAction, Failpoints, IndexBundle, RetryPolicy, Store, StoreError};
 use common::{bundle_a, bundle_b, TempDir};
 use proptest::prelude::*;
 use std::fs;
@@ -24,11 +25,13 @@ fn save_load_roundtrip_is_equal() {
     assert_eq!(loaded_gen, 1);
     // Exact equality: the hierarchy, every per-layer index, and the
     // parameters — nothing drifts (the r-clique indexes, which have no
-    // file, are rebuilt from the loaded layer graphs).
+    // file, are rebuilt from the loaded layer graphs; BLINKS searches
+    // the BANKS files and has none of its own).
     assert_eq!(loaded, a);
-    assert!(!generation_files(dir.path(), 1)
-        .iter()
-        .any(|p| p.to_string_lossy().contains("rclique")));
+    assert!(!generation_files(dir.path(), 1).iter().any(|p| {
+        let name = p.file_name().unwrap().to_string_lossy();
+        name.contains("rclique") || name.starts_with("blinks")
+    }));
     assert!(loaded.index.verify().is_clean());
 }
 
@@ -207,6 +210,108 @@ fn generation_with_a_k_bounded_index_is_refused_and_quarantined() {
     }
     assert_eq!(store.quarantined().len(), 2);
     assert!(matches!(store.load_latest(), Err(StoreError::NoGeneration)));
+}
+
+/// Rewrites `generation` into the layout of builds that kept BLINKS'
+/// bi-level index on disk: a block size of 1000 in `params.bin`'s first
+/// slot and a `blinks-000.bin` frame (section 4: one partition block, no
+/// keyword lists) listed in the MANIFEST, every checksum recomputed.
+/// Returns the BLINKS file's path.
+fn rewrite_in_bi_level_layout(root: &Path, generation: u64, n: usize) -> PathBuf {
+    let dir = root.join(format!("gen-{generation:08}"));
+    let reframe = |bytes: &mut Vec<u8>| {
+        let body = bytes.len() - 8;
+        let sum = fnv1a64(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    };
+
+    let params_path = dir.join("params.bin");
+    let mut params = fs::read(&params_path).unwrap();
+    let mut d = Dec::open(&params, Section::Params).unwrap();
+    assert_eq!(d.u64().unwrap(), 0, "the block-size slot is written 0");
+    // An 8-byte header (magic, version, section), then that slot.
+    params[8..16].copy_from_slice(&1000u64.to_le_bytes());
+    reframe(&mut params);
+    fs::write(&params_path, &params).unwrap();
+
+    let mut e = Enc::new(Section::Banks);
+    e.u32_slice(&vec![0; n]);
+    e.u64(1);
+    e.u32(4);
+    e.u64(0);
+    let mut blinks = e.finish();
+    blinks[6..8].copy_from_slice(&4u16.to_le_bytes());
+    reframe(&mut blinks);
+    let blinks_path = dir.join("blinks-000.bin");
+    fs::write(&blinks_path, &blinks).unwrap();
+
+    let manifest = dir.join("MANIFEST");
+    let old = fs::read(&manifest).unwrap();
+    let mut d = Dec::open(&old, Section::Manifest).unwrap();
+    let mut e = Enc::new(Section::Manifest);
+    let entries = d.seq_len().unwrap();
+    e.u64(entries as u64 + 1);
+    for _ in 0..entries {
+        let name = d.bytes().unwrap();
+        let (len, checksum) = (d.u64().unwrap(), d.u64().unwrap());
+        e.bytes(name);
+        if name == b"params.bin" {
+            e.u64(params.len() as u64);
+            e.u64(fnv1a64(&params));
+        } else {
+            e.u64(len);
+            e.u64(checksum);
+        }
+    }
+    e.bytes(b"blinks-000.bin");
+    e.u64(blinks.len() as u64);
+    e.u64(fnv1a64(&blinks));
+    fs::write(&manifest, e.finish()).unwrap();
+    blinks_path
+}
+
+/// Every layer's BLINKS answers to a few fixed queries.
+fn rkws_answers(bundle: &IndexBundle) -> Vec<Vec<bgi_search::AnswerGraph>> {
+    let blinks = Blinks::new(bundle.blinks_params);
+    let mut out = Vec::new();
+    for m in 0..=bundle.num_layers() {
+        let g = bundle.index.graph_at(m);
+        for keywords in [vec![0, 1], vec![1, 2], vec![2, 4, 5]] {
+            let labels = keywords.into_iter().map(bgi_graph::LabelId);
+            let q = KeywordQuery::new(labels.collect::<Vec<_>>(), 3);
+            out.push(blinks.search(g, &bundle.banks[m], &q, 10));
+        }
+    }
+    out
+}
+
+#[test]
+fn generation_with_a_blinks_index_loads_and_answers_alike() {
+    let a = bundle_a();
+    let dir = TempDir::new("bi-level");
+    let store = Store::open(dir.path()).unwrap();
+    store.save(&a).unwrap();
+    let n = a.index.graph_at(0).num_vertices();
+    let blinks_file = rewrite_in_bi_level_layout(dir.path(), 1, n);
+
+    let (generation, loaded) = store.load_latest().unwrap();
+    assert_eq!(generation, 1);
+    assert_eq!(loaded, a);
+    assert!(rkws_answers(&a).iter().any(|answers| !answers.is_empty()));
+    assert_eq!(rkws_answers(&loaded), rkws_answers(&a));
+
+    // The old entry is ignored, not trusted: a damaged file still fails
+    // its manifest check.
+    let mut bytes = fs::read(&blinks_file).unwrap();
+    bytes[8] ^= 0xff;
+    fs::write(&blinks_file, &bytes).unwrap();
+    match store.load_latest() {
+        Err(StoreError::Corrupt { generation, detail }) => {
+            assert_eq!(generation, 1);
+            assert!(detail.starts_with("blinks-000.bin: checksum"), "{detail}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
 }
 
 #[test]

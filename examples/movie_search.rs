@@ -34,10 +34,7 @@ fn main() {
         index.layer_sizes()
     );
 
-    let blinks = Blinks::new(BlinksParams {
-        block_size: 1000,
-        prune_dist: 5,
-    });
+    let blinks = Blinks::new(BlinksParams { prune_dist: 5 });
     let boosted = Boosted::new(&index, blinks, EvalOptions::default());
     let queries = benchmark_queries(&ds, 5, (scale / 100).max(3) as u32, 7);
     for q in &queries {

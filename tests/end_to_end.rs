@@ -88,10 +88,7 @@ fn boosted_banks_is_sound_on_generated_kg() {
 fn boosted_blinks_is_sound_and_never_empty_when_baseline_has_answers() {
     let ds = DatasetSpec::imdb_like(3000).generate();
     let index = default_index(&ds, 4);
-    let blinks = Blinks::new(BlinksParams {
-        block_size: 100,
-        prune_dist: 5,
-    });
+    let blinks = Blinks::new(BlinksParams { prune_dist: 5 });
     let boosted = Boosted::new(&index, blinks, EvalOptions::default());
     let queries = benchmark_queries(&ds, 4, 30, 6);
     for q in &queries {

@@ -21,10 +21,7 @@ fn banks_blinks_bidirectional_agree_on_yago_like() {
     let ds = DatasetSpec::yago_like(4000).generate();
     let queries = benchmark_queries(&ds, 4, 40, 3);
     assert!(queries.len() >= 4);
-    let blinks = Blinks::new(BlinksParams {
-        block_size: 200,
-        prune_dist: 4,
-    });
+    let blinks = Blinks::new(BlinksParams { prune_dist: 4 });
     let blinks_index = blinks.build_index(&ds.graph);
     let banks_index = Banks.build_index(&ds.graph);
     for q in queries.iter().take(5) {
@@ -46,10 +43,7 @@ fn banks_blinks_bidirectional_agree_on_yago_like() {
 fn blinks_top_k_prefix_matches_banks_ranking() {
     let ds = DatasetSpec::imdb_like(3000).generate();
     let queries = benchmark_queries(&ds, 4, 30, 11);
-    let blinks = Blinks::new(BlinksParams {
-        block_size: 500,
-        prune_dist: 4,
-    });
+    let blinks = Blinks::new(BlinksParams { prune_dist: 4 });
     let blinks_index = blinks.build_index(&ds.graph);
     for q in queries.iter().take(4) {
         let query = q.to_query();
@@ -92,10 +86,7 @@ fn rclique_answers_satisfy_distance_semantics_on_dataset() {
 fn search_is_deterministic_across_runs() {
     let ds = DatasetSpec::dbpedia_like(2500).generate();
     let queries = benchmark_queries(&ds, 4, 25, 23);
-    let blinks = Blinks::new(BlinksParams {
-        block_size: 300,
-        prune_dist: 4,
-    });
+    let blinks = Blinks::new(BlinksParams { prune_dist: 4 });
     let index = blinks.build_index(&ds.graph);
     for q in queries.iter().take(3) {
         let query = q.to_query();
