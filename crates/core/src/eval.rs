@@ -33,9 +33,9 @@ use crate::query_gen::{generalize_query, optimal_layer};
 use crate::spec::{specialize_answer, SpecializedAnswer};
 use bgi_graph::{DiGraph, VId};
 use bgi_search::answer::rank_and_truncate;
+use bgi_search::rclique::{clique_answer, undirected_distances};
 use bgi_search::{AnswerGraph, Budget, Completeness, Interrupted, KeywordQuery, KeywordSearch};
 use rustc_hash::FxHashMap;
-use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// How final answers are materialized from specialized candidates.
@@ -354,14 +354,14 @@ fn realize_one(
             path_answer_generation(index.base(), ga, spec, remaining, budget)
         }
         RealizerKind::DistanceVerify => {
-            distance_verify(index.base(), query, ga, spec, remaining, dist_cache, budget)
+            distance_verify(index.base(), query, spec, remaining, dist_cache, budget)
         }
         RealizerKind::StructuralThenDistance => {
             let (structural, st) =
                 path_answer_generation(index.base(), ga, spec, remaining, budget)?;
             if structural.is_empty() {
                 let (verified, vt) =
-                    distance_verify(index.base(), query, ga, spec, remaining, dist_cache, budget)?;
+                    distance_verify(index.base(), query, spec, remaining, dist_cache, budget)?;
                 Ok((
                     verified,
                     GenStats {
@@ -413,8 +413,9 @@ pub fn eval_query<F: KeywordSearch>(
     Ok(fallback)
 }
 
-/// Memoized bounded undirected BFS balls, keyed by source vertex.
-type DistCache = FxHashMap<VId, FxHashMap<VId, u32>>;
+/// Memoized bounded undirected BFS balls, keyed by source vertex:
+/// each row sorted by vertex id, read by binary search.
+type DistCache = FxHashMap<VId, Vec<(VId, u32)>>;
 
 /// The distance realizer for clique semantics: specialize keyword nodes
 /// only, then verify all pairwise *undirected* distances on `G⁰` within
@@ -423,7 +424,6 @@ type DistCache = FxHashMap<VId, FxHashMap<VId, u32>>;
 fn distance_verify(
     base: &DiGraph,
     query: &KeywordQuery,
-    _answer: &AnswerGraph,
     spec: &SpecializedAnswer,
     limit: usize,
     cache: &mut DistCache,
@@ -449,36 +449,24 @@ fn distance_verify(
         c.dedup();
     }
 
-    // Memoized bounded undirected BFS distances (cache shared by the
+    // Memoized bounded undirected distances (cache shared by the
     // caller across generalized answers).
-    let mut dist = |g: &DiGraph, u: VId, v: VId, bound: u32| -> Option<u32> {
+    let bound = query.dmax;
+    let mut dist = |u: VId, v: VId| -> Option<u32> {
         if u == v {
             return Some(0);
         }
-        cache.entry(u).or_insert_with(|| {
-            let mut d: FxHashMap<VId, u32> = FxHashMap::default();
-            let mut q = VecDeque::new();
-            d.insert(u, 0);
-            q.push_back(u);
-            // budget-exempt: one dmax-bounded BFS ball between `rec`'s polls
-            while let Some(x) = q.pop_front() {
-                let dx = d[&x];
-                if dx >= bound {
-                    continue;
-                }
-                for &y in g.out_neighbors(x).iter().chain(g.in_neighbors(x)) {
-                    if let std::collections::hash_map::Entry::Vacant(e) = d.entry(y) {
-                        e.insert(dx + 1);
-                        q.push_back(y);
-                    }
-                }
-            }
-            d
-        });
-        cache[&u].get(&v).copied().filter(|&d| d <= bound)
+        // One dmax-bounded BFS ball between `rec`'s polls.
+        let row = cache
+            .entry(u)
+            .or_insert_with(|| undirected_distances(base, u, bound));
+        row.binary_search_by_key(&v, |&(w, _)| w)
+            .ok()
+            .map(|i| row[i].1)
     };
 
-    // Enumerate combinations depth-first with pairwise pruning.
+    // Enumerate combinations depth-first with pairwise pruning; `weight`
+    // is the sum of the pairwise distances among `picked`.
     let mut picked: Vec<VId> = Vec::with_capacity(n);
     let mut results: Vec<AnswerGraph> = Vec::new();
     #[allow(clippy::too_many_arguments)]
@@ -487,7 +475,8 @@ fn distance_verify(
         query: &KeywordQuery,
         cands: &[Vec<VId>],
         picked: &mut Vec<VId>,
-        dist: &mut dyn FnMut(&DiGraph, VId, VId, u32) -> Option<u32>,
+        weight: u64,
+        dist: &mut dyn FnMut(VId, VId) -> Option<u32>,
         results: &mut Vec<AnswerGraph>,
         stats: &mut GenStats,
         limit: usize,
@@ -498,28 +487,27 @@ fn distance_verify(
         }
         let depth = picked.len();
         if depth == cands.len() {
-            // Weight: sum of pairwise distances (all verified ≤ d_max).
-            let mut weight = 0u64;
-            // budget-exempt: pairwise over at most |query| picks
-            for i in 0..picked.len() {
-                for j in i + 1..picked.len() {
-                    weight += dist(base, picked[i], picked[j], query.dmax).unwrap() as u64;
-                }
-            }
-            results.push(materialize_clique(base, query, picked, weight));
+            results.push(clique_answer(base, query.dmax, picked, weight));
             stats.answers += 1;
             return Ok(());
         }
         for &v in &cands[depth] {
             budget.check()?;
-            let ok = picked
-                .iter()
-                .all(|&u| dist(base, u, v, query.dmax).is_some());
-            if ok {
+            let added: Option<u64> = picked.iter().map(|&u| dist(u, v).map(u64::from)).sum();
+            if let Some(added) = added {
                 picked.push(v);
                 stats.partials_created += 1;
                 rec(
-                    base, query, cands, picked, dist, results, stats, limit, budget,
+                    base,
+                    query,
+                    cands,
+                    picked,
+                    weight + added,
+                    dist,
+                    results,
+                    stats,
+                    limit,
+                    budget,
                 )?;
                 picked.pop();
                 if results.len() >= limit {
@@ -534,6 +522,7 @@ fn distance_verify(
         query,
         &cands,
         &mut picked,
+        0,
         &mut dist,
         &mut results,
         &mut stats,
@@ -541,53 +530,6 @@ fn distance_verify(
         budget,
     )?;
     Ok((results, stats))
-}
-
-/// Materializes a verified clique answer with undirected witness paths
-/// from the first keyword node.
-fn materialize_clique(
-    base: &DiGraph,
-    query: &KeywordQuery,
-    picked: &[VId],
-    weight: u64,
-) -> AnswerGraph {
-    let hub = picked[0];
-    let mut parent: FxHashMap<VId, VId> = FxHashMap::default();
-    let mut d: FxHashMap<VId, u32> = FxHashMap::default();
-    let mut q = VecDeque::new();
-    d.insert(hub, 0);
-    q.push_back(hub);
-    while let Some(x) = q.pop_front() {
-        let dx = d[&x];
-        if dx >= query.dmax {
-            continue;
-        }
-        for &y in base.out_neighbors(x).iter().chain(base.in_neighbors(x)) {
-            if let std::collections::hash_map::Entry::Vacant(e) = d.entry(y) {
-                e.insert(dx + 1);
-                parent.insert(y, x);
-                q.push_back(y);
-            }
-        }
-    }
-    let mut vertices = vec![hub];
-    let mut edges = Vec::new();
-    for &t in &picked[1..] {
-        let mut cur = t;
-        vertices.push(cur);
-        while cur != hub {
-            let p = parent[&cur];
-            if base.has_edge(p, cur) {
-                edges.push((p, cur));
-            } else {
-                edges.push((cur, p));
-            }
-            vertices.push(p);
-            cur = p;
-        }
-    }
-    let keyword_matches = picked.iter().map(|&v| vec![v]).collect();
-    AnswerGraph::new(vertices, edges, keyword_matches, None, weight)
 }
 
 #[cfg(test)]

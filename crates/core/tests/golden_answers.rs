@@ -1,0 +1,97 @@
+//! "Answer materialisation is output-preserving" as a test: every
+//! boosted and every baseline answer of the three plugged-in semantics
+//! (bkws, rkws, dkws under both clique realizers) over the generated
+//! benchmark queries of two knowledge graphs is pinned by one checksum
+//! per graph. A change to how answers are built — witness paths, root
+//! selection, ranking — that is meant to be output-preserving must
+//! leave this file untouched; one that is meant to change what a query
+//! returns re-pins it and says so.
+
+use bgi_bisim::BisimDirection;
+use bgi_datasets::{benchmark_queries, DatasetSpec};
+use bgi_search::blinks::{Blinks, BlinksParams};
+use bgi_search::{AnswerGraph, Banks, KeywordQuery, KeywordSearch, RClique};
+use big_index::eval::RealizerKind;
+use big_index::{boost_dkws, greedy_full_step_configs, BiGIndex, Boosted, EvalOptions};
+
+/// Answer counts asked for: one, the experiments' top-10, and enough to
+/// reach deep into every candidate set.
+const KS: [usize; 3] = [1, 10, 50];
+
+/// FNV-1a-64, stable across platforms and toolchains.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Appends the boosted and the baseline answers of `boosted` for every
+/// query and `k` to `out`, as their `Debug` text.
+fn record<F: KeywordSearch>(boosted: &Boosted<'_, F>, queries: &[KeywordQuery], out: &mut String) {
+    for q in queries {
+        for k in KS {
+            let result = boosted.query(q, k);
+            let (baseline, _) = boosted.baseline(q, k);
+            let both: [&[AnswerGraph]; 2] = [&result.answers, &baseline];
+            out.push_str(&format!("{q:?} k={k} {both:?}\n"));
+        }
+    }
+}
+
+/// The fingerprint of every answer `spec`'s graph gives, under a
+/// three-layer full-step hierarchy.
+fn fingerprint(spec: DatasetSpec) -> u64 {
+    let ds = spec.generate();
+    let dir = BisimDirection::Forward;
+    let configs = greedy_full_step_configs(&ds.graph, &ds.ontology, 3, dir);
+    let index = BiGIndex::build_with_configs(ds.graph.clone(), ds.ontology.clone(), configs, dir);
+    let queries: Vec<KeywordQuery> = [(3, 1), (4, 2), (5, 3)]
+        .iter()
+        .flat_map(|&(dmax, seed)| benchmark_queries(&ds, dmax, 40, seed))
+        .map(|q| q.to_query())
+        .collect();
+    assert!(queries.len() >= 12, "too few generated queries");
+    let opts = EvalOptions::default();
+    let mut text = String::new();
+    record(&Boosted::new(&index, Banks, opts), &queries, &mut text);
+    let blinks = Blinks::new(BlinksParams::default());
+    record(&Boosted::new(&index, blinks, opts), &queries, &mut text);
+    record(
+        &boost_dkws(&index, RClique::default(), opts),
+        &queries,
+        &mut text,
+    );
+    let verify = EvalOptions {
+        realizer: RealizerKind::DistanceVerify,
+        ..opts
+    };
+    record(
+        &Boosted::new(&index, RClique::default(), verify),
+        &queries,
+        &mut text,
+    );
+    fnv1a64(text.as_bytes())
+}
+
+// Both pinned values were measured on 5f413e5, whose witness paths
+// came from a full radius-r BFS per answer and whose BANKS built an
+// answer for every candidate root.
+
+#[test]
+fn yago_like_answers_are_pinned() {
+    assert_eq!(
+        fingerprint(DatasetSpec::yago_like(3000)),
+        0x17c8_e656_6e59_2326
+    );
+}
+
+#[test]
+fn dbpedia_like_answers_are_pinned() {
+    assert_eq!(
+        fingerprint(DatasetSpec::dbpedia_like(2000)),
+        0x9d39_c78a_45f1_44f5
+    );
+}

@@ -7,7 +7,7 @@
 //! *backward* (over in-edges) from each keyword's vertex set; a vertex
 //! reached from every keyword set within the bound is an answer root.
 
-use crate::answer::{rank_and_truncate, AnswerGraph};
+use crate::answer::AnswerGraph;
 use crate::cancel::{Budget, Interrupted};
 use crate::outcome::{Completeness, SearchOutcome};
 use crate::query::KeywordQuery;
@@ -135,13 +135,18 @@ impl KeywordSearch for Banks {
         BanksIndex::from_parts(label_vertices)
     }
 
-    /// Best-effort under `budget`. Interruption during the per-keyword
-    /// backward expansions means no candidate root is known yet, so
-    /// nothing usable exists and the whole search fails with
-    /// [`Interrupted`]; interruption during the root-scoring loop
-    /// returns the roots scored so far marked
-    /// [`Completeness::Truncated`] (candidate roots are not visited in
-    /// weight order, so no optimality bound is available).
+    /// Every candidate root is scored from the reach tables first, one
+    /// lookup per keyword; answer trees are then built for the `k` least
+    /// `(score, root)` only, so the cost of path building follows `k`,
+    /// not the candidate count.
+    ///
+    /// Best-effort under `budget`, polled once per scored root.
+    /// Interruption during the per-keyword backward expansions means no
+    /// candidate root is known yet, so nothing usable exists and the
+    /// whole search fails with [`Interrupted`]; interruption during the
+    /// root-scoring loop returns the best `k` of the roots scored so far
+    /// marked [`Completeness::Truncated`] (candidate roots are not
+    /// visited in weight order, so no optimality bound is available).
     fn search_anytime(
         &self,
         g: &DiGraph,
@@ -167,7 +172,8 @@ impl KeywordSearch for Banks {
         }
         keyword_sets.sort_by_key(|(_, s)| s.len());
 
-        let mut reaches: Vec<Option<ReachTable>> = vec![None; query.len()];
+        // Reach tables tagged with their keyword's position.
+        let mut reaches: Vec<(usize, ReachTable)> = Vec::with_capacity(query.len());
         // Candidate roots: intersection of reach sets; seed from the
         // smallest keyword set's reach and intersect incrementally.
         let mut candidates: Option<Vec<VId>> = None;
@@ -177,13 +183,15 @@ impl KeywordSearch for Banks {
                 None => reach.keys().copied().collect(),
                 Some(prev) => prev.into_iter().filter(|v| reach.contains_key(v)).collect(),
             });
-            reaches[i] = Some(reach);
+            reaches.push((i, reach));
             if candidates.as_ref().is_some_and(Vec::is_empty) {
                 return Ok(SearchOutcome::exact(Vec::new()));
             }
         }
 
-        let mut answers = Vec::new();
+        // Score every root (one lookup per keyword), then build answers
+        // for the k best only.
+        let mut scored: Vec<(u64, VId)> = Vec::new();
         let mut truncated = false;
         for root in candidates.unwrap_or_default() {
             if budget.is_exhausted() {
@@ -192,34 +200,42 @@ impl KeywordSearch for Banks {
                 truncated = true;
                 break;
             }
-            let mut vertices = Vec::new();
-            let mut edges = Vec::new();
-            let mut keyword_matches = vec![Vec::new(); query.len()];
-            let mut score = 0u64;
-            for (i, reach) in reaches.iter().enumerate() {
-                let reach = reach.as_ref().unwrap();
-                let (d, _) = reach[&root];
-                score += d as u64;
-                let path = path_to_keyword(reach, root);
-                for w in path.windows(2) {
-                    edges.push((w[0], w[1]));
-                }
-                keyword_matches[i].push(*path.last().unwrap());
-                vertices.extend(path);
-            }
-            answers.push(AnswerGraph::new(
-                vertices,
-                edges,
-                keyword_matches,
-                Some(root),
-                score,
-            ));
+            let score = reaches
+                .iter()
+                .map(|(_, reach)| reach.get(&root).map_or(0, |&(d, _)| u64::from(d)))
+                .sum();
+            scored.push((score, root));
         }
-        if truncated && answers.is_empty() {
+        if truncated && scored.is_empty() {
             return Err(Interrupted);
         }
+        // Roots are distinct, so `(score, root)` is `rank_and_truncate`'s
+        // `(score, identity)` order with no tie to break.
+        if scored.len() > k {
+            scored.select_nth_unstable(k);
+            scored.truncate(k);
+        }
+        scored.sort_unstable();
+        let answers = scored
+            .into_iter()
+            .map(|(score, root)| {
+                let mut vertices = Vec::new();
+                let mut edges = Vec::new();
+                let mut keyword_matches = vec![Vec::new(); query.len()];
+                // budget-exempt: |query| walks of at most d_max hops, k times
+                for (i, reach) in &reaches {
+                    let path = path_to_keyword(reach, root);
+                    for w in path.windows(2) {
+                        edges.push((w[0], w[1]));
+                    }
+                    keyword_matches[*i].extend(path.last().copied());
+                    vertices.extend(path);
+                }
+                AnswerGraph::new(vertices, edges, keyword_matches, Some(root), score)
+            })
+            .collect();
         Ok(SearchOutcome {
-            answers: rank_and_truncate(answers, k),
+            answers,
             completeness: if truncated {
                 Completeness::Truncated
             } else {

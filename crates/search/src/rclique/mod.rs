@@ -15,7 +15,10 @@
 //!   representation: a table of per-vertex rows, each filled by a
 //!   bounded BFS on first read, shared by every clone of the index and
 //!   never written to disk. Building it is `O(n + m)`; an update
-//!   carries over the filled rows it did not dirty.
+//!   carries over the filled rows it did not dirty. Its BFS scratch
+//!   also builds every r-clique answer's witness paths
+//!   ([`neighbor_index::clique_answer`]), for this search and for
+//!   BiG-index's distance realizer alike.
 //! - `search_space` (crate-private) — the interruptible anytime search
 //!   space: greedy
 //!   seed answer, branch-and-bound improvement under a cooperative
@@ -27,5 +30,5 @@ pub mod neighbor_index;
 pub mod search;
 pub(crate) mod search_space;
 
-pub use neighbor_index::NeighborIndex;
+pub use neighbor_index::{clique_answer, undirected_distances, NeighborIndex};
 pub use search::{RClique, RCliqueIndex};

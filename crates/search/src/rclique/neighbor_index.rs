@@ -8,10 +8,16 @@
 //! `(graph, radius, v)`, computed by one bounded BFS the first time it
 //! is read and kept for as long as no update dirties it. Nothing about
 //! it is ever persisted.
+//!
+//! The same thread-local BFS scratch serves the two traversals that
+//! need no row: [`undirected_distances`], a ball at a caller's bound,
+//! and [`clique_answer`], the witness paths of an r-clique answer.
 
+use crate::answer::AnswerGraph;
 use bgi_graph::{DiGraph, VId};
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
 
 /// One vertex's ball, filled on first read.
@@ -136,7 +142,9 @@ impl NeighborIndex {
     pub fn neighbors(&self, v: VId) -> &[(VId, u16)] {
         self.rows[v.index()].get_or_init(|| {
             let mut row = Vec::new();
-            undirected_ball(&self.graph, &[v], self.radius, |u, d| row.push((u, d)));
+            undirected_ball(&self.graph, &[v], self.radius, |u, d| {
+                row.push((u, d as u16));
+            });
             row.sort_unstable_by_key(|&(u, _)| u);
             row.into()
         })
@@ -154,9 +162,12 @@ impl NeighborIndex {
 }
 
 /// BFS scratch over the undirected view of a graph; `touched` lists
-/// the `dist` slots the previous traversal left set.
+/// the `dist` slots the previous traversal left set. `parent[v]` is
+/// meaningful only while `dist[v]` is set: it is written once, when `v`
+/// is discovered.
 struct Scratch {
     dist: Vec<u32>,
+    parent: Vec<VId>,
     touched: Vec<VId>,
     queue: VecDeque<VId>,
 }
@@ -167,16 +178,27 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = const {
         RefCell::new(Scratch {
             dist: Vec::new(),
+            parent: Vec::new(),
             touched: Vec::new(),
             queue: VecDeque::new(),
         })
     };
 }
 
-/// Calls `visit(u, dist-to-nearest-seed)` for every `u` not in `seeds`
-/// within `r` undirected hops of *any* seed — the union of the seeds'
-/// radius-`r` balls in one traversal.
-fn undirected_ball(g: &DiGraph, seeds: &[VId], r: u32, mut visit: impl FnMut(VId, u16)) {
+/// Runs a BFS over the undirected view of `g` from every seed at once,
+/// expanding vertices at distance `< r` only, and calls `visit(u, d)`
+/// as each non-seed `u` is discovered at distance `d` from its nearest
+/// seed — the union of the seeds' radius-`r` balls in one traversal.
+/// The traversal stops early once `visit` breaks. `finish` then reads
+/// the scratch the traversal left: `dist` and `parent` of every
+/// discovered vertex.
+fn undirected_bfs<T>(
+    g: &DiGraph,
+    seeds: &[VId],
+    r: u32,
+    mut visit: impl FnMut(VId, u32) -> ControlFlow<()>,
+    finish: impl FnOnce(&Scratch) -> T,
+) -> T {
     SCRATCH.with_borrow_mut(|s| {
         for t in s.touched.drain(..) {
             s.dist[t.index()] = u32::MAX;
@@ -184,6 +206,7 @@ fn undirected_ball(g: &DiGraph, seeds: &[VId], r: u32, mut visit: impl FnMut(VId
         s.queue.clear();
         if s.dist.len() < g.num_vertices() {
             s.dist.resize(g.num_vertices(), u32::MAX);
+            s.parent.resize(g.num_vertices(), VId(u32::MAX));
         }
         for &seed in seeds {
             if s.dist[seed.index()] == u32::MAX {
@@ -192,7 +215,7 @@ fn undirected_ball(g: &DiGraph, seeds: &[VId], r: u32, mut visit: impl FnMut(VId
                 s.queue.push_back(seed);
             }
         }
-        while let Some(u) = s.queue.pop_front() {
+        'bfs: while let Some(u) = s.queue.pop_front() {
             let d = s.dist[u.index()];
             if d >= r {
                 continue;
@@ -200,13 +223,96 @@ fn undirected_ball(g: &DiGraph, seeds: &[VId], r: u32, mut visit: impl FnMut(VId
             for &w in g.out_neighbors(u).iter().chain(g.in_neighbors(u)) {
                 if s.dist[w.index()] == u32::MAX {
                     s.dist[w.index()] = d + 1;
+                    s.parent[w.index()] = u;
                     s.touched.push(w);
                     s.queue.push_back(w);
-                    visit(w, (d + 1) as u16);
+                    if visit(w, d + 1).is_break() {
+                        break 'bfs;
+                    }
                 }
             }
         }
+        finish(s)
+    })
+}
+
+/// Calls `visit(u, d)` for every `u` not in `seeds` within `r`
+/// undirected hops of *any* seed, `d` its distance to the nearest one.
+fn undirected_ball(g: &DiGraph, seeds: &[VId], r: u32, mut visit: impl FnMut(VId, u32)) {
+    undirected_bfs(
+        g,
+        seeds,
+        r,
+        |u, d| {
+            visit(u, d);
+            ControlFlow::Continue(())
+        },
+        |_| (),
+    );
+}
+
+/// Every vertex within `r` undirected hops of `v`, `v` itself excluded,
+/// with its distance, sorted by vertex id — the row
+/// [`NeighborIndex::neighbors`] caches, for a bound that is not an
+/// index's radius. Distances keep their full width: a `(VId, u32)` pair
+/// is no larger than a `(VId, u16)` one.
+pub fn undirected_distances(g: &DiGraph, v: VId, r: u32) -> Vec<(VId, u32)> {
+    let mut row = Vec::new();
+    undirected_ball(g, &[v], r, |u, d| row.push((u, d)));
+    row.sort_unstable_by_key(|&(u, _)| u);
+    row
+}
+
+/// The answer graph of an r-clique: the keyword nodes `picked`, one per
+/// keyword, plus an undirected witness path from `picked[0]` to every
+/// other one, each edge oriented as the data graph has it.
+///
+/// The paths come from one BFS from `picked[0]` bounded by `r`, which
+/// stops as soon as the last distinct keyword node is discovered: a
+/// vertex's parent is fixed when it is discovered, and every vertex on
+/// a keyword node's parent chain was discovered before it, so the paths
+/// are those the full radius-`r` ball would give. A keyword node the
+/// BFS did not reach — impossible when every pair is within `r` — gets
+/// no path.
+pub fn clique_answer(g: &DiGraph, r: u32, picked: &[VId], weight: u64) -> AnswerGraph {
+    let keyword_matches = picked.iter().map(|&v| vec![v]).collect();
+    let Some((&hub, targets)) = picked.split_first() else {
+        return AnswerGraph::new(Vec::new(), Vec::new(), keyword_matches, None, weight);
+    };
+    let mut pending: Vec<VId> = targets.iter().copied().filter(|&t| t != hub).collect();
+    pending.sort_unstable();
+    pending.dedup();
+    // Nothing to reach: a zero bound discovers nothing.
+    let bound = if pending.is_empty() { 0 } else { r };
+    let mut vertices = vec![hub];
+    let mut edges = Vec::new();
+    let found = |w: VId, _| {
+        if let Ok(i) = pending.binary_search(&w) {
+            pending.remove(i);
+        }
+        if pending.is_empty() {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    };
+    undirected_bfs(g, &[hub], bound, found, |s| {
+        for &t in targets {
+            let mut cur = t;
+            vertices.push(cur);
+            while cur != hub && s.dist[cur.index()] != u32::MAX {
+                let p = s.parent[cur.index()];
+                if g.has_edge(p, cur) {
+                    edges.push((p, cur));
+                } else {
+                    edges.push((cur, p));
+                }
+                vertices.push(p);
+                cur = p;
+            }
+        }
     });
+    AnswerGraph::new(vertices, edges, keyword_matches, None, weight)
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! answers with a sound optimality bound instead of failing; see the
 //! engine module for the search-space shape and the bound derivation.
 
-use super::neighbor_index::NeighborIndex;
+use super::neighbor_index::{clique_answer, NeighborIndex};
 use super::search_space::AnytimeSearch;
 use crate::answer::{rank_and_truncate, AnswerGraph};
 use crate::banks::{Banks, BanksIndex};
@@ -27,8 +27,6 @@ use crate::outcome::SearchOutcome;
 use crate::query::KeywordQuery;
 use crate::semantics::KeywordSearch;
 use bgi_graph::{DiGraph, VId};
-use rustc_hash::FxHashMap;
-use std::collections::VecDeque;
 
 /// The r-clique keyword search algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,52 +67,6 @@ impl RCliqueIndex {
             neighbor: self.neighbor.patched(new_g, diff)?,
             labels: self.labels.patched(new_g, diff),
         })
-    }
-}
-
-impl RClique {
-    /// Builds the answer graph for a picked node set: keyword nodes plus
-    /// undirected witness paths from the first node to every other.
-    fn materialize(g: &DiGraph, r: u32, picked: &[VId], weight: u64) -> AnswerGraph {
-        let hub = picked[0];
-        // One undirected BFS from the hub with parent pointers.
-        let mut parent: FxHashMap<VId, VId> = FxHashMap::default();
-        let mut queue = VecDeque::new();
-        let mut dist: FxHashMap<VId, u32> = FxHashMap::default();
-        dist.insert(hub, 0);
-        queue.push_back(hub);
-        while let Some(u) = queue.pop_front() {
-            let d = dist[&u];
-            if d >= r {
-                continue;
-            }
-            for &w in g.out_neighbors(u).iter().chain(g.in_neighbors(u)) {
-                if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(w) {
-                    e.insert(d + 1);
-                    parent.insert(w, u);
-                    queue.push_back(w);
-                }
-            }
-        }
-        let mut vertices = vec![hub];
-        let mut edges = Vec::new();
-        for &t in &picked[1..] {
-            let mut cur = t;
-            vertices.push(cur);
-            while cur != hub {
-                let p = parent[&cur];
-                // Orient the edge as it exists in the data graph.
-                if g.has_edge(p, cur) {
-                    edges.push((p, cur));
-                } else {
-                    edges.push((cur, p));
-                }
-                vertices.push(p);
-                cur = p;
-            }
-        }
-        let keyword_matches = picked.iter().map(|&v| vec![v]).collect();
-        AnswerGraph::new(vertices, edges, keyword_matches, None, weight)
     }
 }
 
@@ -177,7 +129,7 @@ impl KeywordSearch for RClique {
         found.truncate(k);
         let answers: Vec<AnswerGraph> = found
             .iter()
-            .map(|(weight, picked)| Self::materialize(g, r, picked, *weight))
+            .map(|(weight, picked)| clique_answer(g, r, picked, *weight))
             .collect();
         Ok(SearchOutcome {
             answers: rank_and_truncate(answers, k),
