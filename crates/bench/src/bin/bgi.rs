@@ -236,11 +236,10 @@ fn cmd_build(args: &[String]) -> CliResult {
     // The per-layer search indexes are what serving/persistence would
     // build next; they are the parallel stage `--build-threads` fans out.
     let t = Instant::now();
-    let (banks, _) = bgi_store::build_layer_indexes(&index, RClique::default(), build_threads);
+    let rclique = bgi_store::build_layer_indexes(&index, RClique::default(), build_threads);
     println!(
-        "per-layer search indexes ({} layers x 2 index families) built in {:?} \
-         on {build_threads} thread(s)",
-        banks.len(),
+        "per-layer r-clique indexes ({} layers) built in {:?} on {build_threads} thread(s)",
+        rclique.len(),
         t.elapsed()
     );
     Ok(())
@@ -1090,8 +1089,7 @@ fn cmd_save_index(args: &[String]) -> CliResult {
     let store = Store::open(Path::new(store_dir))?;
     let generation = store.save_with_threads(&bundle, build_threads)?;
     println!(
-        "saved generation {generation} ({} layer(s), every per-layer search index \
-         prebuilt) to {store_dir} in {:?}",
+        "saved generation {generation} ({} layer(s)) to {store_dir} in {:?}",
         bundle.num_layers(),
         t.elapsed()
     );

@@ -7,7 +7,7 @@ use crate::setup::Workbench;
 use bgi_datasets::DatasetSpec;
 use bgi_graph::{DiGraph, VId};
 use bgi_search::blinks::{Blinks, BlinksParams};
-use bgi_search::rclique::{NeighborIndex, RCliqueIndex};
+use bgi_search::rclique::NeighborIndex;
 use bgi_search::{AnswerGraph, Budget, KeywordQuery, KeywordSearch, RClique};
 use big_index::eval::{eval_query, EvalResult, RealizerKind};
 use big_index::{Boosted, EvalOptions};
@@ -60,7 +60,7 @@ pub fn rclique_rows(wb: &Workbench) -> (Vec<QueryPerfRow>, usize) {
         realizer: RealizerKind::StructuralThenDistance,
         ..EvalOptions::default()
     };
-    let layer_indexes: Vec<RCliqueIndex> = (0..=wb.index.num_layers())
+    let layer_indexes: Vec<NeighborIndex> = (0..=wb.index.num_layers())
         .map(|m| rc.build_index(wb.index.graph_at(m)))
         .collect();
     let rows = measure(
@@ -82,7 +82,7 @@ pub fn rclique_rows(wb: &Workbench) -> (Vec<QueryPerfRow>, usize) {
     );
     let resident = layer_indexes
         .iter()
-        .flat_map(|ix| ix.neighbor.resident_rows())
+        .flat_map(NeighborIndex::resident_rows)
         .map(|(_, row)| std::mem::size_of_val(row))
         .sum();
     (rows, resident)

@@ -70,9 +70,9 @@ pub fn graph_distortion(config: &GenConfig, support: &LabelSupport) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgi_graph::{GraphBuilder, LabelId, OntologyBuilder};
+    use bgi_graph::{DiGraph, GraphBuilder, LabelId, OntologyBuilder};
 
-    fn setup() -> (GenConfig, LabelSupport) {
+    fn setup() -> (GenConfig, DiGraph) {
         // Ontology: 0 -> {1, 2, 3}; config maps 1, 2, 3 -> 0.
         let mut b = OntologyBuilder::new(4);
         b.add_subtype(LabelId(0), LabelId(1));
@@ -99,8 +99,7 @@ mod tests {
         for _ in 0..2 {
             gb.add_vertex(LabelId(3));
         }
-        let g = gb.build();
-        (c, LabelSupport::new(&g))
+        (c, gb.build())
     }
 
     #[test]
@@ -136,14 +135,15 @@ mod tests {
 
     #[test]
     fn weighted_distortion_in_unit_interval() {
-        let (c, s) = setup();
-        let d = graph_distortion(&c, &s);
+        let (c, g) = setup();
+        let d = graph_distortion(&c, &LabelSupport::new(&g));
         assert!(d > 0.0 && d <= 1.0, "d = {d}");
     }
 
     #[test]
     fn empty_config_zero() {
-        let (_, s) = setup();
+        let (_, g) = setup();
+        let s = LabelSupport::new(&g);
         assert_eq!(graph_distortion(&GenConfig::empty(), &s), 0.0);
     }
 

@@ -587,16 +587,7 @@ mod tests {
         let idx = indexed();
         let q = KeywordQuery::new(vec![LabelId(1), LabelId(3)], 2);
         let baseline = Banks.search_fresh(idx.base(), &q, 1000);
-        let layer_index = Banks.build_index(idx.graph_at(1));
-        let result = eval_at_layer(
-            &idx,
-            &Banks,
-            &layer_index,
-            &q,
-            1000,
-            1,
-            &EvalOptions::default(),
-        );
+        let result = eval_at_layer(&idx, &Banks, &(), &q, 1000, 1, &EvalOptions::default());
         let key = |a: &AnswerGraph| (a.root, a.score);
         let mut b: Vec<_> = baseline.iter().map(key).collect();
         let mut o: Vec<_> = result.answers.iter().map(key).collect();
@@ -613,14 +604,13 @@ mod tests {
     fn both_realizers_agree() {
         let idx = indexed();
         let q = KeywordQuery::new(vec![LabelId(2), LabelId(3)], 2);
-        let layer_index = Banks.build_index(idx.graph_at(1));
         let mut opts = EvalOptions {
             realizer: RealizerKind::VertexAtATime,
             ..EvalOptions::default()
         };
-        let a = eval_at_layer(&idx, &Banks, &layer_index, &q, 1000, 1, &opts);
+        let a = eval_at_layer(&idx, &Banks, &(), &q, 1000, 1, &opts);
         opts.realizer = RealizerKind::PathBased;
-        let b = eval_at_layer(&idx, &Banks, &layer_index, &q, 1000, 1, &opts);
+        let b = eval_at_layer(&idx, &Banks, &(), &q, 1000, 1, &opts);
         let ids = |r: &EvalResult| {
             let mut v: Vec<_> = r
                 .answers
@@ -637,16 +627,7 @@ mod tests {
     fn top_k_early_termination() {
         let idx = indexed();
         let q = KeywordQuery::new(vec![LabelId(1), LabelId(3)], 2);
-        let layer_index = Banks.build_index(idx.graph_at(1));
-        let r = eval_at_layer(
-            &idx,
-            &Banks,
-            &layer_index,
-            &q,
-            2,
-            1,
-            &EvalOptions::default(),
-        );
+        let r = eval_at_layer(&idx, &Banks, &(), &q, 2, 1, &EvalOptions::default());
         assert_eq!(r.answers.len(), 2);
     }
 
@@ -654,8 +635,7 @@ mod tests {
     fn layer0_is_plain_baseline() {
         let idx = indexed();
         let q = KeywordQuery::new(vec![LabelId(1), LabelId(3)], 2);
-        let base_index = Banks.build_index(idx.base());
-        let r = eval_at_layer(&idx, &Banks, &base_index, &q, 5, 0, &EvalOptions::default());
+        let r = eval_at_layer(&idx, &Banks, &(), &q, 5, 0, &EvalOptions::default());
         assert_eq!(r.layer, 0);
         assert_eq!(r.answers.len(), 5);
         assert!(r.timings.spec_prune.is_zero());
@@ -690,14 +670,10 @@ mod tests {
     fn eval_query_picks_valid_layer() {
         let idx = indexed();
         let q = KeywordQuery::new(vec![LabelId(1), LabelId(3)], 2);
-        let indexes = vec![
-            Banks.build_index(idx.graph_at(0)),
-            Banks.build_index(idx.graph_at(1)),
-        ];
         let r = eval_query(
             &idx,
             &Banks,
-            &indexes,
+            &[(), ()],
             &q,
             5,
             None,
@@ -713,12 +689,11 @@ mod tests {
     fn zero_budget_interrupts_pipeline() {
         let idx = indexed();
         let q = KeywordQuery::new(vec![LabelId(1), LabelId(3)], 2);
-        let layer_index = Banks.build_index(idx.graph_at(1));
         let expired = Budget::with_timeout(Duration::ZERO);
         let r = super::eval_at_layer(
             &idx,
             &Banks,
-            &layer_index,
+            &(),
             &q,
             10,
             1,
@@ -733,7 +708,7 @@ mod tests {
         let ok = super::eval_at_layer(
             &idx,
             &Banks,
-            &layer_index,
+            &(),
             &q,
             10,
             1,
@@ -776,16 +751,7 @@ mod tests {
         let idx = indexed();
         // Query Prof: the Person supernode's Students get pruned.
         let q = KeywordQuery::new(vec![LabelId(1), LabelId(3)], 2);
-        let layer_index = Banks.build_index(idx.graph_at(1));
-        let r = eval_at_layer(
-            &idx,
-            &Banks,
-            &layer_index,
-            &q,
-            1000,
-            1,
-            &EvalOptions::default(),
-        );
+        let r = eval_at_layer(&idx, &Banks, &(), &q, 1000, 1, &EvalOptions::default());
         assert!(r.stats.generalized_answers > 0);
         assert!(r.stats.vertices_pruned > 0);
     }

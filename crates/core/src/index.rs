@@ -68,9 +68,6 @@ pub struct BiGIndex {
     ontology: Arc<Ontology>,
     layers: Vec<Arc<Layer>>,
     direction: BisimDirection,
-    // Per-layer label supports (index 0 = data graph), precomputed so
-    // the query-generalization cost model is O(|Q|) per layer.
-    supports: Vec<LabelSupport>,
     // gen_mass[m][ℓ'] = number of *data-graph* vertices whose label
     // generalizes to ℓ' at layer m — the candidate mass a keyword
     // matching ℓ' must specialize through (the cost model's support
@@ -159,8 +156,8 @@ impl BiGIndex {
 
     /// Reassembles an index from previously built parts — the
     /// persistence path (`bgi-store`) round-trips the hierarchy through
-    /// this. The derived tables (per-layer label supports and
-    /// generalization masses) are recomputed, so only the expensive
+    /// this. The derived table (generalization masses) is recomputed,
+    /// and each graph derives its own label table, so only the expensive
     /// artifacts — summary graphs, configurations, and the `χ`/`Bisim⁻¹`
     /// correspondence — need to be stored.
     ///
@@ -184,15 +181,13 @@ impl BiGIndex {
 
     /// [`BiGIndex::from_parts`] over shared parts: the incremental write
     /// path hands over the parts an update left unchanged by `Arc`
-    /// instead of copying them. Only the derived tables are computed.
+    /// instead of copying them. Only the derived table is computed.
     pub fn from_shared_parts(
         base: Arc<DiGraph>,
         ontology: Arc<Ontology>,
         layers: Vec<Arc<Layer>>,
         direction: BisimDirection,
     ) -> Self {
-        let mut supports = vec![LabelSupport::new(&base)];
-        supports.extend(layers.iter().map(|l| LabelSupport::new(&l.graph)));
         // Masses: push each base label's count through the per-layer
         // label maps.
         let alphabet = base.alphabet_size().max(ontology.num_labels());
@@ -219,7 +214,6 @@ impl BiGIndex {
             ontology,
             layers,
             direction,
-            supports,
             gen_mass,
         }
     }
@@ -351,9 +345,10 @@ impl BiGIndex {
         cur
     }
 
-    /// Precomputed label supports of the graph at layer `m`.
-    pub fn support_at(&self, m: usize) -> &LabelSupport {
-        &self.supports[m]
+    /// Label supports of the graph at layer `m`, read off its label
+    /// table.
+    pub fn support_at(&self, m: usize) -> LabelSupport<'_> {
+        LabelSupport::new(self.graph_at(m))
     }
 
     /// Number of data-graph vertices whose label generalizes to `l` at
@@ -396,8 +391,8 @@ impl BiGIndex {
     }
 }
 
-/// Equality over the stored parts only — the derived tables
-/// (`supports`, `gen_mass`) are functions of these, so comparing them
+/// Equality over the stored parts only — the derived table
+/// (`gen_mass`) is a function of these, so comparing it
 /// would be redundant. This is what the persistence round-trip tests
 /// assert.
 impl PartialEq for BiGIndex {
@@ -445,7 +440,7 @@ impl bgi_verify::IndexView for BiGIndex {
     }
 
     fn support_count(&self, m: usize, l: LabelId) -> u32 {
-        self.supports[m].count(l)
+        self.graph_at(m).label_count(l)
     }
 }
 

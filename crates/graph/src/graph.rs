@@ -4,7 +4,10 @@
 //! *both* directions: backward keyword search (BANKS, BLINKS) walks
 //! in-edges, while bisimulation refinement and forward verification walk
 //! out-edges. Both are offset/target arrays, so neighbor iteration is a
-//! contiguous slice with no per-vertex allocation.
+//! contiguous slice with no per-vertex allocation. A third CSR groups
+//! vertices by label: every plug-in `f` is label-based (Def. 2.3), so
+//! "the vertices carrying keyword `q`" is a slice of the graph itself,
+//! derived by every constructor and never stored.
 
 use crate::error::GraphError;
 use crate::ids::{LabelId, VId};
@@ -23,6 +26,11 @@ pub struct DiGraph {
     in_offsets: Vec<u32>,
     in_sources: Vec<VId>,
     num_labels: usize,
+    // Label CSR: vertices grouped by label, ascending id within each
+    // label; `label_offsets` has `num_labels + 1` entries. Derived from
+    // `labels` by every constructor.
+    label_offsets: Vec<u32>,
+    label_vertices: Vec<VId>,
 }
 
 impl DiGraph {
@@ -37,6 +45,7 @@ impl DiGraph {
         debug_assert_eq!(out_offsets.len(), labels.len() + 1);
         debug_assert_eq!(in_offsets.len(), labels.len() + 1);
         debug_assert_eq!(out_targets.len(), in_sources.len());
+        let (label_offsets, label_vertices) = label_csr(&labels, num_labels);
         DiGraph {
             labels,
             out_offsets,
@@ -44,6 +53,8 @@ impl DiGraph {
             in_offsets,
             in_sources,
             num_labels,
+            label_offsets,
+            label_vertices,
         }
     }
 
@@ -97,14 +108,14 @@ impl DiGraph {
                 });
             }
         }
-        let g = DiGraph {
+        let g = DiGraph::from_parts(
             labels,
             out_offsets,
             out_targets,
             in_offsets,
             in_sources,
             num_labels,
-        };
+        );
         // Mirror check: every out-edge has its in-edge and vice versa.
         if !g.check_consistency() {
             return Err(malformed("in/out adjacency is not a mirror pair"));
@@ -213,35 +224,47 @@ impl DiGraph {
             .flat_map(move |u| self.out_neighbors(u).iter().map(move |&v| (u, v)))
     }
 
-    /// Vertices carrying label `l` (linear scan; the search crates build
-    /// inverted label indexes for their hot paths).
-    pub fn vertices_with_label(&self, l: LabelId) -> impl Iterator<Item = VId> + '_ {
-        self.vertices().filter(move |&v| self.label(v) == l)
+    /// Vertices carrying label `l` (`V_q` in the paper), in ascending
+    /// id order; empty for a label outside the alphabet.
+    #[inline]
+    pub fn vertices_with(&self, l: LabelId) -> &[VId] {
+        match self.label_offsets.get(l.index()..=l.index() + 1) {
+            Some(&[lo, hi]) => &self.label_vertices[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+
+    /// Number of vertices carrying label `l` (`|V_ℓ|`); 0 outside the
+    /// alphabet.
+    #[inline]
+    pub fn label_count(&self, l: LabelId) -> u32 {
+        self.vertices_with(l).len() as u32
     }
 
     /// Counts occurrences of every label; result is indexed by `LabelId`.
     pub fn label_counts(&self) -> Vec<u32> {
-        let mut counts = vec![0u32; self.num_labels];
-        for &l in &self.labels {
-            counts[l.index()] += 1;
-        }
-        counts
+        self.label_offsets.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
     /// Returns a copy of this graph with labels rewritten through `map`
     /// (`map[old_label] = new_label`). The adjacency structure is shared
-    /// logic with the original; only the label table changes. This is the
+    /// logic with the original; only the label table changes, and the
+    /// alphabet grows to hold every label `map` produces. This is the
     /// primitive behind graph generalization `Gen(G, C)`.
     pub fn relabel(&self, map: &[LabelId]) -> DiGraph {
-        let labels = self.labels.iter().map(|l| map[l.index()]).collect();
-        DiGraph {
+        let labels: Vec<LabelId> = self.labels.iter().map(|l| map[l.index()]).collect();
+        let num_labels = labels
+            .iter()
+            .map(|l| l.index() + 1)
+            .fold(self.num_labels, usize::max);
+        DiGraph::from_parts(
             labels,
-            out_offsets: self.out_offsets.clone(),
-            out_targets: self.out_targets.clone(),
-            in_offsets: self.in_offsets.clone(),
-            in_sources: self.in_sources.clone(),
-            num_labels: self.num_labels,
-        }
+            self.out_offsets.clone(),
+            self.out_targets.clone(),
+            self.in_offsets.clone(),
+            self.in_sources.clone(),
+            num_labels,
+        )
     }
 
     /// A copy of this graph with `new_labels` appended as vertices and
@@ -305,6 +328,27 @@ impl DiGraph {
         in_pairs.sort_unstable();
         out_pairs == in_pairs
     }
+}
+
+/// The label CSR of `labels` over an alphabet of `num_labels`: one
+/// counting pass, a prefix sum, and a scatter in vertex order, so each
+/// label's vertices come out ascending. `O(|V| + |Σ|)`.
+fn label_csr(labels: &[LabelId], num_labels: usize) -> (Vec<u32>, Vec<VId>) {
+    let mut offsets = vec![0u32; num_labels + 1];
+    for &l in labels {
+        offsets[l.index() + 1] += 1;
+    }
+    for i in 0..num_labels {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut next = offsets.clone();
+    let mut vertices = vec![VId(0); labels.len()];
+    for (v, &l) in labels.iter().enumerate() {
+        let slot = &mut next[l.index()];
+        vertices[*slot as usize] = VId(v as u32);
+        *slot += 1;
+    }
+    (offsets, vertices)
 }
 
 /// One direction of [`DiGraph::with_rows`]: the CSR arrays of `n`
@@ -429,8 +473,11 @@ mod tests {
         assert_eq!(counts[0], 1);
         assert_eq!(counts[1], 2);
         assert_eq!(counts[2], 1);
-        let with_l1: Vec<_> = g.vertices_with_label(LabelId(1)).collect();
-        assert_eq!(with_l1, vec![VId(1), VId(2)]);
+        assert_eq!(g.vertices_with(LabelId(1)), &[VId(1), VId(2)]);
+        assert_eq!(g.label_count(LabelId(1)), 2);
+        // Keywords arrive from the wire: outside the alphabet is empty.
+        assert_eq!(g.vertices_with(LabelId(3)), &[] as &[VId]);
+        assert_eq!(g.label_count(LabelId(u32::MAX)), 0);
     }
 
     #[test]

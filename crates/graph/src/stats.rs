@@ -6,39 +6,38 @@
 use crate::graph::DiGraph;
 use crate::ids::LabelId;
 
-/// Per-label support table for a graph.
-#[derive(Debug, Clone)]
-pub struct LabelSupport {
-    counts: Vec<u32>,
-    num_vertices: usize,
+/// Per-label supports of a graph: a view over the graph's own label
+/// table ([`DiGraph::label_count`]), so it holds no counts of its own.
+#[derive(Debug, Clone, Copy)]
+pub struct LabelSupport<'g> {
+    g: &'g DiGraph,
 }
 
-impl LabelSupport {
-    /// Computes supports for `g`.
-    pub fn new(g: &DiGraph) -> Self {
-        LabelSupport {
-            counts: g.label_counts(),
-            num_vertices: g.num_vertices(),
-        }
+impl<'g> LabelSupport<'g> {
+    /// The supports of `g`.
+    pub fn new(g: &'g DiGraph) -> Self {
+        LabelSupport { g }
     }
 
     /// Number of vertices carrying `l` (`|V_ℓ|`).
     pub fn count(&self, l: LabelId) -> u32 {
-        self.counts.get(l.index()).copied().unwrap_or(0)
+        self.g.label_count(l)
     }
 
     /// Support `sup(ℓ) = |V_ℓ| / |V|`, in `[0, 1]`.
     pub fn support(&self, l: LabelId) -> f64 {
-        if self.num_vertices == 0 {
+        if self.g.num_vertices() == 0 {
             0.0
         } else {
-            self.count(l) as f64 / self.num_vertices as f64
+            self.count(l) as f64 / self.g.num_vertices() as f64
         }
     }
 
     /// Number of distinct labels that actually occur.
     pub fn distinct_labels(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
+        (0..self.g.alphabet_size() as u32)
+            .filter(|&l| self.count(LabelId(l)) > 0)
+            .count()
     }
 }
 

@@ -63,9 +63,8 @@ use bgi_bisim::incremental::Update as BisimUpdate;
 use bgi_bisim::{IncrementalBisim, Partition};
 use bgi_graph::par::par_map;
 use bgi_graph::{DiGraph, LabelId, Ontology, VId};
-use bgi_search::banks::BanksIndex;
-use bgi_search::rclique::RCliqueIndex;
-use bgi_search::{Banks, GraphDiff, KeywordSearch};
+use bgi_search::rclique::NeighborIndex;
+use bgi_search::{GraphDiff, KeywordSearch};
 use bgi_store::{build_layer_indexes, GraphUpdate, IndexBundle, Store, Wal};
 use big_index::cost::construction_cost_with_compress;
 use big_index::layer::{Layer, MemberTable};
@@ -155,10 +154,6 @@ pub struct Engine {
 /// to a full per-layer index rebuild: past a few hundred touched edges
 /// the incremental entry points stop paying for themselves.
 const MAX_PATCH_EDGE_OPS: usize = 512;
-
-/// A layer's search indexes: BANKS' label table (which BLINKS searches
-/// too) and r-clique's neighbor index.
-type LayerIndexes = (BanksIndex, RCliqueIndex);
 
 /// How one layer's graph changed in a commit: the structural diff the
 /// search indexes are patched with, plus the vertices whose out-row
@@ -710,29 +705,28 @@ impl Engine {
     }
 
     /// Tries the incremental patch path for changed layer `m`: the
-    /// layer's structural diff pushed through the per-vertex-local patch
-    /// entry points of both search indexes. `None` (diff too large, or
+    /// layer's structural diff pushed through the r-clique index's
+    /// per-vertex-local patch entry point. `None` (diff too large, or
     /// r-clique declines) sends the layer to the full rebuild fan-out.
     fn try_patch_layer(
         old: &IndexBundle,
         m: usize,
         index: &BiGIndex,
         diff: &GraphDiff,
-    ) -> Option<LayerIndexes> {
-        if old.banks.len() <= m || old.rclique.len() <= m || diff.edge_ops() > MAX_PATCH_EDGE_OPS {
+    ) -> Option<NeighborIndex> {
+        if old.rclique.len() <= m || diff.edge_ops() > MAX_PATCH_EDGE_OPS {
             return None;
         }
-        let new_g = index.graph_at(m);
-        let rclique = old.rclique[m].patched(new_g, diff)?;
-        Some((old.banks[m].patched(new_g, diff), rclique))
+        old.rclique[m].patched(index.graph_at(m), diff)
     }
 
     /// Re-materializes the serving bundle from the flat state, given the
     /// update ops applied since the last materialization: every layer is
-    /// patched bottom up ([`Engine::patch_layer`]), and the search
-    /// indexes of each changed layer are patched with the layer's diff
+    /// patched bottom up ([`Engine::patch_layer`]), and the r-clique
+    /// index of each changed layer is patched with the layer's diff
     /// when it is small ([`Engine::try_patch_layer`]) and rebuilt
-    /// otherwise. Unchanged parts are shared with the previous bundle,
+    /// otherwise. BANKS and BLINKS read the patched graphs' own label
+    /// tables. Unchanged parts are shared with the previous bundle,
     /// and a batch that changed no summary leaves the served bundle
     /// untouched. Returns `(reused, patched, rebuilt)` layer counts.
     fn materialize(&mut self, ops: &[GraphUpdate]) -> Result<(usize, usize, usize), IngestError> {
@@ -786,66 +780,36 @@ impl Engine {
             self.direction,
         );
         let rclique_params = old.rclique_params;
-        let changed: Vec<usize> = (0..=h)
-            .filter(|&m| !diffs[m].is_empty() || old.banks.len() <= m || old.rclique.len() <= m)
-            .collect();
-        // Patch changed layers incrementally where the diff allows it —
-        // layers are independent, so in parallel; everything else goes
-        // to the parallel rebuild fan-out.
-        let mut patches: Vec<Option<LayerIndexes>> = par_map(self.threads, changed.len(), |i| {
-            Self::try_patch_layer(&old, changed[i], &index, &diffs[changed[i]])
-        });
-        let rebuild_list: Vec<usize> = changed
-            .iter()
-            .zip(&patches)
-            .filter(|(_, p)| p.is_none())
-            .map(|(&m, _)| m)
-            .collect();
-        // Rebuild the search indexes of every unpatchable layer in
-        // parallel, one task per layer — the store's full-build shape
-        // (and determinism argument).
-        let mut built: Vec<Option<LayerIndexes>> = par_map(self.threads, rebuild_list.len(), |i| {
-            let g = index.graph_at(rebuild_list[i]);
-            Some((Banks.build_index(g), rclique_params.build_index(g)))
-        });
-        let mut banks = Vec::with_capacity(h + 1);
-        let mut rclique = Vec::with_capacity(h + 1);
-        let (mut reused, mut patched, mut rebuilt) = (0usize, 0usize, 0usize);
-        for m in 0..=h {
-            let Some(p) = changed.iter().position(|&c| c == m) else {
-                // Unchanged: share the served layer's indexes.
-                banks.push(old.banks[m].clone());
-                rclique.push(old.rclique[m].clone());
-                reused += 1;
-                continue;
-            };
-            if let Some((ba, rc)) = patches[p].take() {
-                banks.push(ba);
-                rclique.push(rc);
-                patched += 1;
-                continue;
+        // Each layer's r-clique index is shared when the layer did not
+        // change, patched with the layer's diff where the diff allows
+        // it, and rebuilt otherwise. Layers are independent, so this
+        // runs in parallel, one task per layer — the store's full-build
+        // shape (and determinism argument). `fate` counts reused,
+        // patched and rebuilt layers.
+        let mut fate = [0usize; 3];
+        let rclique = par_map(self.threads, h + 1, |m| {
+            if diffs[m].is_empty() && m < old.rclique.len() {
+                return (old.rclique[m].clone(), 0);
             }
-            let slot = rebuild_list.iter().position(|&c| c == m);
-            let Some((ba, rc)) = slot.and_then(|i| built[i].take()) else {
-                // Unreachable: an unpatched changed layer is always in
-                // the rebuild fan-out.
-                return Err(IngestError::Inconsistent {
-                    detail: format!("layer {m}: neither patched nor rebuilt"),
-                });
-            };
-            banks.push(ba);
-            rclique.push(rc);
-            rebuilt += 1;
-        }
+            match Self::try_patch_layer(&old, m, &index, &diffs[m]) {
+                Some(rc) => (rc, 1),
+                None => (rclique_params.build_index(index.graph_at(m)), 2),
+            }
+        })
+        .into_iter()
+        .map(|(rc, f)| {
+            fate[f] += 1;
+            rc
+        })
+        .collect();
         self.bundle = Arc::new(IndexBundle {
             index,
-            banks,
             rclique,
             blinks_params: old.blinks_params,
             rclique_params,
             eval: old.eval,
         });
-        Ok((reused, patched, rebuilt))
+        Ok((fate[0], fate[1], fate[2]))
     }
 }
 
@@ -961,10 +925,9 @@ impl RebuildJob {
     pub fn run(self) -> IndexBundle {
         let index =
             BiGIndex::build_with_configs(self.base, self.ontology, self.configs, self.direction);
-        let (banks, rclique) = build_layer_indexes(&index, self.rclique_params, self.threads);
+        let rclique = build_layer_indexes(&index, self.rclique_params, self.threads);
         IndexBundle {
             index,
-            banks,
             rclique,
             blinks_params: self.blinks_params,
             rclique_params: self.rclique_params,
@@ -1047,8 +1010,8 @@ impl Seed {
 
 /// Formula-3 cost of each layer (`1..=h`) measured on the *actual*
 /// hierarchy — `compress` is the realized size ratio `|Gᵐ|/|Gᵐ⁻¹|`, no
-/// sampling estimator needed, and the supports are the ones the index
-/// computed when it was assembled.
+/// sampling estimator needed, and the supports are read off each layer
+/// graph's label table.
 fn layer_costs(index: &BiGIndex, alpha: f64) -> Vec<f64> {
     (1..=index.num_layers())
         .map(|m| {
@@ -1061,7 +1024,7 @@ fn layer_costs(index: &BiGIndex, alpha: f64) -> Vec<f64> {
             };
             construction_cost_with_compress(
                 compress,
-                index.support_at(m - 1),
+                &index.support_at(m - 1),
                 &index.layer(m).config,
                 alpha,
             )
@@ -1235,8 +1198,8 @@ mod tests {
     fn vertex_addition_patches_every_layer() {
         let mut e = engine();
         // A fresh isolated vertex extends every partition by one
-        // singleton block: the summaries patch in place and both
-        // search indexes take the per-vertex-local entry points — no
+        // singleton block: the summaries patch in place and the
+        // r-clique index takes its per-vertex-local entry point — no
         // layer pays a rebuild.
         let out = e
             .apply_batch(&[IngestUpdate::AddVertex { label: 1 }])

@@ -29,8 +29,9 @@
 //!    rows, runs one [`bgi_bisim::IncrementalBisim::apply_batch`] per
 //!    layer (a refinement seeded with the endpoints' blocks), and
 //!    patches each layer's `χ`, `Bisim⁻¹` and summary rows from the
-//!    layer below. Per-layer search indexes are patched with each
-//!    layer's exact edge diff, and everything a batch leaves unchanged
+//!    layer below. The per-layer r-clique indexes are patched with each
+//!    layer's exact edge diff (BANKS and BLINKS read the graphs' own
+//!    label tables), and everything a batch leaves unchanged
 //!    is shared, not copied, with the bundle being served.
 //! 3. **Drift-triggered background rebuild.** Deferred merges cost
 //!    compression. The engine re-evaluates the construction cost model

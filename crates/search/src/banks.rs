@@ -12,65 +12,15 @@ use crate::cancel::{Budget, Interrupted};
 use crate::outcome::{Completeness, SearchOutcome};
 use crate::query::KeywordQuery;
 use crate::semantics::KeywordSearch;
-use bgi_graph::{DiGraph, LabelId, VId};
+use bgi_graph::{DiGraph, VId};
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-/// The backward keyword search algorithm (no parameters).
+/// The backward keyword search algorithm (no parameters). It keeps no
+/// index: each keyword's vertex set is the layer graph's own label
+/// table ([`DiGraph::vertices_with`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Banks;
-
-/// BANKS' only index: the inverted label → vertices table. Clones
-/// share the table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BanksIndex {
-    label_vertices: Arc<Vec<Vec<VId>>>,
-}
-
-impl BanksIndex {
-    /// Vertices containing label `l` (`V_q` in the paper).
-    pub fn vertices_with(&self, l: LabelId) -> &[VId] {
-        self.label_vertices
-            .get(l.index())
-            .map_or(&[], Vec::as_slice)
-    }
-
-    /// The full inverted table, indexed by label (persistence export).
-    pub fn label_lists(&self) -> &[Vec<VId>] {
-        &self.label_vertices
-    }
-
-    /// Reassembles an index from a previously built inverted table
-    /// (the persistence path).
-    pub fn from_parts(label_vertices: Vec<Vec<VId>>) -> Self {
-        BanksIndex {
-            label_vertices: Arc::new(label_vertices),
-        }
-    }
-
-    /// Incrementally patched copy of this index for the graph described
-    /// by `diff` (see [`crate::patch`]). Edge changes do not touch the
-    /// inverted table; appended vertices are pushed onto their label's
-    /// list in id order, which is exactly the order a rebuild visits
-    /// them — the result equals `build_index` on the new graph. A diff
-    /// that adds no vertex shares this index's table.
-    pub fn patched(&self, new_g: &DiGraph, diff: &crate::patch::GraphDiff) -> BanksIndex {
-        let mut patched = self.clone();
-        if diff.added_labels.is_empty() && self.label_vertices.len() >= new_g.alphabet_size() {
-            return patched;
-        }
-        let label_vertices = Arc::make_mut(&mut patched.label_vertices);
-        if label_vertices.len() < new_g.alphabet_size() {
-            label_vertices.resize(new_g.alphabet_size(), Vec::new());
-        }
-        let n_old = new_g.num_vertices() - diff.added_labels.len();
-        for (k, &l) in diff.added_labels.iter().enumerate() {
-            label_vertices[l.index()].push(VId((n_old + k) as u32));
-        }
-        patched
-    }
-}
 
 /// Per-keyword backward BFS result: for each reached vertex, its
 /// distance to the nearest keyword node and the out-neighbor on a
@@ -121,19 +71,13 @@ pub(crate) fn path_to_keyword(reach: &ReachTable, root: VId) -> Vec<VId> {
 }
 
 impl KeywordSearch for Banks {
-    type Index = BanksIndex;
+    type Index = ();
 
     fn name(&self) -> &'static str {
         "bkws"
     }
 
-    fn build_index(&self, g: &DiGraph) -> BanksIndex {
-        let mut label_vertices = vec![Vec::new(); g.alphabet_size()];
-        for v in g.vertices() {
-            label_vertices[g.label(v).index()].push(v);
-        }
-        BanksIndex::from_parts(label_vertices)
-    }
+    fn build_index(&self, _g: &DiGraph) {}
 
     /// Every candidate root is scored from the reach tables first, one
     /// lookup per keyword; answer trees are then built for the `k` least
@@ -150,7 +94,7 @@ impl KeywordSearch for Banks {
     fn search_anytime(
         &self,
         g: &DiGraph,
-        index: &BanksIndex,
+        _index: &(),
         query: &KeywordQuery,
         k: usize,
         budget: &Budget,
@@ -165,7 +109,7 @@ impl KeywordSearch for Banks {
             .keywords
             .iter()
             .enumerate()
-            .map(|(i, &q)| (i, index.vertices_with(q)))
+            .map(|(i, &q)| (i, g.vertices_with(q)))
             .collect();
         if keyword_sets.iter().any(|(_, s)| s.is_empty()) {
             return Ok(SearchOutcome::exact(Vec::new()));

@@ -13,7 +13,7 @@
 //! for bidirectional search.
 
 use crate::answer::{rank_and_truncate, AnswerGraph};
-use crate::banks::{backward_reach_budgeted, path_to_keyword, BanksIndex};
+use crate::banks::{backward_reach_budgeted, path_to_keyword};
 use crate::cancel::{Budget, Interrupted};
 use crate::outcome::SearchOutcome;
 use crate::query::KeywordQuery;
@@ -37,16 +37,13 @@ impl Default for Bidirectional {
 }
 
 impl KeywordSearch for Bidirectional {
-    type Index = BanksIndex;
+    type Index = ();
 
     fn name(&self) -> &'static str {
         "bidir"
     }
 
-    fn build_index(&self, g: &DiGraph) -> BanksIndex {
-        use crate::banks::Banks;
-        Banks.build_index(g)
-    }
+    fn build_index(&self, _g: &DiGraph) {}
 
     /// All-or-nothing under `budget`: candidates are validated in
     /// activation order, not score order, so an interrupted run has no
@@ -54,7 +51,7 @@ impl KeywordSearch for Bidirectional {
     fn search_anytime(
         &self,
         g: &DiGraph,
-        index: &BanksIndex,
+        _index: &(),
         query: &KeywordQuery,
         k: usize,
         budget: &Budget,
@@ -69,12 +66,12 @@ impl KeywordSearch for Bidirectional {
         // validation from the candidates — the bidirectional meeting in
         // the middle.
         let pivot = (0..n)
-            .min_by_key(|&i| index.vertices_with(query.keywords[i]).len())
+            .min_by_key(|&i| g.vertices_with(query.keywords[i]).len())
             .unwrap();
         let half = query.dmax.div_ceil(2);
         let mut reaches = Vec::with_capacity(n);
         for (i, &q) in query.keywords.iter().enumerate() {
-            let sources = index.vertices_with(q);
+            let sources = g.vertices_with(q);
             if sources.is_empty() {
                 return Ok(SearchOutcome::exact(Vec::new()));
             }
@@ -88,7 +85,7 @@ impl KeywordSearch for Bidirectional {
         let mut hits: FxHashMap<VId, usize> = FxHashMap::default();
         // budget-exempt: one pass over the reach tables just built
         for (i, reach) in reaches.iter().enumerate() {
-            let denom = index.vertices_with(query.keywords[i]).len().max(1) as f64;
+            let denom = g.vertices_with(query.keywords[i]).len().max(1) as f64;
             for (&v, &(d, _)) in reach {
                 *activation.entry(v).or_insert(0.0) += self.decay.powi(d as i32) / denom;
                 *hits.entry(v).or_insert(0) += 1;
@@ -127,7 +124,7 @@ impl KeywordSearch for Bidirectional {
                 scratch.run(g, &[v], Direction::Forward, query.dmax, |_, _| true);
                 for (i, dist) in dists.iter_mut().enumerate() {
                     if dist.is_none() {
-                        let best = index
+                        let best = g
                             .vertices_with(query.keywords[i])
                             .iter()
                             .map(|&t| scratch.dist(t))
@@ -154,7 +151,7 @@ impl KeywordSearch for Bidirectional {
                 let path = if reach.contains_key(&v) {
                     path_to_keyword(reach, v)
                 } else {
-                    match forward_path(g, v, index.vertices_with(query.keywords[i]), query.dmax) {
+                    match forward_path(g, v, g.vertices_with(query.keywords[i]), query.dmax) {
                         Some(p) => p,
                         None => {
                             ok = false;

@@ -8,11 +8,12 @@
 //! Search expands backward from every keyword's vertex set in
 //! round-robin BFS levels, completes a root once every keyword has
 //! reached it, and terminates early once the k-th best score is no
-//! worse than the bound on any root still open (see [`search`]). Its
-//! index is BANKS' label table ([`crate::banks::BanksIndex`]): He et
-//! al.'s bi-level index (keyword-node lists, a node-keyword map and
-//! block lists over a partition) would add nothing here. Its distance-0
-//! entries are the label table, every completed root lies within
+//! worse than the bound on any root still open (see [`search`]). It
+//! keeps no index and seeds from the layer graph's label table
+//! ([`bgi_graph::DiGraph::vertices_with`]): He et al.'s bi-level index
+//! (keyword-node lists, a node-keyword map and block lists over a
+//! partition) would add nothing here. Its distance-0 entries are the
+//! label table, every completed root lies within
 //! `d_max ≤ τ_prune` of every keyword so its block filter could never
 //! reject, and answer paths descend the distances the expansion
 //! already holds. `τ_prune` survives as [`BlinksParams::prune_dist`],

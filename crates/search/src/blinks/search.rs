@@ -13,7 +13,6 @@
 //! cost BiG-index shrinks by evaluating on summary graphs.
 
 use crate::answer::{rank_and_truncate, AnswerGraph};
-use crate::banks::{Banks, BanksIndex};
 use crate::cancel::{Budget, Interrupted};
 use crate::outcome::{Completeness, SearchOutcome};
 use crate::query::KeywordQuery;
@@ -74,17 +73,15 @@ impl Blinks {
 }
 
 impl KeywordSearch for Blinks {
-    type Index = BanksIndex;
+    type Index = ();
 
     fn name(&self) -> &'static str {
         "rkws"
     }
 
-    /// BANKS' label table: the expansion needs only each keyword's
-    /// vertex set.
-    fn build_index(&self, g: &DiGraph) -> BanksIndex {
-        Banks.build_index(g)
-    }
+    /// Nothing: the expansion needs only each keyword's vertex set,
+    /// which the graph's label table holds.
+    fn build_index(&self, _g: &DiGraph) {}
 
     /// Best-effort under `budget`. Interruption during round-robin
     /// expansion surfaces the roots already *completed* (their scores
@@ -97,7 +94,7 @@ impl KeywordSearch for Blinks {
     fn search_anytime(
         &self,
         g: &DiGraph,
-        index: &BanksIndex,
+        _index: &(),
         query: &KeywordQuery,
         k: usize,
         budget: &Budget,
@@ -114,7 +111,7 @@ impl KeywordSearch for Blinks {
         let mut dists: Vec<FxHashMap<VId, u32>> = vec![FxHashMap::default(); n];
         // budget-exempt: one pass over each keyword's label list
         for (i, &q) in query.keywords.iter().enumerate() {
-            let seeds = index.vertices_with(q);
+            let seeds = g.vertices_with(q);
             if seeds.is_empty() {
                 return Ok(SearchOutcome::exact(Vec::new()));
             }
@@ -259,6 +256,7 @@ impl KeywordSearch for Blinks {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::banks::Banks;
     use bgi_graph::generate::uniform_random;
     use bgi_graph::{GraphBuilder, LabelId};
 
@@ -286,9 +284,8 @@ mod tests {
             let g = uniform_random(200, 600, 4, seed + 100);
             let q = KeywordQuery::new(vec![LabelId(0), LabelId(2)], 5);
             let blinks = Blinks::default();
-            let idx = blinks.build_index(&g);
-            let top3 = blinks.search(&g, &idx, &q, 3);
-            let all = blinks.search(&g, &idx, &q, usize::MAX / 2);
+            let top3 = blinks.search(&g, &(), &q, 3);
+            let all = blinks.search(&g, &(), &q, usize::MAX / 2);
             assert_eq!(
                 top3.iter().map(|a| a.score).collect::<Vec<_>>(),
                 all.iter().take(3).map(|a| a.score).collect::<Vec<_>>(),

@@ -8,8 +8,7 @@
 //!   keyword within `d_max` hops, ranked by total root-to-keyword distance.
 //! - [`blinks`]: **rkws**, ranked keyword search in the style of BLINKS
 //!   (He et al., SIGMOD'07): round-robin backward expansion with top-k
-//!   early termination under the distinct-root semantics, over BANKS'
-//!   label table.
+//!   early termination under the distinct-root semantics.
 //! - [`rclique`]: **dkws**, distance-based keyword search in the style of
 //!   r-clique (Kargar & An, VLDB'11): a bounded neighbor index, a greedy
 //!   approximate best answer, and top-k enumeration by search-space
@@ -17,8 +16,10 @@
 //!
 //! All three implement the [`semantics::KeywordSearch`] trait, which is
 //! the exact surface BiG-index needs: they are label-based (match
-//! `L(v) = q`) and traversal-based (path-preserving summaries keep their
-//! answers), so they run unchanged on summary graphs.
+//! `L(v) = q`, read from the graph's own label table) and
+//! traversal-based (path-preserving summaries keep their answers), so
+//! they run unchanged on summary graphs. Only r-clique builds a
+//! per-graph index.
 //!
 //! For deadline-bound serving, every algorithm's one search method,
 //! [`semantics::KeywordSearch::search_anytime`], takes a

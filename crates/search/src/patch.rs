@@ -10,20 +10,16 @@
 //! shape-compatible (vertex ids stable, labels unchanged, new vertices
 //! appended at the end). The engine knows each layer's diff from the
 //! rows it patched; [`diff_graphs`] derives the same delta from two
-//! whole graphs, for callers (and tests) that only hold those. Each
-//! index type consumes the diff through its own patch entry point:
+//! whole graphs, for callers (and tests) that only hold those.
 //!
-//! - [`crate::banks::BanksIndex::patched`] — inverted label lists;
-//!   edge ops are free, vertex additions append in id order.
-//! - [`crate::rclique::NeighborIndex::patched`] — per-vertex bounded
-//!   balls; rows within `radius − 1` of a changed edge's endpoints are
-//!   dropped (and recomputed on first read), every other filled row is
-//!   carried over.
-//!
-//! BLINKS searches BANKS' table, so it has no patch of its own. Every
-//! patch entry point is *exactly equivalent* to a rebuild; r-clique's
-//! returns `None` when the index does not describe the graph the diff
-//! starts from, and the caller rebuilds instead.
+//! One index consumes the diff: [`crate::rclique::NeighborIndex::patched`]
+//! drops the per-vertex bounded balls within `radius − 1` of a changed
+//! edge's endpoints (they are recomputed on first read) and carries
+//! every other filled row over. It is *exactly equivalent* to a
+//! rebuild, and returns `None` when the index does not describe the
+//! graph the diff starts from, so the caller rebuilds instead. BANKS
+//! and BLINKS keep no index: they seed from the layer graph's label
+//! table, which [`DiGraph::with_rows`] derives with the graph.
 
 use bgi_graph::{DiGraph, LabelId, VId};
 

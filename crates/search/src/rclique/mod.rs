@@ -31,4 +31,4 @@ pub mod search;
 pub(crate) mod search_space;
 
 pub use neighbor_index::{clique_answer, undirected_distances, NeighborIndex};
-pub use search::{RClique, RCliqueIndex};
+pub use search::RClique;

@@ -14,6 +14,9 @@
 //! scan comes up empty are binary-branched rather than dropped, so a
 //! full run enumerates every feasible answer.
 //!
+//! The index is the [`NeighborIndex`] alone: each `V_qi` is a slice of
+//! the layer graph's label table ([`DiGraph::vertices_with`]).
+//!
 //! Under a [`Budget`], [`RClique::search_anytime`] returns best-so-far
 //! answers with a sound optimality bound instead of failing; see the
 //! engine module for the search-space shape and the bound derivation.
@@ -21,7 +24,6 @@
 use super::neighbor_index::{clique_answer, NeighborIndex};
 use super::search_space::AnytimeSearch;
 use crate::answer::{rank_and_truncate, AnswerGraph};
-use crate::banks::{Banks, BanksIndex};
 use crate::cancel::{Budget, Interrupted};
 use crate::outcome::SearchOutcome;
 use crate::query::KeywordQuery;
@@ -41,55 +43,23 @@ impl Default for RClique {
     }
 }
 
-/// Index: the neighbor lists plus the inverted label table — the same
-/// table BANKS keeps, so it is one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RCliqueIndex {
-    /// Bounded undirected distances.
-    pub neighbor: NeighborIndex,
-    labels: BanksIndex,
-}
-
-impl RCliqueIndex {
-    /// The inverted label table.
-    pub fn label_lists(&self) -> &[Vec<VId>] {
-        self.labels.label_lists()
-    }
-
-    /// Incrementally patched copy of this index for the graph described
-    /// by `diff` (see [`crate::patch`]): the neighbor rows the diff
-    /// dirtied are dropped via [`NeighborIndex::patched`], the inverted
-    /// label table is extended by [`BanksIndex::patched`]. Equivalent
-    /// to a full rebuild; `None` when this index does not describe the
-    /// graph `diff` starts from.
-    pub fn patched(&self, new_g: &DiGraph, diff: &crate::patch::GraphDiff) -> Option<RCliqueIndex> {
-        Some(RCliqueIndex {
-            neighbor: self.neighbor.patched(new_g, diff)?,
-            labels: self.labels.patched(new_g, diff),
-        })
-    }
-}
-
 impl KeywordSearch for RClique {
-    type Index = RCliqueIndex;
+    type Index = NeighborIndex;
 
     fn name(&self) -> &'static str {
         "dkws"
     }
 
-    /// `O(n + m)`: the inverted label table plus a neighbor index
-    /// whose balls are each computed on first read.
-    fn build_index(&self, g: &DiGraph) -> RCliqueIndex {
-        RCliqueIndex {
-            neighbor: NeighborIndex::build(g, self.radius),
-            labels: Banks.build_index(g),
-        }
+    /// `O(n + m)`: a neighbor index whose balls are each computed on
+    /// first read. The content node lists are the graph's label table.
+    fn build_index(&self, g: &DiGraph) -> NeighborIndex {
+        NeighborIndex::build(g, self.radius)
     }
 
     fn search_anytime(
         &self,
         g: &DiGraph,
-        index: &RCliqueIndex,
+        index: &NeighborIndex,
         query: &KeywordQuery,
         k: usize,
         budget: &Budget,
@@ -97,19 +67,15 @@ impl KeywordSearch for RClique {
         if query.is_empty() || k == 0 {
             return Ok(SearchOutcome::exact(Vec::new()));
         }
-        let r = query.dmax.min(index.neighbor.radius());
+        let r = query.dmax.min(index.radius());
         // Per-query content node lists (the search space SP).
-        let content: Vec<&[VId]> = query
-            .keywords
-            .iter()
-            .map(|&q| index.labels.vertices_with(q))
-            .collect();
+        let content: Vec<&[VId]> = query.keywords.iter().map(|&q| g.vertices_with(q)).collect();
         if content.iter().any(|c| c.is_empty()) {
             return Ok(SearchOutcome::exact(Vec::new()));
         }
         let engine = AnytimeSearch {
             content,
-            neighbor: &index.neighbor,
+            neighbor: index,
             r,
         };
         let run = engine.run(k, budget);
@@ -218,7 +184,7 @@ mod tests {
             let picked: Vec<VId> = a.keyword_matches.iter().map(|m| m[0]).collect();
             for i in 0..picked.len() {
                 for j in i + 1..picked.len() {
-                    let d = idx.neighbor.distance(picked[i], picked[j]);
+                    let d = idx.distance(picked[i], picked[j]);
                     assert!(d.is_some() && d.unwrap() <= 4);
                 }
             }
@@ -297,11 +263,10 @@ mod tests {
         let idx = rc.build_index(&g);
         let q = KeywordQuery::new(vec![LabelId(0), LabelId(1)], 4);
         let answers = rc.search(&g, &idx, &q, 100_000);
-        let lists = idx.label_lists();
         let mut expect = 0usize;
-        for &u in &lists[0] {
-            for &v in &lists[1] {
-                if idx.neighbor.distance(u, v).is_some_and(|d| d <= 4) {
+        for &u in g.vertices_with(LabelId(0)) {
+            for &v in g.vertices_with(LabelId(1)) {
+                if idx.distance(u, v).is_some_and(|d| d <= 4) {
                     expect += 1;
                 }
             }

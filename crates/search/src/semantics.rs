@@ -6,6 +6,10 @@
 //! summarization). Any [`KeywordSearch`] implementation can therefore be
 //! evaluated on the data graph or on any summary layer unchanged; the
 //! index for the layer is rebuilt by [`KeywordSearch::build_index`].
+//! Because `f` is label-based, a keyword's content set `V_q` is a
+//! function of the layer graph's labels: every implementation reads it
+//! from [`DiGraph::vertices_with`], and an algorithm that needs nothing
+//! else (BANKS, BLINKS) has `type Index = ()`.
 
 use crate::answer::AnswerGraph;
 use crate::cancel::{Budget, Interrupted};

@@ -65,11 +65,10 @@ proptest! {
         let q = KeywordQuery::new(vec![LabelId(0), LabelId(1)], 4);
         // Exhaustive ground truth: the instance is small enough to try
         // every content pair.
-        let lists = idx.label_lists();
         let mut opt: Option<u64> = None;
-        for &u in &lists[0] {
-            for &v in &lists[1] {
-                if let Some(d) = idx.neighbor.distance(u, v) {
+        for &u in g.vertices_with(LabelId(0)) {
+            for &v in g.vertices_with(LabelId(1)) {
+                if let Some(d) = idx.distance(u, v) {
                     if d <= 4 {
                         let w = d as u64;
                         opt = Some(opt.map_or(w, |o: u64| o.min(w)));

@@ -20,7 +20,6 @@
 
 use bgi_graph::{DiGraph, GraphBuilder, LabelId, VId};
 use bgi_search::answer::{rank_and_truncate, AnswerGraph};
-use bgi_search::banks::BanksIndex;
 use bgi_search::rclique::{clique_answer, undirected_distances};
 use bgi_search::{
     Banks, Budget, Completeness, Interrupted, KeywordQuery, KeywordSearch, SearchOutcome,
@@ -145,7 +144,7 @@ fn ref_path_to_keyword(reach: &ReachTable, root: VId) -> Vec<VId> {
 /// `rank_and_truncate`.
 fn ref_banks(
     g: &DiGraph,
-    index: &BanksIndex,
+    index: &DiGraph,
     query: &KeywordQuery,
     k: usize,
     budget: &Budget,
@@ -297,17 +296,16 @@ proptest! {
     #[test]
     fn top_k_banks_equals_all_roots_banks(case in banks_case()) {
         let BanksCase { g, queries } = case;
-        let index = Banks.build_index(&g);
         for (keywords, dmax, k, checks) in queries {
             let q = KeywordQuery::new(keywords.into_iter().map(LabelId).collect::<Vec<_>>(), dmax);
             prop_assert_eq!(
-                Banks.search_anytime(&g, &index, &q, k, &Budget::unlimited()),
-                ref_banks(&g, &index, &q, k, &Budget::unlimited()),
+                Banks.search_anytime(&g, &(), &q, k, &Budget::unlimited()),
+                ref_banks(&g, &g, &q, k, &Budget::unlimited()),
                 "unlimited, k {} query {:?}", k, q
             );
             prop_assert_eq!(
-                Banks.search_anytime(&g, &index, &q, k, &Budget::with_check_limit(checks)),
-                ref_banks(&g, &index, &q, k, &Budget::with_check_limit(checks)),
+                Banks.search_anytime(&g, &(), &q, k, &Budget::with_check_limit(checks)),
+                ref_banks(&g, &g, &q, k, &Budget::with_check_limit(checks)),
                 "{} checks, k {} query {:?}", checks, k, q
             );
         }

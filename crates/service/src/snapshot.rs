@@ -26,10 +26,10 @@ pub enum SnapshotError {
         /// Total violations across all checked invariants.
         violations: usize,
     },
-    /// A deserialized bundle's per-layer index vectors don't cover the
-    /// hierarchy (`h + 1` layers each).
+    /// A deserialized bundle's per-layer index vector doesn't cover the
+    /// hierarchy (`h + 1` layers).
     LayerMismatch {
-        /// Which per-layer vector is wrong (`"banks"` or `"rclique"`).
+        /// Which per-layer vector is wrong (`"rclique"`).
         what: &'static str,
         /// Layers the hierarchy has (`h + 1`).
         expected: usize,
@@ -168,18 +168,12 @@ impl IndexSnapshot {
             });
         }
         let expected = bundle.index.num_layers() + 1;
-        let lengths = [
-            ("banks", bundle.banks.len()),
-            ("rclique", bundle.rclique.len()),
-        ];
-        for (what, got) in lengths {
-            if got != expected {
-                return Err(SnapshotError::LayerMismatch {
-                    what,
-                    expected,
-                    got,
-                });
-            }
+        if bundle.rclique.len() != expected {
+            return Err(SnapshotError::LayerMismatch {
+                what: "rclique",
+                expected,
+                got: bundle.rclique.len(),
+            });
         }
         Ok(IndexSnapshot {
             blinks_algo: Blinks::new(bundle.blinks_params),
@@ -230,14 +224,17 @@ impl IndexSnapshot {
                 return Err(QueryError::MergedKeywords { layer: m });
             }
         }
+        // BANKS and BLINKS keep no per-layer index (they read each layer
+        // graph's label table); a `Vec<()>` does not allocate.
+        let no_index = vec![(); b.index.num_layers() + 1];
         let result = match req.semantics {
             Semantics::Bkws => eval_query(
-                &b.index, &Banks, &b.banks, &query, req.k, req.layer, &opts, budget,
+                &b.index, &Banks, &no_index, &query, req.k, req.layer, &opts, budget,
             ),
             Semantics::Rkws => eval_query(
                 &b.index,
                 &self.blinks_algo,
-                &b.banks,
+                &no_index,
                 &query,
                 req.k,
                 req.layer,

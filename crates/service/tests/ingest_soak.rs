@@ -16,7 +16,7 @@ use bgi_datasets::{benchmark_queries, update_stream, DatasetSpec, UpdateMix, Upd
 use bgi_graph::{DiGraph, GraphBuilder, LabelId, Ontology, VId};
 use bgi_ingest::{Engine, EngineConfig, IngestUpdate, RebuildPolicy};
 use bgi_search::blinks::BlinksParams;
-use bgi_search::{Banks, Budget, KeywordQuery, KeywordSearch, RClique};
+use bgi_search::{Banks, Budget, KeywordQuery, RClique};
 use bgi_service::{
     boot_sharded, ApplyError, IndexSnapshot, QueryRequest, Semantics, Service, ServiceConfig,
     ShardedSnapshot, ShardedWriteHub, WriteHub,
@@ -127,11 +127,10 @@ fn ingest_stream(g: &DiGraph, seed: u64, len: usize) -> Vec<IngestUpdate> {
 
 /// All answers of `query` at layer `m`, rendered, sorted, deduped.
 fn answer_set(index: &BiGIndex, m: usize, query: &KeywordQuery) -> Vec<String> {
-    let banks = Banks.build_index(index.graph_at(m));
     let result = eval_at_layer(
         index,
         &Banks,
-        &banks,
+        &(),
         query,
         50,
         m,

@@ -1,13 +1,13 @@
-//! The serialized unit: a [`BiGIndex`] plus every algorithm's prebuilt
-//! per-layer index and the parameters they were built with.
+//! The serialized unit: a [`BiGIndex`] plus the per-layer r-clique
+//! indexes and the parameters the three semantics run with.
 //!
 //! Encoding is exact: graphs round-trip through their raw CSR arrays
-//! ([`DiGraph::from_csr`]), layers carry the `χ`/`Bisim⁻¹` tables
-//! verbatim, and BANKS' label table — which BLINKS searches too — is
-//! stored per layer. The r-clique indexes have no encoding at all:
-//! beyond `radius` (in the params frame) they hold an `O(n)` label
-//! table and a cache of balls, both functions of the layer graph, so a
-//! load rebuilds them. Decoding validates every
+//! ([`DiGraph::from_csr`]), and layers carry the `χ`/`Bisim⁻¹` tables
+//! verbatim. Nothing else is stored. BANKS and BLINKS search each layer
+//! graph's own label table, which [`DiGraph::from_csr`] derives on load.
+//! The r-clique indexes have no encoding either: beyond `radius` (in
+//! the params frame) they hold a cache of balls, a function of the
+//! layer graph, so a load rebuilds them. Decoding validates every
 //! structural invariant (offset monotonicity, id ranges, table widths)
 //! *before* constructing a type — a corrupt file surfaces as a
 //! [`CodecError`], never a panic — and the store additionally gates the
@@ -16,26 +16,23 @@
 use crate::codec::{CodecError, Dec, Enc, Section};
 use bgi_bisim::BisimDirection;
 use bgi_graph::{DiGraph, LabelId, Ontology, OntologyBuilder, VId};
-use bgi_search::banks::BanksIndex;
 use bgi_search::blinks::BlinksParams;
-use bgi_search::rclique::RCliqueIndex;
-use bgi_search::{Banks, KeywordSearch, RClique};
+use bgi_search::rclique::NeighborIndex;
+use bgi_search::{KeywordSearch, RClique};
 use big_index::layer::Layer;
 use big_index::{BiGIndex, EvalOptions, GenConfig, RealizerKind};
 
 /// Everything a serving process needs to answer queries without
-/// rebuilding anything: the hierarchy plus per-layer search indexes
-/// (index `m` of each vector serves layer `m`, `0..=h`) and the
-/// parameters the three semantics run with. BANKS and BLINKS both
-/// search `banks`.
-#[derive(Debug, Clone)]
+/// rebuilding anything: the hierarchy plus the per-layer r-clique
+/// indexes (entry `m` serves layer `m`, `0..=h`) and the parameters the
+/// three semantics run with. BANKS and BLINKS keep no index: they
+/// search each layer graph's label table.
+#[derive(Debug, Clone, PartialEq)]
 pub struct IndexBundle {
     /// The BiG-index hierarchy.
     pub index: BiGIndex,
-    /// Per-layer BANKS inverted tables (BLINKS searches them too).
-    pub banks: Vec<BanksIndex>,
     /// Per-layer r-clique neighbor indexes.
-    pub rclique: Vec<RCliqueIndex>,
+    pub rclique: Vec<NeighborIndex>,
     /// Parameters BLINKS searches with.
     pub blinks_params: BlinksParams,
     /// Parameters the r-clique indexes were built with.
@@ -44,19 +41,8 @@ pub struct IndexBundle {
     pub eval: EvalOptions,
 }
 
-impl PartialEq for IndexBundle {
-    fn eq(&self, other: &Self) -> bool {
-        self.index == other.index
-            && self.banks == other.banks
-            && self.rclique == other.rclique
-            && self.blinks_params == other.blinks_params
-            && self.rclique_params == other.rclique_params
-            && self.eval == other.eval
-    }
-}
-
-/// Builds the per-layer BANKS and r-clique indexes of `index`, one
-/// task per layer on up to `threads` workers, in layer order.
+/// Builds the per-layer r-clique indexes of `index`, one task per
+/// layer on up to `threads` workers, in layer order.
 ///
 /// Every task is independent (each reads one immutable layer graph) and
 /// task `m` always builds layer `m`, so the heaviest task (layer 0's) is
@@ -66,13 +52,10 @@ pub fn build_layer_indexes(
     index: &BiGIndex,
     rclique_params: RClique,
     threads: usize,
-) -> (Vec<BanksIndex>, Vec<RCliqueIndex>) {
+) -> Vec<NeighborIndex> {
     bgi_graph::par::par_map(threads, index.num_layers() + 1, |m| {
-        let g = index.graph_at(m);
-        (Banks.build_index(g), rclique_params.build_index(g))
+        rclique_params.build_index(index.graph_at(m))
     })
-    .into_iter()
-    .unzip()
 }
 
 impl IndexBundle {
@@ -97,10 +80,9 @@ impl IndexBundle {
         eval: EvalOptions,
         threads: usize,
     ) -> Self {
-        let (banks, rclique) = build_layer_indexes(&index, rclique_params, threads);
+        let rclique = build_layer_indexes(&index, rclique_params, threads);
         IndexBundle {
             index,
-            banks,
             rclique,
             blinks_params,
             rclique_params,
@@ -108,7 +90,7 @@ impl IndexBundle {
         }
     }
 
-    /// Number of hierarchy layers `h` (each index vector has `h + 1`
+    /// Number of hierarchy layers `h` (the index vector has `h + 1`
     /// entries).
     pub fn num_layers(&self) -> usize {
         self.index.num_layers()
@@ -356,33 +338,6 @@ pub fn decode_params(bytes: &[u8]) -> Result<(BlinksParams, RClique, EvalOptions
     Ok((blinks, rclique, eval))
 }
 
-// ---------------------------------------------------------------------
-// Per-layer search indexes
-// ---------------------------------------------------------------------
-
-/// Serializes one layer's BANKS index into a [`Section::Banks`] frame.
-pub fn encode_banks(b: &BanksIndex) -> Vec<u8> {
-    let mut e = Enc::new(Section::Banks);
-    let lists = b.label_lists();
-    e.u64(lists.len() as u64);
-    for list in lists {
-        enc_vids(&mut e, list);
-    }
-    e.finish()
-}
-
-/// Decodes a BANKS frame for a layer graph with `n` vertices.
-pub fn decode_banks(bytes: &[u8], n: usize) -> Result<BanksIndex, CodecError> {
-    let mut d = Dec::open(bytes, Section::Banks)?;
-    let count = d.seq_len()?;
-    let mut lists = Vec::with_capacity(count);
-    for _ in 0..count {
-        lists.push(dec_vids(&mut d, n, "BANKS inverted list")?);
-    }
-    d.finish()?;
-    Ok(BanksIndex::from_parts(lists))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,16 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn search_index_roundtrips_are_equal() {
-        let bundle = tiny_bundle();
-        for (m, banks) in bundle.banks.iter().enumerate() {
-            let n = bundle.index.graph_at(m).num_vertices();
-            let back = decode_banks(&encode_banks(banks), n).unwrap();
-            assert_eq!(&back, banks, "banks layer {m}");
-        }
-    }
-
-    #[test]
     fn corrupt_index_payload_is_typed_error() {
         let bundle = tiny_bundle();
         let bytes = encode_index(&bundle.index);
@@ -468,15 +413,5 @@ mod tests {
         let sum = crate::codec::fnv1a64(&bad);
         bad.extend_from_slice(&sum.to_le_bytes());
         assert!(decode_index(&bad).is_err());
-    }
-
-    #[test]
-    fn out_of_range_vertex_is_typed_error() {
-        let bundle = tiny_bundle();
-        let n = bundle.index.graph_at(0).num_vertices();
-        let bytes = encode_banks(&bundle.banks[0]);
-        // Decoding against a smaller graph must reject the same ids.
-        assert!(decode_banks(&bytes, 1).is_err());
-        assert!(decode_banks(&bytes, n).is_ok());
     }
 }

@@ -19,11 +19,9 @@ pub enum Section {
     Index = 1,
     /// Algorithm/evaluation parameters (`params.bin`).
     Params = 2,
-    /// A per-layer BANKS index (`banks-<m>.bin`).
-    Banks = 3,
-    // 4 framed the BLINKS index files (`blinks-<m>.bin`) older builds
-    // wrote; a load checks them against the manifest and reads no
-    // further.
+    // 3 and 4 framed the BANKS label tables (`banks-<m>.bin`) and the
+    // BLINKS indexes (`blinks-<m>.bin`) older builds wrote; a load
+    // checks such files against the manifest and reads no further.
     /// The generation manifest (`MANIFEST`).
     Manifest = 6,
     /// One update batch in the write-ahead log (`wal.log`).
@@ -297,20 +295,20 @@ mod tests {
 
     #[test]
     fn detects_truncation() {
-        let mut e = Enc::new(Section::Banks);
+        let mut e = Enc::new(Section::Index);
         e.u32_slice(&[5; 100]);
         let bytes = e.finish();
         for cut in [0, 1, 8, bytes.len() / 2, bytes.len() - 1] {
-            assert!(Dec::open(&bytes[..cut], Section::Banks).is_err());
+            assert!(Dec::open(&bytes[..cut], Section::Index).is_err());
         }
     }
 
     #[test]
     fn rejects_wrong_section() {
-        let e = Enc::new(Section::Banks);
+        let e = Enc::new(Section::Index);
         let bytes = e.finish();
         assert!(Dec::open(&bytes, Section::Params).is_err());
-        assert!(Dec::open(&bytes, Section::Banks).is_ok());
+        assert!(Dec::open(&bytes, Section::Index).is_ok());
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Building the hierarchy (Gen/Bisim layers, configurations `𝒞`,
 //! `Bisim⁻¹` tables) is the dominant cost at massive-graph scale, so a
 //! serving process must be able to restart without recomputing any of
-//! it. The per-layer BANKS label tables, which BLINKS searches too, are
-//! stored beside it (the r-clique indexes are `O(n + m)` to rebuild and
-//! are not stored). This crate
+//! it. No search index is stored beside it: BANKS and BLINKS search
+//! each layer graph's own label table, and the r-clique indexes are
+//! `O(n + m)` to rebuild. This crate
 //! stores the full [`IndexBundle`] in *generation* directories with a
 //! write protocol under which a crash at any instant leaves either the
 //! previous generation or the new one on disk — never a torn index:

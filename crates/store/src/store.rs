@@ -8,8 +8,6 @@
 //!   gen-00000001/
 //!     index.bin        # the BiG-index hierarchy
 //!     params.bin       # BlinksParams + RClique + EvalOptions
-//!     banks-000.bin    # per-layer BANKS index, m = 0..=h
-//!     ...
 //!     MANIFEST         # committed last; lists every file + checksum
 //!   gen-00000002/
 //!   quarantine/
@@ -24,22 +22,22 @@
 //! generation. [`Store::load_latest`] scans newest-first, retries
 //! transient I/O with capped exponential backoff, quarantines bad
 //! generations with typed errors, and verifies the survivor through
-//! `bgi_verify::check_index` before returning it. The per-layer
-//! r-clique indexes are not files: they are rebuilt from the loaded
-//! layer graphs, which costs `O(n + m)` per layer and no BFS. BLINKS
-//! searches the BANKS files, so it has none either. Generations saved
-//! by older builds still list a `blinks-NNN.bin` per layer: those
-//! entries are size- and checksum-checked like any other, then ignored.
+//! `bgi_verify::check_index` before returning it. No search index is a
+//! file. BANKS and BLINKS search each layer graph's label table, which
+//! the graph derives as it loads. The per-layer r-clique indexes are
+//! rebuilt from the loaded layer graphs, which costs `O(n + m)` per
+//! layer and no BFS. Generations saved by older builds still list a
+//! `banks-NNN.bin` (and maybe a `blinks-NNN.bin`) per layer: those
+//! entries are size- and checksum-checked like any other, then ignored,
+//! so a stale or lying label table on disk is never served.
 
 use crate::bundle::{
-    decode_banks, decode_index, decode_params, encode_banks, encode_index, encode_params,
-    IndexBundle,
+    build_layer_indexes, decode_index, decode_params, encode_index, encode_params, IndexBundle,
 };
 use crate::codec::{fnv1a64, frame_version, CodecError, Dec, Enc, Section, VERSION};
 use crate::error::{RetryPolicy, StoreError};
 use crate::failpoint::Failpoints;
 use crate::fsio;
-use bgi_search::KeywordSearch;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -140,20 +138,16 @@ impl Store {
         let dir = self.generation_dir(generation);
         fsio::create_dir(&self.fp, "save.create_dir", &dir)?;
 
-        // Fixed file layout: index, params, then the per-layer BANKS
-        // indexes. Task i always encodes the same section.
-        let total = 2 + bundle.banks.len();
-        let files: Vec<(String, Vec<u8>)> = bgi_graph::par::par_map(threads, total, |i| {
+        // Fixed file layout: index, then params. Task i always encodes
+        // the same section.
+        let files: Vec<(String, Vec<u8>)> = bgi_graph::par::par_map(threads, 2, |i| {
             if i == 0 {
                 ("index.bin".to_string(), encode_index(&bundle.index))
-            } else if i == 1 {
+            } else {
                 (
                     "params.bin".to_string(),
                     encode_params(&bundle.blinks_params, &bundle.rclique_params, &bundle.eval),
                 )
-            } else {
-                let m = i - 2;
-                (format!("banks-{m:03}.bin"), encode_banks(&bundle.banks[m]))
             }
         });
 
@@ -269,15 +263,7 @@ impl Store {
         let (blinks_params, rclique_params, eval) =
             decode_params(get("params.bin")?).map_err(|e| corrupt(format!("params.bin: {e}")))?;
 
-        let h = index.num_layers();
-        let mut banks = Vec::with_capacity(h + 1);
-        let mut rclique = Vec::with_capacity(h + 1);
-        for m in 0..=h {
-            let n = index.graph_at(m).num_vertices();
-            let name = format!("banks-{m:03}.bin");
-            banks.push(decode_banks(get(&name)?, n).map_err(|e| corrupt(format!("{name}: {e}")))?);
-            rclique.push(rclique_params.build_index(index.graph_at(m)));
-        }
+        let rclique = build_layer_indexes(&index, rclique_params, 1);
 
         // The verification gate: structural decoding succeeded, but the
         // hierarchy must also satisfy the paper's invariants before a
@@ -291,7 +277,6 @@ impl Store {
         }
         Ok(IndexBundle {
             index,
-            banks,
             rclique,
             blinks_params,
             rclique_params,

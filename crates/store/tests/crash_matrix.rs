@@ -149,8 +149,8 @@ fn partial_generation_is_quarantined_and_older_served() {
     let store = Store::open_with(dir.path(), fp.clone(), RetryPolicy::none()).unwrap();
     store.save(&a).unwrap();
     fp.reset();
-    // Die halfway through the new generation's data files.
-    fp.arm("save.write_file", 3, FailAction::Torn);
+    // Die on the new generation's second (last) data file.
+    fp.arm("save.write_file", 2, FailAction::Torn);
     assert!(store.save(&b).is_err());
     drop(store);
 

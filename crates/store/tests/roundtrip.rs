@@ -5,7 +5,8 @@
 
 mod common;
 
-use bgi_search::{Blinks, KeywordQuery, KeywordSearch};
+use bgi_graph::LabelId;
+use bgi_search::{AnswerGraph, Banks, Blinks, KeywordQuery, KeywordSearch};
 use bgi_store::codec::{fnv1a64, Dec, Enc, Section};
 use bgi_store::{FailAction, Failpoints, IndexBundle, RetryPolicy, Store, StoreError};
 use common::{bundle_a, bundle_b, TempDir};
@@ -24,14 +25,15 @@ fn save_load_roundtrip_is_equal() {
     let (loaded_gen, loaded) = store.load_latest().unwrap();
     assert_eq!(loaded_gen, 1);
     // Exact equality: the hierarchy, every per-layer index, and the
-    // parameters — nothing drifts (the r-clique indexes, which have no
-    // file, are rebuilt from the loaded layer graphs; BLINKS searches
-    // the BANKS files and has none of its own).
+    // parameters — nothing drifts. No search index has a file: the
+    // r-clique indexes are rebuilt from the loaded layer graphs, and
+    // BANKS and BLINKS search the graphs' own label tables.
     assert_eq!(loaded, a);
-    assert!(!generation_files(dir.path(), 1).iter().any(|p| {
-        let name = p.file_name().unwrap().to_string_lossy();
-        name.contains("rclique") || name.starts_with("blinks")
-    }));
+    let names: Vec<String> = generation_files(dir.path(), 1)
+        .iter()
+        .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(names, ["MANIFEST", "index.bin", "params.bin"]);
     assert!(loaded.index.verify().is_clean());
 }
 
@@ -234,7 +236,7 @@ fn rewrite_in_bi_level_layout(root: &Path, generation: u64, n: usize) -> PathBuf
     reframe(&mut params);
     fs::write(&params_path, &params).unwrap();
 
-    let mut e = Enc::new(Section::Banks);
+    let mut e = Enc::new(Section::Index);
     e.u32_slice(&vec![0; n]);
     e.u64(1);
     e.u32(4);
@@ -270,19 +272,29 @@ fn rewrite_in_bi_level_layout(root: &Path, generation: u64, n: usize) -> PathBuf
     blinks_path
 }
 
-/// Every layer's BLINKS answers to a few fixed queries.
-fn rkws_answers(bundle: &IndexBundle) -> Vec<Vec<bgi_search::AnswerGraph>> {
-    let blinks = Blinks::new(bundle.blinks_params);
+/// Every layer's answers of `algo` to a few fixed queries, each
+/// checked to match every keyword at a vertex carrying it.
+fn answers<F: KeywordSearch<Index = ()>>(bundle: &IndexBundle, algo: &F) -> Vec<Vec<AnswerGraph>> {
     let mut out = Vec::new();
     for m in 0..=bundle.num_layers() {
         let g = bundle.index.graph_at(m);
         for keywords in [vec![0, 1], vec![1, 2], vec![2, 4, 5]] {
-            let labels = keywords.into_iter().map(bgi_graph::LabelId);
-            let q = KeywordQuery::new(labels.collect::<Vec<_>>(), 3);
-            out.push(blinks.search(g, &bundle.banks[m], &q, 10));
+            let q = KeywordQuery::new(keywords.into_iter().map(LabelId).collect::<Vec<_>>(), 3);
+            let found = algo.search(g, &(), &q, 10);
+            for a in &found {
+                for (matches, &kw) in a.keyword_matches.iter().zip(&q.keywords) {
+                    assert!(matches.iter().all(|&v| g.label(v) == kw), "layer {m} {q:?}");
+                }
+            }
+            out.push(found);
         }
     }
     out
+}
+
+/// Every layer's BLINKS answers to a few fixed queries.
+fn rkws_answers(bundle: &IndexBundle) -> Vec<Vec<AnswerGraph>> {
+    answers(bundle, &Blinks::new(bundle.blinks_params))
 }
 
 #[test]
@@ -314,6 +326,91 @@ fn generation_with_a_blinks_index_loads_and_answers_alike() {
     }
 }
 
+/// Rewrites `generation` into the layout of builds that stored BANKS'
+/// label table: a `banks-NNN.bin` frame per layer (section 3: the label
+/// count, then each label's vertex list) listed in the MANIFEST with its
+/// checksum. Layer 0's frame lies — labels 1 and 2 trade lists — yet it
+/// is framed and listed as soundly as the others. Returns its path.
+fn rewrite_in_banks_layout(root: &Path, generation: u64, bundle: &IndexBundle) -> PathBuf {
+    let dir = root.join(format!("gen-{generation:08}"));
+    let mut frames = Vec::new();
+    for m in 0..=bundle.num_layers() {
+        let g = bundle.index.graph_at(m);
+        let mut lists: Vec<Vec<u32>> = (0..g.alphabet_size() as u32)
+            .map(|l| g.vertices_with(LabelId(l)).iter().map(|v| v.0).collect())
+            .collect();
+        if m == 0 {
+            assert_ne!(lists[1], lists[2]);
+            lists.swap(1, 2);
+        }
+        let mut e = Enc::new(Section::Index);
+        e.u64(lists.len() as u64);
+        for list in &lists {
+            e.u32_slice(list);
+        }
+        let mut bytes = e.finish();
+        bytes[6..8].copy_from_slice(&3u16.to_le_bytes());
+        let body = bytes.len() - 8;
+        let sum = fnv1a64(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        let name = format!("banks-{m:03}.bin");
+        fs::write(dir.join(&name), &bytes).unwrap();
+        frames.push((name, bytes));
+    }
+
+    let manifest = dir.join("MANIFEST");
+    let old = fs::read(&manifest).unwrap();
+    let mut d = Dec::open(&old, Section::Manifest).unwrap();
+    let mut e = Enc::new(Section::Manifest);
+    let entries = d.seq_len().unwrap();
+    e.u64((entries + frames.len()) as u64);
+    for _ in 0..entries {
+        e.bytes(d.bytes().unwrap());
+        e.u64(d.u64().unwrap());
+        e.u64(d.u64().unwrap());
+    }
+    for (name, bytes) in &frames {
+        e.bytes(name.as_bytes());
+        e.u64(bytes.len() as u64);
+        e.u64(fnv1a64(bytes));
+    }
+    fs::write(&manifest, e.finish()).unwrap();
+    dir.join("banks-000.bin")
+}
+
+#[test]
+fn generation_with_banks_files_loads_and_answers_alike() {
+    let a = bundle_a();
+    let dir = TempDir::new("banks-layout");
+    let store = Store::open(dir.path()).unwrap();
+    store.save(&a).unwrap();
+    let banks_file = rewrite_in_banks_layout(dir.path(), 1, &a);
+
+    // The lying table is checked against the manifest, then ignored:
+    // what loads is the saved bundle, and it answers from the graphs'
+    // own label tables.
+    let (generation, loaded) = store.load_latest().unwrap();
+    assert_eq!(generation, 1);
+    assert_eq!(loaded, a);
+    for algo_answers in [answers(&a, &Banks), rkws_answers(&a)] {
+        assert!(algo_answers.iter().any(|found| !found.is_empty()));
+    }
+    assert_eq!(answers(&loaded, &Banks), answers(&a, &Banks));
+    assert_eq!(rkws_answers(&loaded), rkws_answers(&a));
+
+    // A damaged file still fails its manifest check.
+    let mut bytes = fs::read(&banks_file).unwrap();
+    bytes[8] ^= 0xff;
+    fs::write(&banks_file, &bytes).unwrap();
+    match store.load_latest() {
+        Err(StoreError::Corrupt { generation, detail }) => {
+            assert_eq!(generation, 1);
+            assert!(detail.starts_with("banks-000.bin: checksum"), "{detail}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
 #[test]
 fn missing_manifest_file_is_corrupt_not_panic() {
     let a = bundle_a();
@@ -323,7 +420,7 @@ fn missing_manifest_file_is_corrupt_not_panic() {
     // Delete a data file the manifest still lists.
     let victim = generation_files(dir.path(), 1)
         .into_iter()
-        .find(|p| p.file_name().is_some_and(|n| n == "banks-000.bin"))
+        .find(|p| p.file_name().is_some_and(|n| n == "params.bin"))
         .unwrap();
     fs::remove_file(&victim).unwrap();
     // The read error is NotFound — not transient, and the generation

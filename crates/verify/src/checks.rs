@@ -515,14 +515,18 @@ fn check_members_partition<I: IndexView + ?Sized>(idx: &I, chis: &[LayerChi]) ->
     c
 }
 
-/// The index's precomputed per-layer label supports (used for workload
-/// statistics and generalized-mass accounting) must match a fresh
-/// recount of each layer's graph.
+/// The index's per-layer label supports (used for workload statistics
+/// and generalized-mass accounting, and read off each graph's label
+/// table) must match a fresh recount of each layer's vertex labels.
 fn check_support_counts<I: IndexView + ?Sized>(idx: &I, h: usize) -> Check {
     let mut labels = 0usize;
     let mut c = Check::pass(Invariant::SupportCounts, String::new());
     for m in 0..=h {
-        let counts = idx.graph_at(m).label_counts();
+        let g = idx.graph_at(m);
+        let mut counts = vec![0u32; g.alphabet_size()];
+        for &l in g.labels() {
+            counts[l.index()] += 1;
+        }
         for (i, &actual) in counts.iter().enumerate() {
             labels += 1;
             let l = LabelId(i as u32);

@@ -36,8 +36,8 @@ pub enum Invariant {
     /// vertex missing, none duplicated, no empty supernode, and every
     /// member maps back up to its list's supernode.
     MembersPartition,
-    /// The index's precomputed per-layer label supports match a fresh
-    /// recount of each layer graph.
+    /// Each layer graph's label table (the per-layer label supports)
+    /// matches a fresh recount of the graph's vertex labels.
     SupportCounts,
     /// Sharded deployments only: every ownership-crossing edge of the
     /// base graph appears in exactly one cut list (the list of the

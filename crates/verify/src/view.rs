@@ -45,7 +45,7 @@ pub trait IndexView {
     /// The bisimulation direction the summaries were computed under.
     fn direction(&self) -> BisimDirection;
 
-    /// The index's precomputed count of label `l` at layer `m`
-    /// (cross-checked against a fresh recount).
+    /// The index's count of label `l` at layer `m`, as its label table
+    /// reports it (cross-checked against a fresh recount).
     fn support_count(&self, m: usize, l: LabelId) -> u32;
 }

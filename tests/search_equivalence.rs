@@ -22,13 +22,11 @@ fn banks_blinks_bidirectional_agree_on_yago_like() {
     let queries = benchmark_queries(&ds, 4, 40, 3);
     assert!(queries.len() >= 4);
     let blinks = Blinks::new(BlinksParams { prune_dist: 4 });
-    let blinks_index = blinks.build_index(&ds.graph);
-    let banks_index = Banks.build_index(&ds.graph);
     for q in queries.iter().take(5) {
         let query = q.to_query();
-        let a = Banks.search(&ds.graph, &banks_index, &query, 100_000);
-        let b = blinks.search(&ds.graph, &blinks_index, &query, 100_000);
-        let c = Bidirectional::default().search(&ds.graph, &banks_index, &query, 100_000);
+        let a = Banks.search(&ds.graph, &(), &query, 100_000);
+        let b = blinks.search(&ds.graph, &(), &query, 100_000);
+        let c = Bidirectional::default().search(&ds.graph, &(), &query, 100_000);
         assert_eq!(
             root_scores(&a),
             root_scores(&b),
@@ -44,10 +42,9 @@ fn blinks_top_k_prefix_matches_banks_ranking() {
     let ds = DatasetSpec::imdb_like(3000).generate();
     let queries = benchmark_queries(&ds, 4, 30, 11);
     let blinks = Blinks::new(BlinksParams { prune_dist: 4 });
-    let blinks_index = blinks.build_index(&ds.graph);
     for q in queries.iter().take(4) {
         let query = q.to_query();
-        let top = blinks.search(&ds.graph, &blinks_index, &query, 5);
+        let top = blinks.search(&ds.graph, &(), &query, 5);
         let all = Banks.search_fresh(&ds.graph, &query, 100_000);
         // The top-5 scores must equal the best 5 scores overall (root
         // sets may differ on ties).
@@ -87,11 +84,10 @@ fn search_is_deterministic_across_runs() {
     let ds = DatasetSpec::dbpedia_like(2500).generate();
     let queries = benchmark_queries(&ds, 4, 25, 23);
     let blinks = Blinks::new(BlinksParams { prune_dist: 4 });
-    let index = blinks.build_index(&ds.graph);
     for q in queries.iter().take(3) {
         let query = q.to_query();
-        let a = blinks.search(&ds.graph, &index, &query, 20);
-        let b = blinks.search(&ds.graph, &index, &query, 20);
+        let a = blinks.search(&ds.graph, &(), &query, 20);
+        let b = blinks.search(&ds.graph, &(), &query, 20);
         assert_eq!(root_scores(&a), root_scores(&b));
     }
 }
