@@ -551,7 +551,7 @@ impl Writer {
             Writer::Mono { hub, .. } => match service.apply_updates_grouped(hub, batch) {
                 Ok(report) => format!(
                     "ok applied={} seq={} rebuilt={} rebuild_started={} layers_reused={} \
-                     layers_rebuilt={}",
+                     layers_rebuilt={} rows_kept={} rows_dropped={}",
                     report.outcome.applied,
                     report
                         .outcome
@@ -560,7 +560,9 @@ impl Writer {
                     report.rebuilt,
                     report.rebuild_started,
                     report.outcome.reused_layers,
-                    report.outcome.rebuilt_layers
+                    report.outcome.rebuilt_layers,
+                    report.outcome.rows_kept,
+                    report.outcome.rows_dropped
                 ),
                 Err(e) => format!("err {e}"),
             },

@@ -103,10 +103,20 @@ pub struct ApplyOutcome {
     pub reused_layers: usize,
     /// Layers whose search indexes were *patched* in place of a rebuild
     /// — the summary changed, but the structural diff was small enough
-    /// for the incremental entry points of both indexes.
+    /// for the r-clique index's incremental entry point (BANKS and
+    /// BLINKS read the layer graph itself and have nothing to patch).
     pub patched_layers: usize,
     /// Layers whose search indexes had to be rebuilt from scratch.
     pub rebuilt_layers: usize,
+    /// Resident r-clique rows, over all layers, the commit carried over
+    /// into the new bundle: every row of a reused layer, and the rows
+    /// of a patched layer no edit could move.
+    pub rows_kept: usize,
+    /// Resident r-clique rows, over all layers, the commit dropped: the
+    /// rows of a patched layer an edit could move, and every row of a
+    /// rebuilt layer. Counted around the patch, so a row a concurrent
+    /// read fills meanwhile may be in neither count.
+    pub rows_dropped: usize,
 }
 
 impl ApplyOutcome {
@@ -300,15 +310,13 @@ impl Engine {
         if let Some(delta) = &mut self.rebuild_delta {
             delta.extend_from_slice(&flat);
         }
-        let (reused_layers, patched_layers, rebuilt_layers) = self.materialize(&flat)?;
+        let shared = self.materialize(&flat)?;
         Ok(logged
             .iter()
             .map(|b| ApplyOutcome {
                 seq: if b.is_empty() { None } else { seqs.next() },
                 applied: b.len(),
-                reused_layers,
-                patched_layers,
-                rebuilt_layers,
+                ..shared
             })
             .collect())
     }
@@ -326,6 +334,8 @@ impl Engine {
             reused_layers: self.bundle.index.num_layers() + 1,
             patched_layers: 0,
             rebuilt_layers: 0,
+            rows_kept: self.bundle.rclique.iter().map(resident_rows).sum(),
+            rows_dropped: 0,
         }
     }
 
@@ -728,8 +738,9 @@ impl Engine {
     /// otherwise. BANKS and BLINKS read the patched graphs' own label
     /// tables. Unchanged parts are shared with the previous bundle,
     /// and a batch that changed no summary leaves the served bundle
-    /// untouched. Returns `(reused, patched, rebuilt)` layer counts.
-    fn materialize(&mut self, ops: &[GraphUpdate]) -> Result<(usize, usize, usize), IngestError> {
+    /// untouched. Returns the outcome's layer and row counts (`seq`
+    /// and `applied` are the caller's).
+    fn materialize(&mut self, ops: &[GraphUpdate]) -> Result<ApplyOutcome, IngestError> {
         let old = Arc::clone(&self.bundle);
         let h = self.flats.len();
         if old.index.num_layers() != h {
@@ -771,7 +782,7 @@ impl Engine {
             // Every update in the batch was absorbed without changing any
             // summary: keep the served bundle — and its graph — untouched.
             self.base = Arc::clone(old.index.shared_base());
-            return Ok((h + 1, 0, 0));
+            return Ok(self.noop_outcome());
         }
         let index = BiGIndex::from_shared_parts(
             Arc::clone(&self.base),
@@ -785,20 +796,33 @@ impl Engine {
         // it, and rebuilt otherwise. Layers are independent, so this
         // runs in parallel, one task per layer — the store's full-build
         // shape (and determinism argument). `fate` counts reused,
-        // patched and rebuilt layers.
+        // patched and rebuilt layers; `kept` and `dropped` the resident
+        // r-clique rows carried over and dropped.
         let mut fate = [0usize; 3];
+        let (mut kept, mut dropped) = (0usize, 0usize);
         let rclique = par_map(self.threads, h + 1, |m| {
+            let resident = old.rclique.get(m).map_or(0, resident_rows);
             if diffs[m].is_empty() && m < old.rclique.len() {
-                return (old.rclique[m].clone(), 0);
+                return (old.rclique[m].clone(), 0, resident, resident);
             }
             match Self::try_patch_layer(&old, m, &index, &diffs[m]) {
-                Some(rc) => (rc, 1),
-                None => (rclique_params.build_index(index.graph_at(m)), 2),
+                Some(rc) => {
+                    let carried = resident_rows(&rc);
+                    (rc, 1, resident, carried)
+                }
+                None => (
+                    rclique_params.build_index(index.graph_at(m)),
+                    2,
+                    resident,
+                    0,
+                ),
             }
         })
         .into_iter()
-        .map(|(rc, f)| {
+        .map(|(rc, f, resident, carried)| {
             fate[f] += 1;
+            kept += carried;
+            dropped += resident.saturating_sub(carried);
             rc
         })
         .collect();
@@ -809,8 +833,21 @@ impl Engine {
             rclique_params,
             eval: old.eval,
         });
-        Ok((fate[0], fate[1], fate[2]))
+        Ok(ApplyOutcome {
+            seq: None,
+            applied: 0,
+            reused_layers: fate[0],
+            patched_layers: fate[1],
+            rebuilt_layers: fate[2],
+            rows_kept: kept,
+            rows_dropped: dropped,
+        })
     }
+}
+
+/// How many of `rc`'s rows are filled.
+fn resident_rows(rc: &NeighborIndex) -> usize {
+    rc.resident_rows().count()
 }
 
 /// One edit of an adjacency row: `(row owner, position in the batch,
@@ -1108,8 +1145,9 @@ mod tests {
             }
         }
         // Materializing with zero updates changes nothing.
+        let out = e.materialize(&[]).unwrap();
         assert_eq!(
-            e.materialize(&[]).unwrap(),
+            (out.reused_layers, out.patched_layers, out.rebuilt_layers),
             (reference.num_layers() + 1, 0, 0)
         );
         assert!(e.index() == &reference);
@@ -1210,6 +1248,41 @@ mod tests {
         // The debug_assert in materialize already cross-checked the
         // patched summaries against summarize(); spot-check the base.
         assert_eq!(e.index().base().num_vertices(), 34);
+    }
+
+    #[test]
+    fn kept_rows_are_the_same_for_any_thread_count() {
+        let batch = [
+            IngestUpdate::InsertEdge { src: 3, dst: 1 },
+            IngestUpdate::DeleteEdge { src: 4, dst: 2 },
+            IngestUpdate::AddVertex { label: 2 },
+        ];
+        let runs: Vec<_> = [1, 4]
+            .into_iter()
+            .map(|threads| {
+                let (g, o) = setup();
+                let config = EngineConfig {
+                    threads,
+                    ..EngineConfig::default()
+                };
+                let mut e = Engine::new(build_bundle(g, o), config).unwrap();
+                let mut resident = 0;
+                for (m, rc) in e.bundle().rclique.iter().enumerate() {
+                    for v in e.index().graph_at(m).vertices() {
+                        rc.neighbors(v);
+                    }
+                    resident += rc.num_rows();
+                }
+                let out = e.apply_batch(&batch).unwrap();
+                assert_eq!(out.rows_kept + out.rows_dropped, resident);
+                let kept: Vec<Vec<VId>> = (e.bundle().rclique.iter())
+                    .map(|rc| rc.resident_rows().map(|(v, _)| v).collect())
+                    .collect();
+                (out, kept)
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1]);
+        assert!(runs[0].0.rows_kept > 0 && runs[0].0.rows_dropped > 0);
     }
 
     fn tempdir(tag: &str) -> std::path::PathBuf {

@@ -118,7 +118,16 @@ proptest! {
                     rc.neighbors(v);
                 }
             }
-            engine.apply_batch(&[update]).unwrap();
+            let resident: usize = engine
+                .bundle()
+                .rclique
+                .iter()
+                .map(|rc| rc.resident_rows().count())
+                .sum();
+            let outcome = engine.apply_batch(&[update]).unwrap();
+            // Every row resident before the commit is either carried
+            // over or dropped, over all layers.
+            prop_assert_eq!(outcome.rows_kept + outcome.rows_dropped, resident);
 
             // The maintained hierarchy stays a valid BiG-index…
             prop_assert!(engine.index().verify().is_clean(), "{}", engine.index().verify());

@@ -13,13 +13,16 @@
 //! whole graphs, for callers (and tests) that only hold those.
 //!
 //! One index consumes the diff: [`crate::rclique::NeighborIndex::patched`]
-//! drops the per-vertex bounded balls within `radius − 1` of a changed
-//! edge's endpoints (they are recomputed on first read) and carries
-//! every other filled row over. It is *exactly equivalent* to a
-//! rebuild, and returns `None` when the index does not describe the
-//! graph the diff starts from, so the caller rebuilds instead. BANKS
-//! and BLINKS keep no index: they seed from the layer graph's label
-//! table, which [`DiGraph::with_rows`] derives with the graph.
+//! drops each filled per-vertex ball that a changed edge of the
+//! undirected view can move — a deleted edge on one of its shortest
+//! paths, or an inserted edge that shortens one — judged from the old
+//! graph's distances by a bit-parallel BFS per 32 changed edges, and
+//! carries every other filled row over; dropped rows are recomputed on
+//! first read. It is *exactly equivalent* to a rebuild, and returns
+//! `None` when the index does not describe the graph the diff starts
+//! from, so the caller rebuilds instead. BANKS and BLINKS keep no
+//! index: they seed from the layer graph's label table, which
+//! [`DiGraph::with_rows`] derives with the graph.
 
 use bgi_graph::{DiGraph, LabelId, VId};
 

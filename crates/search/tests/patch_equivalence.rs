@@ -10,7 +10,7 @@
 //! forces, so they are compared row by row here; the oracle-backed
 //! property test of `NeighborIndex::patched` lives beside the type.
 
-use bgi_graph::generate::uniform_random;
+use bgi_graph::generate::{preferential_attachment, uniform_random};
 use bgi_graph::{DiGraph, GraphBuilder, LabelId, VId};
 use bgi_search::patch::diff_graphs;
 use bgi_search::{KeywordSearch, RClique};
@@ -94,18 +94,55 @@ fn banks_patch_equals_rebuild() {
     }
 }
 
+/// `old` plus the reverse of its first edge that has none: a directed
+/// insertion the undirected rows cannot see.
+fn reverse_one(old: &DiGraph) -> Option<DiGraph> {
+    let (u, v) = old.edges().find(|&(u, v)| !old.has_edge(v, u))?;
+    let edges = old.edges().chain([(v, u)]).collect();
+    Some(GraphBuilder::from_edges(old.labels().to_vec(), edges))
+}
+
+/// `old` less one direction of its first reciprocal pair: a directed
+/// deletion the undirected rows cannot see either.
+fn unpair_one(old: &DiGraph) -> Option<DiGraph> {
+    let (u, v) = old.edges().find(|&(u, v)| old.has_edge(v, u))?;
+    let edges = old.edges().filter(|&e| e != (u, v)).collect();
+    Some(GraphBuilder::from_edges(old.labels().to_vec(), edges))
+}
+
+/// A preferential-attachment graph — the hub-heavy shape whose radius-4
+/// balls are most of the graph — with every eighth edge made reciprocal.
+fn hub_graph(seed: u64) -> DiGraph {
+    let g = preferential_attachment(400, 2, 5, seed);
+    let reversed: Vec<(VId, VId)> = g.edges().step_by(8).map(|(u, v)| (v, u)).collect();
+    GraphBuilder::from_edges(g.labels().to_vec(), g.edges().chain(reversed).collect())
+}
+
+/// Edit scripts for the hub graphs. A deleted edge there lies on a
+/// shortest path from nearly every vertex, so the deletion-heavy shapes
+/// of `SCRIPTS` would leave no row to carry over.
+const HUB_SCRIPTS: &[(usize, usize, usize)] = &[(0, 2, 0), (0, 0, 2), (1, 1, 1)];
+
 #[test]
 fn rclique_patch_equals_rebuild() {
-    let algo = RClique { radius: 2 };
-    for seed in 0..4u64 {
-        let old = uniform_random(500, 750, 5, seed);
+    // Sparse uniform graphs at radius 2, also under 40 edge edits (two
+    // passes of the row-invalidation BFS), and hub graphs at radius 4.
+    let cases = (0..4u64)
+        .map(|seed| (seed, uniform_random(500, 750, 5, seed), 2, SCRIPTS, true))
+        .chain((0..2u64).map(|seed| (seed, hub_graph(seed), 4, HUB_SCRIPTS, false)));
+    for (seed, old, radius, scripts, large) in cases {
+        let algo = RClique { radius };
         let base = algo.build_index(&old);
         // Fill every row, so the patch has something to carry over.
         for v in old.vertices() {
             base.neighbors(v);
         }
-        for &(dels, ins, adds) in SCRIPTS {
-            let new = mutate(&old, seed * 613 + 11, dels, ins, adds);
+        let scripted = scripts
+            .iter()
+            .map(|&(dels, ins, adds)| mutate(&old, seed * 613 + 11, dels, ins, adds));
+        let large = large.then(|| mutate(&old, seed * 613 + 13, 20, 20, 0));
+        let directed = [reverse_one(&old), unpair_one(&old)].into_iter().flatten();
+        for new in scripted.chain(large).chain(directed) {
             let diff = diff_graphs(&old, &new, usize::MAX).expect("compatible by construction");
             let patched = base.patched(&new, &diff).expect("base describes old");
             let rebuilt = algo.build_index(&new);

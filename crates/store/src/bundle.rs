@@ -17,7 +17,7 @@ use crate::codec::{CodecError, Dec, Enc, Section};
 use bgi_bisim::BisimDirection;
 use bgi_graph::{DiGraph, LabelId, Ontology, OntologyBuilder, VId};
 use bgi_search::blinks::BlinksParams;
-use bgi_search::rclique::NeighborIndex;
+use bgi_search::rclique::{neighbor_index, NeighborIndex};
 use bgi_search::{KeywordSearch, RClique};
 use big_index::layer::Layer;
 use big_index::{BiGIndex, EvalOptions, GenConfig, RealizerKind};
@@ -315,6 +315,13 @@ pub fn decode_params(bytes: &[u8]) -> Result<(BlinksParams, RClique, EvalOptions
         prune_dist: d.u32()?,
     };
     let rclique = RClique { radius: d.u32()? };
+    if rclique.radius > neighbor_index::MAX_RADIUS {
+        return bad(format!(
+            "r-clique radius {} exceeds {}, the largest a neighbor row can hold",
+            rclique.radius,
+            neighbor_index::MAX_RADIUS
+        ));
+    }
     let beta = d.f64()?;
     if !beta.is_finite() {
         return bad("non-finite β");

@@ -214,6 +214,66 @@ fn generation_with_a_k_bounded_index_is_refused_and_quarantined() {
     assert!(matches!(store.load_latest(), Err(StoreError::NoGeneration)));
 }
 
+/// Rewrites `generation`'s stored r-clique radius to `radius`, the frame
+/// checksum and the manifest entry recomputed: an intact `params.bin`
+/// whose radius may be one no neighbor row can hold.
+fn store_radius(root: &Path, generation: u64, radius: u32) {
+    let dir = root.join(format!("gen-{generation:08}"));
+    let path = dir.join("params.bin");
+    let mut bytes = fs::read(&path).unwrap();
+    // An 8-byte header (magic, version, section), the reserved u64 and
+    // BLINKS' u32 `prune_dist`, then the radius.
+    bytes[20..24].copy_from_slice(&radius.to_le_bytes());
+    let body = bytes.len() - 8;
+    let sum = fnv1a64(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    fs::write(&path, &bytes).unwrap();
+
+    let manifest = dir.join("MANIFEST");
+    let old = fs::read(&manifest).unwrap();
+    let mut d = Dec::open(&old, Section::Manifest).unwrap();
+    let mut e = Enc::new(Section::Manifest);
+    let entries = d.seq_len().unwrap();
+    e.u64(entries as u64);
+    for _ in 0..entries {
+        let name = d.bytes().unwrap();
+        let (len, checksum) = (d.u64().unwrap(), d.u64().unwrap());
+        e.bytes(name);
+        e.u64(len);
+        e.u64(if name == b"params.bin" {
+            fnv1a64(&bytes)
+        } else {
+            checksum
+        });
+    }
+    fs::write(&manifest, e.finish()).unwrap();
+}
+
+#[test]
+fn generation_with_a_radius_no_row_can_hold_is_corrupt() {
+    let a = bundle_a();
+    let dir = TempDir::new("radius");
+    let store = Store::open(dir.path()).unwrap();
+    store.save(&a).unwrap();
+    // The largest radius a row holds still loads.
+    store_radius(dir.path(), 1, u32::from(u16::MAX));
+    let (_, loaded) = store.load_latest().unwrap();
+    assert_eq!(loaded.rclique_params.radius, u32::from(u16::MAX));
+
+    store_radius(dir.path(), 1, u32::from(u16::MAX) + 1);
+    match store.load_latest() {
+        Err(StoreError::Corrupt { generation, detail }) => {
+            assert_eq!(generation, 1);
+            assert!(
+                detail.starts_with("params.bin: r-clique radius 65536 exceeds"),
+                "{detail}"
+            );
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    assert_eq!(store.quarantined().len(), 1);
+}
+
 /// Rewrites `generation` into the layout of builds that kept BLINKS'
 /// bi-level index on disk: a block size of 1000 in `params.bin`'s first
 /// slot and a `blinks-000.bin` frame (section 4: one partition block, no
