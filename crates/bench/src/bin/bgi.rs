@@ -1039,13 +1039,7 @@ fn cmd_ingest(args: &[String]) -> CliResult {
 /// `serve` with a freshly built index. Identical output for every
 /// `threads` (DESIGN.md §8).
 fn default_bundle(index: big_index::BiGIndex, threads: usize) -> IndexBundle {
-    IndexBundle::build_with_threads(
-        index,
-        BlinksParams::default(),
-        RClique::default(),
-        EvalOptions::default(),
-        threads,
-    )
+    IndexBundle::build(index, BlinksParams::default(), RClique::default(), threads)
 }
 
 fn cmd_save_index(args: &[String]) -> CliResult {

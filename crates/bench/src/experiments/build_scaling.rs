@@ -16,7 +16,7 @@ use bgi_search::blinks::BlinksParams;
 use bgi_search::RClique;
 use bgi_store::bundle::encode_index;
 use bgi_store::IndexBundle;
-use big_index::{BiGIndex, BuildParams, EvalOptions};
+use big_index::{BiGIndex, BuildParams};
 use std::time::{Duration, Instant};
 
 /// The thread counts the sweep measures.
@@ -35,13 +35,7 @@ fn timed_build(ds: &Dataset, threads: usize) -> (IndexBundle, Duration, Duration
     let index = BiGIndex::build(ds.graph.clone(), ds.ontology.clone(), &params);
     let hierarchy = t.elapsed();
     let t = Instant::now();
-    let bundle = IndexBundle::build_with_threads(
-        index,
-        BlinksParams::default(),
-        RClique::default(),
-        EvalOptions::default(),
-        threads,
-    );
+    let bundle = IndexBundle::build(index, BlinksParams::default(), RClique::default(), threads);
     (bundle, hierarchy, t.elapsed())
 }
 

@@ -19,7 +19,6 @@ use bgi_search::blinks::BlinksParams;
 use bgi_search::RClique;
 use bgi_service::{IndexSnapshot, Service, ServiceConfig, WriteHub};
 use bgi_store::{IndexBundle, Store};
-use big_index::EvalOptions;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -186,12 +185,7 @@ pub fn run_with_metrics(scale: usize) -> (String, Vec<(String, f64)>) {
     let ds = DatasetSpec::synt(scale).generate();
     let (index, build_time) = default_index(&ds, 3);
     let layers = index.num_layers();
-    let bundle = IndexBundle::build(
-        index,
-        BlinksParams::default(),
-        RClique::default(),
-        EvalOptions::default(),
-    );
+    let bundle = IndexBundle::build(index, BlinksParams::default(), RClique::default(), 1);
     // Stream length scales with the dataset so small smoke runs stay
     // fast; the CI point (scale 2000) applies 8k updates.
     let n_updates = (scale * 4).clamp(512, 16_384);

@@ -9,7 +9,7 @@ use bgi_graph::{DiGraph, VId};
 use bgi_search::blinks::{Blinks, BlinksParams};
 use bgi_search::rclique::NeighborIndex;
 use bgi_search::{AnswerGraph, Budget, KeywordQuery, KeywordSearch, RClique};
-use big_index::eval::{eval_query, EvalResult, RealizerKind};
+use big_index::eval::{eval_query, EvalResult};
 use big_index::{Boosted, EvalOptions};
 use std::time::Duration;
 
@@ -53,13 +53,9 @@ pub fn blinks_rows(wb: &Workbench) -> Vec<QueryPerfRow> {
 ///
 /// The per-layer indexes are built here rather than inside a
 /// [`Boosted`] so their rows can be counted afterwards; the query path
-/// is `boost_dkws`'s (same realizer, same layer-0 fallback).
+/// is `boost_dkws`'s (same options, same layer-0 fallback).
 pub fn rclique_rows(wb: &Workbench) -> (Vec<QueryPerfRow>, usize) {
     let rc = RClique { radius: 4 };
-    let opts = EvalOptions {
-        realizer: RealizerKind::StructuralThenDistance,
-        ..EvalOptions::default()
-    };
     let layer_indexes: Vec<NeighborIndex> = (0..=wb.index.num_layers())
         .map(|m| rc.build_index(wb.index.graph_at(m)))
         .collect();
@@ -74,7 +70,7 @@ pub fn rclique_rows(wb: &Workbench) -> (Vec<QueryPerfRow>, usize) {
                 q,
                 TOP_K,
                 None,
-                &opts,
+                &EvalOptions::default(),
                 &Budget::unlimited(),
             )
             .expect("an unlimited budget never interrupts")

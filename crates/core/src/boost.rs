@@ -3,11 +3,12 @@
 //! query time never includes index construction.
 //!
 //! `Boosted<Banks>` is **boost-bkws**, `Boosted<Blinks>` is
-//! **boost-rkws**, `Boosted<RClique>` is **boost-dkws** (structural
-//! realization, per Sec. 5.2's "identical to Sec. 5.1" answer
-//! generation; see [`boost_dkws`]).
+//! **boost-rkws**, `Boosted<RClique>` is **boost-dkws**. Each runs the
+//! same Algo. 2; how a plug-in's answers are realized on `G⁰` is its
+//! own declaration ([`KeywordSearch::DISTANCE_ONLY`]), read by
+//! [`crate::eval`], so no semantics needs a constructor of its own.
 
-use crate::eval::{eval_query, EvalOptions, EvalResult, EvalStats, RealizerKind, StepTimings};
+use crate::eval::{eval_query, EvalOptions, EvalResult, EvalStats, StepTimings};
 use crate::index::BiGIndex;
 use crate::query_gen::optimal_layer;
 use bgi_search::{
@@ -40,11 +41,6 @@ impl<'a, F: KeywordSearch> Boosted<'a, F> {
     /// The underlying BiG-index.
     pub fn index(&self) -> &BiGIndex {
         self.index
-    }
-
-    /// The evaluation options in effect.
-    pub fn options(&self) -> &EvalOptions {
-        &self.opts
     }
 
     /// The layer the cost model would choose for `query`.
@@ -102,16 +98,12 @@ impl<'a, F: KeywordSearch> Boosted<'a, F> {
 
 /// boost-dkws: r-clique on top of BiG-index. Per Sec. 5.2, the neighbor
 /// list is built on each layer and answer generation follows Sec. 5.1's
-/// structural realization; because the clique semantics constrains only
-/// the keyword nodes' pairwise distances, a generalized answer whose
-/// summary witness paths happen not to be edge-realizable falls back to
-/// memoized distance verification on `G⁰` instead of being refetched.
-pub fn boost_dkws<'a>(
-    index: &'a BiGIndex,
-    algo: RClique,
-    mut opts: EvalOptions,
-) -> Boosted<'a, RClique> {
-    opts.realizer = RealizerKind::StructuralThenDistance;
+/// structural realization; because [`RClique`] declares its answers
+/// distance-only, a generalized answer whose summary witness paths
+/// happen not to be edge-realizable falls back to memoized distance
+/// verification on `G⁰` instead of being refetched. The same
+/// [`Boosted::new`] every semantics uses.
+pub fn boost_dkws(index: &BiGIndex, algo: RClique, opts: EvalOptions) -> Boosted<'_, RClique> {
     Boosted::new(index, algo, opts)
 }
 
@@ -176,10 +168,6 @@ mod tests {
     fn boost_dkws_hybrid_realizer_validates() {
         let idx = indexed();
         let boosted = boost_dkws(&idx, RClique::default(), EvalOptions::default());
-        assert_eq!(
-            boosted.options().realizer,
-            RealizerKind::StructuralThenDistance
-        );
         let q = KeywordQuery::new(vec![LabelId(1), LabelId(3)], 4);
         let result = boosted.query(&q, 10);
         assert!(!result.answers.is_empty());

@@ -5,8 +5,10 @@
 //! 3. specialize each generalized answer down the hierarchy with
 //!    candidate filtering ([`crate::spec`]);
 //! 4. materialize final answers at layer 0 — structurally (Algo. 3 or
-//!    Algo. 4) for tree semantics, or by re-verifying pairwise distances
-//!    for the r-clique semantics;
+//!    Algo. 4); a plug-in whose answers are constrained only by keyword
+//!    distances ([`KeywordSearch::DISTANCE_ONLY`], the r-clique
+//!    semantics) falls back per answer to re-verifying pairwise
+//!    distances when its witness paths do not realize;
 //! 5. rank and truncate to `k`.
 //!
 //! Every step is timed separately so the query-performance breakdown of
@@ -39,6 +41,11 @@ use rustc_hash::FxHashMap;
 use std::time::{Duration, Instant};
 
 /// How final answers are materialized from specialized candidates.
+///
+/// Serving always uses the default; the other variants are experiment
+/// and golden-test entry points. Whether a distance re-check backs up
+/// the structural realizers is the plug-in's declaration
+/// ([`KeywordSearch::DISTANCE_ONLY`]), not a variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RealizerKind {
     /// Algo. 3: vertex-at-a-time structural realization.
@@ -48,16 +55,13 @@ pub enum RealizerKind {
     #[default]
     PathBased,
     /// Keyword-nodes-only specialization with pairwise bounded-distance
-    /// verification on `G⁰` — for distance semantics (r-clique).
+    /// verification on `G⁰` only, no structural attempt — for distance
+    /// semantics (r-clique).
     DistanceVerify,
-    /// Structural realization first; when a generalized answer realizes
-    /// to nothing structurally (clique witness paths are often not
-    /// edge-realizable even though the keyword nodes qualify), fall back
-    /// to distance verification for that answer. The boost-dkws default.
-    StructuralThenDistance,
 }
 
-/// Tuning knobs for `eval_Ont`.
+/// What an experiment varies in `eval_Ont`; serving evaluates with
+/// [`EvalOptions::default`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalOptions {
     /// `β` of the query-generalization cost model (Formula 4).
@@ -68,16 +72,6 @@ pub struct EvalOptions {
     pub use_spec_order: bool,
     /// Use early keyword specialization / `isKey` pruning (Sec. 4.3.1).
     pub early_keyword_spec: bool,
-    /// When fewer than `k` final answers survive pruning, refetch
-    /// `overfetch ×` more generalized answers and retry (doubling until
-    /// the generalized answer stream is exhausted).
-    pub overfetch: usize,
-    /// Op allowance for the post-exhaustion wrap-up slice: when the
-    /// summary search comes back best-effort (its budget ran out), the
-    /// already-found generalized answers are still specialized and
-    /// realized under [`Budget::grace`] with this many checks, so a
-    /// deadline never discards work the summary layer already paid for.
-    pub grace_ops: u64,
 }
 
 impl Default for EvalOptions {
@@ -87,11 +81,21 @@ impl Default for EvalOptions {
             realizer: RealizerKind::PathBased,
             use_spec_order: true,
             early_keyword_spec: true,
-            overfetch: 4,
-            grace_ops: 200_000,
         }
     }
 }
+
+/// When fewer than `k` final answers survive pruning, refetch
+/// `OVERFETCH ×` more generalized answers and retry (until the
+/// generalized answer stream is exhausted or three rounds ran).
+const OVERFETCH: usize = 4;
+
+/// Op allowance for the post-exhaustion wrap-up slice: when the summary
+/// search comes back best-effort (its budget ran out), the already-found
+/// generalized answers are still specialized and realized under
+/// [`Budget::grace`] with this many checks, so a deadline never discards
+/// work the summary layer already paid for.
+const GRACE_OPS: u64 = 200_000;
 
 /// Wall-clock breakdown of one `eval_Ont` run (Figs. 10–14).
 #[derive(Debug, Clone, Copy, Default)]
@@ -167,7 +171,7 @@ pub struct EvalResult {
 /// * `m > 0` — the summary-layer search runs anytime; if it was cut
 ///   short, its best-effort generalized answers are still specialized
 ///   and realized under a [`Budget::grace`] slice of
-///   [`EvalOptions::grace_ops`] checks, and the result is marked
+///   [`GRACE_OPS`] checks, and the result is marked
 ///   [`Completeness::Truncated`] (a summary-layer bound does not
 ///   translate through specialization). An interruption during
 ///   specialization or realization likewise keeps the finals produced so
@@ -226,7 +230,7 @@ pub fn eval_at_layer<F: KeywordSearch>(
     let mut rounds = 0usize;
     let mut finals: Vec<AnswerGraph> = Vec::new();
     let mut truncated = false;
-    // Distance cache for the DistanceVerify realizer: bounded undirected
+    // Distance cache for distance verification: bounded undirected
     // BFS balls on G⁰, shared across every generalized answer (and
     // refetch round) of this evaluation — hub balls are expensive and
     // heavily reused.
@@ -249,7 +253,7 @@ pub fn eval_at_layer<F: KeywordSearch>(
             budget
         } else {
             truncated = true;
-            grace = budget.grace(opts.grace_ops);
+            grace = budget.grace(GRACE_OPS);
             &grace
         };
 
@@ -277,7 +281,7 @@ pub fn eval_at_layer<F: KeywordSearch>(
 
             let remaining = k.saturating_sub(finals.len()).max(1);
             let t = Instant::now();
-            let realized = realize_one(
+            let realized = realize_one::<F>(
                 index,
                 query,
                 ga,
@@ -308,7 +312,7 @@ pub fn eval_at_layer<F: KeywordSearch>(
         if truncated || finals.len() >= k || exhausted || rounds >= 3 {
             break;
         }
-        fetch = fetch.saturating_mul(opts.overfetch.max(2));
+        fetch = fetch.saturating_mul(OVERFETCH);
     }
 
     if truncated && finals.is_empty() {
@@ -328,10 +332,14 @@ pub fn eval_at_layer<F: KeywordSearch>(
     })
 }
 
-/// Materializes one specialized generalized answer with the configured
-/// realizer (Step 4).
+/// Materializes one specialized generalized answer (Step 4) with the
+/// realizer `opts` names. When `F` declares its answers distance-only
+/// ([`KeywordSearch::DISTANCE_ONLY`]) and the structural realizer finds
+/// nothing — clique witness paths are often not edge-realizable even
+/// though the keyword nodes qualify — the answer falls back to distance
+/// verification instead of being dropped (boost-dkws, Sec. 5.2).
 #[allow(clippy::too_many_arguments)]
-fn realize_one(
+fn realize_one<F: KeywordSearch>(
     index: &BiGIndex,
     query: &KeywordQuery,
     ga: &AnswerGraph,
@@ -341,7 +349,7 @@ fn realize_one(
     dist_cache: &mut DistCache,
     budget: &Budget,
 ) -> Result<(Vec<AnswerGraph>, GenStats), Interrupted> {
-    match opts.realizer {
+    let (structural, st) = match opts.realizer {
         RealizerKind::VertexAtATime => vertex_answer_generation(
             index.base(),
             ga,
@@ -349,31 +357,25 @@ fn realize_one(
             opts.use_spec_order,
             remaining,
             budget,
-        ),
+        )?,
         RealizerKind::PathBased => {
-            path_answer_generation(index.base(), ga, spec, remaining, budget)
+            path_answer_generation(index.base(), ga, spec, remaining, budget)?
         }
         RealizerKind::DistanceVerify => {
-            distance_verify(index.base(), query, spec, remaining, dist_cache, budget)
+            return distance_verify(index.base(), query, spec, remaining, dist_cache, budget)
         }
-        RealizerKind::StructuralThenDistance => {
-            let (structural, st) =
-                path_answer_generation(index.base(), ga, spec, remaining, budget)?;
-            if structural.is_empty() {
-                let (verified, vt) =
-                    distance_verify(index.base(), query, spec, remaining, dist_cache, budget)?;
-                Ok((
-                    verified,
-                    GenStats {
-                        partials_created: st.partials_created + vt.partials_created,
-                        answers: vt.answers,
-                    },
-                ))
-            } else {
-                Ok((structural, st))
-            }
-        }
+    };
+    if !F::DISTANCE_ONLY || !structural.is_empty() {
+        return Ok((structural, st));
     }
+    let (verified, vt) = distance_verify(index.base(), query, spec, remaining, dist_cache, budget)?;
+    Ok((
+        verified,
+        GenStats {
+            partials_created: st.partials_created + vt.partials_created,
+            answers: vt.answers,
+        },
+    ))
 }
 
 /// The full Algo. 2 for one query: at `layer` if one is given (Fig. 19's

@@ -65,7 +65,7 @@ use bgi_graph::par::par_map;
 use bgi_graph::{DiGraph, LabelId, Ontology, VId};
 use bgi_search::rclique::NeighborIndex;
 use bgi_search::{GraphDiff, KeywordSearch};
-use bgi_store::{build_layer_indexes, GraphUpdate, IndexBundle, Store, Wal};
+use bgi_store::{GraphUpdate, IndexBundle, Store, Wal};
 use big_index::cost::construction_cost_with_compress;
 use big_index::layer::{Layer, MemberTable};
 use big_index::{BiGIndex, GenConfig};
@@ -398,7 +398,6 @@ impl Engine {
             direction: self.direction,
             blinks_params: self.bundle.blinks_params,
             rclique_params: self.bundle.rclique_params,
-            eval: self.bundle.eval,
             threads: self.threads,
         }
     }
@@ -831,7 +830,6 @@ impl Engine {
             rclique,
             blinks_params: old.blinks_params,
             rclique_params,
-            eval: old.eval,
         });
         Ok(ApplyOutcome {
             seq: None,
@@ -951,7 +949,6 @@ pub struct RebuildJob {
     direction: bgi_bisim::BisimDirection,
     blinks_params: bgi_search::blinks::BlinksParams,
     rclique_params: bgi_search::RClique,
-    eval: big_index::EvalOptions,
     threads: usize,
 }
 
@@ -962,14 +959,7 @@ impl RebuildJob {
     pub fn run(self) -> IndexBundle {
         let index =
             BiGIndex::build_with_configs(self.base, self.ontology, self.configs, self.direction);
-        let rclique = build_layer_indexes(&index, self.rclique_params, self.threads);
-        IndexBundle {
-            index,
-            rclique,
-            blinks_params: self.blinks_params,
-            rclique_params: self.rclique_params,
-            eval: self.eval,
-        }
+        IndexBundle::build(index, self.blinks_params, self.rclique_params, self.threads)
     }
 }
 
@@ -1076,7 +1066,6 @@ mod tests {
     use bgi_graph::{GraphBuilder, OntologyBuilder};
     use bgi_search::blinks::BlinksParams;
     use bgi_search::RClique;
-    use big_index::EvalOptions;
 
     /// Fig. 1-like: person subtypes → univ subtypes → state.
     fn setup() -> (DiGraph, Ontology) {
@@ -1115,12 +1104,7 @@ mod tests {
         .unwrap();
         let index =
             BiGIndex::build_with_configs(g, o, vec![c1], bgi_bisim::BisimDirection::Forward);
-        IndexBundle::build(
-            index,
-            BlinksParams::default(),
-            RClique::default(),
-            EvalOptions::default(),
-        )
+        IndexBundle::build(index, BlinksParams::default(), RClique::default(), 1)
     }
 
     fn engine() -> Engine {
@@ -1183,12 +1167,7 @@ mod tests {
             vec![layer],
             bgi_bisim::BisimDirection::Forward,
         );
-        let bundle = IndexBundle::build(
-            index,
-            BlinksParams::default(),
-            RClique::default(),
-            EvalOptions::default(),
-        );
+        let bundle = IndexBundle::build(index, BlinksParams::default(), RClique::default(), 1);
         let err = Engine::new(bundle, EngineConfig::default()).err();
         assert!(
             matches!(err, Some(IngestError::Inconsistent { .. })),
@@ -1482,12 +1461,7 @@ mod tests {
             let configs = big_index::greedy_full_step_configs(&ds.graph, &ds.ontology, 3, dir);
             let index =
                 BiGIndex::build_with_configs(ds.graph.clone(), ds.ontology.clone(), configs, dir);
-            let bundle = IndexBundle::build(
-                index,
-                BlinksParams::default(),
-                RClique::default(),
-                EvalOptions::default(),
-            );
+            let bundle = IndexBundle::build(index, BlinksParams::default(), RClique::default(), 1);
             let mut e = Engine::new(bundle, EngineConfig::default()).unwrap();
             for op in update_stream(&ds.graph, 11, 120, UpdateMix::default()) {
                 let update = match op {

@@ -17,7 +17,7 @@ use bgi_search::RClique;
 use bgi_store::bundle::encode_index;
 use bgi_store::codec::fnv1a64;
 use bgi_store::IndexBundle;
-use big_index::{greedy_full_step_configs, BiGIndex, EvalOptions};
+use big_index::{greedy_full_step_configs, BiGIndex};
 
 // Every pinned value below was measured on 7111f0e, the last commit
 // whose bundles held a BANKS index, with the label lists read from that
@@ -52,12 +52,7 @@ fn run(spec: DatasetSpec, dir: BisimDirection) -> Vec<u64> {
     let ds = spec.generate();
     let configs = greedy_full_step_configs(&ds.graph, &ds.ontology, 3, dir);
     let index = BiGIndex::build_with_configs(ds.graph.clone(), ds.ontology.clone(), configs, dir);
-    let bundle = IndexBundle::build(
-        index,
-        BlinksParams::default(),
-        RClique::default(),
-        EvalOptions::default(),
-    );
+    let bundle = IndexBundle::build(index, BlinksParams::default(), RClique::default(), 1);
     let mut engine = Engine::new(bundle, EngineConfig::default()).expect("a built index seeds");
     let stream = update_stream(&ds.graph, STREAM_SEED, 300, UpdateMix::default());
     let mut out = Vec::new();

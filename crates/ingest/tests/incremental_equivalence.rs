@@ -94,7 +94,7 @@ proptest! {
             index,
             BlinksParams::default(),
             RClique::default(),
-            EvalOptions::default(),
+            1,
         );
         let mut engine = Engine::new(bundle, EngineConfig::default()).unwrap();
 

@@ -46,6 +46,8 @@ impl Default for RClique {
 impl KeywordSearch for RClique {
     type Index = NeighborIndex;
 
+    const DISTANCE_ONLY: bool = true;
+
     fn name(&self) -> &'static str {
         "dkws"
     }

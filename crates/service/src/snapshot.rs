@@ -14,7 +14,7 @@ use bgi_search::{
 };
 use bgi_store::IndexBundle;
 use big_index::query_gen::keywords_stay_distinct;
-use big_index::{eval_query, BiGIndex, EvalOptions, RealizerKind};
+use big_index::{eval_query, BiGIndex, EvalOptions};
 use std::sync::Arc;
 
 /// Why a snapshot could not be built.
@@ -68,9 +68,6 @@ pub struct SnapshotConfig {
     pub blinks: BlinksParams,
     /// r-clique algorithm parameters (radius, memory budget).
     pub rclique: RClique,
-    /// Evaluation options for Algo. 2. The realizer is overridden per
-    /// semantics at query time (`StructuralThenDistance` for `dkws`).
-    pub eval: EvalOptions,
     /// Worker threads for the per-layer index builds (each layer's
     /// builds are independent of the others'). `1` is the serial build;
     /// every thread count produces an identical snapshot.
@@ -82,7 +79,6 @@ impl Default for SnapshotConfig {
         SnapshotConfig {
             blinks: BlinksParams::default(),
             rclique: RClique::default(),
-            eval: EvalOptions::default(),
             threads: 1,
         }
     }
@@ -127,13 +123,7 @@ impl IndexSnapshot {
         // The per-layer builds are independent reads of the verified
         // hierarchy; fan them out (bit-identical to serial for any
         // `config.threads`).
-        let bundle = IndexBundle::build_with_threads(
-            index,
-            config.blinks,
-            config.rclique,
-            config.eval,
-            config.threads,
-        );
+        let bundle = IndexBundle::build(index, config.blinks, config.rclique, config.threads);
         Ok(IndexSnapshot {
             blinks_algo: Blinks::new(bundle.blinks_params),
             bundle: Arc::new(bundle),
@@ -204,12 +194,7 @@ impl IndexSnapshot {
             return Err(QueryError::EmptyQuery);
         }
         let b = &*self.bundle;
-        let mut opts = b.eval;
-        if req.semantics == Semantics::Dkws {
-            // boost-dkws (Sec. 5.2): structural realization first, with
-            // distance verification as the per-answer fallback.
-            opts.realizer = RealizerKind::StructuralThenDistance;
-        }
+        let opts = EvalOptions::default();
         // A layer override is outside input: validate it. Without one
         // `eval_query` runs the Def. 4.1 chooser (which only considers
         // layers keeping keywords distinct) and the layer-0 fallback.

@@ -72,12 +72,7 @@ fn step_configs(g: &DiGraph, ontology: &Ontology, layers: usize) -> Vec<GenConfi
 fn build_bundle(g: DiGraph, o: Ontology, configs: &[GenConfig]) -> IndexBundle {
     let index =
         BiGIndex::build_with_configs(g, o, configs.to_vec(), bgi_bisim::BisimDirection::Forward);
-    IndexBundle::build(
-        index,
-        BlinksParams::default(),
-        RClique::default(),
-        EvalOptions::default(),
-    )
+    IndexBundle::build(index, BlinksParams::default(), RClique::default(), 1)
 }
 
 /// Shadow of the base graph, fed only *committed* batches.

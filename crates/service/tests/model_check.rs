@@ -33,7 +33,7 @@ use bgi_service::{
     IndexSnapshot, Logger, QueryRequest, Semantics, Service, ServiceConfig, WriteHub,
 };
 use bgi_store::IndexBundle;
-use big_index::{BiGIndex, BuildParams, EvalOptions};
+use big_index::{BiGIndex, BuildParams};
 use std::io::Write;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -250,12 +250,7 @@ fn tiny_bundle() -> IndexBundle {
                     ..BuildParams::default()
                 },
             );
-            IndexBundle::build(
-                index,
-                BlinksParams::default(),
-                RClique::default(),
-                EvalOptions::default(),
-            )
+            IndexBundle::build(index, BlinksParams::default(), RClique::default(), 1)
         })
         .clone()
 }

@@ -8,7 +8,7 @@ use bgi_search::blinks::BlinksParams;
 use bgi_search::{AnswerGraph, Budget, RClique};
 use bgi_service::{IndexSnapshot, QueryRequest, Semantics, Service, ServiceConfig};
 use bgi_store::{IndexBundle, Store};
-use big_index::{BiGIndex, BuildParams, EvalOptions};
+use big_index::{BiGIndex, BuildParams};
 use std::sync::Arc;
 
 mod common;
@@ -20,12 +20,7 @@ fn bundle_of(ds: &Dataset) -> IndexBundle {
         ..BuildParams::default()
     };
     let index = BiGIndex::build(ds.graph.clone(), ds.ontology.clone(), &params);
-    IndexBundle::build(
-        index,
-        BlinksParams::default(),
-        RClique::default(),
-        EvalOptions::default(),
-    )
+    IndexBundle::build(index, BlinksParams::default(), RClique::default(), 1)
 }
 
 fn workload(ds: &Dataset) -> Vec<QueryRequest> {

@@ -475,6 +475,21 @@ mod fallback_rule {
         check_row(&snapshot, Semantics::Rkws, &Boosted::new(idx, blinks, opts));
         let dkws = boost_dkws(idx, RClique::default(), opts);
         check_row(&snapshot, Semantics::Dkws, &dkws);
+        // r-clique declares its own realization, so the plain
+        // construction every other semantics uses is boost-dkws too.
+        let plain = Boosted::new(idx, RClique::default(), opts);
+        check_row(&snapshot, Semantics::Dkws, &plain);
+        for kws in [vec![PROF, UNIV], vec![STUDENT, UNIV]] {
+            let q = KeywordQuery::new(kws, 2);
+            let req = QueryRequest::new(Semantics::Dkws, q.keywords.clone(), q.dmax, 5);
+            let want = of_eval(&dkws.query(&q, 5));
+            assert_eq!(of_eval(&plain.query(&q, 5)), want, "{q:?}");
+            assert_eq!(
+                served(&snapshot, &req, &Budget::unlimited()),
+                Some(want),
+                "{q:?}"
+            );
+        }
 
         // A best-effort attempt that did realize something is returned
         // as it is: r-clique's greedy seed survives a spent budget on

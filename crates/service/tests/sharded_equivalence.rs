@@ -15,7 +15,7 @@ use bgi_service::{
 };
 use bgi_shard::{build_shard_bundles, ShardBuildParams, ShardPlan, ShardSpec};
 use bgi_store::IndexBundle;
-use big_index::{BiGIndex, BuildParams, EvalOptions};
+use big_index::{BiGIndex, BuildParams};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -28,12 +28,7 @@ fn mono_snapshot(ds: &Dataset) -> IndexSnapshot {
         ..BuildParams::default()
     };
     let index = BiGIndex::build(ds.graph.clone(), ds.ontology.clone(), &params);
-    let bundle = IndexBundle::build(
-        index,
-        BlinksParams::default(),
-        RClique::default(),
-        EvalOptions::default(),
-    );
+    let bundle = IndexBundle::build(index, BlinksParams::default(), RClique::default(), 1);
     IndexSnapshot::from_bundle(bundle).expect("mono snapshot admits")
 }
 

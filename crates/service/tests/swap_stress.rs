@@ -11,7 +11,7 @@ use bgi_search::blinks::BlinksParams;
 use bgi_search::{AnswerGraph, Budget, RClique};
 use bgi_service::{IndexSnapshot, QueryRequest, Semantics, Service, ServiceConfig, SnapshotConfig};
 use bgi_store::{IndexBundle, Store};
-use big_index::{BiGIndex, BuildParams, EvalOptions};
+use big_index::{BiGIndex, BuildParams};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -228,11 +228,10 @@ fn parallel_builds_and_disk_reloads_never_expose_partial_snapshots() {
     // snapshot answers exactly like `fx.b`.
     let dir = TempDir::new("reload");
     let store = Store::open(dir.path()).expect("store opens");
-    let bundle = IndexBundle::build_with_threads(
+    let bundle = IndexBundle::build(
         fx.b.index().clone(),
         BlinksParams::default(),
         RClique::default(),
-        EvalOptions::default(),
         8,
     );
     store.save_with_threads(&bundle, 8).expect("parallel save");

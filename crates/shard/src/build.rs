@@ -9,7 +9,7 @@ use bgi_graph::{induced_subgraph, DiGraph, Ontology};
 use bgi_search::blinks::BlinksParams;
 use bgi_search::rclique::RClique;
 use bgi_store::IndexBundle;
-use big_index::{BiGIndex, EvalOptions};
+use big_index::BiGIndex;
 
 /// Knobs for per-shard index construction.
 #[derive(Debug, Clone)]
@@ -20,8 +20,6 @@ pub struct ShardBuildParams {
     pub blinks: BlinksParams,
     /// r-clique parameters for every shard's layer indexes.
     pub rclique: RClique,
-    /// Evaluation options baked into each bundle.
-    pub eval: EvalOptions,
     /// Fan-out width for building shards in parallel. The bundles are
     /// byte-identical at any thread count: each shard's build is fully
     /// self-contained and `par_map` returns results in index order.
@@ -34,7 +32,6 @@ impl Default for ShardBuildParams {
             max_layers: 3,
             blinks: BlinksParams::default(),
             rclique: RClique::default(),
-            eval: EvalOptions::default(),
             threads: 1,
         }
     }
@@ -73,7 +70,7 @@ pub fn build_shard_bundles(
             configs,
             bgi_bisim::BisimDirection::Forward,
         );
-        IndexBundle::build(index, params.blinks, params.rclique, params.eval)
+        IndexBundle::build(index, params.blinks, params.rclique, 1)
     })
 }
 

@@ -20,7 +20,7 @@ use bgi_search::blinks::BlinksParams;
 use bgi_search::rclique::{neighbor_index, NeighborIndex};
 use bgi_search::{KeywordSearch, RClique};
 use big_index::layer::Layer;
-use big_index::{BiGIndex, EvalOptions, GenConfig, RealizerKind};
+use big_index::{BiGIndex, EvalOptions, GenConfig};
 
 /// Everything a serving process needs to answer queries without
 /// rebuilding anything: the hierarchy plus the per-layer r-clique
@@ -37,8 +37,6 @@ pub struct IndexBundle {
     pub blinks_params: BlinksParams,
     /// Parameters the r-clique indexes were built with.
     pub rclique_params: RClique,
-    /// Evaluation options to serve with.
-    pub eval: EvalOptions,
 }
 
 /// Builds the per-layer r-clique indexes of `index`, one task per
@@ -59,25 +57,15 @@ pub fn build_layer_indexes(
 }
 
 impl IndexBundle {
-    /// Builds every algorithm's index on every layer of `index` —
-    /// the step persistence exists to amortize.
+    /// Builds every algorithm's index on every layer of `index` — the
+    /// step persistence exists to amortize — with the per-layer builds
+    /// fanned out over up to `threads` scoped workers. The resulting
+    /// bundle, down to its encoded bytes, is identical for every thread
+    /// count.
     pub fn build(
         index: BiGIndex,
         blinks_params: BlinksParams,
         rclique_params: RClique,
-        eval: EvalOptions,
-    ) -> Self {
-        Self::build_with_threads(index, blinks_params, rclique_params, eval, 1)
-    }
-
-    /// [`IndexBundle::build`] with the per-layer index builds fanned
-    /// out over up to `threads` scoped workers. The resulting bundle —
-    /// down to its encoded bytes — is identical for every thread count.
-    pub fn build_with_threads(
-        index: BiGIndex,
-        blinks_params: BlinksParams,
-        rclique_params: RClique,
-        eval: EvalOptions,
         threads: usize,
     ) -> Self {
         let rclique = build_layer_indexes(&index, rclique_params, threads);
@@ -86,8 +74,22 @@ impl IndexBundle {
             rclique,
             blinks_params,
             rclique_params,
-            eval,
         }
+    }
+
+    /// [`IndexBundle::build`] under its older signature. The
+    /// [`EvalOptions`] argument is ignored: a bundle holds no evaluation
+    /// options (serving evaluates with [`EvalOptions::default`]). It
+    /// stays only so the standalone benchmark workspace, which builds
+    /// against this crate, keeps compiling.
+    pub fn build_with_threads(
+        index: BiGIndex,
+        blinks_params: BlinksParams,
+        rclique_params: RClique,
+        _eval: EvalOptions,
+        threads: usize,
+    ) -> Self {
+        Self::build(index, blinks_params, rclique_params, threads)
     }
 
     /// Number of hierarchy layers `h` (the index vector has `h + 1`
@@ -283,31 +285,30 @@ pub fn decode_index(bytes: &[u8]) -> Result<BiGIndex, CodecError> {
 // Parameters
 // ---------------------------------------------------------------------
 
-/// Serializes the build/serve parameters into a [`Section::Params`]
-/// frame.
-pub fn encode_params(blinks: &BlinksParams, rclique: &RClique, eval: &EvalOptions) -> Vec<u8> {
+/// Serializes the build parameters into a [`Section::Params`] frame.
+pub fn encode_params(blinks: &BlinksParams, rclique: &RClique) -> Vec<u8> {
     let mut e = Enc::new(Section::Params);
     // Reserved, always 0: older builds wrote BLINKS' partition block
     // size here, and keeping the slot keeps the frame layout unchanged.
     e.u64(0);
     e.u32(blinks.prune_dist);
     e.u32(rclique.radius);
-    e.f64(eval.beta);
-    e.u8(match eval.realizer {
-        RealizerKind::VertexAtATime => 0,
-        RealizerKind::PathBased => 1,
-        RealizerKind::DistanceVerify => 2,
-        RealizerKind::StructuralThenDistance => 3,
-    });
-    e.u8(u8::from(eval.use_spec_order));
-    e.u8(u8::from(eval.early_keyword_spec));
-    e.u64(eval.overfetch as u64);
-    e.u64(eval.grace_ops);
+    // Reserved block, 27 bytes: older builds persisted evaluation
+    // options here (β, realizer tag, spec-order and isKey flags,
+    // overfetch, grace ops). A bundle holds none now; writing their
+    // defaults, as those builds did, keeps every generation
+    // byte-identical to theirs and servable by them.
+    e.f64(0.4);
+    e.u8(1);
+    e.u8(1);
+    e.u8(1);
+    e.u64(4);
+    e.u64(200_000);
     e.finish()
 }
 
 /// Decodes a parameters frame.
-pub fn decode_params(bytes: &[u8]) -> Result<(BlinksParams, RClique, EvalOptions), CodecError> {
+pub fn decode_params(bytes: &[u8]) -> Result<(BlinksParams, RClique), CodecError> {
     let mut d = Dec::open(bytes, Section::Params)?;
     // The reserved slot: older builds' block size, ignored.
     d.u64()?;
@@ -322,27 +323,16 @@ pub fn decode_params(bytes: &[u8]) -> Result<(BlinksParams, RClique, EvalOptions
             neighbor_index::MAX_RADIUS
         ));
     }
-    let beta = d.f64()?;
-    if !beta.is_finite() {
-        return bad("non-finite β");
-    }
-    let realizer = match d.u8()? {
-        0 => RealizerKind::VertexAtATime,
-        1 => RealizerKind::PathBased,
-        2 => RealizerKind::DistanceVerify,
-        3 => RealizerKind::StructuralThenDistance,
-        x => return bad(format!("unknown realizer tag {x}")),
-    };
-    let eval = EvalOptions {
-        beta,
-        realizer,
-        use_spec_order: d.u8()? != 0,
-        early_keyword_spec: d.u8()? != 0,
-        overfetch: d.u64()? as usize,
-        grace_ops: d.u64()?,
-    };
+    // The reserved block: older builds' evaluation options, ignored
+    // whatever they hold.
+    d.f64()?;
+    d.u8()?;
+    d.u8()?;
+    d.u8()?;
+    d.u64()?;
+    d.u64()?;
     d.finish()?;
-    Ok((blinks, rclique, eval))
+    Ok((blinks, rclique))
 }
 
 #[cfg(test)]
@@ -377,7 +367,7 @@ mod tests {
             index,
             BlinksParams { prune_dist: 4 },
             RClique { radius: 3 },
-            EvalOptions::default(),
+            1,
         )
     }
 
@@ -388,25 +378,6 @@ mod tests {
         let back = decode_index(&bytes).unwrap();
         assert_eq!(back, bundle.index);
         assert!(back.verify().is_clean());
-    }
-
-    #[test]
-    fn params_roundtrip() {
-        let blinks = BlinksParams { prune_dist: 9 };
-        let rclique = RClique { radius: 2 };
-        let eval = EvalOptions {
-            beta: 0.7,
-            realizer: RealizerKind::StructuralThenDistance,
-            use_spec_order: false,
-            early_keyword_spec: true,
-            overfetch: 2,
-            grace_ops: 123_456,
-        };
-        let bytes = encode_params(&blinks, &rclique, &eval);
-        let (b2, r2, e2) = decode_params(&bytes).unwrap();
-        assert_eq!(b2, blinks);
-        assert_eq!(r2, rclique);
-        assert_eq!(e2, eval);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! <root>/
 //!   gen-00000001/
 //!     index.bin        # the BiG-index hierarchy
-//!     params.bin       # BlinksParams + RClique + EvalOptions
+//!     params.bin       # BlinksParams + RClique (+ a reserved block)
 //!     MANIFEST         # committed last; lists every file + checksum
 //!   gen-00000002/
 //!   quarantine/
@@ -31,9 +31,7 @@
 //! entries are size- and checksum-checked like any other, then ignored,
 //! so a stale or lying label table on disk is never served.
 
-use crate::bundle::{
-    build_layer_indexes, decode_index, decode_params, encode_index, encode_params, IndexBundle,
-};
+use crate::bundle::{decode_index, decode_params, encode_index, encode_params, IndexBundle};
 use crate::codec::{fnv1a64, frame_version, CodecError, Dec, Enc, Section, VERSION};
 use crate::error::{RetryPolicy, StoreError};
 use crate::failpoint::Failpoints;
@@ -146,7 +144,7 @@ impl Store {
             } else {
                 (
                     "params.bin".to_string(),
-                    encode_params(&bundle.blinks_params, &bundle.rclique_params, &bundle.eval),
+                    encode_params(&bundle.blinks_params, &bundle.rclique_params),
                 )
             }
         });
@@ -260,10 +258,8 @@ impl Store {
 
         let index =
             decode_index(get("index.bin")?).map_err(|e| corrupt(format!("index.bin: {e}")))?;
-        let (blinks_params, rclique_params, eval) =
+        let (blinks_params, rclique_params) =
             decode_params(get("params.bin")?).map_err(|e| corrupt(format!("params.bin: {e}")))?;
-
-        let rclique = build_layer_indexes(&index, rclique_params, 1);
 
         // The verification gate: structural decoding succeeded, but the
         // hierarchy must also satisfy the paper's invariants before a
@@ -275,13 +271,7 @@ impl Store {
                 violations: report.total_violations(),
             });
         }
-        Ok(IndexBundle {
-            index,
-            rclique,
-            blinks_params,
-            rclique_params,
-            eval,
-        })
+        Ok(IndexBundle::build(index, blinks_params, rclique_params, 1))
     }
 
     /// Moves a bad generation into `quarantine/` so it is never

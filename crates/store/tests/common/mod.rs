@@ -10,7 +10,7 @@ use bgi_graph::{GraphBuilder, LabelId, OntologyBuilder, VId};
 use bgi_search::blinks::BlinksParams;
 use bgi_search::RClique;
 use bgi_store::IndexBundle;
-use big_index::{BiGIndex, BuildParams, EvalOptions};
+use big_index::{BiGIndex, BuildParams};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -38,7 +38,7 @@ fn build_bundle(edge_stride: u32) -> IndexBundle {
         index,
         BlinksParams { prune_dist: 4 },
         RClique { radius: 3 },
-        EvalOptions::default(),
+        1,
     )
 }
 

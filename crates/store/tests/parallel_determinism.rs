@@ -10,7 +10,7 @@ use bgi_search::blinks::BlinksParams;
 use bgi_search::RClique;
 use bgi_store::bundle::encode_index;
 use bgi_store::{IndexBundle, Store};
-use big_index::{BiGIndex, BuildParams, EvalOptions};
+use big_index::{BiGIndex, BuildParams};
 use common::TempDir;
 use std::fs;
 use std::path::Path;
@@ -53,13 +53,7 @@ fn greedy_params(threads: usize) -> BuildParams {
 fn bundle_with(threads: usize) -> IndexBundle {
     let (g, ontology) = dataset();
     let index = BiGIndex::build(g, ontology, &greedy_params(threads));
-    IndexBundle::build_with_threads(
-        index,
-        BlinksParams::default(),
-        RClique::default(),
-        EvalOptions::default(),
-        threads,
-    )
+    IndexBundle::build(index, BlinksParams::default(), RClique::default(), threads)
 }
 
 #[test]

@@ -6,7 +6,8 @@
 mod common;
 
 use bgi_graph::LabelId;
-use bgi_search::{AnswerGraph, Banks, Blinks, KeywordQuery, KeywordSearch};
+use bgi_search::blinks::BlinksParams;
+use bgi_search::{AnswerGraph, Banks, Blinks, KeywordQuery, KeywordSearch, RClique};
 use bgi_store::codec::{fnv1a64, Dec, Enc, Section};
 use bgi_store::{FailAction, Failpoints, IndexBundle, RetryPolicy, Store, StoreError};
 use common::{bundle_a, bundle_b, TempDir};
@@ -155,19 +156,30 @@ fn generation_of_another_codec_version_is_typed_and_quarantined() {
 /// after the direction byte, the frame checksum and the manifest entry
 /// recomputed — an intact file, just not one this build reads.
 fn retag_index_as_k_bounded(root: &Path, generation: u64, k: u32) {
-    let dir = root.join(format!("gen-{generation:08}"));
-    let path = dir.join("index.bin");
-    let mut bytes = fs::read(&path).unwrap();
+    let path = root.join(format!("gen-{generation:08}")).join("index.bin");
+    let mut bytes = fs::read(path).unwrap();
     // An 8-byte header (magic, version, section), the direction byte,
     // then the reserved pair this build writes as 0/0.
     assert_eq!(bytes[9..14], [0; 5], "reserved pair is written 0/0");
     bytes[9] = 1;
     bytes[10..14].copy_from_slice(&k.to_le_bytes());
+    reframe(&mut bytes);
+    commit_file(root, generation, "index.bin", &bytes);
+}
+
+/// Recomputes a frame's trailing checksum over its (edited) body.
+fn reframe(bytes: &mut [u8]) {
     let body = bytes.len() - 8;
     let sum = fnv1a64(&bytes[..body]);
     bytes[body..].copy_from_slice(&sum.to_le_bytes());
-    fs::write(&path, &bytes).unwrap();
+}
 
+/// Replaces `generation`'s file `name` with `bytes` and rewrites its
+/// MANIFEST entry (length and checksum) to match: an intact file, just
+/// not the one this build wrote.
+fn commit_file(root: &Path, generation: u64, name: &str, bytes: &[u8]) {
+    let dir = root.join(format!("gen-{generation:08}"));
+    fs::write(dir.join(name), bytes).unwrap();
     let manifest = dir.join("MANIFEST");
     let old = fs::read(&manifest).unwrap();
     let mut d = Dec::open(&old, Section::Manifest).unwrap();
@@ -175,16 +187,16 @@ fn retag_index_as_k_bounded(root: &Path, generation: u64, k: u32) {
     let entries = d.seq_len().unwrap();
     e.u64(entries as u64);
     for _ in 0..entries {
-        let name = d.bytes().unwrap();
-        let len = d.u64().unwrap();
-        let checksum = d.u64().unwrap();
-        e.bytes(name);
-        e.u64(len);
-        e.u64(if name == b"index.bin" {
-            fnv1a64(&bytes)
+        let entry = d.bytes().unwrap();
+        let (len, checksum) = (d.u64().unwrap(), d.u64().unwrap());
+        e.bytes(entry);
+        if entry == name.as_bytes() {
+            e.u64(bytes.len() as u64);
+            e.u64(fnv1a64(bytes));
         } else {
-            checksum
-        });
+            e.u64(len);
+            e.u64(checksum);
+        }
     }
     fs::write(&manifest, e.finish()).unwrap();
 }
@@ -218,35 +230,13 @@ fn generation_with_a_k_bounded_index_is_refused_and_quarantined() {
 /// checksum and the manifest entry recomputed: an intact `params.bin`
 /// whose radius may be one no neighbor row can hold.
 fn store_radius(root: &Path, generation: u64, radius: u32) {
-    let dir = root.join(format!("gen-{generation:08}"));
-    let path = dir.join("params.bin");
-    let mut bytes = fs::read(&path).unwrap();
+    let path = root.join(format!("gen-{generation:08}")).join("params.bin");
+    let mut bytes = fs::read(path).unwrap();
     // An 8-byte header (magic, version, section), the reserved u64 and
     // BLINKS' u32 `prune_dist`, then the radius.
     bytes[20..24].copy_from_slice(&radius.to_le_bytes());
-    let body = bytes.len() - 8;
-    let sum = fnv1a64(&bytes[..body]);
-    bytes[body..].copy_from_slice(&sum.to_le_bytes());
-    fs::write(&path, &bytes).unwrap();
-
-    let manifest = dir.join("MANIFEST");
-    let old = fs::read(&manifest).unwrap();
-    let mut d = Dec::open(&old, Section::Manifest).unwrap();
-    let mut e = Enc::new(Section::Manifest);
-    let entries = d.seq_len().unwrap();
-    e.u64(entries as u64);
-    for _ in 0..entries {
-        let name = d.bytes().unwrap();
-        let (len, checksum) = (d.u64().unwrap(), d.u64().unwrap());
-        e.bytes(name);
-        e.u64(len);
-        e.u64(if name == b"params.bin" {
-            fnv1a64(&bytes)
-        } else {
-            checksum
-        });
-    }
-    fs::write(&manifest, e.finish()).unwrap();
+    reframe(&mut bytes);
+    commit_file(root, generation, "params.bin", &bytes);
 }
 
 #[test]
@@ -266,6 +256,60 @@ fn generation_with_a_radius_no_row_can_hold_is_corrupt() {
             assert_eq!(generation, 1);
             assert!(
                 detail.starts_with("params.bin: r-clique radius 65536 exceeds"),
+                "{detail}"
+            );
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    assert_eq!(store.quarantined().len(), 1);
+}
+
+/// `params.bin` of a bundle with default BLINKS and r-clique parameters,
+/// as the builds that persisted evaluation options wrote it with their
+/// defaults: header, the reserved u64, `prune_dist` 5, radius 4, then
+/// 27 bytes of options (β 0.4, realizer tag 1, both flags set, overfetch
+/// 4, grace 200 000), then the checksum. Those bytes are now a reserved
+/// block, still written exactly so.
+const DEFAULT_PARAMS_FRAME: [u8; 59] = [
+    66, 71, 73, 83, 3, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 4, 0, 0, 0, 154, 153, 153, 153,
+    153, 153, 217, 63, 1, 1, 1, 4, 0, 0, 0, 0, 0, 0, 0, 64, 13, 3, 0, 0, 0, 0, 0, 56, 64, 3, 130,
+    169, 137, 244, 243,
+];
+
+/// The same frame written by such a build with other options: β 0.7,
+/// realizer tag 3 (its structural-then-distance hybrid), spec order
+/// off, isKey on, overfetch 2, grace 123 456.
+const OTHER_OPTIONS_PARAMS_FRAME: [u8; 59] = [
+    66, 71, 73, 83, 3, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 4, 0, 0, 0, 102, 102, 102, 102,
+    102, 102, 230, 63, 3, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 64, 226, 1, 0, 0, 0, 0, 0, 20, 89, 169, 42,
+    158, 88, 61, 24,
+];
+
+#[test]
+fn params_frame_is_pinned_and_its_reserved_block_ignored() {
+    let a = bundle_a();
+    let bundle = IndexBundle::build(a.index, BlinksParams::default(), RClique::default(), 1);
+    let dir = TempDir::new("params-pin");
+    let store = Store::open(dir.path()).unwrap();
+    store.save(&bundle).unwrap();
+    let params = dir.path().join("gen-00000001").join("params.bin");
+    assert_eq!(fs::read(&params).unwrap(), DEFAULT_PARAMS_FRAME);
+
+    // Whatever options an older build stored there, the block is
+    // skipped and the generation loads as the same bundle.
+    commit_file(dir.path(), 1, "params.bin", &OTHER_OPTIONS_PARAMS_FRAME);
+    let (_, loaded) = store.load_latest().unwrap();
+    assert_eq!(loaded, bundle);
+
+    // A frame that ends inside the reserved block is still corrupt.
+    let mut cut = DEFAULT_PARAMS_FRAME[..24 + 10 + 8].to_vec();
+    reframe(&mut cut);
+    commit_file(dir.path(), 1, "params.bin", &cut);
+    match store.load_latest() {
+        Err(StoreError::Corrupt { generation, detail }) => {
+            assert_eq!(generation, 1);
+            assert!(
+                detail.starts_with("params.bin: truncated payload"),
                 "{detail}"
             );
         }
