@@ -12,7 +12,7 @@ use crate::ans_gen::GenStats;
 use crate::spec::SpecializedAnswer;
 use bgi_graph::{DiGraph, VId};
 use bgi_search::{AnswerGraph, Budget, Interrupted};
-use rustc_hash::FxHashMap;
+use std::ops::ControlFlow;
 
 /// A decomposed path: positions (indices into the answer's vertex list)
 /// plus the orientation of each step (`true` = edge follows path
@@ -159,9 +159,14 @@ pub fn specialize_path(
 }
 
 /// Full Algo. 4: decompose, specialize each path, and join on shared
-/// joint vertices (Def. 4.3). Returns the realized answers and
-/// generation statistics comparable to Algo. 3's. `budget` is checked
-/// inside the per-path specialization and the join loops.
+/// joint vertices (Def. 4.3). Returns the first `limit` realized answers
+/// and generation statistics comparable to Algo. 3's. `budget` is
+/// checked inside the per-path specialization and the join.
+///
+/// The join is depth-first over the paths, most selective first, and
+/// each path's realizations in order: answers come out in the
+/// lexicographic order of their realization indices, and the join stops
+/// at the `limit`-th, so it builds no partial answer past it.
 pub fn path_answer_generation(
     base: &DiGraph,
     answer: &AnswerGraph,
@@ -170,7 +175,7 @@ pub fn path_answer_generation(
     budget: &Budget,
 ) -> Result<(Vec<AnswerGraph>, GenStats), Interrupted> {
     let n = answer.vertices.len();
-    let mut stats = GenStats::default();
+    let stats = GenStats::default();
     if n == 0 || limit == 0 {
         return Ok((Vec::new(), stats));
     }
@@ -186,57 +191,89 @@ pub fn path_answer_generation(
     }
     realized.sort_by_key(|(_, r)| r.len());
 
-    // Partial answers: position -> concrete vertex.
-    let mut partials: Vec<FxHashMap<usize, VId>> = vec![FxHashMap::default()];
-    for (path, realizations) in &realized {
-        let mut next: Vec<FxHashMap<usize, VId>> = Vec::new();
-        for partial in &partials {
-            for r in realizations {
-                budget.check()?;
-                // Path qualification (Def. 4.3): every position shared
-                // with the partial must agree.
-                let agrees = path
-                    .positions
-                    .iter()
-                    .zip(r.iter())
-                    .all(|(&pos, &v)| partial.get(&pos).is_none_or(|&u| u == v));
-                if agrees {
-                    let mut merged = partial.clone();
-                    for (&pos, &v) in path.positions.iter().zip(r.iter()) {
-                        merged.insert(pos, v);
-                    }
-                    // Distinct positions must get distinct vertices
-                    // (members of distinct supernodes are disjoint, but a
-                    // defensive check keeps hand-built inputs honest).
-                    next.push(merged);
-                    stats.partials_created += 1;
+    let mut join = Join {
+        answer,
+        spec,
+        limit,
+        budget,
+        assignment: vec![None; n],
+        answers: Vec::new(),
+        stats,
+    };
+    // A break only says `limit` answers are out.
+    let _ = join.extend(&realized)?;
+    Ok((join.answers, join.stats))
+}
+
+/// The depth-first join's state: the partial answer being extended,
+/// position by position, and the answers emitted so far.
+struct Join<'a> {
+    answer: &'a AnswerGraph,
+    spec: &'a SpecializedAnswer,
+    limit: usize,
+    budget: &'a Budget,
+    assignment: Vec<Option<VId>>,
+    answers: Vec<AnswerGraph>,
+    stats: GenStats,
+}
+
+impl Join<'_> {
+    /// Joins every qualifying realization of `paths[0]` onto the
+    /// assignment and recurses on the rest; with no path left, emits the
+    /// assignment. Breaks once `limit` answers are out.
+    fn extend(
+        &mut self,
+        paths: &[(GenPath, Vec<Vec<VId>>)],
+    ) -> Result<ControlFlow<()>, Interrupted> {
+        let Some(((path, realizations), rest)) = paths.split_first() else {
+            return self.emit();
+        };
+        let mut fresh = Vec::with_capacity(path.positions.len());
+        for r in realizations {
+            self.budget.check()?;
+            // Path qualification (Def. 4.3): every position shared with
+            // the partial must agree.
+            let agrees = (path.positions.iter().zip(r))
+                .all(|(&pos, &v)| self.assignment[pos].is_none_or(|u| u == v));
+            if !agrees {
+                continue;
+            }
+            for (&pos, &v) in path.positions.iter().zip(r) {
+                if self.assignment[pos].is_none() {
+                    fresh.push(pos);
                 }
+                self.assignment[pos] = Some(v);
+            }
+            self.stats.partials_created += 1;
+            let flow = self.extend(rest);
+            for pos in fresh.drain(..) {
+                self.assignment[pos] = None;
+            }
+            if flow?.is_break() {
+                return Ok(ControlFlow::Break(()));
             }
         }
-        partials = next;
-        if partials.is_empty() {
-            return Ok((Vec::new(), stats));
-        }
+        Ok(ControlFlow::Continue(()))
     }
 
-    let mut answers = Vec::new();
-    for partial in partials {
-        budget.check()?;
-        if partial.len() != n {
-            continue; // uncovered positions (cannot happen post-decomposition)
+    fn emit(&mut self) -> Result<ControlFlow<()>, Interrupted> {
+        self.budget.check()?;
+        if self.assignment.iter().any(Option::is_none) {
+            // Uncovered positions (cannot happen post-decomposition).
+            return Ok(ControlFlow::Continue(()));
         }
-        let assignment: Vec<Option<VId>> = (0..n).map(|i| partial.get(&i).copied()).collect();
-        answers.push(crate::ans_gen::materialize_assignment(
-            answer,
-            spec,
-            &assignment,
+        (self.answers).push(crate::ans_gen::materialize_assignment(
+            self.answer,
+            self.spec,
+            &self.assignment,
         ));
-        stats.answers += 1;
-        if answers.len() >= limit {
-            break;
-        }
+        self.stats.answers += 1;
+        Ok(if self.answers.len() >= self.limit {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        })
     }
-    Ok((answers, stats))
 }
 
 #[cfg(test)]

@@ -12,9 +12,9 @@ use crate::cancel::{Budget, Interrupted};
 use crate::outcome::{Completeness, SearchOutcome};
 use crate::query::KeywordQuery;
 use crate::semantics::KeywordSearch;
+use bgi_graph::traversal::{with_slots, Direction, Slot};
 use bgi_graph::{DiGraph, VId};
-use rustc_hash::FxHashMap;
-use std::collections::VecDeque;
+use std::ops::ControlFlow;
 
 /// The backward keyword search algorithm (no parameters). It keeps no
 /// index: each keyword's vertex set is the layer graph's own label
@@ -22,52 +22,26 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Banks;
 
-/// Per-keyword backward BFS result: for each reached vertex, its
-/// distance to the nearest keyword node and the out-neighbor on a
-/// shortest path toward it (`None` at keyword nodes themselves).
-pub(crate) type ReachTable = FxHashMap<VId, (u32, Option<VId>)>;
-
-pub(crate) fn backward_reach_budgeted(
+/// Seeds `slot` with `sources` and expands it backward to `dmax`,
+/// polling `budget` once per dequeued vertex.
+pub(crate) fn expand_backward(
+    slot: &mut Slot,
     g: &DiGraph,
     sources: &[VId],
     dmax: u32,
     budget: &Budget,
-) -> Result<ReachTable, Interrupted> {
-    let mut reach: ReachTable = FxHashMap::default();
-    let mut queue = VecDeque::new();
-    // budget-exempt: linear seeding of the BFS queue
-    for &s in sources {
-        if let std::collections::hash_map::Entry::Vacant(e) = reach.entry(s) {
-            e.insert((0, None));
-            queue.push_back(s);
-        }
+) -> Result<(), Interrupted> {
+    slot.seed(g, sources);
+    let poll = |_| match budget.check() {
+        Ok(()) => ControlFlow::Continue(()),
+        Err(e) => ControlFlow::Break(e),
+    };
+    match slot.run(g, Direction::Backward, dmax, poll, |_, _| {
+        ControlFlow::Continue(())
+    }) {
+        ControlFlow::Continue(()) => Ok(()),
+        ControlFlow::Break(e) => Err(e),
     }
-    while let Some(v) = queue.pop_front() {
-        budget.check()?;
-        let d = reach[&v].0;
-        if d >= dmax {
-            continue;
-        }
-        for &u in g.in_neighbors(v) {
-            if let std::collections::hash_map::Entry::Vacant(e) = reach.entry(u) {
-                e.insert((d + 1, Some(v)));
-                queue.push_back(u);
-            }
-        }
-    }
-    Ok(reach)
-}
-
-/// Reconstructs the root-to-keyword path from a `backward_reach_budgeted`
-/// table.
-pub(crate) fn path_to_keyword(reach: &ReachTable, root: VId) -> Vec<VId> {
-    let mut path = vec![root];
-    let mut cur = root;
-    while let Some(&(_, Some(next))) = reach.get(&cur) {
-        path.push(next);
-        cur = next;
-    }
-    path
 }
 
 impl KeywordSearch for Banks {
@@ -79,18 +53,22 @@ impl KeywordSearch for Banks {
 
     fn build_index(&self, _g: &DiGraph) {}
 
-    /// Every candidate root is scored from the reach tables first, one
-    /// lookup per keyword; answer trees are then built for the `k` least
-    /// `(score, root)` only, so the cost of path building follows `k`,
-    /// not the candidate count.
+    /// Each keyword's vertex set is expanded backward to `d_max` on one
+    /// traversal slot ([`bgi_graph::traversal`]), smallest set first.
+    /// Every candidate root is scored from the slots' distances first,
+    /// one read per keyword; answer trees are then built for the `k`
+    /// least `(score, root)` only, following each slot's parents, so the
+    /// cost of path building follows `k`, not the candidate count.
     ///
-    /// Best-effort under `budget`, polled once per scored root.
-    /// Interruption during the per-keyword backward expansions means no
-    /// candidate root is known yet, so nothing usable exists and the
-    /// whole search fails with [`Interrupted`]; interruption during the
-    /// root-scoring loop returns the best `k` of the roots scored so far
-    /// marked [`Completeness::Truncated`] (candidate roots are not
-    /// visited in weight order, so no optimality bound is available).
+    /// Best-effort under `budget`, polled once per dequeued vertex of
+    /// every expansion and once per scored root. Interruption during the
+    /// expansions means no candidate root is known yet, so nothing usable
+    /// exists and the whole search fails with [`Interrupted`];
+    /// interruption during the root-scoring loop returns the best `k` of
+    /// the roots scored so far marked [`Completeness::Truncated`]. Roots
+    /// are scored in the discovery order of the smallest keyword set's
+    /// expansion, not in weight order, so no optimality bound is
+    /// available.
     fn search_anytime(
         &self,
         g: &DiGraph,
@@ -116,75 +94,74 @@ impl KeywordSearch for Banks {
         }
         keyword_sets.sort_by_key(|(_, s)| s.len());
 
-        // Reach tables tagged with their keyword's position.
-        let mut reaches: Vec<(usize, ReachTable)> = Vec::with_capacity(query.len());
-        // Candidate roots: intersection of reach sets; seed from the
-        // smallest keyword set's reach and intersect incrementally.
-        let mut candidates: Option<Vec<VId>> = None;
-        for &(i, sources) in &keyword_sets {
-            let reach = backward_reach_budgeted(g, sources, query.dmax, budget)?;
-            candidates = Some(match candidates {
-                None => reach.keys().copied().collect(),
-                Some(prev) => prev.into_iter().filter(|v| reach.contains_key(v)).collect(),
-            });
-            reaches.push((i, reach));
-            if candidates.as_ref().is_some_and(Vec::is_empty) {
-                return Ok(SearchOutcome::exact(Vec::new()));
-            }
-        }
-
-        // Score every root (one lookup per keyword), then build answers
-        // for the k best only.
-        let mut scored: Vec<(u64, VId)> = Vec::new();
-        let mut truncated = false;
-        for root in candidates.unwrap_or_default() {
-            if budget.is_exhausted() {
-                // Surface the roots already scored instead of
-                // discarding them.
-                truncated = true;
-                break;
-            }
-            let score = reaches
-                .iter()
-                .map(|(_, reach)| reach.get(&root).map_or(0, |&(d, _)| u64::from(d)))
-                .sum();
-            scored.push((score, root));
-        }
-        if truncated && scored.is_empty() {
-            return Err(Interrupted);
-        }
-        // Roots are distinct, so `(score, root)` is `rank_and_truncate`'s
-        // `(score, identity)` order with no tie to break.
-        if scored.len() > k {
-            scored.select_nth_unstable(k);
-            scored.truncate(k);
-        }
-        scored.sort_unstable();
-        let answers = scored
-            .into_iter()
-            .map(|(score, root)| {
-                let mut vertices = Vec::new();
-                let mut edges = Vec::new();
-                let mut keyword_matches = vec![Vec::new(); query.len()];
-                // budget-exempt: |query| walks of at most d_max hops, k times
-                for (i, reach) in &reaches {
-                    let path = path_to_keyword(reach, root);
-                    for w in path.windows(2) {
-                        edges.push((w[0], w[1]));
-                    }
-                    keyword_matches[*i].extend(path.last().copied());
-                    vertices.extend(path);
+        // `slots[j]` expands `keyword_sets[j]`.
+        with_slots(keyword_sets.len(), |slots| {
+            // Candidate roots: the smallest set's reach in discovery
+            // order, narrowed by every later reach.
+            let mut candidates: Vec<VId> = Vec::new();
+            for (j, (&(_, sources), slot)) in keyword_sets.iter().zip(&mut *slots).enumerate() {
+                expand_backward(slot, g, sources, query.dmax, budget)?;
+                if j == 0 {
+                    candidates.extend_from_slice(slot.discovered());
+                } else {
+                    candidates.retain(|&v| slot.reached(v));
                 }
-                AnswerGraph::new(vertices, edges, keyword_matches, Some(root), score)
+                if candidates.is_empty() {
+                    return Ok(SearchOutcome::exact(Vec::new()));
+                }
+            }
+
+            // Score every root (one read per keyword), then build
+            // answers for the k best only.
+            let mut scored: Vec<(u64, VId)> = Vec::new();
+            let mut truncated = false;
+            for root in candidates {
+                if budget.is_exhausted() {
+                    // Surface the roots already scored instead of
+                    // discarding them.
+                    truncated = true;
+                    break;
+                }
+                let score = slots.iter().map(|s| u64::from(s.dist(root))).sum();
+                scored.push((score, root));
+            }
+            if truncated && scored.is_empty() {
+                return Err(Interrupted);
+            }
+            // Roots are distinct, so `(score, root)` is
+            // `rank_and_truncate`'s `(score, identity)` order with no tie
+            // to break.
+            if scored.len() > k {
+                scored.select_nth_unstable(k);
+                scored.truncate(k);
+            }
+            scored.sort_unstable();
+            let answers = scored
+                .into_iter()
+                .map(|(score, root)| {
+                    let mut vertices = Vec::new();
+                    let mut edges = Vec::new();
+                    let mut keyword_matches = vec![Vec::new(); query.len()];
+                    // budget-exempt: |query| walks of at most d_max hops, k times
+                    for (&(i, _), slot) in keyword_sets.iter().zip(&*slots) {
+                        let path = slot.path_to_source(root);
+                        for w in path.windows(2) {
+                            edges.push((w[0], w[1]));
+                        }
+                        keyword_matches[i].extend(path.last().copied());
+                        vertices.extend(path);
+                    }
+                    AnswerGraph::new(vertices, edges, keyword_matches, Some(root), score)
+                })
+                .collect();
+            Ok(SearchOutcome {
+                answers,
+                completeness: if truncated {
+                    Completeness::Truncated
+                } else {
+                    Completeness::Exact
+                },
             })
-            .collect();
-        Ok(SearchOutcome {
-            answers,
-            completeness: if truncated {
-                Completeness::Truncated
-            } else {
-                Completeness::Exact
-            },
         })
     }
 }

@@ -13,14 +13,13 @@
 //! for bidirectional search.
 
 use crate::answer::{rank_and_truncate, AnswerGraph};
-use crate::banks::{backward_reach_budgeted, path_to_keyword};
+use crate::banks::expand_backward;
 use crate::cancel::{Budget, Interrupted};
 use crate::outcome::SearchOutcome;
 use crate::query::KeywordQuery;
 use crate::semantics::KeywordSearch;
-use bgi_graph::traversal::{BfsScratch, Direction};
+use bgi_graph::traversal::{with_slots, Direction};
 use bgi_graph::{DiGraph, VId};
-use rustc_hash::FxHashMap;
 
 /// Bidirectional expansion search.
 #[derive(Debug, Clone, Copy)]
@@ -69,103 +68,86 @@ impl KeywordSearch for Bidirectional {
             .min_by_key(|&i| g.vertices_with(query.keywords[i]).len())
             .unwrap();
         let half = query.dmax.div_ceil(2);
-        let mut reaches = Vec::with_capacity(n);
-        for (i, &q) in query.keywords.iter().enumerate() {
-            let sources = g.vertices_with(q);
-            if sources.is_empty() {
-                return Ok(SearchOutcome::exact(Vec::new()));
+        // One backward slot per keyword, then the forward validator.
+        with_slots(n + 1, |slots| {
+            let (reaches, forward) = slots.split_at_mut(n);
+            let forward = &mut forward[0];
+            for (i, (&q, reach)) in query.keywords.iter().zip(&mut *reaches).enumerate() {
+                let sources = g.vertices_with(q);
+                if sources.is_empty() {
+                    return Ok(SearchOutcome::exact(Vec::new()));
+                }
+                let bound = if i == pivot { query.dmax } else { half };
+                expand_backward(reach, g, sources, bound, budget)?;
             }
-            let bound = if i == pivot { query.dmax } else { half };
-            reaches.push(backward_reach_budgeted(g, sources, bound, budget)?);
-        }
 
-        // Activation: Σ_i decay^{dist_i(v)} / |V_{q_i}| over keywords
-        // that reached v — the spreading-activation score.
-        let mut activation: FxHashMap<VId, f64> = FxHashMap::default();
-        let mut hits: FxHashMap<VId, usize> = FxHashMap::default();
-        // budget-exempt: one pass over the reach tables just built
-        for (i, reach) in reaches.iter().enumerate() {
-            let denom = g.vertices_with(query.keywords[i]).len().max(1) as f64;
-            for (&v, &(d, _)) in reach {
-                *activation.entry(v).or_insert(0.0) += self.decay.powi(d as i32) / denom;
-                *hits.entry(v).or_insert(0) += 1;
-            }
-        }
-
-        // Candidates ordered by activation, highest first: hub-like
-        // vertices are validated before the fringe. Every valid root is
-        // a candidate because the pivot keyword's reach is complete.
-        let mut order: Vec<(VId, f64)> = activation.into_iter().collect();
-        order.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-
-        let mut scratch = BfsScratch::new(g.num_vertices());
-        let mut answers = Vec::new();
-        for (v, _act) in order {
-            budget.check()?;
-            if !reaches[pivot].contains_key(&v) {
-                continue; // cannot reach the pivot keyword within d_max
-            }
-            let hit = hits[&v];
-            if hit == 0 {
-                continue;
-            }
-            // Forward validation: one bounded forward BFS from v gives
-            // the distances to every keyword the backward frontiers have
-            // not (yet) established.
-            let mut dists = vec![None; n];
-            let mut need_forward = false;
+            // Activation: Σ_i decay^{dist_i(v)} / |V_{q_i}| over keywords
+            // that reached v — the spreading-activation score — for every
+            // vertex some keyword reached, listed once.
+            let denoms: Vec<f64> = (query.keywords.iter())
+                .map(|&q| g.vertices_with(q).len().max(1) as f64)
+                .collect();
+            let mut order: Vec<(VId, f64)> = Vec::new();
+            // budget-exempt: one pass over the reaches just expanded
             for (i, reach) in reaches.iter().enumerate() {
-                match reach.get(&v) {
-                    Some(&(d, _)) => dists[i] = Some(d),
-                    None => need_forward = true,
-                }
-            }
-            if need_forward {
-                scratch.run(g, &[v], Direction::Forward, query.dmax, |_, _| true);
-                for (i, dist) in dists.iter_mut().enumerate() {
-                    if dist.is_none() {
-                        let best = g
-                            .vertices_with(query.keywords[i])
-                            .iter()
-                            .map(|&t| scratch.dist(t))
-                            .min()
-                            .unwrap_or(u32::MAX);
-                        if best <= query.dmax {
-                            *dist = Some(best);
-                        }
+                for &v in reach.discovered() {
+                    if reaches[..i].iter().any(|r| r.reached(v)) {
+                        continue;
                     }
+                    let activation = (reaches.iter().zip(&denoms))
+                        .filter(|(r, _)| r.reached(v))
+                        .fold(0.0, |a, (r, denom)| {
+                            a + self.decay.powi(r.dist(v) as i32) / denom
+                        });
+                    order.push((v, activation));
                 }
             }
-            if dists.iter().any(Option::is_none) {
-                continue;
-            }
-            // Build the answer tree: backward-reach paths where known,
-            // forward shortest paths otherwise.
-            let mut vertices = Vec::new();
-            let mut edges = Vec::new();
-            let mut keyword_matches = vec![Vec::new(); n];
-            let mut score = 0u64;
-            let mut ok = true;
-            for (i, reach) in reaches.iter().enumerate() {
-                score += dists[i].unwrap() as u64;
-                let path = if reach.contains_key(&v) {
-                    path_to_keyword(reach, v)
-                } else {
-                    match forward_path(g, v, g.vertices_with(query.keywords[i]), query.dmax) {
-                        Some(p) => p,
-                        None => {
-                            ok = false;
-                            break;
+
+            // Candidates ordered by activation, highest first: hub-like
+            // vertices are validated before the fringe. Every valid root
+            // is a candidate because the pivot keyword's reach is
+            // complete.
+            order.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+
+            let mut answers = Vec::new();
+            'candidates: for (v, _act) in order {
+                budget.check()?;
+                if !reaches[pivot].reached(v) {
+                    continue; // cannot reach the pivot keyword within d_max
+                }
+                // Each keyword's distance and root-to-keyword path: the
+                // backward reach's where it got to v; otherwise forward
+                // validation, one bounded forward BFS from v, whose first
+                // discovered keyword node is the nearest.
+                let mut validated = false;
+                let mut score = 0u64;
+                let mut vertices = Vec::new();
+                let mut edges = Vec::new();
+                let mut keyword_matches = vec![Vec::new(); n];
+                for (i, (&q, reach)) in query.keywords.iter().zip(&*reaches).enumerate() {
+                    let (dist, path) = if reach.reached(v) {
+                        (reach.dist(v), reach.path_to_source(v))
+                    } else {
+                        if !validated {
+                            forward.seed(g, &[v]);
+                            forward.fill(g, Direction::Forward, query.dmax);
+                            validated = true;
                         }
+                        let nearest = forward.discovered().iter().find(|&&t| g.label(t) == q);
+                        let Some(&t) = nearest else {
+                            continue 'candidates;
+                        };
+                        let mut path = forward.path_to_source(t);
+                        path.reverse();
+                        (forward.dist(t), path)
+                    };
+                    score += u64::from(dist);
+                    for w in path.windows(2) {
+                        edges.push((w[0], w[1]));
                     }
-                };
-                for w in path.windows(2) {
-                    edges.push((w[0], w[1]));
+                    keyword_matches[i].push(*path.last().unwrap());
+                    vertices.extend(path);
                 }
-                keyword_matches[i].push(*path.last().unwrap());
-                vertices.extend(path);
-            }
-            if ok {
                 answers.push(AnswerGraph::new(
                     vertices,
                     edges,
@@ -174,49 +156,9 @@ impl KeywordSearch for Bidirectional {
                     score,
                 ));
             }
-        }
-        Ok(SearchOutcome::exact(rank_and_truncate(answers, k)))
+            Ok(SearchOutcome::exact(rank_and_truncate(answers, k)))
+        })
     }
-}
-
-/// Shortest forward path from `root` to the nearest of `targets` within
-/// `dmax`, via parent pointers.
-fn forward_path(g: &DiGraph, root: VId, targets: &[VId], dmax: u32) -> Option<Vec<VId>> {
-    use std::collections::VecDeque;
-    let target_set: rustc_hash::FxHashSet<VId> = targets.iter().copied().collect();
-    if target_set.contains(&root) {
-        return Some(vec![root]);
-    }
-    let mut parent: FxHashMap<VId, VId> = FxHashMap::default();
-    let mut dist: FxHashMap<VId, u32> = FxHashMap::default();
-    let mut queue = VecDeque::new();
-    dist.insert(root, 0);
-    queue.push_back(root);
-    while let Some(u) = queue.pop_front() {
-        let d = dist[&u];
-        if d >= dmax {
-            continue;
-        }
-        for &w in g.out_neighbors(u) {
-            if dist.contains_key(&w) {
-                continue;
-            }
-            dist.insert(w, d + 1);
-            parent.insert(w, u);
-            if target_set.contains(&w) {
-                let mut path = vec![w];
-                let mut cur = w;
-                while cur != root {
-                    cur = parent[&cur];
-                    path.push(cur);
-                }
-                path.reverse();
-                return Some(path);
-            }
-            queue.push_back(w);
-        }
-    }
-    None
 }
 
 #[cfg(test)]

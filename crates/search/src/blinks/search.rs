@@ -17,8 +17,10 @@ use crate::cancel::{Budget, Interrupted};
 use crate::outcome::{Completeness, SearchOutcome};
 use crate::query::KeywordQuery;
 use crate::semantics::KeywordSearch;
+use bgi_graph::traversal::{with_slots, Direction, Slot};
 use bgi_graph::{DiGraph, VId};
-use rustc_hash::FxHashMap;
+use std::collections::BinaryHeap;
+use std::ops::ControlFlow;
 
 /// BLINKS' search parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,18 +52,14 @@ impl Blinks {
     }
 
     /// The shortest path from `root` to the nearest keyword node, read
-    /// off one keyword's expansion distances `dist`: from each vertex,
-    /// the first out-neighbor one step closer. The expansion completed
-    /// every BFS level below the root's, so such a neighbor always
-    /// exists.
-    fn descend_path(g: &DiGraph, dist: &FxHashMap<VId, u32>, root: VId) -> Vec<VId> {
+    /// off one keyword's expansion: from each vertex, the first
+    /// out-neighbor one step closer. The expansion completed every BFS
+    /// level below the root's, so such a neighbor always exists.
+    fn descend_path(g: &DiGraph, expansion: &Slot, root: VId) -> Vec<VId> {
         let mut path = vec![root];
         let mut cur = root;
-        while let Some(d) = dist.get(&cur).and_then(|d| d.checked_sub(1)) {
-            let Some(&next) = g
-                .out_neighbors(cur)
-                .iter()
-                .find(|w| dist.get(w) == Some(&d))
+        while let Some(d) = expansion.dist(cur).checked_sub(1) {
+            let Some(&next) = (g.out_neighbors(cur).iter()).find(|&&w| expansion.dist(w) == d)
             else {
                 break;
             };
@@ -105,150 +103,139 @@ impl KeywordSearch for Blinks {
         let dmax = query.dmax.min(self.params.prune_dist);
         let n = query.len();
 
-        // Seeds: the vertices containing each keyword. An absent
-        // keyword means no answer at all.
-        let mut frontiers: Vec<std::collections::VecDeque<VId>> = Vec::with_capacity(n);
-        let mut dists: Vec<FxHashMap<VId, u32>> = vec![FxHashMap::default(); n];
-        // budget-exempt: one pass over each keyword's label list
-        for (i, &q) in query.keywords.iter().enumerate() {
-            let seeds = g.vertices_with(q);
-            if seeds.is_empty() {
-                return Ok(SearchOutcome::exact(Vec::new()));
+        // One backward expansion per keyword, seeded with the vertices
+        // containing it. An absent keyword means no answer at all.
+        with_slots(n, |slots| {
+            // budget-exempt: one pass over each keyword's label list
+            for (&q, slot) in query.keywords.iter().zip(&mut *slots) {
+                let seeds = g.vertices_with(q);
+                if seeds.is_empty() {
+                    return Ok(SearchOutcome::exact(Vec::new()));
+                }
+                slot.seed(g, seeds);
             }
-            dists[i].extend(seeds.iter().map(|&v| (v, 0)));
-            frontiers.push(seeds.iter().copied().collect());
-        }
 
-        // Backward expansion state: how many keywords reached each
-        // candidate and its accumulated score.
-        let mut hit_count: FxHashMap<VId, (u32, u64)> = FxHashMap::default();
-        // budget-exempt: one pass over the seed frontiers
-        for &v in frontiers.iter().flatten() {
-            hit_count.entry(v).or_insert((0, 0)).0 += 1;
-        }
-        let mut depth = vec![0u32; n];
-        let mut roots: Vec<(u64, VId)> = Vec::new();
-        let mut best_k: std::collections::BinaryHeap<u64> = std::collections::BinaryHeap::new();
-        // Record completed roots (exact scores known on completion).
-        let complete = |entry: (u32, u64),
-                        v: VId,
-                        roots: &mut Vec<(u64, VId)>,
-                        best_k: &mut std::collections::BinaryHeap<u64>| {
-            if entry.0 as usize == n {
-                roots.push((entry.1, v));
-                best_k.push(entry.1);
+            // A vertex completes when the last keyword reaches it: its
+            // exact score is then the sum of the expansions' distances.
+            let mut roots: Vec<(u64, VId)> = Vec::new();
+            let mut best_k: BinaryHeap<u64> = BinaryHeap::new();
+            let complete = |roots: &mut Vec<_>, best_k: &mut BinaryHeap<_>, score, v| {
+                roots.push((score, v));
+                best_k.push(score);
                 if best_k.len() > k {
                     best_k.pop();
                 }
+            };
+            // Seeds that are already complete (single-keyword queries).
+            if n == 1 {
+                // budget-exempt: seeds only
+                for &v in slots[0].discovered() {
+                    complete(&mut roots, &mut best_k, 0, v);
+                }
             }
-        };
-        // Seeds that are already complete (single-keyword queries).
-        if n == 1 {
-            // budget-exempt: seeds only
-            for (&v, &e) in &hit_count {
-                complete(e, v, &mut roots, &mut best_k);
-            }
-        }
 
-        // Round-robin backward BFS, one level of one keyword at a time,
-        // always advancing the keyword with the smallest current depth.
-        // On interruption, `frontier_lb` holds the last computed lower
-        // bound on any root not yet completed.
-        let mut frontier_lb: Option<u64> = None;
-        'expand: loop {
-            // Termination: every unfinished root is missing at least one
-            // *active* keyword i, which will contribute at least
-            // depth[i] + 1 to its score (keywords that already reached
-            // it contributed exact, non-negative sums). The sound lower
-            // bound on any future completion is therefore
-            // min_i(depth[i] + 1), not Σ_i depth_i — a root sitting at
-            // distance 0 from all other keywords only needs one more
-            // level from the nearest unfinished frontier.
-            let active: Vec<usize> = (0..n)
-                .filter(|&i| !frontiers[i].is_empty() && depth[i] < dmax)
-                .collect();
-            if active.is_empty() {
-                break;
-            }
-            let bound: u64 = active
-                .iter()
-                .map(|&i| depth[i] as u64 + 1)
-                .min()
-                .unwrap_or(u64::MAX);
-            if best_k.len() >= k && *best_k.peek().unwrap() <= bound {
-                break;
-            }
-            let i = *active
-                .iter()
-                .min_by_key(|&&i| (depth[i], frontiers[i].len()))
-                .unwrap();
-            // Expand one full BFS level of keyword i.
-            let level = frontiers[i].len();
-            let next_depth = depth[i] + 1;
-            for _ in 0..level {
-                if budget.is_exhausted() {
+            // Round-robin backward BFS, one level of one keyword at a
+            // time, always advancing the keyword with the smallest current
+            // depth. On interruption, `frontier_lb` holds the last computed
+            // lower bound on any root not yet completed.
+            let mut frontier_lb: Option<u64> = None;
+            loop {
+                // Termination: every unfinished root is missing at least
+                // one *active* keyword i, which will contribute at least
+                // depth_i + 1 to its score (keywords that already reached
+                // it contributed exact, non-negative sums). The sound lower
+                // bound on any future completion is therefore
+                // min_i(depth_i + 1), not Σ_i depth_i — a root sitting at
+                // distance 0 from all other keywords only needs one more
+                // level from the nearest unfinished frontier.
+                let active: Vec<usize> = (0..n)
+                    .filter(|&i| !slots[i].frontier().is_empty() && slots[i].depth() < dmax)
+                    .collect();
+                if active.is_empty() {
+                    break;
+                }
+                let bound: u64 = active
+                    .iter()
+                    .map(|&i| slots[i].depth() as u64 + 1)
+                    .min()
+                    .unwrap_or(u64::MAX);
+                if best_k.len() >= k && *best_k.peek().unwrap() <= bound {
+                    break;
+                }
+                let i = *active
+                    .iter()
+                    .min_by_key(|&&i| (slots[i].depth(), slots[i].frontier().len()))
+                    .unwrap();
+                // Expand one full BFS level of keyword i; the others are
+                // read to see who completes.
+                let (before, rest) = slots.split_at_mut(i);
+                let (slot, after) = rest.split_first_mut().unwrap();
+                let others = || before.iter().chain(&*after);
+                let poll = |_| {
+                    if budget.is_exhausted() {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                };
+                let reach = |w: VId, d: u32| {
+                    if others().all(|o| o.reached(w)) {
+                        let score = others().map(|o| u64::from(o.dist(w))).sum::<u64>();
+                        complete(&mut roots, &mut best_k, score + u64::from(d), w);
+                    }
+                    ControlFlow::Continue(())
+                };
+                if slot
+                    .expand_level(g, Direction::Backward, poll, reach)
+                    .is_break()
+                {
                     // Depths only grow within a level, so the bound
-                    // computed at the loop head still lower-bounds
-                    // every future completion.
+                    // computed at the loop head still lower-bounds every
+                    // future completion.
                     frontier_lb = Some(bound);
-                    break 'expand;
-                }
-                let u = frontiers[i].pop_front().unwrap();
-                for &w in g.in_neighbors(u) {
-                    if dists[i].contains_key(&w) {
-                        continue;
-                    }
-                    dists[i].insert(w, next_depth);
-                    frontiers[i].push_back(w);
-                    let e = hit_count.entry(w).or_insert((0, 0));
-                    e.0 += 1;
-                    e.1 += next_depth as u64;
-                    if e.0 as usize == n {
-                        complete(*e, w, &mut roots, &mut best_k);
-                    }
+                    break;
                 }
             }
-            depth[i] = next_depth;
-        }
 
-        if frontier_lb.is_some() && roots.is_empty() {
-            // Nothing completed before the budget ran out.
-            return Err(Interrupted);
-        }
-        // Materialize answers for the best roots.
-        roots.sort_unstable();
-        roots.truncate(k);
-        let completeness = match (frontier_lb, roots.first()) {
-            (Some(lb), Some(&(best, _))) => Completeness::Anytime {
-                bound: best.saturating_sub(lb),
-            },
-            _ => Completeness::Exact,
-        };
-        let mut answers = Vec::with_capacity(roots.len());
-        // budget-exempt: bounded wrap-up — at most k short path descents
-        for (score, root) in roots {
-            let mut vertices = Vec::new();
-            let mut edges = Vec::new();
-            let mut keyword_matches = vec![Vec::new(); n];
-            for (i, dist) in dists.iter().enumerate() {
-                let path = Self::descend_path(g, dist, root);
-                for w in path.windows(2) {
-                    edges.push((w[0], w[1]));
-                }
-                keyword_matches[i].push(*path.last().unwrap());
-                vertices.extend(path);
+            if frontier_lb.is_some() && roots.is_empty() {
+                // Nothing completed before the budget ran out.
+                return Err(Interrupted);
             }
-            answers.push(AnswerGraph::new(
-                vertices,
-                edges,
-                keyword_matches,
-                Some(root),
-                score,
-            ));
-        }
-        Ok(SearchOutcome {
-            answers: rank_and_truncate(answers, k),
-            completeness,
+            // Materialize answers for the best roots.
+            roots.sort_unstable();
+            roots.truncate(k);
+            let completeness = match (frontier_lb, roots.first()) {
+                (Some(lb), Some(&(best, _))) => Completeness::Anytime {
+                    bound: best.saturating_sub(lb),
+                },
+                _ => Completeness::Exact,
+            };
+            let mut answers = Vec::with_capacity(roots.len());
+            // budget-exempt: bounded wrap-up — at most k short path descents
+            for (score, root) in roots {
+                let mut vertices = Vec::new();
+                let mut edges = Vec::new();
+                let mut keyword_matches = vec![Vec::new(); n];
+                for (i, slot) in slots.iter().enumerate() {
+                    let path = Self::descend_path(g, slot, root);
+                    for w in path.windows(2) {
+                        edges.push((w[0], w[1]));
+                    }
+                    keyword_matches[i].push(*path.last().unwrap());
+                    vertices.extend(path);
+                }
+                answers.push(AnswerGraph::new(
+                    vertices,
+                    edges,
+                    keyword_matches,
+                    Some(root),
+                    score,
+                ));
+            }
+            Ok(SearchOutcome {
+                answers: rank_and_truncate(answers, k),
+                completeness,
+            })
         })
     }
 }

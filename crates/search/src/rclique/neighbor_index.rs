@@ -9,15 +9,15 @@
 //! is read and kept for as long as no update can move one of its
 //! distances. Nothing about it is ever persisted.
 //!
-//! The same thread-local BFS scratch serves the two traversals that
-//! need no row: [`undirected_distances`], a ball at a caller's bound,
-//! and [`clique_answer`], the witness paths of an r-clique answer.
+//! Row fills, and the two traversals that need no row —
+//! [`undirected_distances`], a ball at a caller's bound, and
+//! [`clique_answer`], the witness paths of an r-clique answer — run on
+//! the thread's traversal slots ([`bgi_graph::traversal`]).
 
 use crate::answer::AnswerGraph;
 use crate::patch::GraphDiff;
+use bgi_graph::traversal::{with_slot, Direction};
 use bgi_graph::{DiGraph, VId};
-use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
 
@@ -338,136 +338,36 @@ fn hops_to_live(g: &DiGraph, live: &[bool], r: u32, near: &mut [u32]) {
         .map(VId)
         .filter(|v| live[v.index()])
         .collect();
-    for v in &seeds {
-        near[v.index()] = 0;
-    }
-    let visit = |u: VId, d| {
-        near[u.index()] = d;
-        ControlFlow::Continue(())
-    };
-    undirected_bfs(g, &seeds, r, visit, |_| ());
-}
-
-/// BFS scratch over the undirected view of a graph; `touched` lists
-/// the `dist` slots the previous traversal left set. `parent[v]` is
-/// meaningful only while `dist[v]` is set: it is written once, when `v`
-/// is discovered.
-struct Scratch {
-    dist: Vec<u32>,
-    parent: Vec<VId>,
-    touched: Vec<VId>,
-    queue: VecDeque<VId>,
-}
-
-thread_local! {
-    /// One scratch per thread, grown to the largest graph seen: a row
-    /// fill must cost `O(ball)`, not an `O(n)` allocation and memset.
-    static SCRATCH: RefCell<Scratch> = const {
-        RefCell::new(Scratch {
-            dist: Vec::new(),
-            parent: Vec::new(),
-            touched: Vec::new(),
-            queue: VecDeque::new(),
-        })
-    };
-}
-
-/// Runs a BFS over the undirected view of `g` from every seed at once,
-/// expanding vertices at distance `< r` only, and calls `visit(u, d)`
-/// as each non-seed `u` is discovered at distance `d` from its nearest
-/// seed. The traversal stops early once `visit` breaks. `finish` then
-/// reads the scratch the traversal left: `dist` and `parent` of every
-/// discovered vertex, all of them (the seeds included) listed in
-/// `touched`, whose order `finish` may change.
-fn undirected_bfs<T>(
-    g: &DiGraph,
-    seeds: &[VId],
-    r: u32,
-    mut visit: impl FnMut(VId, u32) -> ControlFlow<()>,
-    finish: impl FnOnce(&mut Scratch) -> T,
-) -> T {
-    SCRATCH.with_borrow_mut(|s| {
-        for t in s.touched.drain(..) {
-            s.dist[t.index()] = u32::MAX;
+    with_slot(|slot| {
+        slot.seed(g, &seeds);
+        slot.fill(g, Direction::Undirected, r);
+        for &u in slot.discovered() {
+            near[u.index()] = slot.dist(u);
         }
-        s.queue.clear();
-        if s.dist.len() < g.num_vertices() {
-            s.dist.resize(g.num_vertices(), u32::MAX);
-            s.parent.resize(g.num_vertices(), VId(u32::MAX));
-        }
-        for &seed in seeds {
-            if s.dist[seed.index()] == u32::MAX {
-                s.dist[seed.index()] = 0;
-                s.touched.push(seed);
-                s.queue.push_back(seed);
-            }
-        }
-        'bfs: while let Some(u) = s.queue.pop_front() {
-            let d = s.dist[u.index()];
-            if d >= r {
-                continue;
-            }
-            for &w in g.out_neighbors(u).iter().chain(g.in_neighbors(u)) {
-                if s.dist[w.index()] == u32::MAX {
-                    s.dist[w.index()] = d + 1;
-                    s.parent[w.index()] = u;
-                    s.touched.push(w);
-                    s.queue.push_back(w);
-                    if visit(w, d + 1).is_break() {
-                        break 'bfs;
-                    }
-                }
-            }
-        }
-        finish(s)
-    })
+    });
 }
-
-/// A ball of at least `1 / SWEEP_SHARE` of the graph is put in id
-/// order by one sweep over the distance array, a smaller one by sorting
-/// its ids. Filling every radius-4 row on one CPU, sort against sweep:
-/// dbpedia_like(2000), 1 786-vertex balls, 109 against 82 µs a row;
-/// yago_like(3000), 2 444, 117 against 73 µs; imdb_like(3000), 2 929,
-/// 180 against 93 µs; road_like(4000), 93, 5.3 against 7.7 µs. The
-/// crossover sits near `n / 13` on both shapes.
-const SWEEP_SHARE: usize = 16;
 
 /// `pair(u, d)` for every `u ≠ v` within `r` undirected hops of `v`, `d`
-/// its distance, in vertex order. The discovered ids are put in order as
-/// plain ids (see [`SWEEP_SHARE`]), and the result is allocated once, at
-/// its final length.
+/// its distance, in vertex order. The result is allocated once, at its
+/// final length.
 fn sorted_ball<T, C: FromIterator<T>>(
     g: &DiGraph,
     v: VId,
     r: u32,
     pair: impl Fn(VId, u32) -> T,
 ) -> C {
-    undirected_bfs(
-        g,
-        &[v],
-        r,
-        |_, _| ControlFlow::Continue(()),
-        |s| {
-            let n = g.num_vertices();
-            if s.touched.len() * SWEEP_SHARE >= n {
-                let dist = &s.dist;
-                s.touched.clear();
-                s.touched.extend(
-                    (0..n as u32)
-                        .map(VId)
-                        .filter(|u| dist[u.index()] != u32::MAX),
-                );
-            } else {
-                s.touched.sort_unstable();
-            }
-            let at = s.touched.partition_point(|&u| u < v);
-            let (below, from_v) = s.touched.split_at(at);
-            // `from_v[0]` is `v` itself: the seed is always touched.
-            (below.iter().chain(&from_v[1..]))
-                .map(|&u| pair(u, s.dist[u.index()]))
-                .collect()
-        },
-    )
+    with_slot(|slot| {
+        slot.seed(g, &[v]);
+        slot.fill(g, Direction::Undirected, r);
+        slot.sort_discovered();
+        let ball = slot.discovered();
+        let at = ball.partition_point(|&u| u < v);
+        let (below, from_v) = ball.split_at(at);
+        // `from_v[0]` is `v` itself: the seed is always reached.
+        (below.iter().chain(&from_v[1..]))
+            .map(|&u| pair(u, slot.dist(u)))
+            .collect()
+    })
 }
 
 /// Every vertex within `r` undirected hops of `v`, `v` itself excluded,
@@ -512,20 +412,26 @@ pub fn clique_answer(g: &DiGraph, r: u32, picked: &[VId], weight: u64) -> Answer
             ControlFlow::Continue(())
         }
     };
-    undirected_bfs(g, &[hub], bound, found, |s| {
+    with_slot(|slot| {
+        slot.seed(g, &[hub]);
+        let _ = slot.run(
+            g,
+            Direction::Undirected,
+            bound,
+            |_| ControlFlow::Continue(()),
+            found,
+        );
         for &t in targets {
-            let mut cur = t;
-            vertices.push(cur);
-            while cur != hub && s.dist[cur.index()] != u32::MAX {
-                let p = s.parent[cur.index()];
+            let path = slot.path_to_source(t);
+            for w in path.windows(2) {
+                let (cur, p) = (w[0], w[1]);
                 if g.has_edge(p, cur) {
                     edges.push((p, cur));
                 } else {
                     edges.push((cur, p));
                 }
-                vertices.push(p);
-                cur = p;
             }
+            vertices.extend(path);
         }
     });
     AnswerGraph::new(vertices, edges, keyword_matches, None, weight)

@@ -11,18 +11,26 @@
 //! - BANKS' root loop as it was: an answer tree built for *every*
 //!   candidate root, then ranked and truncated to `k`. The shipped
 //!   [`Banks`] scores every root first and builds trees for the `k`
-//!   best only.
+//!   best only. Both score candidates in the discovery order of the
+//!   smallest keyword set's backward expansion, so a check-limited run
+//!   truncates to the same roots.
+//!
+//! A third reference is BLINKS' search as it was, on hash tables: one
+//! `FxHashMap` of distances per keyword and a per-vertex hit count. The
+//! shipped [`Blinks`] keeps its expansions on the traversal kernel's
+//! dense slots.
 //!
 //! Random graphs, random picked sets and random queries must give equal
-//! answers, field for field, and for BANKS equal completeness, also
-//! under a check-limited budget. The bounded balls the distance
-//! realizer memoizes are checked against the same reference BFS.
+//! answers, field for field, and for BANKS and BLINKS equal
+//! completeness, also under a check-limited budget. The bounded balls
+//! the distance realizer memoizes are checked against the same
+//! reference BFS.
 
 use bgi_graph::{DiGraph, GraphBuilder, LabelId, VId};
 use bgi_search::answer::{rank_and_truncate, AnswerGraph};
 use bgi_search::rclique::{clique_answer, undirected_distances};
 use bgi_search::{
-    Banks, Budget, Completeness, Interrupted, KeywordQuery, KeywordSearch, SearchOutcome,
+    Banks, Blinks, Budget, Completeness, Interrupted, KeywordQuery, KeywordSearch, SearchOutcome,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -100,17 +108,20 @@ fn ball(g: &DiGraph, hub: VId, r: u32) -> Vec<(VId, u32)> {
 type ReachTable = FxHashMap<VId, (u32, Option<VId>)>;
 
 /// Bounded backward BFS, polling `budget` once per dequeued vertex.
+/// Also returns the reached vertices in discovery order.
 fn ref_backward_reach(
     g: &DiGraph,
     sources: &[VId],
     dmax: u32,
     budget: &Budget,
-) -> Result<ReachTable, Interrupted> {
+) -> Result<(ReachTable, Vec<VId>), Interrupted> {
     let mut reach: ReachTable = FxHashMap::default();
+    let mut order = Vec::new();
     let mut queue = VecDeque::new();
     for &s in sources {
         if let std::collections::hash_map::Entry::Vacant(e) = reach.entry(s) {
             e.insert((0, None));
+            order.push(s);
             queue.push_back(s);
         }
     }
@@ -123,11 +134,12 @@ fn ref_backward_reach(
         for &u in g.in_neighbors(v) {
             if let std::collections::hash_map::Entry::Vacant(e) = reach.entry(u) {
                 e.insert((d + 1, Some(v)));
+                order.push(u);
                 queue.push_back(u);
             }
         }
     }
-    Ok(reach)
+    Ok((reach, order))
 }
 
 fn ref_path_to_keyword(reach: &ReachTable, root: VId) -> Vec<VId> {
@@ -165,9 +177,9 @@ fn ref_banks(
     let mut reaches: Vec<Option<ReachTable>> = vec![None; query.len()];
     let mut candidates: Option<Vec<VId>> = None;
     for &(i, sources) in &keyword_sets {
-        let reach = ref_backward_reach(g, sources, query.dmax, budget)?;
+        let (reach, order) = ref_backward_reach(g, sources, query.dmax, budget)?;
         candidates = Some(match candidates {
-            None => reach.keys().copied().collect(),
+            None => order,
             Some(prev) => prev.into_iter().filter(|v| reach.contains_key(v)).collect(),
         });
         reaches[i] = Some(reach);
@@ -215,6 +227,152 @@ fn ref_banks(
         } else {
             Completeness::Exact
         },
+    })
+}
+
+/// The reference BLINKS: round-robin backward expansion with one
+/// distance map per keyword and a per-vertex `(hits, score)` map, answer
+/// paths descended over the maps.
+fn ref_blinks(
+    g: &DiGraph,
+    query: &KeywordQuery,
+    k: usize,
+    budget: &Budget,
+) -> Result<SearchOutcome, Interrupted> {
+    if query.is_empty() || k == 0 {
+        return Ok(SearchOutcome::exact(Vec::new()));
+    }
+    let dmax = query.dmax.min(Blinks::default().params.prune_dist);
+    let n = query.len();
+    let mut frontiers: Vec<VecDeque<VId>> = Vec::with_capacity(n);
+    let mut dists: Vec<FxHashMap<VId, u32>> = vec![FxHashMap::default(); n];
+    for (i, &q) in query.keywords.iter().enumerate() {
+        let seeds = g.vertices_with(q);
+        if seeds.is_empty() {
+            return Ok(SearchOutcome::exact(Vec::new()));
+        }
+        dists[i].extend(seeds.iter().map(|&v| (v, 0)));
+        frontiers.push(seeds.iter().copied().collect());
+    }
+    let mut hit_count: FxHashMap<VId, (u32, u64)> = FxHashMap::default();
+    for &v in frontiers.iter().flatten() {
+        hit_count.entry(v).or_insert((0, 0)).0 += 1;
+    }
+    let mut depth = vec![0u32; n];
+    let mut roots: Vec<(u64, VId)> = Vec::new();
+    let mut best_k: std::collections::BinaryHeap<u64> = std::collections::BinaryHeap::new();
+    let complete = |entry: (u32, u64),
+                    v: VId,
+                    roots: &mut Vec<(u64, VId)>,
+                    best_k: &mut std::collections::BinaryHeap<u64>| {
+        if entry.0 as usize == n {
+            roots.push((entry.1, v));
+            best_k.push(entry.1);
+            if best_k.len() > k {
+                best_k.pop();
+            }
+        }
+    };
+    if n == 1 {
+        for (&v, &e) in &hit_count {
+            complete(e, v, &mut roots, &mut best_k);
+        }
+    }
+    let mut frontier_lb: Option<u64> = None;
+    'expand: loop {
+        let active: Vec<usize> = (0..n)
+            .filter(|&i| !frontiers[i].is_empty() && depth[i] < dmax)
+            .collect();
+        if active.is_empty() {
+            break;
+        }
+        let bound: u64 = active
+            .iter()
+            .map(|&i| depth[i] as u64 + 1)
+            .min()
+            .unwrap_or(u64::MAX);
+        if best_k.len() >= k && *best_k.peek().unwrap() <= bound {
+            break;
+        }
+        let i = *active
+            .iter()
+            .min_by_key(|&&i| (depth[i], frontiers[i].len()))
+            .unwrap();
+        let level = frontiers[i].len();
+        let next_depth = depth[i] + 1;
+        for _ in 0..level {
+            if budget.is_exhausted() {
+                frontier_lb = Some(bound);
+                break 'expand;
+            }
+            let u = frontiers[i].pop_front().unwrap();
+            for &w in g.in_neighbors(u) {
+                if dists[i].contains_key(&w) {
+                    continue;
+                }
+                dists[i].insert(w, next_depth);
+                frontiers[i].push_back(w);
+                let e = hit_count.entry(w).or_insert((0, 0));
+                e.0 += 1;
+                e.1 += next_depth as u64;
+                if e.0 as usize == n {
+                    complete(*e, w, &mut roots, &mut best_k);
+                }
+            }
+        }
+        depth[i] = next_depth;
+    }
+    if frontier_lb.is_some() && roots.is_empty() {
+        return Err(Interrupted);
+    }
+    roots.sort_unstable();
+    roots.truncate(k);
+    let completeness = match (frontier_lb, roots.first()) {
+        (Some(lb), Some(&(best, _))) => Completeness::Anytime {
+            bound: best.saturating_sub(lb),
+        },
+        _ => Completeness::Exact,
+    };
+    let descend_path = |dist: &FxHashMap<VId, u32>, root: VId| {
+        let mut path = vec![root];
+        let mut cur = root;
+        while let Some(d) = dist.get(&cur).and_then(|d| d.checked_sub(1)) {
+            let Some(&next) = g
+                .out_neighbors(cur)
+                .iter()
+                .find(|w| dist.get(w) == Some(&d))
+            else {
+                break;
+            };
+            path.push(next);
+            cur = next;
+        }
+        path
+    };
+    let mut answers = Vec::with_capacity(roots.len());
+    for (score, root) in roots {
+        let mut vertices = Vec::new();
+        let mut edges = Vec::new();
+        let mut keyword_matches = vec![Vec::new(); n];
+        for (i, dist) in dists.iter().enumerate() {
+            let path = descend_path(dist, root);
+            for w in path.windows(2) {
+                edges.push((w[0], w[1]));
+            }
+            keyword_matches[i].push(*path.last().unwrap());
+            vertices.extend(path);
+        }
+        answers.push(AnswerGraph::new(
+            vertices,
+            edges,
+            keyword_matches,
+            Some(root),
+            score,
+        ));
+    }
+    Ok(SearchOutcome {
+        answers: rank_and_truncate(answers, k),
+        completeness,
     })
 }
 
@@ -306,6 +464,24 @@ proptest! {
             prop_assert_eq!(
                 Banks.search_anytime(&g, &(), &q, k, &Budget::with_check_limit(checks)),
                 ref_banks(&g, &g, &q, k, &Budget::with_check_limit(checks)),
+                "{} checks, k {} query {:?}", checks, k, q
+            );
+        }
+    }
+
+    #[test]
+    fn dense_blinks_equals_hash_table_blinks(case in banks_case()) {
+        let BanksCase { g, queries } = case;
+        for (keywords, dmax, k, checks) in queries {
+            let q = KeywordQuery::new(keywords.into_iter().map(LabelId).collect::<Vec<_>>(), dmax);
+            prop_assert_eq!(
+                Blinks::default().search_anytime(&g, &(), &q, k, &Budget::unlimited()),
+                ref_blinks(&g, &q, k, &Budget::unlimited()),
+                "unlimited, k {} query {:?}", k, q
+            );
+            prop_assert_eq!(
+                Blinks::default().search_anytime(&g, &(), &q, k, &Budget::with_check_limit(checks)),
+                ref_blinks(&g, &q, k, &Budget::with_check_limit(checks)),
                 "{} checks, k {} query {:?}", checks, k, q
             );
         }
