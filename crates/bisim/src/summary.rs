@@ -35,11 +35,6 @@ impl Summary {
         &self.members[s.index()]
     }
 
-    /// Number of original vertices.
-    pub fn num_original_vertices(&self) -> usize {
-        self.supernode_of.len()
-    }
-
     /// Compression ratio `|Bisim(G)| / |G|` given the original size.
     pub fn compression_ratio(&self, original_size: usize) -> f64 {
         if original_size == 0 {

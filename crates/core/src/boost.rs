@@ -5,7 +5,7 @@
 //! `Boosted<Banks>` is **boost-bkws**, `Boosted<Blinks>` is
 //! **boost-rkws**, `Boosted<RClique>` is **boost-dkws**. Each runs the
 //! same Algo. 2; how a plug-in's answers are realized on `G⁰` is its
-//! own declaration ([`KeywordSearch::DISTANCE_ONLY`]), read by
+//! own declaration ([`KeywordSearch::distance_bound`]), read by
 //! [`crate::eval`], so no semantics needs a constructor of its own.
 
 use crate::eval::{eval_query, EvalOptions, EvalResult, EvalStats, StepTimings};

@@ -6,9 +6,10 @@
 //!    candidate filtering ([`crate::spec`]);
 //! 4. materialize final answers at layer 0 — structurally (Algo. 3 or
 //!    Algo. 4); a plug-in whose answers are constrained only by keyword
-//!    distances ([`KeywordSearch::DISTANCE_ONLY`], the r-clique
+//!    distances ([`KeywordSearch::distance_bound`], the r-clique
 //!    semantics) falls back per answer to re-verifying pairwise
-//!    distances when its witness paths do not realize;
+//!    distances within that bound when its witness paths do not
+//!    realize;
 //! 5. rank and truncate to `k`.
 //!
 //! Every step is timed separately so the query-performance breakdown of
@@ -45,7 +46,7 @@ use std::time::{Duration, Instant};
 /// Serving always uses the default; the other variants are experiment
 /// and golden-test entry points. Whether a distance re-check backs up
 /// the structural realizers is the plug-in's declaration
-/// ([`KeywordSearch::DISTANCE_ONLY`]), not a variant.
+/// ([`KeywordSearch::distance_bound`]), not a variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RealizerKind {
     /// Algo. 3: vertex-at-a-time structural realization.
@@ -56,7 +57,8 @@ pub enum RealizerKind {
     PathBased,
     /// Keyword-nodes-only specialization with pairwise bounded-distance
     /// verification on `G⁰` only, no structural attempt — for distance
-    /// semantics (r-clique).
+    /// semantics (r-clique). The bound is the plug-in's
+    /// [`KeywordSearch::distance_bound`], `d_max` if it declares none.
     DistanceVerify,
 }
 
@@ -281,8 +283,9 @@ pub fn eval_at_layer<F: KeywordSearch>(
 
             let remaining = k.saturating_sub(finals.len()).max(1);
             let t = Instant::now();
-            let realized = realize_one::<F>(
+            let realized = realize_one(
                 index,
+                algo,
                 query,
                 ga,
                 &spec,
@@ -333,14 +336,16 @@ pub fn eval_at_layer<F: KeywordSearch>(
 }
 
 /// Materializes one specialized generalized answer (Step 4) with the
-/// realizer `opts` names. When `F` declares its answers distance-only
-/// ([`KeywordSearch::DISTANCE_ONLY`]) and the structural realizer finds
-/// nothing — clique witness paths are often not edge-realizable even
-/// though the keyword nodes qualify — the answer falls back to distance
-/// verification instead of being dropped (boost-dkws, Sec. 5.2).
+/// realizer `opts` names. When `algo` bounds its answers by keyword
+/// distances alone ([`KeywordSearch::distance_bound`]) and the
+/// structural realizer finds nothing — clique witness paths are often
+/// not edge-realizable even though the keyword nodes qualify — the
+/// answer falls back to distance verification within that bound
+/// instead of being dropped (boost-dkws, Sec. 5.2).
 #[allow(clippy::too_many_arguments)]
 fn realize_one<F: KeywordSearch>(
     index: &BiGIndex,
+    algo: &F,
     query: &KeywordQuery,
     ga: &AnswerGraph,
     spec: &SpecializedAnswer,
@@ -349,26 +354,22 @@ fn realize_one<F: KeywordSearch>(
     dist_cache: &mut DistCache,
     budget: &Budget,
 ) -> Result<(Vec<AnswerGraph>, GenStats), Interrupted> {
+    let base = index.base();
+    let bound = algo.distance_bound(query);
     let (structural, st) = match opts.realizer {
-        RealizerKind::VertexAtATime => vertex_answer_generation(
-            index.base(),
-            ga,
-            spec,
-            opts.use_spec_order,
-            remaining,
-            budget,
-        )?,
-        RealizerKind::PathBased => {
-            path_answer_generation(index.base(), ga, spec, remaining, budget)?
+        RealizerKind::VertexAtATime => {
+            vertex_answer_generation(base, ga, spec, opts.use_spec_order, remaining, budget)?
         }
+        RealizerKind::PathBased => path_answer_generation(base, ga, spec, remaining, budget)?,
         RealizerKind::DistanceVerify => {
-            return distance_verify(index.base(), query, spec, remaining, dist_cache, budget)
+            let bound = bound.unwrap_or(query.dmax);
+            return distance_verify(base, query, bound, spec, remaining, dist_cache, budget);
         }
     };
-    if !F::DISTANCE_ONLY || !structural.is_empty() {
+    let Some(bound) = bound.filter(|_| structural.is_empty()) else {
         return Ok((structural, st));
-    }
-    let (verified, vt) = distance_verify(index.base(), query, spec, remaining, dist_cache, budget)?;
+    };
+    let (verified, vt) = distance_verify(base, query, bound, spec, remaining, dist_cache, budget)?;
     Ok((
         verified,
         GenStats {
@@ -421,11 +422,12 @@ type DistCache = FxHashMap<VId, Vec<(VId, u32)>>;
 
 /// The distance realizer for clique semantics: specialize keyword nodes
 /// only, then verify all pairwise *undirected* distances on `G⁰` within
-/// `d_max`, scoring by the sum of pairwise distances (boost-dkws,
+/// `bound`, scoring by the sum of pairwise distances (boost-dkws,
 /// Sec. 5.2).
 fn distance_verify(
     base: &DiGraph,
     query: &KeywordQuery,
+    bound: u32,
     spec: &SpecializedAnswer,
     limit: usize,
     cache: &mut DistCache,
@@ -453,12 +455,11 @@ fn distance_verify(
 
     // Memoized bounded undirected distances (cache shared by the
     // caller across generalized answers).
-    let bound = query.dmax;
     let mut dist = |u: VId, v: VId| -> Option<u32> {
         if u == v {
             return Some(0);
         }
-        // One dmax-bounded BFS ball between `rec`'s polls.
+        // One bounded BFS ball between `rec`'s polls.
         let row = cache
             .entry(u)
             .or_insert_with(|| undirected_distances(base, u, bound));
@@ -474,7 +475,7 @@ fn distance_verify(
     #[allow(clippy::too_many_arguments)]
     fn rec(
         base: &DiGraph,
-        query: &KeywordQuery,
+        bound: u32,
         cands: &[Vec<VId>],
         picked: &mut Vec<VId>,
         weight: u64,
@@ -489,7 +490,7 @@ fn distance_verify(
         }
         let depth = picked.len();
         if depth == cands.len() {
-            results.push(clique_answer(base, query.dmax, picked, weight));
+            results.push(clique_answer(base, bound, picked, weight));
             stats.answers += 1;
             return Ok(());
         }
@@ -501,7 +502,7 @@ fn distance_verify(
                 stats.partials_created += 1;
                 rec(
                     base,
-                    query,
+                    bound,
                     cands,
                     picked,
                     weight + added,
@@ -521,7 +522,7 @@ fn distance_verify(
     }
     rec(
         base,
-        query,
+        bound,
         &cands,
         &mut picked,
         0,
@@ -666,6 +667,70 @@ mod tests {
         b.sort();
         o.sort();
         assert_eq!(b, o);
+    }
+
+    /// A Prof 3 hops from one Univ and 5 from another, which is bisimilar
+    /// to the first: on the summary layer both Univs are one vertex, 3
+    /// hops from the Prof. Labels: 0=Person, 1=Prof, 3=Univ, 4=Mid,
+    /// 5=Other; the ontology lifts Prof to Person.
+    ///
+    /// `p -> a1 -> a2 -> near`, and `far <- c4 <- c3 <- c2 <- c1 -> p`.
+    fn univ_beyond_radius() -> (BiGIndex, [VId; 3]) {
+        let mut gb = GraphBuilder::new();
+        let p = gb.add_vertex(LabelId(1));
+        let near = gb.add_vertex(LabelId(3));
+        let far = gb.add_vertex(LabelId(3));
+        let a = [gb.add_vertex(LabelId(4)), gb.add_vertex(LabelId(4))];
+        let c: Vec<VId> = (0..4).map(|_| gb.add_vertex(LabelId(5))).collect();
+        for (u, v) in [(p, a[0]), (a[0], a[1]), (a[1], near), (c[0], p)] {
+            gb.add_edge(u, v);
+        }
+        for w in c.windows(2) {
+            gb.add_edge(w[0], w[1]);
+        }
+        gb.add_edge(c[3], far);
+        let g = gb.build();
+        let mut ob = OntologyBuilder::new(6);
+        ob.add_subtype(LabelId(0), LabelId(1));
+        let o = ob.build().unwrap();
+        let cfg = GenConfig::new([(LabelId(1), LabelId(0))], &o).unwrap();
+        let idx = BiGIndex::build_with_configs(g, o, vec![cfg], BisimDirection::Forward);
+        (idx, [p, near, far])
+    }
+
+    /// r-clique bounds every keyword pair by `min(d_max, radius)`; a
+    /// boosted dkws query with `d_max` above the radius must verify at
+    /// that bound too, or it returns a clique the baseline cannot.
+    #[test]
+    fn distance_realizer_verifies_at_the_plug_in_radius() {
+        let (idx, [p, near, far]) = univ_beyond_radius();
+        let ball = undirected_distances(idx.base(), p, 5);
+        assert!(ball.contains(&(near, 3)) && ball.contains(&(far, 5)));
+        let q = KeywordQuery::new(vec![LabelId(1), LabelId(3)], 5);
+        let rc = RClique { radius: 4 };
+        let baseline = rc.search_fresh(idx.base(), &q, 10);
+        let opts = EvalOptions {
+            realizer: RealizerKind::DistanceVerify,
+            ..EvalOptions::default()
+        };
+        let r = eval_at_layer(
+            &idx,
+            &rc,
+            &rc.build_index(idx.graph_at(1)),
+            &q,
+            10,
+            1,
+            &opts,
+        );
+        let keyword_nodes = |answers: &[AnswerGraph]| {
+            let kw = answers.iter().map(|a| (a.keyword_matches.clone(), a.score));
+            kw.collect::<Vec<_>>()
+        };
+        assert_eq!(
+            keyword_nodes(&baseline),
+            vec![(vec![vec![p], vec![near]], 3)]
+        );
+        assert_eq!(keyword_nodes(&r.answers), keyword_nodes(&baseline));
     }
 
     #[test]

@@ -61,30 +61,6 @@ pub fn preferential_attachment(
     b.build()
 }
 
-/// A balanced out-tree of the given `depth` and `fanout`, labels cycling
-/// through `0..num_labels` by depth. Useful in tests: its maximal
-/// bisimulation collapses each level to one supernode.
-pub fn balanced_tree(depth: u32, fanout: usize, num_labels: usize, seed: u64) -> DiGraph {
-    let _ = seed; // deterministic shape; kept for interface uniformity
-    assert!(num_labels > 0);
-    let mut b = GraphBuilder::new();
-    let root = b.add_vertex(LabelId(0));
-    let mut frontier = vec![root];
-    for d in 1..=depth {
-        let label = LabelId((d as usize % num_labels) as u32);
-        let mut next = Vec::with_capacity(frontier.len() * fanout);
-        for &p in &frontier {
-            for _ in 0..fanout {
-                let c = b.add_vertex(label);
-                b.add_edge(p, c);
-                next.push(c);
-            }
-        }
-        frontier = next;
-    }
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,28 +97,6 @@ mod tests {
         // the mean (~3).
         let max_in = g.vertices().map(|v| g.in_degree(v)).max().unwrap();
         assert!(max_in >= 10, "max in-degree {max_in}");
-    }
-
-    #[test]
-    fn balanced_tree_counts() {
-        let g = balanced_tree(2, 3, 2, 0);
-        // 1 + 3 + 9 vertices, 3 + 9 edges.
-        assert_eq!(g.num_vertices(), 13);
-        assert_eq!(g.num_edges(), 12);
-        assert_eq!(g.out_degree(VId(0)), 3);
-    }
-
-    #[test]
-    fn tree_labels_cycle_by_depth() {
-        let g = balanced_tree(2, 2, 2, 0);
-        assert_eq!(g.label(VId(0)), LabelId(0));
-        // Depth-1 vertices carry label 1, depth-2 label 0 again.
-        for &c in g.out_neighbors(VId(0)) {
-            assert_eq!(g.label(c), LabelId(1));
-            for &gc in g.out_neighbors(c) {
-                assert_eq!(g.label(gc), LabelId(0));
-            }
-        }
     }
 
     #[test]

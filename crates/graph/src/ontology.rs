@@ -119,43 +119,11 @@ impl Ontology {
         false
     }
 
-    /// All (transitive) supertypes of `l`, excluding `l` itself.
-    pub fn supertype_closure(&self, l: LabelId) -> Vec<LabelId> {
-        let mut out = Vec::new();
-        let mut seen = FxHashSet::default();
-        let mut stack = vec![l];
-        while let Some(x) = stack.pop() {
-            for &p in self.direct_supertypes(x) {
-                if seen.insert(p) {
-                    out.push(p);
-                    stack.push(p);
-                }
-            }
-        }
-        out
-    }
-
     /// Iterator over all subtype edges as `(supertype, subtype)` pairs.
     pub fn subtype_edges(&self) -> impl Iterator<Item = (LabelId, LabelId)> + '_ {
         (0..self.num_labels as u32)
             .map(LabelId)
             .flat_map(move |l| self.direct_subtypes(l).iter().map(move |&sub| (l, sub)))
-    }
-
-    /// All (transitive) subtypes of `l`, excluding `l` itself.
-    pub fn subtype_closure(&self, l: LabelId) -> Vec<LabelId> {
-        let mut out = Vec::new();
-        let mut seen = FxHashSet::default();
-        let mut stack = vec![l];
-        while let Some(x) = stack.pop() {
-            for &c in self.direct_subtypes(x) {
-                if seen.insert(c) {
-                    out.push(c);
-                    stack.push(c);
-                }
-            }
-        }
-        out
     }
 }
 
@@ -184,11 +152,6 @@ impl OntologyBuilder {
         debug_assert!(sub.index() < self.num_labels);
         self.edges.push((sup, sub));
         self
-    }
-
-    /// Grows the alphabet if labels were interned after construction.
-    pub fn ensure_labels(&mut self, num_labels: usize) {
-        self.num_labels = self.num_labels.max(num_labels);
     }
 
     /// Validates the DAG property and builds the [`Ontology`].
@@ -304,17 +267,6 @@ mod tests {
         assert!(o.is_supertype_of(LabelId(4), LabelId(4)));
         assert!(!o.is_supertype_of(LabelId(4), LabelId(1)));
         assert!(!o.is_supertype_of(LabelId(2), LabelId(4)));
-    }
-
-    #[test]
-    fn closures() {
-        let o = sample();
-        let mut sup = o.supertype_closure(LabelId(4));
-        sup.sort_unstable();
-        assert_eq!(sup, vec![LabelId(0), LabelId(1)]);
-        let mut sub = o.subtype_closure(LabelId(0));
-        sub.sort_unstable();
-        assert_eq!(sub.len(), 7);
     }
 
     #[test]

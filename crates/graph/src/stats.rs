@@ -32,13 +32,6 @@ impl<'g> LabelSupport<'g> {
             self.count(l) as f64 / self.g.num_vertices() as f64
         }
     }
-
-    /// Number of distinct labels that actually occur.
-    pub fn distinct_labels(&self) -> usize {
-        (0..self.g.alphabet_size() as u32)
-            .filter(|&l| self.count(LabelId(l)) > 0)
-            .count()
-    }
 }
 
 /// Summary of a graph's degree structure.
@@ -92,7 +85,6 @@ mod tests {
         let s = LabelSupport::new(&g);
         assert!((s.support(LabelId(0)) - 0.2).abs() < 1e-12);
         assert!((s.support(LabelId(1)) - 0.8).abs() < 1e-12);
-        assert_eq!(s.distinct_labels(), 2);
     }
 
     #[test]

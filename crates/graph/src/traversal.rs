@@ -14,9 +14,9 @@
 //! Slots come from one thread-local pool ([`with_slots`]) that grows to
 //! the largest graph and the most slots a thread has held at once, so a
 //! traversal costs `O(region)`: no `O(n)` allocation or fill per call
-//! and no hash table. BANKS' and BLINKS' per-keyword expansions, the
-//! bidirectional search, r-clique's row fills and witness paths, and the
-//! helpers below ([`bfs_distances`], [`shortest_distance`],
+//! and no hash table. BANKS' and BLINKS' per-keyword expansions,
+//! r-clique's row fills and witness paths, the shard planner's halos,
+//! and the helpers below ([`bfs_distances`], [`shortest_distance`],
 //! [`r_hop_ball`], [`undirected_r_hop_ball`]) all take their slots here.
 //! Every output lists vertices in discovery order.
 

@@ -48,21 +48,6 @@ impl AnswerGraph {
         }
     }
 
-    /// True if `v` matched some query keyword (the paper's `isKey`).
-    pub fn is_keyword_node(&self, v: VId) -> bool {
-        self.keyword_matches.iter().any(|m| m.contains(&v))
-    }
-
-    /// The keyword indices `v` matched.
-    pub fn matched_keywords(&self, v: VId) -> Vec<usize> {
-        self.keyword_matches
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.contains(&v))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Checks structural sanity against a graph: every answer edge exists
     /// in `g`, every keyword match has the right label, the subgraph is
     /// weakly connected (when non-empty).
@@ -180,14 +165,6 @@ mod tests {
         assert!(a.validate(&g, &[LabelId(1), LabelId(2)]));
         // Wrong keyword label fails.
         assert!(!a.validate(&g, &[LabelId(2), LabelId(1)]));
-    }
-
-    #[test]
-    fn keyword_node_tracking() {
-        let a = tiny_answer();
-        assert!(a.is_keyword_node(VId(1)));
-        assert!(!a.is_keyword_node(VId(0)));
-        assert_eq!(a.matched_keywords(VId(2)), vec![1]);
     }
 
     #[test]

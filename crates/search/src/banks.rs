@@ -24,7 +24,7 @@ pub struct Banks;
 
 /// Seeds `slot` with `sources` and expands it backward to `dmax`,
 /// polling `budget` once per dequeued vertex.
-pub(crate) fn expand_backward(
+fn expand_backward(
     slot: &mut Slot,
     g: &DiGraph,
     sources: &[VId],

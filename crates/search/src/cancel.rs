@@ -1,4 +1,4 @@
-//! Cooperative query budgets: deadlines and cancellation.
+//! Cooperative query budgets: deadlines and check limits.
 //!
 //! A [`Budget`] is threaded through the hot loops of the search
 //! algorithms and BiG-index's specialization / answer-generation
@@ -10,22 +10,18 @@
 //! [`CHECK_PERIOD`] calls so an unlimited budget costs two branch
 //! predictions per iteration.
 //!
-//! A budget combines three independent stop conditions:
+//! A budget combines two independent stop conditions:
 //!
-//! - a **deadline** (`Instant`), for per-query timeouts;
-//! - a shared **cancel flag** (`Arc<AtomicBool>`), for external
-//!   cancellation (client disconnect, service shutdown); and
+//! - a **deadline** (`Instant`), for per-query timeouts; and
 //! - a **check limit** (a deterministic op-count), for reproducible
 //!   partial runs — the anytime-search tests and bounded wrap-up slices
 //!   use it because wall-clock deadlines are nondeterministic.
 //!
 //! Budgets are cheap to clone and are owned by one worker thread at a
 //! time (the amortization counter is a `Cell`, so `Budget` is `Send`
-//! but deliberately not `Sync`; share the *flag*, not the budget).
+//! but deliberately not `Sync`; fan one out through a [`BudgetSeed`]).
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How many exhaustion checks share one `Instant::now()` read.
@@ -46,7 +42,7 @@ pub struct Interrupted;
 
 impl std::fmt::Display for Interrupted {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("query interrupted: budget exhausted (deadline or cancellation)")
+        f.write_str("query interrupted: budget exhausted (deadline or check limit)")
     }
 }
 
@@ -57,16 +53,15 @@ impl std::error::Error for Interrupted {}
 ///
 /// `Budget` itself is `Send` but not `Sync` (its amortization counter
 /// is a `Cell`), so a scatter–gather executor cannot share one budget
-/// between legs. A seed captures the *conditions* — deadline, shared
-/// cancel flag, and remaining check limit — without the per-thread
-/// counters, and [`BudgetSeed::budget`] mints a fresh budget per leg.
-/// All legs observe the same absolute deadline and the same cancel
-/// flag; a check limit is copied per leg (each leg gets the full
-/// remaining count), which preserves determinism per leg.
+/// between legs. A seed captures the *conditions* — deadline and
+/// remaining check limit — without the per-thread counters, and
+/// [`BudgetSeed::budget`] mints a fresh budget per leg. All legs
+/// observe the same absolute deadline; a check limit is copied per leg
+/// (each leg gets the full remaining count), which preserves
+/// determinism per leg.
 #[derive(Debug, Clone, Default)]
 pub struct BudgetSeed {
     deadline: Option<Instant>,
-    cancel: Option<Arc<AtomicBool>>,
     checks: Option<u64>,
 }
 
@@ -75,7 +70,6 @@ impl BudgetSeed {
     pub fn budget(&self) -> Budget {
         Budget {
             deadline: self.deadline,
-            cancel: self.cancel.clone(),
             checks_left: self.checks.map(Cell::new),
             countdown: Cell::new(0),
             expired: Cell::new(false),
@@ -84,14 +78,13 @@ impl BudgetSeed {
 }
 
 /// A cooperative execution budget: optional deadline plus optional
-/// shared cancel flag.
+/// check limit.
 #[derive(Debug, Clone, Default)]
 pub struct Budget {
     deadline: Option<Instant>,
-    cancel: Option<Arc<AtomicBool>>,
     // Checks remaining before a check-limited budget exhausts; `None`
     // disables the limit. Cloning copies the *remaining* count — clones
-    // do not share the counter (share the cancel flag instead).
+    // do not share the counter.
     checks_left: Option<Cell<u64>>,
     // Calls remaining until the next clock read; starts at 0 so the
     // very first check always consults the clock (a 0 ms deadline must
@@ -107,7 +100,6 @@ impl Budget {
     pub const fn unlimited() -> Self {
         Budget {
             deadline: None,
-            cancel: None,
             checks_left: None,
             countdown: Cell::new(0),
             expired: Cell::new(false),
@@ -146,33 +138,13 @@ impl Budget {
         }
     }
 
-    /// Attaches a shared cancel flag; setting the flag to `true` (from
-    /// any thread) exhausts the budget at its next check.
-    #[must_use]
-    pub fn cancelled_by(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(flag);
-        self
-    }
-
     /// A fresh op-limited budget for bounded *wrap-up* work after this
-    /// budget exhausted: it shares this budget's cancel flag (shutdown
-    /// still interrupts) but replaces the deadline with a deterministic
+    /// budget exhausted: it replaces the deadline with a deterministic
     /// limit of `checks` exhaustion checks, so best-effort
     /// materialization overshoots a deadline by a bounded op count
     /// rather than stopping with nothing.
     pub fn grace(&self, checks: u64) -> Budget {
-        Budget {
-            deadline: None,
-            cancel: self.cancel.clone(),
-            checks_left: Some(Cell::new(checks)),
-            countdown: Cell::new(0),
-            expired: Cell::new(false),
-        }
-    }
-
-    /// The deadline, if one is set.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
+        Budget::with_check_limit(checks)
     }
 
     /// Captures this budget's stop conditions as a `Sync` [`BudgetSeed`]
@@ -181,33 +153,16 @@ impl Budget {
     pub fn seed(&self) -> BudgetSeed {
         BudgetSeed {
             deadline: self.deadline,
-            cancel: self.cancel.clone(),
             checks: self.checks_left.as_ref().map(Cell::get),
         }
     }
 
-    /// True if no deadline, cancel flag, or check limit is attached —
-    /// no check can ever fail.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.cancel.is_none() && self.checks_left.is_none()
-    }
-
-    /// Cooperative check: true once the deadline passed or the cancel
-    /// flag was raised. Amortizes clock reads over [`CHECK_PERIOD`]
+    /// Cooperative check: true once the deadline passed or the check
+    /// limit ran out. Amortizes clock reads over [`CHECK_PERIOD`]
     /// calls; once exhausted, stays exhausted.
     pub fn is_exhausted(&self) -> bool {
         if self.expired.get() {
             return true;
-        }
-        if let Some(flag) = &self.cancel {
-            // Acquire pairs with the canceller's Release store so any
-            // state written before raising the flag (shutdown reason,
-            // drained-queue bookkeeping) is visible to the worker that
-            // observes the cancellation.
-            if flag.load(Ordering::Acquire) {
-                self.expired.set(true);
-                return true;
-            }
         }
         if let Some(left) = &self.checks_left {
             let n = left.get();
@@ -248,15 +203,6 @@ impl Budget {
             Ok(())
         }
     }
-
-    /// `Result`-flavoured [`Budget::is_exhausted_now`].
-    pub fn check_now(&self) -> Result<(), Interrupted> {
-        if self.is_exhausted_now() {
-            Err(Interrupted)
-        } else {
-            Ok(())
-        }
-    }
 }
 
 #[cfg(test)]
@@ -270,7 +216,6 @@ mod tests {
             assert!(!b.is_exhausted());
         }
         assert!(b.check().is_ok());
-        assert!(b.is_unlimited());
     }
 
     #[test]
@@ -299,15 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_flag_exhausts_from_another_handle() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let b = Budget::unlimited().cancelled_by(Arc::clone(&flag));
-        assert!(!b.is_exhausted());
-        flag.store(true, Ordering::Release);
-        assert!(b.is_exhausted());
-    }
-
-    #[test]
     fn amortization_still_catches_deadline() {
         let b = Budget::with_timeout(Duration::from_millis(5));
         std::thread::sleep(Duration::from_millis(10));
@@ -317,7 +253,7 @@ mod tests {
     }
 
     #[test]
-    fn check_now_bypasses_amortization() {
+    fn exhausted_now_bypasses_amortization() {
         let b = Budget::with_timeout(Duration::from_millis(2));
         assert!(!b.is_exhausted()); // consumes the first clock read
         std::thread::sleep(Duration::from_millis(5));
@@ -332,16 +268,14 @@ mod tests {
         }
         assert!(b.is_exhausted());
         assert!(b.is_exhausted(), "exhaustion latches");
-        assert!(!b.is_unlimited());
 
         // A zero limit trips on the first check, like a zero timeout.
         assert!(Budget::with_check_limit(0).is_exhausted());
     }
 
     #[test]
-    fn grace_budget_keeps_cancel_flag_but_not_deadline() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let b = Budget::with_timeout(Duration::ZERO).cancelled_by(Arc::clone(&flag));
+    fn grace_budget_drops_the_deadline() {
+        let b = Budget::with_timeout(Duration::ZERO);
         assert!(b.is_exhausted());
         let g = b.grace(10);
         // The grace slice is fresh: the parent's expiry does not carry
@@ -350,17 +284,11 @@ mod tests {
             assert!(!g.is_exhausted());
         }
         assert!(g.is_exhausted());
-        // But a raised cancel flag still interrupts a grace slice.
-        let g2 = b.grace(1000);
-        flag.store(true, Ordering::Release);
-        assert!(g2.is_exhausted());
     }
 
     #[test]
     fn seed_reproduces_conditions_across_threads() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let b = Budget::with_check_limit(3).cancelled_by(Arc::clone(&flag));
-        let seed = b.seed();
+        let seed = Budget::with_check_limit(3).seed();
         // Seeds are Sync: usable from a scoped worker thread.
         std::thread::scope(|s| {
             let seed_ref = &seed;
@@ -372,11 +300,6 @@ mod tests {
                 assert!(leg.is_exhausted(), "check limit carries into the leg");
             });
         });
-        // The cancel flag is shared, not copied.
-        let leg = seed.budget();
-        flag.store(true, Ordering::Release);
-        assert!(leg.is_exhausted());
-
         // Seeding after partial consumption copies the remaining count.
         let c = Budget::with_check_limit(5);
         assert!(!c.is_exhausted());
@@ -389,12 +312,13 @@ mod tests {
     }
 
     #[test]
-    fn clone_shares_flag_not_latch() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let a = Budget::unlimited().cancelled_by(Arc::clone(&flag));
+    fn clone_does_not_share_the_latch() {
+        let a = Budget::with_check_limit(1);
         let b = a.clone();
-        flag.store(true, Ordering::Release);
+        assert!(!a.is_exhausted());
         assert!(a.is_exhausted());
+        // The clone kept its own count and its own latch.
+        assert!(!b.is_exhausted());
         assert!(b.is_exhausted());
     }
 }

@@ -34,7 +34,6 @@
 
 pub mod answer;
 pub mod banks;
-pub mod bidirectional;
 pub mod blinks;
 pub mod cancel;
 pub mod outcome;
@@ -45,7 +44,6 @@ pub mod semantics;
 
 pub use answer::AnswerGraph;
 pub use banks::Banks;
-pub use bidirectional::Bidirectional;
 pub use blinks::Blinks;
 pub use cancel::{Budget, BudgetSeed, Interrupted};
 pub use outcome::{Completeness, SearchOutcome};

@@ -46,8 +46,6 @@ impl Default for RClique {
 impl KeywordSearch for RClique {
     type Index = NeighborIndex;
 
-    const DISTANCE_ONLY: bool = true;
-
     fn name(&self) -> &'static str {
         "dkws"
     }
@@ -56,6 +54,11 @@ impl KeywordSearch for RClique {
     /// first read. The content node lists are the graph's label table.
     fn build_index(&self, g: &DiGraph) -> NeighborIndex {
         NeighborIndex::build(g, self.radius)
+    }
+
+    /// `min(d_max, r)`: the neighbor index knows no distance beyond `r`.
+    fn distance_bound(&self, query: &KeywordQuery) -> Option<u32> {
+        Some(query.dmax.min(self.radius))
     }
 
     fn search_anytime(
@@ -69,7 +72,8 @@ impl KeywordSearch for RClique {
         if query.is_empty() || k == 0 {
             return Ok(SearchOutcome::exact(Vec::new()));
         }
-        let r = query.dmax.min(index.radius());
+        // `Some` for r-clique: Algo. 2 verifies realized cliques at this bound.
+        let r = self.distance_bound(query).unwrap_or(query.dmax);
         // Per-query content node lists (the search space SP).
         let content: Vec<&[VId]> = query.keywords.iter().map(|&q| g.vertices_with(q)).collect();
         if content.iter().any(|c| c.is_empty()) {

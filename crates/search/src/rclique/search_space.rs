@@ -298,8 +298,8 @@ impl AnytimeSearch<'_> {
                 excluded: Vec::new(),
             })
             .collect();
-        // The greedy seed's deterministic op slice: shares the cancel
-        // flag (shutdown still interrupts) but not the deadline.
+        // The greedy seed's deterministic op slice, without the
+        // deadline.
         self.push(
             &mut frontier,
             &mut seq,

@@ -25,13 +25,16 @@ pub trait KeywordSearch {
     /// Human-readable algorithm name (for reports).
     fn name(&self) -> &'static str;
 
-    /// True when an answer is constrained only by the pairwise
-    /// distances between its keyword nodes (the r-clique semantics):
+    /// The bound on every keyword pair's distance when an answer is
+    /// constrained only by those distances (the r-clique semantics):
     /// its witness paths are one choice among many, so Algo. 2 may
     /// accept a specialized answer whose paths do not realize on `G⁰`
-    /// once the keyword nodes' distances check out there. Tree
-    /// semantics, whose answer *is* its paths, keep the default.
-    const DISTANCE_ONLY: bool = false;
+    /// once the keyword nodes' distances check out there, within this
+    /// bound. Tree semantics, whose answer *is* its paths, keep the
+    /// default `None`.
+    fn distance_bound(&self, _query: &KeywordQuery) -> Option<u32> {
+        None
+    }
 
     /// Builds the algorithm's index over `g`.
     fn build_index(&self, g: &DiGraph) -> Self::Index;

@@ -1,4 +1,4 @@
-//! Cooperative-budget behavior of the four plugged-in semantics' one
+//! Cooperative-budget behavior of the three plugged-in semantics' one
 //! search method: an exhausted budget never yields a result marked
 //! exact, an unlimited budget (or a generous deadline) reproduces the
 //! plain `search` results exactly and says so.
@@ -6,11 +6,9 @@
 use bgi_graph::generate::uniform_random;
 use bgi_graph::LabelId;
 use bgi_search::{
-    AnswerGraph, Banks, Bidirectional, Blinks, Budget, Interrupted, KeywordQuery, KeywordSearch,
-    RClique, SearchOutcome,
+    AnswerGraph, Banks, Blinks, Budget, Interrupted, KeywordQuery, KeywordSearch, RClique,
+    SearchOutcome,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// The strict all-or-nothing view of an outcome: only a run that
@@ -36,17 +34,6 @@ fn check_semantics<F: KeywordSearch>(algo: &F) {
         "{}: zero budget must interrupt",
         algo.name()
     );
-
-    // Pre-raised cancel flag: likewise.
-    let flag = Arc::new(AtomicBool::new(true));
-    let cancelled = Budget::unlimited().cancelled_by(Arc::clone(&flag));
-    assert_eq!(
-        strict(algo.search_anytime(&g, &index, &q, 10, &cancelled)),
-        Err(Interrupted),
-        "{}: raised cancel flag must interrupt",
-        algo.name()
-    );
-    flag.store(false, Ordering::Relaxed);
 
     // Unlimited and generous budgets agree with plain search and are
     // exact.
@@ -85,9 +72,4 @@ fn blinks_respects_budget() {
 #[test]
 fn rclique_respects_budget() {
     check_semantics(&RClique::default());
-}
-
-#[test]
-fn bidirectional_respects_budget() {
-    check_semantics(&Bidirectional::default());
 }

@@ -1,9 +1,10 @@
 //! Partition plans: who owns which vertex, which halo each shard
 //! carries, and which edges cross shards.
 
+use bgi_graph::traversal::{with_slot, Direction};
 use bgi_graph::{DiGraph, VId};
 use bgi_search::blinks::bfs_partition;
-use std::collections::VecDeque;
+use bgi_store::codec::fnv1a64;
 
 /// How to cut a graph into shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -333,41 +334,20 @@ impl ShardPlan {
 /// Per-shard universes: multi-source undirected BFS of depth `radius`
 /// from each shard's owned set.
 fn halo_universes(g: &DiGraph, owner: &[u32], shards: usize, radius: u32) -> Vec<Vec<VId>> {
-    let n = g.num_vertices();
-    let mut seen = vec![u32::MAX; n];
-    let mut dist = vec![0u32; n];
-    let mut universes = Vec::with_capacity(shards);
-    for s in 0..shards {
-        let stamp = s as u32;
-        let mut queue: VecDeque<VId> = VecDeque::new();
-        let mut univ: Vec<VId> = Vec::new();
-        for (v, &o) in owner.iter().enumerate().take(n) {
-            if o == stamp {
-                let v = VId(v as u32);
-                seen[v.index()] = stamp;
-                dist[v.index()] = 0;
-                queue.push_back(v);
-                univ.push(v);
-            }
-        }
-        while let Some(u) = queue.pop_front() {
-            let d = dist[u.index()];
-            if d >= radius {
-                continue;
-            }
-            for &w in g.out_neighbors(u).iter().chain(g.in_neighbors(u)) {
-                if seen[w.index()] != stamp {
-                    seen[w.index()] = stamp;
-                    dist[w.index()] = d + 1;
-                    queue.push_back(w);
-                    univ.push(w);
-                }
-            }
-        }
-        univ.sort_unstable();
-        universes.push(univ);
-    }
-    universes
+    with_slot(|slot| {
+        (0..shards as u32)
+            .map(|s| {
+                let owned: Vec<VId> = (owner.iter().enumerate())
+                    .filter(|&(_, &o)| o == s)
+                    .map(|(v, _)| VId(v as u32))
+                    .collect();
+                slot.seed(g, &owned);
+                slot.fill(g, Direction::Undirected, radius);
+                slot.sort_discovered();
+                slot.discovered().to_vec()
+            })
+            .collect()
+    })
 }
 
 const MAGIC: &[u8] = b"BGIPLN01";
@@ -411,16 +391,6 @@ impl Reader<'_> {
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
     }
-}
-
-/// FNV-1a 64-bit, matching the store's MANIFEST checksum choice.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -565,6 +535,20 @@ mod tests {
         }
         assert!(ShardPlan::decode(&bytes[..bytes.len() - 2]).is_err());
         assert!(ShardPlan::decode(b"nope").is_err());
+    }
+
+    /// The serialized plan of one generated graph, pinned as (length,
+    /// checksum): halos, cut lists and their order are part of the
+    /// on-disk format, so a planner change must leave these bytes alone.
+    /// Measured on the planner's own `VecDeque` BFS, before the halos
+    /// moved onto the traversal kernel.
+    #[test]
+    fn encoded_plan_bytes_are_pinned() {
+        let bytes = ShardPlan::build(&yago(1500), &spec(4)).unwrap().encode();
+        assert_eq!(
+            (bytes.len(), fnv1a64(&bytes)),
+            (43_572, 0x1945_a01f_54d6_9da6)
+        );
     }
 
     #[test]

@@ -376,11 +376,10 @@ fn check_budget_poll(root: &Path, inject: Option<&str>, errors: &mut Vec<String>
 }
 
 /// Every *outermost* loop inside a function that takes a `&Budget`
-/// must mention the budget parameter — either `budget.check()?` /
-/// `budget.check_now()?` directly, or by forwarding `budget` into a
-/// budgeted callee. A loop may opt out with a `// budget-exempt:
-/// <reason>` comment on the loop header or the line above (for loops
-/// with a small static trip count).
+/// must mention the budget parameter — either `budget.check()?`
+/// directly, or by forwarding `budget` into a budgeted callee. A loop
+/// may opt out with a `// budget-exempt: <reason>` comment on the loop
+/// header or the line above (for loops with a small static trip count).
 fn budget_poll_violations(rel: &str, text: &str) -> Vec<String> {
     let mut out = Vec::new();
     let lines = non_test_lines(text);
