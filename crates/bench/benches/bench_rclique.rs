@@ -1,11 +1,13 @@
 //! Criterion: r-clique query times with and without BiG-index
-//! (the microbenchmark behind Figs. 13–14) plus the cost of filling
-//! every neighbor-index row — what Kargar & An pay up front.
+//! (the microbenchmark behind Figs. 13–14), the baseline in the shape
+//! of a sharded dkws leg, plus the cost of filling every neighbor-index
+//! row — what Kargar & An pay up front.
 
 use bgi_bench::setup::Workbench;
 use bgi_datasets::DatasetSpec;
+use bgi_graph::LabelId;
 use bgi_search::rclique::NeighborIndex;
-use bgi_search::RClique;
+use bgi_search::{KeywordQuery, KeywordSearch, RClique};
 use big_index::{boost_dkws, EvalOptions};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -28,6 +30,31 @@ fn bench_rclique_queries(c: &mut Criterion) {
     group.finish();
 }
 
+/// The baseline at a sharded dkws leg's shape: one road-like shard with
+/// its halo holds 1.7k–2.6k vertices, and a leg asks for `2k + 8 = 18`
+/// answers at `d_max` 2. Pairs of the most frequent labels; one untimed
+/// run first fills the rows the query reads, as on a served snapshot.
+fn bench_rclique_road_like(c: &mut Criterion) {
+    let ds = DatasetSpec::road_like(2_000).generate();
+    let rc = RClique { radius: 4 };
+    let index = rc.build_index(&ds.graph);
+    let mut labels: Vec<(u32, LabelId)> = (ds.graph.label_counts().into_iter().enumerate())
+        .map(|(l, count)| (count, LabelId(l as u32)))
+        .collect();
+    labels.sort_unstable_by(|a, b| b.cmp(a));
+    let mut group = c.benchmark_group("rclique_road_like");
+    group.sample_size(20);
+    for pair in labels.windows(2).take(4) {
+        let query = KeywordQuery::new(vec![pair[0].1, pair[1].1], 2);
+        let name = format!("l{}_l{}_baseline", pair[0].1 .0, pair[1].1 .0);
+        black_box(rc.search(&ds.graph, &index, &query, 18));
+        group.bench_function(name, |b| {
+            b.iter(|| rc.search(&ds.graph, &index, &query, 18));
+        });
+    }
+    group.finish();
+}
+
 fn bench_neighbor_index(c: &mut Criterion) {
     let mut group = c.benchmark_group("neighbor_index_fill_all_rows");
     group.sample_size(10);
@@ -45,5 +72,10 @@ fn bench_neighbor_index(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_rclique_queries, bench_neighbor_index);
+criterion_group!(
+    benches,
+    bench_rclique_queries,
+    bench_rclique_road_like,
+    bench_neighbor_index
+);
 criterion_main!(benches);

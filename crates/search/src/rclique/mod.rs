@@ -21,9 +21,12 @@
 //!   ([`neighbor_index::clique_answer`]), for this search and for
 //!   BiG-index's distance realizer alike.
 //! - `search_space` (crate-private) — the interruptible anytime search
-//!   space: greedy
-//!   seed answer, branch-and-bound improvement under a cooperative
-//!   budget, and a sound optimality bound on interruption.
+//!   space: greedy seed answer, branch-and-bound improvement under a
+//!   cooperative budget, and a sound optimality bound on interruption.
+//!   It reads distances from per-query keyword-grouped nearest lists
+//!   (each content node's content nodes of the other keywords within
+//!   `r`, by distance), built once per query from the resident rows on
+//!   per-thread dense scratch.
 //! - [`search::RClique`] — greedy best answer + Lawler-style top-k
 //!   decomposition on top of the engine.
 

@@ -1,9 +1,10 @@
 //! Cross-algorithm equivalence on generated datasets: BANKS and BLINKS
 //! both implement the distinct-root semantics, so their full answer
-//! sets must equal a brute-force oracle's — and r-clique's answers must
-//! satisfy its own distance semantics — on realistic knowledge-graph
-//! inputs (not just the small random graphs of the per-crate unit
-//! tests).
+//! sets must equal a brute-force oracle's; r-clique's full answer set
+//! must equal a brute-force clique enumeration, and its top-k answers
+//! must satisfy its own distance semantics — on realistic
+//! knowledge-graph and road inputs (not just the small random graphs of
+//! the per-crate unit tests).
 
 use bgi_graph::{DiGraph, VId};
 use big_index_repro::datasets::{benchmark_queries, DatasetSpec};
@@ -60,6 +61,62 @@ fn oracle_root_scores(g: &DiGraph, query: &KeywordQuery) -> Vec<(Option<VId>, u6
     out
 }
 
+/// Every r-clique of `query` at distance bound `r`, by brute force: a
+/// plain BFS over the in- and out-neighbour lists from every keyword
+/// node, then every tuple of one node per keyword whose pairwise
+/// distances are all at most `r`, with the sum of those distances.
+fn oracle_cliques(g: &DiGraph, query: &KeywordQuery, r: u32) -> Vec<(Vec<VId>, u64)> {
+    let content: Vec<&[VId]> = query.keywords.iter().map(|&q| g.vertices_with(q)).collect();
+    let mut dist: Vec<Vec<u32>> = vec![Vec::new(); g.num_vertices()];
+    for &s in content.iter().copied().flatten() {
+        let d = &mut dist[s.index()];
+        d.resize(g.num_vertices(), u32::MAX);
+        d[s.index()] = 0;
+        let mut queue = VecDeque::from([s]);
+        while let Some(u) = queue.pop_front() {
+            if d[u.index()] == r {
+                continue;
+            }
+            for &w in g.out_neighbors(u).iter().chain(g.in_neighbors(u)) {
+                if d[w.index()] == u32::MAX {
+                    d[w.index()] = d[u.index()] + 1;
+                    queue.push_back(w);
+                }
+            }
+        }
+    }
+    let mut out = Vec::new();
+    let mut tuple = Vec::new();
+    extend_cliques(&content, &dist, &mut tuple, 0, &mut out);
+    out.sort_unstable();
+    out
+}
+
+/// Extends `tuple` by one node of keyword `tuple.len()` in every way
+/// that keeps it within `r` of the nodes already in it (`dist` holds
+/// only distances up to `r`).
+fn extend_cliques(
+    content: &[&[VId]],
+    dist: &[Vec<u32>],
+    tuple: &mut Vec<VId>,
+    weight: u64,
+    out: &mut Vec<(Vec<VId>, u64)>,
+) {
+    let Some(&nodes) = content.get(tuple.len()) else {
+        out.push((tuple.clone(), weight));
+        return;
+    };
+    for &v in nodes {
+        let ds: Vec<u32> = tuple.iter().map(|u| dist[u.index()][v.index()]).collect();
+        if ds.iter().all(|&d| d != u32::MAX) {
+            tuple.push(v);
+            let added: u64 = ds.iter().map(|&d| u64::from(d)).sum();
+            extend_cliques(content, dist, tuple, weight + added, out);
+            tuple.pop();
+        }
+    }
+}
+
 #[test]
 fn banks_and_blinks_match_a_brute_force_oracle_on_yago_like() {
     let ds = DatasetSpec::yago_like(4000).generate();
@@ -79,6 +136,42 @@ fn banks_and_blinks_match_a_brute_force_oracle_on_yago_like() {
             let b = blinks.search(&ds.graph, &(), &query, 100_000);
             assert_eq!(root_scores(&a), oracle, "{} d_max {dmax}: banks", q.id);
             assert_eq!(root_scores(&b), oracle, "{} d_max {dmax}: blinks", q.id);
+        }
+    }
+}
+
+#[test]
+fn rclique_matches_a_brute_force_clique_enumeration() {
+    let rc = RClique::default();
+    for ds in [
+        DatasetSpec::yago_like(2000).generate(),
+        DatasetSpec::road_like(2000).generate(),
+    ] {
+        let index = rc.build_index(&ds.graph);
+        let mut seen = Vec::new();
+        let mut queries = benchmark_queries(&ds, 4, 20, 5);
+        queries.retain(|q| {
+            let mut set = q.keywords.clone();
+            set.sort_unstable();
+            q.keywords.len() <= 4 && !seen.contains(&set) && {
+                seen.push(set);
+                true
+            }
+        });
+        assert!(queries.len() >= 4, "{}: too few queries", ds.name);
+        for q in &queries {
+            let full = q.to_query();
+            for dmax in 1..=4 {
+                let query = KeywordQuery::new(full.keywords.clone(), dmax);
+                let oracle = oracle_cliques(&ds.graph, &query, dmax.min(rc.radius));
+                assert!(dmax < 4 || !oracle.is_empty(), "{}: no clique", q.id);
+                let answers = rc.search(&ds.graph, &index, &query, oracle.len() + 1);
+                let mut found: Vec<(Vec<VId>, u64)> = (answers.iter())
+                    .map(|a| (a.keyword_matches.iter().map(|m| m[0]).collect(), a.score))
+                    .collect();
+                found.sort_unstable();
+                assert_eq!(found, oracle, "{} {} d_max {dmax}", ds.name, q.id);
+            }
         }
     }
 }
