@@ -15,8 +15,9 @@
 //! One index consumes the diff: [`crate::rclique::NeighborIndex::patched`]
 //! drops each filled per-vertex ball that a changed edge of the
 //! undirected view can move — a deleted edge on one of its shortest
-//! paths, or an inserted edge that shortens one — judged from the old
-//! graph's distances by a bit-parallel BFS per 32 changed edges, and
+//! paths whose far endpoint has no other way in at the same distance,
+//! or an inserted edge that shortens one — judged from the old graph's
+//! distances by a bit-parallel BFS per 32 changed edges, and
 //! carries every other filled row over; dropped rows are recomputed on
 //! first read. It is *exactly equivalent* to a rebuild, and returns
 //! `None` when the index does not describe the graph the diff starts

@@ -15,7 +15,9 @@
 //!   representation: a table of per-vertex rows, each filled by a
 //!   bounded BFS on first read, shared by every clone of the index and
 //!   never written to disk. Building it is `O(n + m)`; an update
-//!   carries over every filled row none of its edits can move. The same
+//!   carries over every filled row none of its edits can move, and for
+//!   an update of one undirected edge that is exactly the rows whose
+//!   ball stays the same. The same
 //!   traversal kernel ([`bgi_graph::traversal`]) that fills a row also
 //!   builds every r-clique answer's witness paths
 //!   ([`neighbor_index::clique_answer`]), for this search and for

@@ -85,17 +85,25 @@ impl NeighborIndex {
     /// nothing. Let `r` be the radius and `d(·)` a resident row `x`'s
     /// distances in the old graph, capped at `r + 1` (an appended vertex
     /// is at `r + 1`). The row is dropped exactly when
-    /// - a deleted edge `{a, b}` is *tight*: `d(a) ≠ d(b)` and
-    ///   `min(d(a), d(b)) < r`; or
+    /// - a deleted edge `{near, far}` is *tight* and *unsupported*:
+    ///   `d(near) = ℓ < r`, `d(far) = ℓ + 1`, and no undirected
+    ///   neighbour `c` of `far` in `new_g` (which leaves out `near`) has
+    ///   `d(c) = ℓ`; or
     /// - an inserted edge `{a, b}` *shortens*: `|d(a) − d(b)| ≥ 2` and
     ///   `min(d(a), d(b)) < r`.
     ///
     /// **Soundness.** Let `d'` be `x`'s distances in the new graph and
-    /// suppose no changed edge is tight or shortens for `x`.
-    /// (1) `d'(v) ≤ d(v)` whenever `d(v) ≤ r`: consecutive vertices on
-    /// an old shortest path to `v` sit at distances `i` and `i + 1` with
-    /// `i < r`, so each of its edges is tight, none was deleted, and the
-    /// path exists in the new graph.
+    /// suppose no deleted edge is tight and unsupported for `x` and no
+    /// inserted edge shortens.
+    /// (1) `d'(v) ≤ d(v)` whenever `d(v) ≤ r`, by induction on `d(v)`,
+    /// `x` itself being the base. Take `v` with `d(v) = j ≥ 1` and `p`
+    /// its parent on an old shortest path, `d(p) = j − 1`. If the edge
+    /// `{p, v}` is in the new graph, `d'(v) ≤ d'(p) + 1 ≤ j`. Otherwise
+    /// it is a deleted edge, tight with `near = p`, `far = v`,
+    /// `ℓ = j − 1 < r`, so `v` has a support `c`, a new-graph neighbour
+    /// with `d(c) = j − 1`; by induction `d'(c) ≤ j − 1`, and again
+    /// `d'(v) ≤ j`. A support whose edge to `v` was inserted serves as
+    /// well as an old one.
     /// (2) No `v` with `d'(v) ≤ r` has `d'(v) < d(v)`: take such a `v`
     /// with the least `d'(v) = j ≥ 1`, and `w` its predecessor on a new
     /// shortest path. `w` is no such vertex, so `d(w) ≤ j − 1`. If the
@@ -103,8 +111,16 @@ impl NeighborIndex {
     /// `min = d(w) < r` and `d(v) − d(w) ≥ 2` — it shortens.
     /// Together `d'` and `d` agree on every vertex within `r` of `x` in
     /// either graph: the ball and its distances are unchanged. The rule
-    /// reads old distances only, so it needs nothing of `new_g` beyond
-    /// which edges the diff really changed.
+    /// reads old distances, which the resident row holds, and the
+    /// changed edges and `far`'s neighbours in `new_g`.
+    ///
+    /// **Exact for one edit.** When the diff changes one undirected edge,
+    /// the rows dropped are exactly the rows whose ball changes. A
+    /// shortening insertion pulls the farther endpoint to `ℓ + 1 ≤ r`,
+    /// nearer than it was. After an unsupported tight deletion every
+    /// new-graph neighbour `c` of `far` has `d(c) ≥ ℓ + 1`, and a
+    /// deletion alone lengthens no distance, so `far`, at `ℓ + 1 ≤ r`
+    /// before, is at least `ℓ + 2` after.
     ///
     /// **The traversal.** The changed edges go in passes of up to 32,
     /// two bits each, one per endpoint. Each pass runs one bit-parallel
@@ -112,7 +128,9 @@ impl NeighborIndex {
     /// at once: after level `ℓ`, vertex `x` holds an endpoint's bit iff
     /// that endpoint is within `ℓ` of `x`. An edge with exactly one
     /// endpoint seen at level `ℓ` has `min ≤ ℓ < max`, so a deleted edge
-    /// is tight iff that holds at some `ℓ < r`, and an inserted edge
+    /// is tight iff that holds at some `ℓ < r` — the endpoint seen is
+    /// `near`, and `far`'s new-graph neighbours are looked up in `x`'s
+    /// row, stopping at the first at `ℓ` — and an inserted edge
     /// shortens iff it holds at both `ℓ` and `ℓ + 1` for some `ℓ < r`.
     /// A row is judged only at the levels where it gains a bit, and a bit
     /// is carried only where it can still reach a live row in time: once
@@ -134,7 +152,14 @@ impl NeighborIndex {
         // judged, so it is not carried over either.
         let mut live: Vec<bool> = self.rows.iter().map(|row| row.get().is_some()).collect();
         let changes = undirected_changes(&self.graph, new_g, diff);
-        drop_movable_rows(&self.graph, self.radius, &changes, &mut live);
+        drop_movable_rows(
+            &self.graph,
+            new_g,
+            &self.rows,
+            self.radius,
+            &changes,
+            &mut live,
+        );
         let rows = (0..n_new)
             .map(|v| match self.rows.get(v).and_then(OnceLock::get) {
                 Some(row) if live[v] => OnceLock::from(Arc::clone(row)),
@@ -222,17 +247,26 @@ fn one_seen(seen: u64) -> u64 {
     (seen ^ (seen >> 1)) & PAIR_LOW_BITS
 }
 
-/// Clears `live[x]` — set for the rows resident in the old graph `g` —
-/// for every row an edge of `changes` can move at radius `r`, by the
-/// rule and traversal of [`NeighborIndex::patched`].
+/// Clears `live[x]` — set for the rows of `rows`, over the old graph
+/// `g`, that are resident — for every row an edge of `changes` can move
+/// at radius `r` on the way to `new_g`, by the rule and traversal of
+/// [`NeighborIndex::patched`].
 ///
 /// A pair's exactly-one-seen state can begin only at the level where a
 /// vertex gains the nearer endpoint's bit, so rows are judged only
-/// there: a deleted edge then is tight, and an inserted one shortens
-/// if the far endpoint's bit does not follow one level later. Level `r`
-/// matters only to the rows judged so at level `r − 1`: each reads it
-/// off its own neighbors, and the BFS stops at `r − 1`.
-fn drop_movable_rows(g: &DiGraph, r: u32, changes: &[(VId, VId, bool)], live: &mut [bool]) {
+/// there: a deleted edge then is tight, and drops the row unless its
+/// far endpoint has a support; an inserted one shortens if the far
+/// endpoint's bit does not follow one level later. Level `r` matters
+/// only to the rows judged so at level `r − 1`: each reads it off its
+/// own neighbors, and the BFS stops at `r − 1`.
+fn drop_movable_rows(
+    g: &DiGraph,
+    new_g: &DiGraph,
+    rows: &[BallRow],
+    r: u32,
+    changes: &[(VId, VId, bool)],
+    live: &mut [bool],
+) {
     let n = g.num_vertices();
     // `seen[v]`: the endpoints within the current level of `v`;
     // `gain[v]`: the ones first reaching `v` at the next level.
@@ -294,7 +328,8 @@ fn drop_movable_rows(g: &DiGraph, r: u32, changes: &[(VId, VId, bool)], live: &m
                     continue;
                 }
                 let one = one_seen(seen[x.index()]);
-                if one & deleted != 0 {
+                let row = rows[x.index()].get().map_or(&[][..], |row| &row[..]);
+                if unsupported(new_g, row, pass, seen[x.index()], one & deleted, level) {
                     live[x.index()] = false;
                 } else if one & inserted != 0 {
                     pending.push((x, one & inserted));
@@ -328,6 +363,41 @@ fn drop_movable_rows(g: &DiGraph, r: u32, changes: &[(VId, VId, bool)], live: &m
             }
         }
     }
+}
+
+/// Whether one of the deleted edges of `pass` whose low pair bits
+/// `pairs` holds — each with exactly one endpoint, `near`, among the
+/// bits `seen` of a vertex `x` at distance `level` — has no *support*:
+/// no undirected neighbour of its other endpoint in `new_g` lies at
+/// `level` in `x`'s old ball `row`. `near` itself is no neighbour
+/// there, the edge being deleted, and neither is a vertex appended by
+/// the diff, which no old row holds.
+fn unsupported(
+    new_g: &DiGraph,
+    row: &[(VId, u16)],
+    pass: &[(VId, VId, bool)],
+    seen: u64,
+    mut pairs: u64,
+    level: u32,
+) -> bool {
+    while pairs != 0 {
+        let bit = pairs.trailing_zeros();
+        pairs &= pairs - 1;
+        let (a, b, _) = pass[bit as usize / 2];
+        let far = if seen >> bit & 1 == 1 { b } else { a };
+        let at_level = |c: &VId| {
+            row.binary_search_by_key(c, |&(w, _)| w)
+                .is_ok_and(|i| u32::from(row[i].1) == level)
+        };
+        let mut around = new_g
+            .out_neighbors(far)
+            .iter()
+            .chain(new_g.in_neighbors(far));
+        if !around.any(at_level) {
+            return true;
+        }
+    }
+    false
 }
 
 /// Sets `near[w]` to the undirected hops from `w` to the nearest vertex
@@ -732,6 +802,11 @@ mod tests {
         g.edges().map(|(u, v)| (u.min(v), u.max(v))).collect()
     }
 
+    /// The undirected neighbours of `v` in `g`.
+    fn around(g: &DiGraph, v: VId) -> impl Iterator<Item = VId> + '_ {
+        g.out_neighbors(v).iter().chain(g.in_neighbors(v)).copied()
+    }
+
     /// Whether the rule of [`NeighborIndex::patched`], read straight off
     /// the oracle's old-graph distances, spares row `x` of an index at
     /// radius `r` when `old` becomes `new`.
@@ -739,17 +814,57 @@ mod tests {
         let dist = &oracle(old)[x.index()];
         let d = |v: VId| dist.get(v.index()).map_or(r + 1, |&d| d.min(r + 1));
         let (before, after) = (undirected(old), undirected(new));
-        let moves = |&(a, b): &(VId, VId), inserted: bool| {
+        let shortens = |&(a, b): &(VId, VId)| {
             let (da, db) = (d(a), d(b));
-            da.min(db) < r
-                && if inserted {
-                    da.abs_diff(db) >= 2
-                } else {
-                    da != db
-                }
+            da.min(db) < r && da.abs_diff(db) >= 2
         };
-        !before.difference(&after).any(|e| moves(e, false))
-            && !after.difference(&before).any(|e| moves(e, true))
+        let unsupported = |&(a, b): &(VId, VId)| {
+            let (near, far) = if d(a) < d(b) { (a, b) } else { (b, a) };
+            let l = d(near);
+            l < r && d(far) == l + 1 && !around(new, far).any(|c| c != near && d(c) == l)
+        };
+        !before.difference(&after).any(unsupported) && !after.difference(&before).any(shortens)
+    }
+
+    /// Whether row `x`'s ball at radius `r` is the same in `old` and
+    /// `new`, by the oracle: the same vertices at the same distances.
+    fn ball_unchanged(old: &DiGraph, new: &DiGraph, r: u32, x: VId) -> bool {
+        let ball = |g: &DiGraph| -> Vec<(usize, u32)> {
+            let dist = &oracle(g)[x.index()];
+            (dist.iter().enumerate())
+                .filter(|&(v, &d)| v != x.index() && d <= r)
+                .map(|(v, &d)| (v, d))
+                .collect()
+        };
+        ball(old) == ball(new)
+    }
+
+    /// Every row of an index at radius `r` over `old`, resident, patched
+    /// to `new`: the rows kept.
+    fn kept_rows(old: &DiGraph, new: &DiGraph, r: u32) -> Vec<VId> {
+        let idx = NeighborIndex::build(old, r);
+        for v in old.vertices() {
+            idx.neighbors(v);
+        }
+        let diff = diff_graphs(old, new, usize::MAX).expect("same vertices");
+        let patched = idx.patched(new, &diff).expect("same graph lineage");
+        let kept = patched.resident_rows().map(|(v, _)| v).collect();
+        // Reading every row fills the dropped ones too: after the count.
+        assert_matches_oracle(&patched, new);
+        kept
+    }
+
+    #[test]
+    fn a_deleted_edge_with_another_way_in_keeps_the_row() {
+        // A diamond x=0, a=1, c=2, b=3: 0-1-3 and 0-2-3, radius 3.
+        let diamond = [(0, 1), (1, 3), (0, 2), (2, 3)];
+        let old = graph(4, &diamond);
+        // Without {a, b}, b is still two hops from x through c.
+        let cut = graph(4, &[(0, 1), (0, 2), (2, 3)]);
+        assert!(kept_rows(&old, &cut, 3).contains(&VId(0)));
+        // Without {a, b} and {c, b}, b is unreachable.
+        let both = graph(4, &[(0, 1), (0, 2)]);
+        assert!(!kept_rows(&old, &both, 3).contains(&VId(0)));
     }
 
     proptest! {
@@ -783,6 +898,35 @@ mod tests {
                 .collect();
             prop_assert_eq!(kept, spared);
             assert_matches_oracle(&patched, &new);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn one_undirected_edit_drops_exactly_the_rows_it_changes(
+            n in 2usize..40,
+            edges in proptest::collection::vec((0u32..1000, 0u32..1000), 0..80),
+            radius in 0u32..5,
+            edit in (0u32..1000, 0u32..1000),
+        ) {
+            // The edit removes the edge `u -> v` if there is one and
+            // inserts it otherwise: a deletion, an insertion, or one
+            // direction of a reciprocal pair, which moves nothing.
+            let g = graph(n, &edges);
+            let (u, v) = (VId(edit.0 % n as u32), VId(edit.1 % n as u32));
+            prop_assume!(u != v);
+            let mut new_edges: Vec<(VId, VId)> = g.edges().filter(|&e| e != (u, v)).collect();
+            if !g.has_edge(u, v) {
+                new_edges.push((u, v));
+            }
+            let new = GraphBuilder::from_edges(g.labels().to_vec(), new_edges);
+            let unchanged: Vec<VId> = g
+                .vertices()
+                .filter(|&x| ball_unchanged(&g, &new, radius, x))
+                .collect();
+            prop_assert_eq!(kept_rows(&g, &new, radius), unchanged);
         }
     }
 
