@@ -1,12 +1,10 @@
 //! Criterion: answer-graph generation microbenchmarks — Algo. 3
-//! (vertex-at-a-time, with and without the specialization-order
-//! optimization) versus Algo. 4 (path-based), the mechanisms behind
-//! Figs. 17–18.
+//! (vertex-at-a-time) with and without the specialization-order
+//! optimization (Fig. 17's mechanism), and its top-k early termination.
 
 use bgi_graph::{GraphBuilder, LabelId, VId};
 use bgi_search::{AnswerGraph, Budget};
 use big_index::ans_gen::vertex_answer_generation;
-use big_index::path_gen::path_answer_generation;
 use big_index::spec::SpecializedAnswer;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -67,9 +65,6 @@ fn bench_realizers(c: &mut Criterion) {
                 });
             },
         );
-        group.bench_with_input(BenchmarkId::new("algo4_paths", width), &width, |b, _| {
-            b.iter(|| path_answer_generation(&base, &answer, &spec, usize::MAX, &budget));
-        });
     }
     group.finish();
 }
@@ -78,11 +73,11 @@ fn bench_early_termination(c: &mut Criterion) {
     let (base, answer, spec) = scenario(1000);
     let budget = Budget::unlimited();
     let mut group = c.benchmark_group("answer_generation_topk");
-    group.bench_function("algo4_all", |b| {
-        b.iter(|| path_answer_generation(&base, &answer, &spec, usize::MAX, &budget));
+    group.bench_function("algo3_all", |b| {
+        b.iter(|| vertex_answer_generation(&base, &answer, &spec, true, usize::MAX, &budget));
     });
-    group.bench_function("algo4_top1", |b| {
-        b.iter(|| path_answer_generation(&base, &answer, &spec, 1, &budget));
+    group.bench_function("algo3_top1", |b| {
+        b.iter(|| vertex_answer_generation(&base, &answer, &spec, true, 1, &budget));
     });
     group.finish();
 }

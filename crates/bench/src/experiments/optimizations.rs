@@ -1,11 +1,13 @@
-//! Figs. 17–18 and the isKey ablation (Exp-5): effectiveness of the
-//! query-processing optimizations on the yago-like workload.
+//! Fig. 17 and the isKey ablation (Exp-5): effectiveness of the
+//! query-processing optimizations on the yago-like workload. Fig. 18
+//! (path-based generation, Algo. 4) is retired: EXPERIMENTS.md keeps
+//! its last numbers.
 
 use crate::harness::{fmt_duration, median_time, reduction_pct, TableWriter};
 use crate::setup::Workbench;
 use bgi_datasets::DatasetSpec;
 use bgi_search::blinks::{Blinks, BlinksParams};
-use big_index::{Boosted, EvalOptions, RealizerKind};
+use big_index::{Boosted, EvalOptions};
 
 fn blinks() -> Blinks {
     Blinks::new(BlinksParams { prune_dist: 5 })
@@ -85,12 +87,7 @@ fn ab_table(
 
 /// Fig. 17: specialization-order optimization on/off.
 pub fn spec_order(wb: &Workbench) -> (String, f64) {
-    // The ordering optimization applies to Algo. 3.
-    let on = EvalOptions {
-        realizer: RealizerKind::VertexAtATime,
-        use_spec_order: true,
-        ..EvalOptions::default()
-    };
+    let on = EvalOptions::default();
     let mut off = on;
     off.use_spec_order = false;
     ab_table(
@@ -98,24 +95,6 @@ pub fn spec_order(wb: &Workbench) -> (String, f64) {
         "Fig. 17 — specialization order optimization (paper: 14.8%)",
         "ordered",
         "unordered",
-        on,
-        off,
-    )
-}
-
-/// Fig. 18: path-based answer generation vs vertex-at-a-time.
-pub fn path_based(wb: &Workbench) -> (String, f64) {
-    let on = EvalOptions {
-        realizer: RealizerKind::PathBased,
-        ..EvalOptions::default()
-    };
-    let mut off = on;
-    off.realizer = RealizerKind::VertexAtATime;
-    ab_table(
-        wb,
-        "Fig. 18 — path-based answer generation (paper: 21.7%)",
-        "p_ans_graph_gen",
-        "ans_graph_gen",
         on,
         off,
     )
@@ -143,9 +122,6 @@ pub fn run(scale: usize) -> String {
     let (s, _) = spec_order(&wb);
     out.push_str(&s);
     out.push('\n');
-    let (s, _) = path_based(&wb);
-    out.push_str(&s);
-    out.push('\n');
     let (s, _) = early_keyword_spec(&wb);
     out.push_str(&s);
     out
@@ -160,7 +136,7 @@ mod tests {
         let wb = Workbench::prepare(&DatasetSpec::yago_like(2000), 3, 4);
         let (s, _) = spec_order(&wb);
         assert!(s.contains("Fig. 17"));
-        let (s, _) = path_based(&wb);
-        assert!(s.contains("Fig. 18"));
+        let (s, _) = early_keyword_spec(&wb);
+        assert!(s.contains("isKey"));
     }
 }

@@ -14,7 +14,7 @@
 //! | Figs. 13–14 (r-clique ± BiG-index) | [`experiments::query_perf`] | `exp_query_rclique` |
 //! | Fig. 15 (synthetic scaling) | [`experiments::scaling`] | `exp_synthetic_scaling` |
 //! | Fig. 16, Exp-4 (cost model) | [`experiments::cost_model`] | `exp_cost_model` |
-//! | Figs. 17–18 (optimizations) | [`experiments::optimizations`] | `exp_optimizations` |
+//! | Fig. 17, isKey ablation (Fig. 18 retired) | [`experiments::optimizations`] | `exp_optimizations` |
 //! | Fig. 19, Exp-6 (layer sweep) | [`experiments::layer_sweep`] | `exp_layer_sweep` |
 //! | Serving throughput (beyond the paper) | [`experiments::throughput`] | `exp_throughput` |
 //! | Parallel build scaling (beyond the paper) | [`experiments::build_scaling`] | `exp_build_scaling` |

@@ -132,7 +132,7 @@ pub fn vertex_answer_generation(
 }
 
 /// Builds the concrete [`AnswerGraph`] for a complete assignment.
-pub(crate) fn materialize_assignment(
+fn materialize_assignment(
     answer: &AnswerGraph,
     spec: &SpecializedAnswer,
     assignment: &[Option<VId>],

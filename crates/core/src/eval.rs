@@ -4,9 +4,9 @@
 //! 2. evaluate the plugged-in algorithm `f` on `Gᵐ`;
 //! 3. specialize each generalized answer down the hierarchy with
 //!    candidate filtering ([`crate::spec`]);
-//! 4. materialize final answers at layer 0 — structurally (Algo. 3 or
-//!    Algo. 4); a plug-in whose answers are constrained only by keyword
-//!    distances ([`KeywordSearch::distance_bound`], the r-clique
+//! 4. materialize final answers at layer 0 — structurally, vertex at a
+//!    time (Algo. 3); a plug-in whose answers are constrained only by
+//!    keyword distances ([`KeywordSearch::distance_bound`], the r-clique
 //!    semantics) falls back per answer to re-verifying pairwise
 //!    distances within that bound when its witness paths do not
 //!    realize;
@@ -31,7 +31,6 @@
 
 use crate::ans_gen::{vertex_answer_generation, GenStats};
 use crate::index::BiGIndex;
-use crate::path_gen::path_answer_generation;
 use crate::query_gen::{generalize_query, optimal_layer};
 use crate::spec::{specialize_answer, SpecializedAnswer};
 use bgi_graph::{DiGraph, VId};
@@ -43,18 +42,16 @@ use std::time::{Duration, Instant};
 
 /// How final answers are materialized from specialized candidates.
 ///
-/// Serving always uses the default; the other variants are experiment
-/// and golden-test entry points. Whether a distance re-check backs up
-/// the structural realizers is the plug-in's declaration
+/// Serving always uses the default, the one structural realizer;
+/// [`RealizerKind::DistanceVerify`] is the experiment and golden-test
+/// reference for clique semantics. Whether a distance re-check backs up
+/// the structural realizer is the plug-in's declaration
 /// ([`KeywordSearch::distance_bound`]), not a variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RealizerKind {
-    /// Algo. 3: vertex-at-a-time structural realization.
-    VertexAtATime,
-    /// Algo. 4: path-based structural realization (the default; the
-    /// Sec. 4.3.3 optimization).
+    /// Algo. 3: vertex-at-a-time structural realization (the default).
     #[default]
-    PathBased,
+    VertexAtATime,
     /// Keyword-nodes-only specialization with pairwise bounded-distance
     /// verification on `G⁰` only, no structural attempt — for distance
     /// semantics (r-clique). The bound is the plug-in's
@@ -80,7 +77,7 @@ impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
             beta: 0.4,
-            realizer: RealizerKind::PathBased,
+            realizer: RealizerKind::VertexAtATime,
             use_spec_order: true,
             early_keyword_spec: true,
         }
@@ -360,7 +357,6 @@ fn realize_one<F: KeywordSearch>(
         RealizerKind::VertexAtATime => {
             vertex_answer_generation(base, ga, spec, opts.use_spec_order, remaining, budget)?
         }
-        RealizerKind::PathBased => path_answer_generation(base, ga, spec, remaining, budget)?,
         RealizerKind::DistanceVerify => {
             let bound = bound.unwrap_or(query.dmax);
             return distance_verify(base, query, bound, spec, remaining, dist_cache, budget);
@@ -601,29 +597,6 @@ mod tests {
             .answers
             .iter()
             .all(|a| a.validate(idx.base(), &q.keywords)));
-    }
-
-    #[test]
-    fn both_realizers_agree() {
-        let idx = indexed();
-        let q = KeywordQuery::new(vec![LabelId(2), LabelId(3)], 2);
-        let mut opts = EvalOptions {
-            realizer: RealizerKind::VertexAtATime,
-            ..EvalOptions::default()
-        };
-        let a = eval_at_layer(&idx, &Banks, &(), &q, 1000, 1, &opts);
-        opts.realizer = RealizerKind::PathBased;
-        let b = eval_at_layer(&idx, &Banks, &(), &q, 1000, 1, &opts);
-        let ids = |r: &EvalResult| {
-            let mut v: Vec<_> = r
-                .answers
-                .iter()
-                .map(bgi_search::AnswerGraph::identity)
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(ids(&a), ids(&b));
     }
 
     #[test]

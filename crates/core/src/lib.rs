@@ -16,10 +16,10 @@
 //! evaluated there by any plugged-in keyword search algorithm
 //! (`bgi_search::KeywordSearch`), specialized back down with candidate
 //! filtering ([`spec`]), and materialized into final answers by
-//! vertex-at-a-time ([`ans_gen`]) or path-based ([`path_gen`])
-//! generation. [`eval`] orchestrates the whole pipeline (Algo. 2) and
-//! [`boost`] packages the three boosted algorithms of Sec. 5
-//! (boost-bkws, boost-rkws, boost-dkws).
+//! vertex-at-a-time generation ([`ans_gen`], Algo. 3). [`eval`]
+//! orchestrates the whole pipeline (Algo. 2) and [`boost`] packages the
+//! three boosted algorithms of Sec. 5 (boost-bkws, boost-rkws,
+//! boost-dkws).
 //!
 //! ```
 //! use bgi_graph::{GraphBuilder, LabelId, OntologyBuilder};
@@ -62,7 +62,6 @@ pub mod heuristic;
 pub mod index;
 pub mod layer;
 pub mod maintenance;
-pub mod path_gen;
 pub mod query_gen;
 pub mod spec;
 

@@ -34,7 +34,7 @@ fn boosted_dkws_keeps_every_pair_within_the_radius() {
     let queries: Vec<KeywordQuery> = (benchmark_queries(&ds, rc.radius + 1, 40, 3).iter())
         .map(BenchQuery::to_query)
         .collect();
-    for realizer in [RealizerKind::PathBased, RealizerKind::DistanceVerify] {
+    for realizer in [RealizerKind::VertexAtATime, RealizerKind::DistanceVerify] {
         let opts = EvalOptions {
             realizer,
             ..EvalOptions::default()

@@ -206,13 +206,6 @@ impl DiGraph {
         self.in_neighbors(v).len()
     }
 
-    /// Total degree (in + out) of `v`. Joint vertices in the path-based
-    /// answer generation (Sec. 4.3.3) are vertices of degree > 2.
-    #[inline]
-    pub fn degree(&self, v: VId) -> usize {
-        self.out_degree(v) + self.in_degree(v)
-    }
-
     /// Checks whether edge `(u, v)` exists. `O(out_degree(u))`.
     pub fn has_edge(&self, u: VId, v: VId) -> bool {
         self.out_neighbors(u).contains(&v)
@@ -445,7 +438,6 @@ mod tests {
         let g = diamond();
         assert_eq!(g.out_degree(VId(0)), 2);
         assert_eq!(g.in_degree(VId(0)), 0);
-        assert_eq!(g.degree(VId(1)), 2);
     }
 
     #[test]
